@@ -26,17 +26,3 @@ def mask_of(items: Iterable[int]) -> int:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
-
-
-def subsets_of_size(mask: int, size: int) -> Iterator[int]:
-    """Yield all submasks of `mask` with exactly `size` bits, in lex order."""
-    bits = bit_list(mask)
-    if size > len(bits):
-        return
-    if size == 0:
-        yield 0
-        return
-    import itertools
-
-    for combo in itertools.combinations(bits, size):
-        yield mask_of(combo)

@@ -11,20 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import formats, generators, invariants, kernels, reductions
 from .bitset import bit_list, mask_of
 from .errors import BudgetExceededError, CertificationError, FormatError
 from .forbid import ForbidRequest, forbid
-from .graphs import Graph, is_incomparable_set
+from .graphs import Graph, Instance, is_incomparable_set
 from .solver import decide, node_budget_from_env
 
 SCHEMA = "lhom/1"
 
 
 def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False) or getattr(args, "stats_json", False):
+    if getattr(args, "json", False):
         payload = {"schema": SCHEMA, **payload}
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -43,11 +42,13 @@ def _load_target(path: str) -> tuple[Graph, dict]:
     return formats.parse_hgraph(_read(path))
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _load_problem(args) -> tuple[Graph, dict, Instance]:
+    """The --target graph, its hints, and the instance file checked against it."""
+    hg, hints = _load_target(args.target)
+    inst, h = formats.parse_instance(_read(args.instance))
+    if h != hg.n:
+        raise FormatError("instance and target disagree on the color count")
+    return hg, hints, inst
 
 
 def _cmd_invariants(args) -> int:
@@ -63,10 +64,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    hg, _ = _load_target(args.target)
-    inst, h = formats.parse_instance(_read(args.instance))
-    if h != hg.n:
-        raise FormatError("instance and target disagree on the color count")
+    hg, _, inst = _load_problem(args)
     yes, witness = decide(inst, hg, node_budget=node_budget_from_env())
     payload = {"answer": yes}
     if yes and args.witness:
@@ -78,17 +76,10 @@ def _cmd_solve(args) -> int:
     return 0 if yes else 1
 
 
-def _kernel_report(args, hg, hints, inst) -> kernels.KernelReport:
-    return kernels.kernelize(inst, hg, args.method,
-                             cycle_power=hints.get("cycle_power"))
-
-
 def _cmd_kernel(args) -> int:
-    hg, hints = _load_target(args.target)
-    inst, h = formats.parse_instance(_read(args.instance))
-    if h != hg.n:
-        raise FormatError("instance and target disagree on the color count")
-    report = _kernel_report(args, hg, hints, inst)
+    hg, hints, inst = _load_problem(args)
+    report = kernels.kernelize(inst, hg, args.method,
+                               cycle_power=hints.get("cycle_power"))
     if args.emit:
         comments = (f"method={report.method} degree={report.degree_used} "
                     f"vin={report.vertices_in} vout={report.vertices_out}",)
@@ -110,11 +101,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_verify_kernel(args) -> int:
-    hg, hints = _load_target(args.target)
-    inst, h = formats.parse_instance(_read(args.instance))
-    if h != hg.n:
-        raise FormatError("instance and target disagree on the color count")
-    report = _kernel_report(args, hg, hints, inst)
+    hg, hints, inst = _load_problem(args)
+    report = kernels.kernelize(inst, hg, args.method,
+                               cycle_power=hints.get("cycle_power"))
     budget = node_budget_from_env()
     before, _ = decide(inst, hg, node_budget=budget)
     after, _ = decide(report.kernel, hg, node_budget=budget)
@@ -200,16 +189,14 @@ def _cmd_gadget_check(args) -> int:
     jobs = [("NEQ", (i,)) for i in range(d)]
     jobs += [("COMP", (i, j)) for i in range(d) for j in range(d) if i != j]
 
-    def run(job):
-        kind, params = job
+    results = []
+    for kind, params in jobs:
         if kind == "NEQ":
             g = reductions.build_neq(hg, lbs, *params)
         else:
             g = reductions.build_comp(hg, lbs, *params)
-        return {"kind": kind, "params": list(params), "vertices": g.graph.n,
-                "certified": True}
-
-    results = _pmap(run, jobs, args.threads)
+        results.append({"kind": kind, "params": list(params),
+                        "vertices": g.graph.n, "certified": True})
     vg = reductions.build_variable_gadget(hg, lbs)
     results.append({"kind": "VAR", "params": [], "vertices": vg.graph.n,
                     "certified": True})
@@ -251,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lhom",
         description="List homomorphism kernelization toolkit")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker bound for enumeration-heavy subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="invariants and kernel degrees")
@@ -273,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["marking", "poly"])
     p.add_argument("--emit")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--stats-json", dest="stats_json", action="store_true")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("verify-kernel", help="oracle check input vs kernel")

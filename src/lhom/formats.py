@@ -46,8 +46,6 @@ def _hints_from_comments(comments: list[str]) -> dict:
                     kv[key] = val
         if name == "cycle-power" and "k" in kv and "p" in kv:
             hints["cycle_power"] = (kv["k"], kv["p"])
-        elif name == "subdivided-star" and "r" in kv:
-            hints["subdivided_star"] = kv["r"]
     return hints
 
 

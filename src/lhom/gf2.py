@@ -8,19 +8,11 @@ ints drive the elimination routines.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CertificationError
-
 Var = tuple[int, int]
-Monomial = frozenset
-
-
-def monomial(pairs: Iterable[Var]) -> Monomial:
-    return frozenset(pairs)
 
 
 @dataclass(frozen=True)
@@ -103,25 +95,14 @@ class Gf2Poly:
         return " + ".join(terms)
 
 
-_POLY_LOCAL_VERIFIED: set[tuple[int, int, int]] = set()
-
-
-def _poly_local_raw(colors: Sequence[int], verts: Sequence[int]) -> Gf2Poly:
-    acc = Gf2Poly.one()
-    for c in colors:
-        acc = acc * Gf2Poly(frozenset(
-            frozenset({(v, c)}) for v in verts))
-    return acc
-
-
 def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
     """Degree-|S| polynomial that is 1 iff each color of S is used once.
 
     Built as the product over s in S of the parity of s-occurrences among
     the r = |S| + 1 vertices.  All counts odd on r slots forces all counts
-    equal to one, which is why r must exceed |S| by exactly one.  The
-    contract is verified exhaustively once per (|S|, r, h) signature before
-    a polynomial is handed out.
+    equal to one, which is why r must exceed |S| by exactly one.  Callers
+    certify every forbidding polynomial built from these blocks before
+    returning it.
     """
     s = sorted(set(colors))
     verts = tuple(verts)
@@ -131,25 +112,11 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
         raise ValueError("vertex count must be |S| + 1")
     if any(c < 0 or c >= h for c in s):
         raise ValueError("color out of range")
-    _verify_poly_local_signature(len(s), len(verts), h)
-    return _poly_local_raw(s, verts)
-
-
-def _verify_poly_local_signature(size: int, r: int, h: int) -> None:
-    sig = (size, r, h)
-    if sig in _POLY_LOCAL_VERIFIED:
-        return
-    colors = list(range(size))
-    verts = list(range(r))
-    poly = _poly_local_raw(colors, verts)
-    for assignment in itertools.product(range(h), repeat=r):
-        want = int(all(assignment.count(c) == 1 for c in colors))
-        got = poly.eval(dict(zip(verts, assignment)))
-        if got != want:
-            raise CertificationError(
-                f"exactly-once building block broken for |S|={size}, r={r}, "
-                f"h={h} at assignment {assignment}: got {got}, want {want}")
-    _POLY_LOCAL_VERIFIED.add(sig)
+    acc = Gf2Poly.one()
+    for c in s:
+        acc = acc * Gf2Poly(frozenset(
+            frozenset({(v, c)}) for v in verts))
+    return acc
 
 
 def extract_basis(polys: Sequence[Gf2Poly], m: int, d: int) -> list[int]:

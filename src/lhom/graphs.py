@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bitset import bit_list, iter_bits, mask_of, popcount
+from .bitset import bit_list, iter_bits, popcount
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,6 @@ class Instance:
                 if self.graph.adj[v] >> v & 1:
                     raise ValueError("looped vertex outside designated cover")
 
-    def list_of(self, v: int) -> int:
-        return self.lists[v]
-
 
 def validate_instance(inst: Instance, hg: Graph) -> None:
     """Check that every list is a subset of the target's vertex set."""
@@ -197,27 +194,3 @@ def cover_certificate(inst: Instance) -> VertexCoverCertificate:
     if inst.cover is not None:
         return VertexCoverCertificate(inst.cover, 1)
     return greedy_vertex_cover(inst.graph)
-
-
-def restricted_instance(inst: Instance, kept: list[int],
-                        extra_edges=None) -> tuple[Instance, tuple[int, ...]]:
-    """Re-index `kept` vertices (ascending) into a fresh instance.
-
-    Only edges with both ends kept survive; `extra_edges` replaces the edge
-    set entirely when given (pairs in original ids).  Returns the instance
-    and the original-id map.
-    """
-    kept = sorted(kept)
-    index = {v: i for i, v in enumerate(kept)}
-    n = len(kept)
-    if extra_edges is None:
-        edges = [(index[u], index[v]) for u, v in inst.graph.edges()
-                 if u in index and v in index]
-    else:
-        edges = [(index[u], index[v]) for u, v in extra_edges]
-    g = Graph.from_edges(n, edges)
-    lists = tuple(inst.lists[v] for v in kept)
-    cover = None
-    if inst.cover is not None:
-        cover = mask_of(index[v] for v in bit_list(inst.cover) if v in index)
-    return Instance(g, lists, cover), tuple(kept)

@@ -41,23 +41,13 @@ class NonBiArcWitness:
     walk: tuple[int, int, int, int, int]
 
 
-def _neighborhood(hg: Graph, s_mask: int) -> int:
-    w = hg.full_mask
-    m = s_mask
-    while m and w:
-        low = m & -m
-        m ^= low
-        w &= hg.adj[low.bit_length() - 1]
-    return w
-
-
 def _is_all_essential(hg: Graph, s_mask: int) -> bool:
-    w = _neighborhood(hg, s_mask)
+    w = common_neighbors(hg, s_mask, hg.full_mask)
     m = s_mask
     while m:
         low = m & -m
         m ^= low
-        if not (_neighborhood(hg, s_mask ^ low) & ~w):
+        if not (common_neighbors(hg, s_mask ^ low, hg.full_mask) & ~w):
             return False
     return True
 
@@ -88,10 +78,10 @@ def all_essential_sets(hg: Graph, size: int | None = None,
 
 def canonical_list_for(hg: Graph, s_mask: int) -> int:
     """The union of per-element neighborhood surpluses: a list making S minimal."""
-    w = _neighborhood(hg, s_mask)
+    w = common_neighbors(hg, s_mask, hg.full_mask)
     l_mask = 0
     for v in iter_bits(s_mask):
-        l_mask |= _neighborhood(hg, s_mask ^ (1 << v)) & ~w
+        l_mask |= common_neighbors(hg, s_mask ^ (1 << v), hg.full_mask) & ~w
     return l_mask
 
 
@@ -139,7 +129,7 @@ def find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:
         return None
     for s_mask in all_essential_sets(hg, size=d):
         xs = bit_list(s_mask)
-        w_base = _neighborhood(hg, s_mask)
+        w_base = common_neighbors(hg, s_mask, hg.full_mask)
 
         def dfs(pos: int, pats: dict[int, int], xps: list[int]):
             if pos == d:
@@ -288,7 +278,7 @@ def degree_probe(hg: Graph) -> dict:
     col_index = {s: i for i, s in enumerate(columns)}
     for s_mask in all_essential_sets(hg, size=c):
         s0 = tuple(bit_list(s_mask))
-        l_star = hg.full_mask & ~_neighborhood(hg, s_mask)
+        l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
         rows, rhs = [], []
         for combo in itertools.combinations(range(hg.n), c):
             if not common_neighbors(hg, mask_of(combo), l_star):
@@ -326,31 +316,24 @@ def classify(hg: Graph, cycle_power: tuple[int, int] | None = None) -> dict:
         "d_star_witness": None if lbs is None else {
             "l": bit_list(lbs.l_mask), "xs": list(lbs.xs), "xps": list(lbs.xps)},
     }
-    if cw.value == d:
-        report["recommended_degree"] = d
-        report["recommended_by"] = "marking"
-        return report
-    from .forbid import cycle_frame
+    from .forbid import _is_cycle_power, cycle_frame
 
-    if cycle_power is not None:
-        k, p = cycle_power
-        if p >= 2 and k > 6 * p:
-            report["recommended_degree"] = p
-            report["recommended_by"] = "cycle-power"
-            return report
-    if cycle_frame(hg) is not None and hg.n == 6:
-        report["recommended_degree"] = d
-        report["recommended_by"] = "c6"
-        return report
-    if cw.value == delta:
-        report["recommended_degree"] = d
-        report["recommended_by"] = "max-degree"
-        return report
-    probe = degree_probe(hg)
-    if probe["all_ok"]:
-        report["recommended_degree"] = d
-        report["recommended_by"] = "experiment"
+    k, p = cycle_power if cycle_power is not None else (0, 0)
+    if cw.value == d:
+        rec = d, "marking"
+    elif p >= 2 and k > 6 * p and _is_cycle_power(hg, k, p):
+        rec = p, "cycle-power"
+    elif cycle_frame(hg) is not None and hg.n == 6:
+        rec = d, "c6"
+    elif cw.value == delta:
+        rec = d, "max-degree"
+    elif degree_probe(hg)["all_ok"]:
+        rec = d, "experiment"
     else:
-        report["recommended_degree"] = cw.value
-        report["recommended_by"] = "marking-fallback"
+        rec = cw.value, "marking-fallback"
+    # d_star bounds every kernel degree from below, so less is a bug
+    if rec[0] < d:
+        raise AssertionError(
+            f"recommended degree {rec[0]} ({rec[1]}) is below d_star = {d}")
+    report["recommended_degree"], report["recommended_by"] = rec
     return report

@@ -17,7 +17,7 @@ from .bitset import bit_list, iter_bits, mask_of
 from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, forbid,
                      forbid_monomial, minimal_subrequest)
 from .graphs import (Graph, Instance, common_neighbors, cover_certificate,
-                     reduce_lists, restricted_instance)
+                     reduce_lists)
 from .gf2 import Gf2Poly, extract_basis
 from .invariants import compute_c_star
 
@@ -47,6 +47,26 @@ def _trivial_no_kernel(inst: Instance, method: str, bound_k: int) -> KernelRepor
         bound_formula_ok=True, vertex_map=(-1,))
 
 
+def _restrict(inst: Instance, cover: int,
+              kept_nbrs: dict[int, int]) -> tuple[Instance, tuple[int, ...]]:
+    """The kernel on G[cover] plus each kept outside vertex's kept edges.
+
+    `kept_nbrs` maps an outside vertex to the mask of cover neighbors it
+    keeps edges to.  Kept vertices are re-indexed in ascending order;
+    returns the instance and the original-id map.
+    """
+    kept = sorted(bit_list(cover) + list(kept_nbrs))
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in inst.graph.edges()
+             if cover >> u & 1 and cover >> v & 1]
+    for v, nbrs in kept_nbrs.items():
+        edges.extend((index[v], index[u]) for u in iter_bits(nbrs))
+    kernel = Instance(Graph.from_edges(len(kept), edges),
+                      tuple(inst.lists[v] for v in kept),
+                      mask_of(index[v] for v in iter_bits(cover)))
+    return kernel, tuple(kept)
+
+
 def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     """Keep one outside vertex per (cover subset of size <= c_star, list) type.
 
@@ -68,16 +88,10 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
             for combo in itertools.combinations(nbrs, r):
                 key = (mask_of(combo), inst.lists[v])
                 chosen.setdefault(key, v)
-    kept_edges = {}
+    kept_nbrs: dict[int, int] = {}
     for (x_mask, _), v in chosen.items():
-        kept_edges[v] = kept_edges.get(v, 0) | x_mask
-    kept = bit_list(cover) + sorted(kept_edges)
-    edges = [(u, v) for u, v in inst.graph.edges()
-             if cover >> u & 1 and cover >> v & 1]
-    for v, x_mask in kept_edges.items():
-        edges.extend((v, u) for u in iter_bits(x_mask))
-    kernel, vmap = restricted_instance(
-        Instance(inst.graph, inst.lists, cover), kept, extra_edges=edges)
+        kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
+    kernel, vmap = _restrict(inst, cover, kept_nbrs)
     v_out, e_out = kernel.graph.n, kernel.graph.edge_count()
     h = hg.n
     bound_ok = (v_out <= k + 2 ** h * k ** c
@@ -159,19 +173,13 @@ def kernel_poly(inst: Instance, hg: Graph,
     degree = max((p.degree() for p in polys), default=1)
     kept_idx = extract_basis(polys, m=k * hg.n, d=degree)
 
-    kept_edges: dict[int, set[int]] = {}
+    kept_nbrs: dict[int, int] = {}
     for idx in kept_idx:
         tag = meta[idx]
         if tag[0] == "constr":
             _, v, combo = tag
-            kept_edges.setdefault(v, set()).update(combo)
-    kept = cover_vs + sorted(kept_edges)
-    edges = [(u, v) for u, v in red.graph.edges()
-             if cover >> u & 1 and cover >> v & 1]
-    for v, nbrs in kept_edges.items():
-        edges.extend((v, u) for u in sorted(nbrs))
-    kernel, vmap = restricted_instance(
-        Instance(red.graph, red.lists, cover), kept, extra_edges=edges)
+            kept_nbrs[v] = kept_nbrs.get(v, 0) | mask_of(combo)
+    kernel, vmap = _restrict(red, cover, kept_nbrs)
     retained = len(kept_idx)
     rank_bound = sum(math.comb(k * hg.n, i) for i in range(degree + 1))
     return KernelReport(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .bitset import bit_list, iter_bits, popcount
+from .bitset import iter_bits, popcount
 from .errors import BudgetExceededError
 from .graphs import Graph, Instance, validate_instance
 
@@ -106,27 +106,40 @@ class _Search:
         return best
 
     def run(self, on_solution) -> None:
-        """Depth-first search; on_solution(assignment) may return True to stop."""
+        """Depth-first search; on_solution(assignment) may return True to stop.
+
+        The search path is an explicit stack of (vertex, candidates, colors
+        left to try) frames, one per assigned vertex, so its depth is not
+        bounded by the interpreter's recursion limit.
+        """
         if self.start is None:
             return
         assigned = [False] * self.g.n
-        self._dfs(self.start, assigned, 0, on_solution)
+        stack: list = []
+        cand = self.start
+        while cand is not None:
+            if len(stack) == self.g.n:
+                if on_solution(tuple(c.bit_length() - 1 for c in cand)):
+                    return
+            else:
+                v = self._pick(cand, assigned)
+                assigned[v] = True
+                stack.append((v, cand, iter_bits(cand[v])))
+            cand = self._next_branch(stack, assigned)
 
-    def _dfs(self, cand, assigned, depth, on_solution) -> bool:
-        if depth == self.g.n:
-            colors = tuple(c.bit_length() - 1 for c in cand)
-            return bool(on_solution(colors))
-        v = self._pick(cand, assigned)
-        assigned[v] = True
-        for color in iter_bits(cand[v]):
-            self._tick()
-            nxt = self._propagate(cand, v, color)
-            if nxt is not None:
-                if self._dfs(nxt, assigned, depth + 1, on_solution):
-                    assigned[v] = False
-                    return True
-        assigned[v] = False
-        return False
+    def _next_branch(self, stack, assigned) -> list[int] | None:
+        """Candidates after the next consistent color of the deepest open
+        frame, closing exhausted frames; None once the stack is empty."""
+        while stack:
+            v, cand, colors = stack[-1]
+            for color in colors:
+                self._tick()
+                nxt = self._propagate(cand, v, color)
+                if nxt is not None:
+                    return nxt
+            assigned[v] = False
+            stack.pop()
+        return None
 
 
 def decide(inst: Instance, hg: Graph,
@@ -191,53 +204,3 @@ def extendable(inst: Instance, hg: Graph, phi: dict[int, int]) -> bool:
             if not allowed:
                 return False
     return True
-
-
-def extendable_bounded(inst: Instance, hg: Graph, phi: dict[int, int],
-                       size_cap: int) -> bool:
-    """Extendability via subsets of each outside neighborhood of size <= cap.
-
-    Equivalent to `extendable` whenever the cap is at least the target's
-    marking degree; used to exercise that equivalence.
-    """
-    import itertools
-
-    cover = _check_cover_mapping(inst, hg, phi)
-    for v in range(inst.graph.n):
-        if cover >> v & 1:
-            continue
-        nbrs = bit_list(inst.graph.adj[v])
-        for r in range(0, min(size_cap, len(nbrs)) + 1):
-            for sub in itertools.combinations(nbrs, r):
-                allowed = inst.lists[v]
-                for u in sub:
-                    allowed &= hg.adj[phi[u]]
-                if not allowed:
-                    return False
-    return True
-
-
-def decide_two_phase(inst: Instance, hg: Graph,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Enumerate cover colorings of G[X], accept iff one is extendable."""
-    if inst.cover is None:
-        raise ValueError("instance carries no designated cover")
-    cover_vs = bit_list(inst.cover)
-    kept = set(cover_vs)
-    sub_edges = [(u, v) for u, v in inst.graph.edges() if u in kept and v in kept]
-    index = {v: i for i, v in enumerate(cover_vs)}
-    sub = Instance(
-        Graph.from_edges(len(cover_vs), [(index[u], index[v]) for u, v in sub_edges]),
-        tuple(inst.lists[v] for v in cover_vs),
-    )
-    hit: list[bool] = []
-
-    def check(colors):
-        phi = {cover_vs[i]: colors[i] for i in range(len(cover_vs))}
-        if extendable(inst, hg, phi):
-            hit.append(True)
-            return True
-        return False
-
-    _Search(sub, hg, node_budget).run(check)
-    return bool(hit)

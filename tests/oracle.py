@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: literal definition enumeration over
 all (list, set) pairs, product-space homomorphism search, truth-table SAT.
-None of it shares code paths with the library implementations it checks.
+None of it shares code paths with the library implementations it checks,
+except the two cover-based checks at the end: they reuse the solver's
+search and cover validation but reach their answer by a different route.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import itertools
 
 from lhom.bitset import bit_list, iter_bits, mask_of
 from lhom.graphs import Graph, Instance
+from lhom.solver import (DEFAULT_NODE_BUDGET, _check_cover_mapping, _Search,
+                         extendable)
 
 
 def brute_common(hg: Graph, s_mask: int, l_mask: int) -> int:
@@ -115,3 +119,51 @@ def random_graph(rng, h: int, edge_num: int = 1, edge_den: int = 2,
             elif rng.below(edge_den) < edge_num:
                 edges.append((u, v))
     return Graph.from_edges(h, edges)
+
+
+def extendable_bounded(inst: Instance, hg: Graph, phi: dict[int, int],
+                       size_cap: int) -> bool:
+    """Extendability via subsets of each outside neighborhood of size <= cap.
+
+    Equivalent to `extendable` whenever the cap is at least the target's
+    marking degree; used to exercise that equivalence.
+    """
+    cover = _check_cover_mapping(inst, hg, phi)
+    for v in range(inst.graph.n):
+        if cover >> v & 1:
+            continue
+        nbrs = bit_list(inst.graph.adj[v])
+        for r in range(0, min(size_cap, len(nbrs)) + 1):
+            for sub in itertools.combinations(nbrs, r):
+                allowed = inst.lists[v]
+                for u in sub:
+                    allowed &= hg.adj[phi[u]]
+                if not allowed:
+                    return False
+    return True
+
+
+def decide_two_phase(inst: Instance, hg: Graph,
+                     node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """Enumerate cover colorings of G[X], accept iff one is extendable."""
+    if inst.cover is None:
+        raise ValueError("instance carries no designated cover")
+    cover_vs = bit_list(inst.cover)
+    kept = set(cover_vs)
+    sub_edges = [(u, v) for u, v in inst.graph.edges() if u in kept and v in kept]
+    index = {v: i for i, v in enumerate(cover_vs)}
+    sub = Instance(
+        Graph.from_edges(len(cover_vs), [(index[u], index[v]) for u, v in sub_edges]),
+        tuple(inst.lists[v] for v in cover_vs),
+    )
+    hit: list[bool] = []
+
+    def check(colors):
+        phi = {cover_vs[i]: colors[i] for i in range(len(cover_vs))}
+        if extendable(inst, hg, phi):
+            hit.append(True)
+            return True
+        return False
+
+    _Search(sub, hg, node_budget).run(check)
+    return bool(hit)

@@ -36,6 +36,17 @@ def test_invariants_json(c6_file, capsys):
     assert out["recommended_degree"] == 2
 
 
+def test_invariants_ignores_forged_cycle_power_hint(tmp_path, k4_file, capsys):
+    forged = tmp_path / "forged.hg"
+    with open(k4_file, encoding="utf-8") as fh:
+        forged.write_text("# gen: cycle-power k=13 p=2\n" + fh.read())
+    assert main(["invariants", str(forged), "--json"]) == 0
+    out = _json_out(capsys)
+    assert out["d_star"] == 3
+    assert out["recommended_degree"] >= 3
+    assert out["recommended_by"] != "cycle-power"
+
+
 def test_solve_exit_codes(tmp_path, c6_file, capsys):
     c6 = gen_cycle_power(6, 1)
     yes = tmp_path / "yes.lh"
@@ -117,8 +128,7 @@ def test_gadget_check_rejects_low_order_target(c6_file):
 
 
 def test_gadget_check(k4_file, capsys):
-    assert main(["--threads", "2", "gadget-check", "--target", k4_file,
-                 "--json"]) == 0
+    assert main(["gadget-check", "--target", k4_file, "--json"]) == 0
     out = _json_out(capsys)
     assert out["order"] == 3
     kinds = [g["kind"] for g in out["gadgets"]]

@@ -4,10 +4,10 @@ from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
 from lhom.generators import SplitMix64, gen_instance
 from lhom.graphs import Graph, Instance
-from lhom.solver import (decide, decide_two_phase, enumerate_restricted,
-                         extendable, extendable_bounded)
+from lhom.solver import decide, enumerate_restricted, extendable
 
-from oracle import brute_decide, random_graph
+from oracle import (brute_decide, decide_two_phase, extendable_bounded,
+                    random_graph)
 
 
 def test_decide_single_edge(c5):
@@ -24,8 +24,11 @@ def test_decide_triangle_into_c5(c5):
 
 def test_decide_witness_is_valid(c6):
     rng = SplitMix64(21)
-    for seed in range(30):
-        inst = gen_instance(c6, 4 + rng.below(8), 3, seed, "planted-yes")
+    cases = [(seed, 4 + rng.below(8), 3) for seed in range(30)]
+    # the search keeps one frame per vertex; 1200 is past the recursion limit
+    cases.append((3, 1200, 5))
+    for seed, n, k in cases:
+        inst = gen_instance(c6, n, k, seed, "planted-yes")
         yes, witness = decide(inst, c6)
         assert yes
         for v, color in enumerate(witness):
