@@ -64,74 +64,93 @@ class ForbidResult:
 
 def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
                    budget: int = DEFAULT_CERT_BUDGET) -> bool:
-    """Exhaustively check the forbidding contract over the candidate product."""
+    """Exhaustively check the forbidding contract over the candidate product.
+
+    Each tuple of the product is one bit of an int.  Its positions are the
+    request's vertices, then the polynomial's stray vertices, which take
+    every color of the target; a position adds its color's rank in its list
+    times a mixed-radix stride, so no int is longer than the budget.  A
+    monomial is 1 on every tuple that extends it: its bit is broadcast over
+    each free position by a multiplication with that position's repunit,
+    which never carries.  The forbidden tuple must be odd under every stray
+    coloring, and no other odd tuple may have all its colors adjacent to
+    one w in L.
+    """
+    variables = frozenset().union(*poly.monomials)
+    extras = sorted({v for v, _ in variables} - set(req.verts))
+    lists = req.lists + (req.target.full_mask,) * len(extras)
+    strides = []
     size = 1
-    for f in req.lists:
+    for f in lists:
+        strides.append(size)
         size *= popcount(f)
-    extras = sorted(poly.vertices() - set(req.verts))
-    for _ in extras:
-        size *= req.target.n
     if size > budget:
         raise BudgetExceededError(
             f"certification needs {size} evaluations, budget is {budget}")
-    if extras:
-        return _certify_dense(req, poly, extras)
-    return _certify_sparse(req, poly)
-
-
-def _has_common_neighbor(req: ForbidRequest, tup: tuple[int, ...]) -> bool:
-    return bool(common_neighbors(req.target, mask_of(tup), req.l_mask))
-
-
-def _certify_dense(req, poly, extras) -> bool:
-    lists = [bit_list(f) for f in req.lists]
-    all_colors = list(range(req.target.n))
-    for tup in itertools.product(*lists):
-        colors = dict(zip(req.verts, tup))
-        pinned = tup == req.colors
-        free = not pinned and not _has_common_neighbor(req, tup)
-        for extra_tup in itertools.product(all_colors, repeat=len(extras)):
-            colors.update(zip(extras, extra_tup))
-            val = poly.eval(colors)
-            if pinned and val == 0:
-                return False
-            if not pinned and not free and val != 0:
-                return False
-    return True
-
-
-def _certify_sparse(req, poly) -> bool:
-    """Parity of each tuple via monomial completions; untouched tuples are 0."""
-    r = req.width
-    pos_of = {v: i for i, v in enumerate(req.verts)}
-    lists = [bit_list(f) for f in req.lists]
-    parity: dict[tuple[int, ...], int] = {}
+    pos = {v: i for i, v in enumerate(req.verts + tuple(extras))}
+    at = {}  # variable on its list -> (its position's bit, its offset)
+    for v, c in variables:
+        i = pos[v]
+        if lists[i] >> c & 1:
+            at[v, c] = 1 << i, _rank(lists[i], c) * strides[i]
+    groups: dict[int, int] = {}  # fixed positions -> XOR of monomial bits
     for mono in poly.monomials:
-        required: dict[int, int] = {}
-        feasible = True
-        for v, c in mono:
-            pos = pos_of[v]
-            if required.get(pos, c) != c or not req.lists[pos] >> c & 1:
-                feasible = False
-                break
-            required[pos] = c
-        if not feasible:
-            continue
-        free = [i for i in range(r) if i not in required]
-        for combo in itertools.product(*[lists[i] for i in free]):
-            tup = [0] * r
-            for pos, c in required.items():
-                tup[pos] = c
-            for pos, c in zip(free, combo):
-                tup[pos] = c
-            key = tuple(tup)
-            parity[key] = parity.get(key, 0) ^ 1
-    if parity.get(req.colors, 0) != 1:
+        support = offset = 0
+        for var in mono:
+            hit = at.get(var)
+            if hit is None or support & hit[0]:
+                break  # off the list, or two colors on one vertex: always 0
+            support |= hit[0]
+            offset += hit[1]
+        else:
+            groups[support] = groups.get(support, 0) ^ 1 << offset
+    for i, (f, s) in enumerate(zip(lists, strides)):  # the zeta transform
+        bit = 1 << i
+        unfixed = [k for k in groups if not k & bit]
+        if unfixed:
+            rep = _repunit(popcount(f), s)
+            for k in unfixed:
+                groups[k | bit] = groups.get(k | bit, 0) ^ groups.pop(k) * rep
+    parity = groups.get((1 << len(lists)) - 1, 0)
+    strays = 1
+    for s in strides[req.width:]:
+        strays *= _repunit(req.target.n, s)
+    pinned = strays << sum(_rank(f, c) * s for f, c, s
+                           in zip(req.lists, req.colors, strides))
+    if parity & pinned != pinned:
         return False
-    for tup, par in parity.items():
-        if par and tup != req.colors and _has_common_neighbor(req, tup):
-            return False
+    rest = parity ^ pinned
+    if not rest:
+        return True
+    adj = req.target.adj
+    for w in iter_bits(req.l_mask):
+        box = strays
+        for f, s in zip(req.lists, strides):
+            near = adj[w] & f
+            if not near:
+                break
+            spread = 0
+            for c in iter_bits(near):
+                spread |= 1 << _rank(f, c) * s
+            box *= spread
+        else:
+            if rest & box:
+                return False
     return True
+
+
+def _rank(f: int, c: int) -> int:
+    """Index of color c among the colors of list f."""
+    return (f & ((1 << c) - 1)).bit_count()
+
+
+def _repunit(m: int, s: int) -> int:
+    """The int with bits 0, s, 2s, ..., (m-1)s set."""
+    rep, k = 1, 1
+    while k < m:
+        rep |= rep << k * s
+        k *= 2
+    return rep & ((1 << m * s) - 1)
 
 
 def _certified(req, poly, method, budget) -> ForbidResult:

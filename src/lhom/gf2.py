@@ -62,9 +62,6 @@ class Gf2Poly:
     def degree(self) -> int:
         return max((len(m) for m in self.monomials), default=0)
 
-    def vertices(self) -> set[int]:
-        return {v for m in self.monomials for v, _ in m}
-
     def remap_vertices(self, mapping: Mapping[int, int]) -> "Gf2Poly":
         return Gf2Poly(frozenset(
             frozenset((mapping[v], c) for v, c in m) for m in self.monomials))

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Everything here is deliberately naive: literal definition enumeration over
-all (list, set) pairs, product-space homomorphism search, truth-table SAT.
-None of it shares code paths with the library implementations it checks,
-except the two cover-based checks at the end: they reuse the solver's
-search and cover validation but reach their answer by a different route.
+all (list, set) pairs, product-space homomorphism search, truth-table SAT,
+evaluation of a forbidding polynomial on every tuple, plain backtracking
+over a cover.  None of it shares code paths with the library
+implementations it checks, except `extendable_bounded`: it reuses the
+solver's cover validation but reaches its answer by a different route.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import itertools
 
 from lhom.bitset import bit_list, iter_bits, mask_of
 from lhom.graphs import Graph, Instance
-from lhom.solver import (DEFAULT_NODE_BUDGET, _check_cover_mapping, _Search,
-                         extendable)
+from lhom.solver import _check_cover_mapping
 
 
 def brute_common(hg: Graph, s_mask: int, l_mask: int) -> int:
@@ -76,6 +76,26 @@ def brute_lbs_exists(hg: Graph, d: int, incomparable_only: bool = False) -> bool
                 if ok:
                     return True
     return False
+
+
+def brute_certify(req, poly) -> bool:
+    """Literal forbidding contract: evaluate on every tuple and stray coloring.
+
+    Vertices of the polynomial outside the request range over all colors.
+    """
+    extras = sorted({v for m in poly.monomials for v, _ in m} - set(req.verts))
+    hg = req.target
+    for tup in itertools.product(*[bit_list(f) for f in req.lists]):
+        pinned = tup == req.colors
+        must_vanish = not pinned and brute_common(hg, mask_of(tup), req.l_mask)
+        for extra_tup in itertools.product(range(hg.n), repeat=len(extras)):
+            colors = dict(zip(req.verts, tup)) | dict(zip(extras, extra_tup))
+            val = 0
+            for m in poly.monomials:
+                val ^= all(colors[v] == c for v, c in m)
+            if pinned and not val or must_vanish and val:
+                return False
+    return True
 
 
 def brute_decide(inst: Instance, hg: Graph) -> bool:
@@ -143,27 +163,39 @@ def extendable_bounded(inst: Instance, hg: Graph, phi: dict[int, int],
     return True
 
 
-def decide_two_phase(inst: Instance, hg: Graph,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Enumerate cover colorings of G[X], accept iff one is extendable."""
+def decide_two_phase(inst: Instance, hg: Graph) -> bool:
+    """Try every list coloring of G[X]; accept iff one extends outside X.
+
+    Plain backtracking over the cover vertices in index order, with no
+    propagation: a vertex takes a list color adjacent to the colors of its
+    already colored cover neighbors.  A full cover coloring extends iff each
+    outside vertex keeps a list color adjacent to all its neighbors' colors.
+    """
     if inst.cover is None:
         raise ValueError("instance carries no designated cover")
-    cover_vs = bit_list(inst.cover)
-    kept = set(cover_vs)
-    sub_edges = [(u, v) for u, v in inst.graph.edges() if u in kept and v in kept]
-    index = {v: i for i, v in enumerate(cover_vs)}
-    sub = Instance(
-        Graph.from_edges(len(cover_vs), [(index[u], index[v]) for u, v in sub_edges]),
-        tuple(inst.lists[v] for v in cover_vs),
-    )
-    hit: list[bool] = []
+    g = inst.graph
+    cover = bit_list(inst.cover)
+    outside = [v for v in range(g.n) if not inst.cover >> v & 1]
+    phi: dict[int, int] = {}
 
-    def check(colors):
-        phi = {cover_vs[i]: colors[i] for i in range(len(cover_vs))}
-        if extendable(inst, hg, phi):
-            hit.append(True)
-            return True
+    def extends() -> bool:
+        for v in outside:
+            allowed = inst.lists[v]
+            for u in iter_bits(g.adj[v]):
+                allowed &= hg.adj[phi[u]]
+            if not allowed:
+                return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == len(cover):
+            return extends()
+        v = cover[i]
+        for c in iter_bits(inst.lists[v]):
+            phi[v] = c
+            if all(hg.adj[c] >> phi[u] & 1
+                   for u in cover[:i + 1] if g.adj[v] >> u & 1) and search(i + 1):
+                return True
         return False
 
-    _Search(sub, hg, node_budget).run(check)
-    return bool(hit)
+    return search(0)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from lhom.bitset import mask_of
+from lhom.bitset import bit_list, mask_of, popcount
 from lhom.errors import BudgetExceededError
 from lhom.forbid import (ForbidRequest, certify_forbid, cycle_frame, forbid,
                          forbid_c6, forbid_cycle_power, forbid_linear_system,
@@ -261,11 +261,20 @@ def test_forbid_result_certifies_against_original_request(c6, k4):
             assert certify_forbid(req, res.poly)
 
 
-def test_certify_budget(c13p2):
+def test_certify_budget(c6, c13p2):
     req = full_request(c13p2, (0, 2, 4))
     poly = forbid_monomial(req).poly
     with pytest.raises(BudgetExceededError):
         certify_forbid(req, poly, budget=10)
+    # the size is the candidate product times n per stray vertex
+    req = full_request(c6, (0, 2, 4))
+    good = forbid_c6(req).poly
+    stray = good + Gf2Poly.product_of_vars([(99, 0), (99, 1)])
+    for poly, size in ((good, 6 ** 3), (stray, 6 ** 4)):
+        assert certify_forbid(req, poly, budget=size)
+        with pytest.raises(BudgetExceededError, match=(
+                f"certification needs {size} evaluations, budget is {size - 1}")):
+            certify_forbid(req, poly, budget=size - 1)
 
 
 def test_certify_handles_stray_vertices(c6):
@@ -305,3 +314,58 @@ def test_forbid_on_random_irregular_targets():
         res = forbid(req)
         assert certify_forbid(req, res.poly)
         done += 1
+
+
+def _certify_mutations(req, poly, rng):
+    """forbid's polynomial and edits of it that the certifier must judge."""
+    monos = sorted(poly.monomials, key=sorted)
+    pairs = list(zip(req.verts, req.colors))
+    yield poly
+    yield Gf2Poly.zero()
+    yield Gf2Poly.one()
+    if monos:
+        yield Gf2Poly(poly.monomials - {monos[rng.below(len(monos))]})
+    last = req.target.n - 1
+    tup = tuple(bit_list(f)[rng.below(popcount(f))] for f in req.lists)
+    if tup != req.colors:
+        yield poly + Gf2Poly.product_of_vars(zip(req.verts, tup))
+        yield poly + Gf2Poly.product_of_vars([*zip(req.verts, tup), (99, last)])
+    off = [c for c in range(req.target.n + 1) if not req.lists[0] >> c & 1]
+    yield poly + Gf2Poly.product_of_vars(
+        [(req.verts[0], off[rng.below(len(off))])] + pairs[1:])
+    # vertex 99 is outside the request, so it takes every color of the target
+    yield poly + Gf2Poly.variable(99, 0)
+    yield poly + Gf2Poly.variable(99, last)
+    yield poly * Gf2Poly.variable(99, last)
+    yield poly + Gf2Poly.product_of_vars([(99, 0), (99, 1)])
+
+
+def test_certify_agrees_with_brute_force(c6, k4, c13p2):
+    """The bit-parallel certifier against the literal definition."""
+    from lhom.graphs import dominant_subset
+    from oracle import brute_certify, random_graph
+    rng = SplitMix64(54)
+    fixed = [(c6, None), (k4, None), (c13p2, (13, 2))]
+    verdicts = {True: 0, False: 0}
+    done = 0
+    while done < 90:
+        if done % 3:
+            hg, hint = random_graph(rng, 2 + rng.below(6)), None
+        else:
+            hg, hint = fixed[done // 3 % 3]
+        full = hg.full_mask
+        colors = tuple(rng.below(hg.n) for _ in range(1 + rng.below(3)))
+        lists = tuple(dominant_subset(hg, (rng.below(full + 1) | 1 << c) & full)
+                      for c in colors)
+        l_mask = rng.below(full + 1) & ~common_neighbors(hg, mask_of(colors), full)
+        try:
+            req = ForbidRequest(hg, l_mask, lists, tuple(range(len(colors))),
+                                colors)
+        except ValueError:
+            continue
+        for poly in _certify_mutations(req, forbid(req, hint).poly, rng):
+            want = brute_certify(req, poly)
+            assert certify_forbid(req, poly) == want, (req, poly)
+            verdicts[want] += 1
+        done += 1
+    assert min(verdicts.values()) >= 100, verdicts
