@@ -1,15 +1,19 @@
 """Exact list-homomorphism oracle.
 
-Backtracking search with arc-consistency propagation and smallest-list-first
-vertex selection.  Meant for verification at desk scale; every search is
-bounded by a node budget and raises when it is exhausted.
+Backtracking search that maintains arc consistency, with smallest-list-first
+vertex selection.  The search keeps one candidate list and undoes its
+changes from a trail on backtrack.  After each propagation every vertex
+left with a single candidate is assigned in one step.  Meant for
+verification at desk scale; every search is bounded by a node budget and
+raises when it is exhausted.  A node is one assigned vertex or one color
+tried, so a forced vertex counts as one node, as if it had been branched on.
 """
 
 from __future__ import annotations
 
 import os
 
-from .bitset import iter_bits, popcount
+from .bitset import iter_bits
 from .errors import BudgetExceededError
 from .graphs import Graph, Instance, validate_instance
 
@@ -21,9 +25,12 @@ def node_budget_from_env(default: int = DEFAULT_NODE_BUDGET) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError("LHOM_NODE_BUDGET must be an integer") from None
+    if budget < 1:
+        raise ValueError("LHOM_NODE_BUDGET must be a positive integer")
+    return budget
 
 
 class _Search:
@@ -31,113 +38,105 @@ class _Search:
 
     def __init__(self, inst: Instance, hg: Graph, budget: int):
         validate_instance(inst, hg)
-        self.g = inst.graph
-        self.hg = hg
+        g = inst.graph
+        self.adj = hg.adj
         self.budget = budget
         self.nodes = 0
-        cand = []
-        for v in range(self.g.n):
-            mask = inst.lists[v]
-            if self.g.adj[v] >> v & 1:
-                # a looped vertex needs a looped image
-                mask &= sum(1 << c for c in range(hg.n) if hg.adj[c] >> c & 1)
-            cand.append(mask)
-        self.start = self._arc_reduce(cand)
+        self.nbrs = [[u for u in iter_bits(g.adj[v]) if u != v] for v in range(g.n)]
+        # a looped vertex needs a looped image
+        looped = sum(1 << c for c in range(hg.n) if hg.adj[c] >> c & 1)
+        self.cand = [mask & looped if g.adj[v] >> v & 1 else mask
+                     for v, mask in enumerate(inst.lists)]
+        self.trail: list[tuple[int, int]] = []
+        self.supports: dict[int, int] = {}
+        self.consistent = all(self.cand) and self._propagate(list(range(g.n)))
+        self.trail.clear()  # the start's narrowing is never undone
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
+    def _tick(self, count: int = 1) -> None:
+        """Count `count` nodes; past the budget, stop where one-by-one
+        counting would have stopped."""
+        if count and self.nodes + count > self.budget:
+            self.nodes = max(self.nodes, self.budget) + 1
             raise BudgetExceededError(f"search exceeded {self.budget} nodes")
+        self.nodes += count
 
-    def _arc_reduce(self, cand: list[int]) -> list[int] | None:
-        """Prune candidates until every value has a support on every edge."""
-        queue = set(range(self.g.n))
-        while queue:
-            v = queue.pop()
-            for u in iter_bits(self.g.adj[v]):
-                if u == v:
-                    continue
-                support = 0
-                for c in iter_bits(cand[v]):
-                    support |= self.hg.adj[c]
-                new = cand[u] & support
-                if new != cand[u]:
-                    cand[u] = new
-                    if not new:
-                        return None
-                    queue.add(u)
-        if any(not c for c in cand):
-            return None
-        return cand
-
-    def _propagate(self, cand: list[int], v: int, color: int) -> list[int] | None:
-        cand = cand[:]
-        cand[v] = 1 << color
-        queue = [v]
+    def _propagate(self, queue: list[int]) -> bool:
+        """Narrow the neighbours of queued vertices until every candidate
+        has a support on every edge; False once a list runs empty.  Each
+        change goes on the trail."""
+        cand, adj, nbrs, trail = self.cand, self.adj, self.nbrs, self.trail
+        supports = self.supports
         while queue:
             w = queue.pop()
-            if popcount(cand[w]) == 1:
-                nbr_support = self.hg.adj[cand[w].bit_length() - 1]
+            mask = cand[w]
+            if mask & (mask - 1):
+                support = supports.get(mask)
+                if support is None:
+                    support = 0
+                    for c in iter_bits(mask):
+                        support |= adj[c]
+                    supports[mask] = support
             else:
-                nbr_support = 0
-                for c in iter_bits(cand[w]):
-                    nbr_support |= self.hg.adj[c]
-            for u in iter_bits(self.g.adj[w]):
-                if u == w:
-                    continue
-                new = cand[u] & nbr_support
-                if new != cand[u]:
+                support = adj[mask.bit_length() - 1]
+            for u in nbrs[w]:
+                old = cand[u]
+                new = old & support
+                if new != old:
                     if not new:
-                        return None
+                        return False
+                    trail.append((u, old))
                     cand[u] = new
                     queue.append(u)
-        return cand
+        return True
 
-    def _pick(self, cand: list[int], assigned: list[bool]) -> int:
-        best, best_size = -1, None
-        for v in range(self.g.n):
-            if assigned[v]:
-                continue
-            size = popcount(cand[v])
-            if best_size is None or size < best_size:
-                best, best_size = v, size
-                if size == 1:
-                    break
-        return best
+    def _undo(self, mark: int) -> None:
+        """Restore the candidates to when the trail was `mark` long."""
+        cand, trail = self.cand, self.trail
+        for v, old in reversed(trail[mark:]):
+            cand[v] = old
+        del trail[mark:]
 
     def run(self, on_solution) -> None:
         """Depth-first search; on_solution(assignment) may return True to stop.
 
-        The search path is an explicit stack of (vertex, candidates, colors
-        left to try) frames, one per assigned vertex, so its depth is not
-        bounded by the interpreter's recursion limit.
+        Each frame of the explicit stack is one branch vertex: its colors
+        left to try, the trail length to undo to, and the vertices still
+        open (two or more candidates) when it was pushed.  A vertex with
+        one candidate is assigned by propagation: it would have no other
+        color to try, and under arc consistency its own propagation changes
+        nothing.
         """
-        if self.start is None:
+        if not self.consistent:
             return
-        assigned = [False] * self.g.n
+        cand = self.cand
+        open_ = [v for v, mask in enumerate(cand) if mask & (mask - 1)]
+        self._tick(len(cand) - len(open_))
         stack: list = []
-        cand = self.start
-        while cand is not None:
-            if len(stack) == self.g.n:
+        while open_ is not None:
+            if not open_:
                 if on_solution(tuple(c.bit_length() - 1 for c in cand)):
                     return
             else:
-                v = self._pick(cand, assigned)
-                assigned[v] = True
-                stack.append((v, cand, iter_bits(cand[v])))
-            cand = self._next_branch(stack, assigned)
+                sizes = list(map(int.bit_count, map(cand.__getitem__, open_)))
+                v = open_[sizes.index(min(sizes))]
+                stack.append((v, iter_bits(cand[v]), len(self.trail), open_))
+            open_ = self._next_branch(stack)
 
-    def _next_branch(self, stack, assigned) -> list[int] | None:
-        """Candidates after the next consistent color of the deepest open
+    def _next_branch(self, stack) -> list[int] | None:
+        """Open vertices after the next consistent color of the deepest
         frame, closing exhausted frames; None once the stack is empty."""
+        cand, trail = self.cand, self.trail
         while stack:
-            v, cand, colors = stack[-1]
+            v, colors, mark, open_ = stack[-1]
             for color in colors:
+                self._undo(mark)
                 self._tick()
-                nxt = self._propagate(cand, v, color)
-                if nxt is not None:
+                trail.append((v, cand[v]))
+                cand[v] = 1 << color
+                if self._propagate([v]):
+                    nxt = [u for u in open_ if cand[u] & (cand[u] - 1)]
+                    self._tick(len(open_) - 1 - len(nxt))
                     return nxt
-            assigned[v] = False
             stack.pop()
         return None
 

@@ -5,8 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lhom.generators import gen_cycle_power
+from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
+from lhom.invariants import compute_d_star
+from lhom.reductions import reduce_sat
+
+from oracle import brute_sat
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -50,3 +54,25 @@ def k4():
 @pytest.fixture(scope="session")
 def c13p2():
     return gen_cycle_power(13, 2)
+
+
+@pytest.fixture(scope="session")
+def k4_reductions(k4):
+    """K4 reductions (402 vertices) of a satisfiable and an unsatisfiable
+    seeded 3-CNF on 8 variables at clause ratio 4.26."""
+    _, lbs = compute_d_star(k4)
+    rng = SplitMix64(26)
+    nvars = 8
+    found = {}
+    while len(found) < 2:
+        clauses = []
+        for _ in range(round(4.26 * nvars)):
+            vs: list[int] = []
+            while len(vs) < 3:
+                v = rng.below(nvars) + 1
+                if v not in vs:
+                    vs.append(v)
+            clauses.append([v if rng.chance(1, 2) else -v for v in vs])
+        found.setdefault(brute_sat(nvars, clauses),
+                         reduce_sat(nvars, clauses, k4, lbs))
+    return found[True], found[False]

@@ -6,13 +6,19 @@ evaluation of a forbidding polynomial on every tuple, plain backtracking
 over a cover.  None of it shares code paths with the library
 implementations it checks, except `extendable_bounded`: it reuses the
 solver's cover validation but reaches its answer by a different route.
+
+`reference_search` is the oracle's earlier search, kept as a differential
+oracle for `lhom.solver._Search`: it copies the whole candidate list at
+every node, rescans every vertex to pick the next one, and counts one node
+per assigned vertex or color tried.  It uses nothing from `lhom.solver`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from lhom.bitset import bit_list, iter_bits, mask_of
+from lhom.bitset import bit_list, iter_bits, mask_of, popcount
+from lhom.errors import BudgetExceededError
 from lhom.graphs import Graph, Instance
 from lhom.solver import _check_cover_mapping
 
@@ -96,6 +102,16 @@ def brute_certify(req, poly) -> bool:
             if pinned and not val or must_vanish and val:
                 return False
     return True
+
+
+def brute_restrictions(inst: Instance, hg: Graph, targets) -> set[tuple[int, ...]]:
+    """Product-space scan: restrictions to `targets` of every list
+    homomorphism; only for very small instances."""
+    out: set[tuple[int, ...]] = set()
+    for combo in itertools.product(*[bit_list(mask) for mask in inst.lists]):
+        if all(hg.adj[combo[u]] >> combo[v] & 1 for u, v in inst.graph.edges()):
+            out.add(tuple(combo[t] for t in targets))
+    return out
 
 
 def brute_decide(inst: Instance, hg: Graph) -> bool:
@@ -199,3 +215,105 @@ def decide_two_phase(inst: Instance, hg: Graph) -> bool:
         return False
 
     return search(0)
+
+
+def reference_search(inst: Instance, hg: Graph, budget: int, on_solution) -> int:
+    """The copy-per-frame search; returns the nodes it counted.
+
+    Arc reduction at the start, then depth-first search with one frame per
+    assigned vertex: the first unassigned vertex with the fewest candidates,
+    its colors in ascending order, each color one node and a full copy of
+    the candidate list.  on_solution(assignment) may return True to stop.
+    Raises BudgetExceededError at node budget + 1.
+    """
+    g = inst.graph
+    nodes = 0
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"search exceeded {budget} nodes")
+
+    def arc_reduce(cand: list[int]) -> list[int] | None:
+        queue = set(range(g.n))
+        while queue:
+            v = queue.pop()
+            for u in iter_bits(g.adj[v]):
+                if u == v:
+                    continue
+                support = 0
+                for c in iter_bits(cand[v]):
+                    support |= hg.adj[c]
+                new = cand[u] & support
+                if new != cand[u]:
+                    cand[u] = new
+                    if not new:
+                        return None
+                    queue.add(u)
+        if any(not c for c in cand):
+            return None
+        return cand
+
+    def propagate(cand: list[int], v: int, color: int) -> list[int] | None:
+        cand = cand[:]
+        cand[v] = 1 << color
+        queue = [v]
+        while queue:
+            w = queue.pop()
+            if popcount(cand[w]) == 1:
+                nbr_support = hg.adj[cand[w].bit_length() - 1]
+            else:
+                nbr_support = 0
+                for c in iter_bits(cand[w]):
+                    nbr_support |= hg.adj[c]
+            for u in iter_bits(g.adj[w]):
+                if u == w:
+                    continue
+                new = cand[u] & nbr_support
+                if new != cand[u]:
+                    if not new:
+                        return None
+                    cand[u] = new
+                    queue.append(u)
+        return cand
+
+    def pick(cand: list[int], assigned: list[bool]) -> int:
+        best, best_size = -1, None
+        for v in range(g.n):
+            if assigned[v]:
+                continue
+            size = popcount(cand[v])
+            if best_size is None or size < best_size:
+                best, best_size = v, size
+                if size == 1:
+                    break
+        return best
+
+    def next_branch(stack, assigned) -> list[int] | None:
+        while stack:
+            v, cand, colors = stack[-1]
+            for color in colors:
+                tick()
+                nxt = propagate(cand, v, color)
+                if nxt is not None:
+                    return nxt
+            assigned[v] = False
+            stack.pop()
+        return None
+
+    looped = sum(1 << c for c in range(hg.n) if hg.adj[c] >> c & 1)
+    cand = arc_reduce([mask & looped if g.adj[v] >> v & 1 else mask
+                       for v, mask in enumerate(inst.lists)])
+    assigned = [False] * g.n
+    stack: list = []
+    while cand is not None:
+        if len(stack) == g.n:
+            if on_solution(tuple(c.bit_length() - 1 for c in cand)):
+                break
+        else:
+            v = pick(cand, assigned)
+            assigned[v] = True
+            stack.append((v, cand, iter_bits(cand[v])))
+        cand = next_branch(stack, assigned)
+    return nodes

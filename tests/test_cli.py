@@ -6,6 +6,7 @@ from lhom.cli import main
 from lhom.formats import write_hgraph, write_instance
 from lhom.generators import gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
+from lhom.solver import _Search
 
 
 @pytest.fixture()
@@ -189,3 +190,30 @@ def test_budget_env_override(tmp_path, c6_file, monkeypatch):
     assert main(["solve", str(inst), "--target", c6_file]) == 3
     monkeypatch.setenv("LHOM_NODE_BUDGET", "10000000")
     assert main(["solve", str(inst), "--target", c6_file]) == 0
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "ten"])
+def test_budget_env_must_be_positive(tmp_path, c6_file, monkeypatch, capsys,
+                                     raw):
+    c6 = gen_cycle_power(6, 1)
+    inst = tmp_path / "i.lh"
+    inst.write_text(write_instance(gen_instance(c6, 30, 5, 8, "planted-yes"), 6))
+    monkeypatch.setenv("LHOM_NODE_BUDGET", raw)
+    assert main(["solve", str(inst), "--target", c6_file]) == 2
+    assert "LHOM_NODE_BUDGET must be a" in capsys.readouterr().err
+
+
+def test_budget_env_boundary(tmp_path, k4, k4_file, k4_reductions,
+                             monkeypatch, capsys):
+    sat, _ = k4_reductions
+    search = _Search(sat, k4, 10**7)
+    search.run(lambda colors: True)
+    n = search.nodes
+    inst = tmp_path / "sat.lh"
+    inst.write_text(write_instance(sat, 4))
+    monkeypatch.setenv("LHOM_NODE_BUDGET", str(n))
+    assert main(["solve", str(inst), "--target", k4_file]) == 0
+    assert capsys.readouterr().out.startswith("yes")
+    monkeypatch.setenv("LHOM_NODE_BUDGET", str(n - 1))
+    assert main(["solve", str(inst), "--target", k4_file]) == 3
+    assert f"search exceeded {n - 1} nodes" in capsys.readouterr().err

@@ -4,10 +4,10 @@ from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
 from lhom.generators import SplitMix64, gen_instance
 from lhom.graphs import Graph, Instance
-from lhom.solver import decide, enumerate_restricted, extendable
+from lhom.solver import _Search, decide, enumerate_restricted, extendable
 
-from oracle import (brute_decide, decide_two_phase, extendable_bounded,
-                    random_graph)
+from oracle import (brute_decide, brute_restrictions, decide_two_phase, extendable_bounded, random_graph,
+                    reference_search)
 
 
 def test_decide_single_edge(c5):
@@ -64,6 +64,89 @@ def test_budget_exceeded(k4):
     inst = gen_instance(k4, 14, 6, 5, "random")
     with pytest.raises(BudgetExceededError):
         decide(inst, k4, node_budget=2)
+
+
+def _nodes_used(inst, hg) -> int:
+    """Nodes the search takes to decide `inst`."""
+    search = _Search(inst, hg, 10**7)
+    search.run(lambda colors: True)
+    return search.nodes
+
+
+def test_budget_boundary(k4, k4_reductions):
+    for inst in k4_reductions:
+        assert inst.graph.n >= 400
+        n = _nodes_used(inst, k4)
+        assert decide(inst, k4, node_budget=n) == decide(inst, k4)
+        with pytest.raises(BudgetExceededError) as err:
+            decide(inst, k4, node_budget=n - 1)
+        assert str(err.value) == f"search exceeded {n - 1} nodes"
+
+
+def _outcome(run, budget: int, stop_first: bool):
+    """(solutions in the order found, nodes, error message) of one search."""
+    found: list[tuple[int, ...]] = []
+
+    def on_solution(colors):
+        found.append(colors)
+        return stop_first
+
+    try:
+        nodes = run(budget, on_solution)
+    except BudgetExceededError as err:
+        return found, None, str(err)
+    return found, nodes, None
+
+
+def _check_against_reference(inst, hg, cap: int) -> list[bool]:
+    """Compare `_Search` with `reference_search` on decide and enumerate at
+    budgets N, N-1, N//2 and -1, where N is the reference's full node count
+    (or cap + 1 when it passes cap); returns whether each run finished."""
+    def current(budget, on_solution):
+        search = _Search(inst, hg, budget)
+        try:
+            search.run(on_solution)
+        except BudgetExceededError:
+            # one-by-one counting stops at the first node past the budget
+            assert search.nodes == max(budget, 0) + 1
+            raise
+        return search.nodes
+
+    def reference(budget, on_solution):
+        return reference_search(inst, hg, budget, on_solution)
+
+    finished = []
+    for stop_first in (True, False):
+        full = _outcome(reference, cap, stop_first)
+        n = cap + 1 if full[1] is None else full[1]
+        for budget in (n, n - 1, n // 2, -1):
+            want = _outcome(reference, budget, stop_first)
+            assert _outcome(current, budget, stop_first) == want
+            finished.append(want[1] is not None)
+    return finished
+
+
+def test_search_matches_reference(c6, k4, c13p2, k4_reductions):
+    """The trail search finds the same solutions in the same order, counts
+    the same nodes and stops at the same budget as the copying search."""
+    rng = SplitMix64(25)
+    # no vertices: one empty solution and no node, whatever the budget
+    finished = _check_against_reference(Instance(Graph.from_edges(0, []), ()),
+                                        c6, 1)
+    for _ in range(300):
+        hg = random_graph(rng, 1 + rng.below(6))
+        g = random_graph(rng, 1 + rng.below(9), loop_num=1, loop_den=6)
+        lists = tuple(rng.below(hg.full_mask + 1) for _ in range(g.n))
+        finished += _check_against_reference(Instance(g, lists), hg, 20000)
+    for hg in (c6, k4, c13p2):
+        for seed in range(20):
+            n = 4 + rng.below(12)
+            inst = gen_instance(hg, n, min(n, 2 + rng.below(4)), seed,
+                                ("random", "planted-yes")[seed % 2])
+            finished += _check_against_reference(inst, hg, 2000)
+    for inst in k4_reductions:
+        finished += _check_against_reference(inst, k4, 2000)
+    assert finished.count(True) >= 400 and finished.count(False) >= 400
 
 
 def test_two_phase_agrees_with_decide(c6, k4):
@@ -133,3 +216,18 @@ def test_enumerate_restricted_path(c5):
                     (mask_of([0]), c5.full_mask))
     assert enumerate_restricted(inst, c5, [1]) == {(1,), (4,)}
     assert enumerate_restricted(inst, c5, [0, 1]) == {(0, 1), (0, 4)}
+
+
+def test_enumerate_restricted_matches_bruteforce():
+    rng = SplitMix64(27)
+    nonempty = 0
+    for _ in range(200):
+        hg = random_graph(rng, 1 + rng.below(5))
+        g = random_graph(rng, 1 + rng.below(6), loop_num=1, loop_den=6)
+        lists = tuple(rng.below(hg.full_mask + 1) for _ in range(g.n))
+        inst = Instance(g, lists)
+        targets = [rng.below(g.n) for _ in range(rng.below(4))]
+        want = brute_restrictions(inst, hg, targets)
+        assert enumerate_restricted(inst, hg, targets) == want
+        nonempty += bool(want)
+    assert 50 <= nonempty <= 150
