@@ -24,6 +24,16 @@ from .invariants import compute_c_star
 
 @dataclass(frozen=True)
 class KernelReport:
+    """A kernel, its sizes and the constraints behind it.
+
+    For marking, constraints_total and constraints_retained both count the
+    (cover subset, list) types.  For the polynomial method,
+    constraints_total counts the rows given to the basis: one per color
+    missing from a cover vertex's list, plus one per distinct minimal
+    no-common-neighbor tuple; constraints_retained counts the rows the
+    basis kept.
+    """
+
     kernel: Instance
     method: str
     degree_used: int
@@ -110,8 +120,12 @@ _FORBID_CACHE: dict = {}
 def _cached_forbid(hg: Graph, l_mask: int, lists: tuple[int, ...],
                    colors: tuple[int, ...], cycle_power, budget,
                    monomial_only: bool) -> Gf2Poly:
-    """Forbidding polynomial on canonical positions 0..r-1, cached per pattern."""
-    key = (hg, l_mask, lists, colors, cycle_power, monomial_only)
+    """Forbidding polynomial on canonical positions 0..r-1, cached per pattern.
+
+    The budget is part of the key: a pattern certified under a large budget
+    must still raise under a smaller one.
+    """
+    key = (hg, l_mask, lists, colors, cycle_power, budget, monomial_only)
     poly = _FORBID_CACHE.get(key)
     if poly is None:
         req = ForbidRequest(hg, l_mask, lists, tuple(range(len(lists))), colors)
@@ -124,18 +138,40 @@ def _cached_forbid(hg: Graph, l_mask: int, lists: tuple[int, ...],
     return poly
 
 
+def _minimal_forbid(hg: Graph, l_mask: int, lists: tuple[int, ...],
+                    colors: tuple[int, ...], cycle_power, budget,
+                    monomial_only: bool) -> Gf2Poly | None:
+    """The canonical polynomial of a minimal no-common-neighbor tuple, else None.
+
+    A tuple is minimal when dropping any one position leaves a common
+    neighbor in L; by monotonicity no smaller sub-tuple need be checked.
+    """
+    if common_neighbors(hg, mask_of(colors), l_mask):
+        return None
+    for i in range(len(colors)):
+        if not common_neighbors(hg, mask_of(colors[:i] + colors[i + 1:]),
+                                l_mask):
+            return None
+    return _cached_forbid(hg, l_mask, lists, colors, cycle_power, budget,
+                          monomial_only)
+
+
 def kernel_poly(inst: Instance, hg: Graph,
                 cycle_power: tuple[int, int] | None = None,
                 budget: int = DEFAULT_CERT_BUDGET,
                 monomial_only: bool = False) -> KernelReport:
     """Polynomial-method kernel.
 
-    After list reduction, every no-common-neighbor tuple on every outside
-    vertex's neighborhood subsets (size <= c_star) contributes a certified
-    forbidding polynomial; a streaming GF(2) basis then decides which
-    outside vertices and which of their edges survive.  With monomial_only
-    the special constructions are skipped and every constraint is the plain
-    tuple product of degree <= c_star.
+    After list reduction, each minimal no-common-neighbor tuple on an
+    outside vertex's neighborhood subsets (size <= c_star) contributes a
+    certified forbidding polynomial, the first time its (subset, list,
+    tuple) is seen; a streaming GF(2) basis then decides which outside
+    vertices and which of their edges survive.  A non-minimal tuple's
+    polynomial is that of a minimal sub-tuple on a smaller subset of the
+    same vertex, and a repeat gives the same row, so the basis would keep
+    neither: the kernel is the one every forbidden tuple's row would give.
+    With monomial_only the special constructions are skipped and every
+    constraint is the plain tuple product of degree <= c_star.
     """
     cert = cover_certificate(inst)
     k = cert.size()
@@ -153,6 +189,10 @@ def kernel_poly(inst: Instance, hg: Graph,
             if not red.lists[v] >> color & 1:
                 polys.append(Gf2Poly.variable(v, color))
                 meta.append(("list", v, color))
+    # (l_mask, f_lists, tup) -> canonical polynomial, or None when the tuple
+    # is not a minimal no-common-neighbor tuple
+    canon_of: dict[tuple, Gf2Poly | None] = {}
+    emitted: set[tuple] = set()
     for v in range(red.graph.n):
         if cover >> v & 1:
             continue
@@ -161,12 +201,18 @@ def kernel_poly(inst: Instance, hg: Graph,
         for r in range(1, min(c, len(nbrs)) + 1):
             for combo in itertools.combinations(nbrs, r):
                 f_lists = tuple(red.lists[u] for u in combo)
+                remap = dict(enumerate(combo))
                 for tup in itertools.product(*[bit_list(f) for f in f_lists]):
-                    if common_neighbors(hg, mask_of(tup), l_mask):
+                    key = (l_mask, f_lists, tup)
+                    try:
+                        canon = canon_of[key]
+                    except KeyError:
+                        canon = canon_of[key] = _minimal_forbid(
+                            hg, l_mask, f_lists, tup, cycle_power, budget,
+                            monomial_only)
+                    if canon is None or (combo, l_mask, tup) in emitted:
                         continue
-                    canon = _cached_forbid(hg, l_mask, f_lists, tup,
-                                           cycle_power, budget, monomial_only)
-                    remap = {i: u for i, u in enumerate(combo)}
+                    emitted.add((combo, l_mask, tup))
                     polys.append(canon.remap_vertices(remap))
                     meta.append(("constr", v, combo))
 

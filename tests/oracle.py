@@ -11,15 +11,30 @@ solver's cover validation but reaches its answer by a different route.
 oracle for `lhom.solver._Search`: it copies the whole candidate list at
 every node, rescans every vertex to pick the next one, and counts one node
 per assigned vertex or color tried.  It uses nothing from `lhom.solver`.
+
+`reference_kernel_poly` is the polynomial kernel's earlier enumeration,
+kept as a differential oracle for `lhom.kernels.kernel_poly`: every
+no-common-neighbor tuple of every outside vertex becomes a basis row, with
+no minimality check and no de-duplication.  It reuses the library's
+`forbid`, `forbid_monomial`, `minimal_subrequest`, `extract_basis`,
+`reduce_lists`, `compute_c_star` and the kernels' `_restrict` and
+`_trivial_no_kernel`, which the kernel's change left as they were.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from lhom.bitset import bit_list, iter_bits, mask_of, popcount
 from lhom.errors import BudgetExceededError
-from lhom.graphs import Graph, Instance
+from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, forbid,
+                         forbid_monomial, minimal_subrequest)
+from lhom.gf2 import Gf2Poly, extract_basis
+from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
+                         reduce_lists)
+from lhom.invariants import compute_c_star
+from lhom.kernels import KernelReport, _restrict, _trivial_no_kernel
 from lhom.solver import _check_cover_mapping
 
 
@@ -317,3 +332,69 @@ def reference_search(inst: Instance, hg: Graph, budget: int, on_solution) -> int
             stack.append((v, cand, iter_bits(cand[v])))
         cand = next_branch(stack, assigned)
     return nodes
+
+
+def reference_kernel_poly(inst: Instance, hg: Graph,
+                          cycle_power: tuple[int, int] | None = None,
+                          budget: int = DEFAULT_CERT_BUDGET,
+                          monomial_only: bool = False) -> KernelReport:
+    """The polynomial kernel with a row for every forbidden tuple.
+
+    Polynomials are cached per (list, lists, tuple) pattern for this call
+    only, so the budget applies to every call alike.
+    """
+    cert = cover_certificate(inst)
+    k = cert.size()
+    if any(not m for m in inst.lists):
+        return _trivial_no_kernel(inst, "poly", k)
+    red = reduce_lists(inst, hg)
+    cover = cert.cover
+    c = compute_c_star(hg).value
+    polys: list[Gf2Poly] = []
+    meta: list[tuple] = []
+    for v in bit_list(cover):
+        for color in range(hg.n):
+            if not red.lists[v] >> color & 1:
+                polys.append(Gf2Poly.variable(v, color))
+                meta.append(("list", v, color))
+    cache: dict = {}
+    for v in range(red.graph.n):
+        if cover >> v & 1:
+            continue
+        l_mask = red.lists[v]
+        nbrs = bit_list(red.graph.adj[v])
+        for r in range(1, min(c, len(nbrs)) + 1):
+            for combo in itertools.combinations(nbrs, r):
+                f_lists = tuple(red.lists[u] for u in combo)
+                for tup in itertools.product(*[bit_list(f) for f in f_lists]):
+                    if common_neighbors(hg, mask_of(tup), l_mask):
+                        continue
+                    key = (l_mask, f_lists, tup)
+                    if key not in cache:
+                        req = ForbidRequest(hg, l_mask, f_lists,
+                                            tuple(range(r)), tup)
+                        if monomial_only:
+                            sub, _ = minimal_subrequest(req)
+                            cache[key] = forbid_monomial(sub, budget).poly
+                        else:
+                            cache[key] = forbid(req, cycle_power,
+                                                budget).poly
+                    polys.append(cache[key].remap_vertices(
+                        dict(enumerate(combo))))
+                    meta.append(("constr", v, combo))
+    degree = max((p.degree() for p in polys), default=1)
+    kept_idx = extract_basis(polys, m=k * hg.n, d=degree)
+    kept_nbrs: dict[int, int] = {}
+    for idx in kept_idx:
+        if meta[idx][0] == "constr":
+            _, v, combo = meta[idx]
+            kept_nbrs[v] = kept_nbrs.get(v, 0) | mask_of(combo)
+    kernel, vmap = _restrict(red, cover, kept_nbrs)
+    retained = len(kept_idx)
+    rank_bound = sum(math.comb(k * hg.n, i) for i in range(degree + 1))
+    return KernelReport(
+        kernel=kernel, method="poly", degree_used=degree,
+        vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
+        vertices_out=kernel.graph.n, edges_out=kernel.graph.edge_count(),
+        bound_k=k, bound_formula_ok=retained <= rank_bound, vertex_map=vmap,
+        constraints_total=len(polys), constraints_retained=retained)

@@ -83,6 +83,27 @@ def test_kernel_emit_and_verify(tmp_path, c6_file, capsys):
                      "--method", method]) == 0
 
 
+def test_readme_example_kernel_sizes(tmp_path, c6_file, capsys):
+    inst = str(tmp_path / "big.lh")
+    assert main(["gen", "instance", "--target", c6_file, "--n", "200",
+                 "--k", "3", "--seed", "1", "--out", inst]) == 0
+    assert main(["kernel", inst, "--target", c6_file, "--method", "poly",
+                 "--json"]) == 0
+    poly = _json_out(capsys)
+    assert (poly["vertices_in"], poly["vertices_out"], poly["edges_out"],
+            poly["degree"], poly["constraints_retained"],
+            poly["constraints_total"]) == (200, 12, 17, 2, 36, 304)
+    assert main(["kernel", inst, "--target", c6_file, "--method", "marking",
+                 "--json"]) == 0
+    marking = _json_out(capsys)
+    assert (marking["vertices_out"], marking["edges_out"]) == (133, 203)
+    for method in ("poly", "marking"):
+        assert main(["verify-kernel", inst, "--target", c6_file,
+                     "--method", method, "--json"]) == 0
+        assert _json_out(capsys) == {"schema": "lhom/1", "input": False,
+                                     "kernel": False, "agree": True}
+
+
 def test_forbid_prints_polynomial(c6_file, capsys):
     assert main(["forbid", "--target", c6_file, "--list", "0 1 2 3 4 5",
                  "--tuple", "0 2 4", "--json"]) == 0

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from lhom.bitset import mask_of
+from lhom.errors import BudgetExceededError
 from lhom.generators import SplitMix64, gen_instance
 from lhom.graphs import Graph, Instance
 from lhom.kernels import kernel_marking, kernel_poly, kernelize
@@ -190,3 +193,64 @@ def test_both_methods_on_random_irregular_targets():
         want = decide(inst, hg)[0]
         assert decide(kernel_marking(inst, hg).kernel, hg)[0] == want
         assert decide(kernel_poly(inst, hg).kernel, hg)[0] == want
+
+
+def test_poly_budget_is_not_masked_by_the_forbid_cache(c6):
+    inst = gen_instance(c6, 14, 4, 7)
+    message = "certification needs 6 evaluations, budget is 5"
+    with pytest.raises(BudgetExceededError) as first:
+        kernel_poly(inst, c6, budget=5)
+    assert str(first.value) == message
+    kernel_poly(inst, c6)  # caches the same patterns under the default budget
+    with pytest.raises(BudgetExceededError) as again:
+        kernel_poly(inst, c6, budget=5)
+    assert str(again.value) == message
+
+
+def _poly_outcome(kernel, inst, hg, hint, budget, monomial_only):
+    try:
+        return kernel(inst, hg, cycle_power=hint, budget=budget,
+                      monomial_only=monomial_only)
+    except BudgetExceededError as err:
+        return str(err)
+
+
+def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4):
+    """Minimal, first-seen rows give the kernel of every forbidden tuple's row.
+
+    Only constraints_total may differ, and only downwards; under a small
+    budget both raise the same error or return the same report.
+    """
+    from oracle import random_graph, reference_kernel_poly
+    rng = SplitMix64(71)
+    targets = ((None, None), (c5, None), (c6, None), (c13p2, (13, 2)),
+               (k4, None))
+    cases = smaller = raised = 0
+    for trial in range(300):
+        hg, hint = targets[trial % 5]
+        n, k = 6 + rng.below(19), 1 + rng.below(4)
+        if hg is None:
+            # larger instances: a polynomial cache keyed without the lists
+            # gave wrong kernels only on random targets of this size
+            hg = random_graph(rng, 2 + rng.below(6))
+            n, k = n + 6, k + 1
+        inst = gen_instance(hg, n, k, 71000 + trial,
+                            "planted-yes" if trial % 2 else "random")
+        monomial_only = trial // 10 % 2 == 1
+        for budget in (2_000_000, 1 + rng.below(12)):
+            got = _poly_outcome(kernel_poly, inst, hg, hint, budget,
+                                monomial_only)
+            want = _poly_outcome(reference_kernel_poly, inst, hg, hint,
+                                 budget, monomial_only)
+            if isinstance(want, str):
+                assert got == want, (trial, budget)
+                raised += 1
+                continue
+            assert not isinstance(got, str), (trial, budget, got)
+            assert got.constraints_total <= want.constraints_total
+            smaller += got.constraints_total < want.constraints_total
+            cases += 1
+            assert dataclasses.replace(got, constraints_total=0) == \
+                dataclasses.replace(want, constraints_total=0), (trial, budget)
+    assert cases >= 400 and raised >= 100 and smaller >= 150, \
+        (cases, raised, smaller)
