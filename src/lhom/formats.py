@@ -44,8 +44,10 @@ def _hints_from_comments(comments: list[str]) -> dict:
                     kv[key] = int(val)
                 except ValueError:
                     kv[key] = val
-        if name == "cycle-power" and "k" in kv and "p" in kv:
-            hints["cycle_power"] = (kv["k"], kv["p"])
+        k, p = kv.get("k"), kv.get("p")
+        # a hint with a missing or non-integer k or p is ignored
+        if name == "cycle-power" and isinstance(k, int) and isinstance(p, int):
+            hints["cycle_power"] = (k, p)
     return hints
 
 

@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
+# forbid_monomial and minimal_subrequest stay importable here because
+# perfbench/spans.py wraps them by name in this module
 from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, forbid,
                      forbid_monomial, minimal_subrequest)
 from .graphs import (Graph, Instance, common_neighbors, cover_certificate,
-                     reduce_lists)
+                     reduce_lists, validate_instance)
 from .gf2 import Gf2Poly, extract_basis
 from .invariants import compute_c_star
 
@@ -29,9 +31,9 @@ class KernelReport:
     For marking, constraints_total and constraints_retained both count the
     (cover subset, list) types.  For the polynomial method,
     constraints_total counts the rows given to the basis: one per color
-    missing from a cover vertex's list, plus one per distinct minimal
-    no-common-neighbor tuple; constraints_retained counts the rows the
-    basis kept.
+    missing from a cover vertex's list, plus one per minimal
+    no-common-neighbor tuple on each type; constraints_retained counts the
+    rows the basis kept.
     """
 
     kernel: Instance
@@ -77,27 +79,39 @@ def _restrict(inst: Instance, cover: int,
     return kernel, tuple(kept)
 
 
-def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
-    """Keep one outside vertex per (cover subset of size <= c_star, list) type.
+def _types(inst: Instance, cover: int, c: int) -> dict[tuple[int, int], int]:
+    """(cover subset mask, list) type -> its lowest outside vertex.
 
-    The representative for a type is the lowest-index candidate; it keeps
-    its edges into every subset it represents and loses all others.
+    A type is an outside vertex's list together with one subset of at most
+    c of its cover neighbors.  Both kernels walk the types in the dict's
+    order, which is first-seen order: vertices ascending, then subsets by
+    size from 0, then in `itertools.combinations` order.
     """
-    cert = cover_certificate(inst)
-    k = cert.size()
-    if any(not m for m in inst.lists):
-        return _trivial_no_kernel(inst, "marking", k)
-    c = compute_c_star(hg).value
-    cover = cert.cover
-    chosen: dict[tuple[int, int], int] = {}
+    types: dict[tuple[int, int], int] = {}
     for v in range(inst.graph.n):
         if cover >> v & 1:
             continue
         nbrs = bit_list(inst.graph.adj[v])
         for r in range(0, min(c, len(nbrs)) + 1):
             for combo in itertools.combinations(nbrs, r):
-                key = (mask_of(combo), inst.lists[v])
-                chosen.setdefault(key, v)
+                types.setdefault((mask_of(combo), inst.lists[v]), v)
+    return types
+
+
+def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
+    """Keep one outside vertex per (cover subset of size <= c_star, list) type.
+
+    The representative for a type is its lowest-index vertex (`_types`); it
+    keeps its edges into every subset it represents and loses all others.
+    """
+    validate_instance(inst, hg)
+    cert = cover_certificate(inst)
+    k = cert.size()
+    if any(not m for m in inst.lists):
+        return _trivial_no_kernel(inst, "marking", k)
+    c = compute_c_star(hg).value
+    cover = cert.cover
+    chosen = _types(inst, cover, c)
     kept_nbrs: dict[int, int] = {}
     for (x_mask, _), v in chosen.items():
         kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
@@ -114,37 +128,14 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
         constraints_total=len(chosen), constraints_retained=len(chosen))
 
 
-_FORBID_CACHE: dict = {}
-
-
-def _cached_forbid(hg: Graph, l_mask: int, lists: tuple[int, ...],
-                   colors: tuple[int, ...], cycle_power, budget,
-                   monomial_only: bool) -> Gf2Poly:
-    """Forbidding polynomial on canonical positions 0..r-1, cached per pattern.
-
-    The budget is part of the key: a pattern certified under a large budget
-    must still raise under a smaller one.
-    """
-    key = (hg, l_mask, lists, colors, cycle_power, budget, monomial_only)
-    poly = _FORBID_CACHE.get(key)
-    if poly is None:
-        req = ForbidRequest(hg, l_mask, lists, tuple(range(len(lists))), colors)
-        if monomial_only:
-            sub, _ = minimal_subrequest(req)
-            poly = forbid_monomial(sub, budget=budget).poly
-        else:
-            poly = forbid(req, cycle_power=cycle_power, budget=budget).poly
-        _FORBID_CACHE[key] = poly
-    return poly
-
-
 def _minimal_forbid(hg: Graph, l_mask: int, lists: tuple[int, ...],
-                    colors: tuple[int, ...], cycle_power, budget,
-                    monomial_only: bool) -> Gf2Poly | None:
-    """The canonical polynomial of a minimal no-common-neighbor tuple, else None.
+                    colors: tuple[int, ...], cycle_power,
+                    budget) -> Gf2Poly | None:
+    """The polynomial of a minimal no-common-neighbor tuple, else None.
 
     A tuple is minimal when dropping any one position leaves a common
     neighbor in L; by monotonicity no smaller sub-tuple need be checked.
+    The polynomial is on canonical positions 0..r-1.
     """
     if common_neighbors(hg, mask_of(colors), l_mask):
         return None
@@ -152,69 +143,59 @@ def _minimal_forbid(hg: Graph, l_mask: int, lists: tuple[int, ...],
         if not common_neighbors(hg, mask_of(colors[:i] + colors[i + 1:]),
                                 l_mask):
             return None
-    return _cached_forbid(hg, l_mask, lists, colors, cycle_power, budget,
-                          monomial_only)
+    req = ForbidRequest(hg, l_mask, lists, tuple(range(len(lists))), colors)
+    return forbid(req, cycle_power=cycle_power, budget=budget).poly
 
 
 def kernel_poly(inst: Instance, hg: Graph,
                 cycle_power: tuple[int, int] | None = None,
-                budget: int = DEFAULT_CERT_BUDGET,
-                monomial_only: bool = False) -> KernelReport:
+                budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
     """Polynomial-method kernel.
 
-    After list reduction, each minimal no-common-neighbor tuple on an
-    outside vertex's neighborhood subsets (size <= c_star) contributes a
-    certified forbidding polynomial, the first time its (subset, list,
-    tuple) is seen; a streaming GF(2) basis then decides which outside
-    vertices and which of their edges survive.  A non-minimal tuple's
-    polynomial is that of a minimal sub-tuple on a smaller subset of the
-    same vertex, and a repeat gives the same row, so the basis would keep
-    neither: the kernel is the one every forbidden tuple's row would give.
-    With monomial_only the special constructions are skipped and every
-    constraint is the plain tuple product of degree <= c_star.
+    After list reduction it walks the same first-seen types as the marking
+    kernel (`_types`), but over the reduced lists.  Each minimal
+    no-common-neighbor tuple on a type contributes a certified forbidding
+    polynomial, placed on the type's lowest vertex; a streaming GF(2) basis
+    then decides which outside vertices and which of their edges survive.
+    A non-minimal tuple's polynomial is that of a minimal sub-tuple on a
+    smaller subset, and a later vertex of the same type gives the same
+    rows, so the basis would keep neither: the kernel is the one every
+    forbidden tuple's row would give.
     """
+    red = reduce_lists(inst, hg)
     cert = cover_certificate(inst)
     k = cert.size()
     if any(not m for m in inst.lists):
         return _trivial_no_kernel(inst, "poly", k)
-    red = reduce_lists(inst, hg)
     cover = cert.cover
     c = compute_c_star(hg).value
-    cover_vs = bit_list(cover)
 
     polys: list[Gf2Poly] = []
     meta: list[tuple] = []
-    for v in cover_vs:
+    for v in bit_list(cover):
         for color in range(hg.n):
             if not red.lists[v] >> color & 1:
                 polys.append(Gf2Poly.variable(v, color))
                 meta.append(("list", v, color))
     # (l_mask, f_lists, tup) -> canonical polynomial, or None when the tuple
-    # is not a minimal no-common-neighbor tuple
+    # is not a minimal no-common-neighbor tuple; synthesized once per call
     canon_of: dict[tuple, Gf2Poly | None] = {}
-    emitted: set[tuple] = set()
-    for v in range(red.graph.n):
-        if cover >> v & 1:
-            continue
-        l_mask = red.lists[v]
-        nbrs = bit_list(red.graph.adj[v])
-        for r in range(1, min(c, len(nbrs)) + 1):
-            for combo in itertools.combinations(nbrs, r):
-                f_lists = tuple(red.lists[u] for u in combo)
-                remap = dict(enumerate(combo))
-                for tup in itertools.product(*[bit_list(f) for f in f_lists]):
-                    key = (l_mask, f_lists, tup)
-                    try:
-                        canon = canon_of[key]
-                    except KeyError:
-                        canon = canon_of[key] = _minimal_forbid(
-                            hg, l_mask, f_lists, tup, cycle_power, budget,
-                            monomial_only)
-                    if canon is None or (combo, l_mask, tup) in emitted:
-                        continue
-                    emitted.add((combo, l_mask, tup))
-                    polys.append(canon.remap_vertices(remap))
-                    meta.append(("constr", v, combo))
+    for (x_mask, l_mask), v in _types(red, cover, c).items():
+        combo = bit_list(x_mask)
+        f_lists = tuple(red.lists[u] for u in combo)
+        remap = dict(enumerate(combo))
+        # at x_mask == 0 the empty tuple has all of L as common neighbors,
+        # so it gives no row
+        for tup in itertools.product(*[bit_list(f) for f in f_lists]):
+            key = (l_mask, f_lists, tup)
+            try:
+                canon = canon_of[key]
+            except KeyError:
+                canon = canon_of[key] = _minimal_forbid(
+                    hg, l_mask, f_lists, tup, cycle_power, budget)
+            if canon is not None:
+                polys.append(canon.remap_vertices(remap))
+                meta.append(("constr", v, x_mask))
 
     degree = max((p.degree() for p in polys), default=1)
     kept_idx = extract_basis(polys, m=k * hg.n, d=degree)
@@ -223,8 +204,8 @@ def kernel_poly(inst: Instance, hg: Graph,
     for idx in kept_idx:
         tag = meta[idx]
         if tag[0] == "constr":
-            _, v, combo = tag
-            kept_nbrs[v] = kept_nbrs.get(v, 0) | mask_of(combo)
+            _, v, x_mask = tag
+            kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
     kernel, vmap = _restrict(red, cover, kept_nbrs)
     retained = len(kept_idx)
     rank_bound = sum(math.comb(k * hg.n, i) for i in range(degree + 1))

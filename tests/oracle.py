@@ -15,10 +15,10 @@ per assigned vertex or color tried.  It uses nothing from `lhom.solver`.
 `reference_kernel_poly` is the polynomial kernel's earlier enumeration,
 kept as a differential oracle for `lhom.kernels.kernel_poly`: every
 no-common-neighbor tuple of every outside vertex becomes a basis row, with
-no minimality check and no de-duplication.  It reuses the library's
-`forbid`, `forbid_monomial`, `minimal_subrequest`, `extract_basis`,
-`reduce_lists`, `compute_c_star` and the kernels' `_restrict` and
-`_trivial_no_kernel`, which the kernel's change left as they were.
+no minimality check and no de-duplication: it walks every (vertex, subset)
+pair, not the kernels' shared first-seen types.  It reuses the library's
+`forbid`, `extract_basis`, `reduce_lists`, `compute_c_star` and the
+kernels' `_restrict` and `_trivial_no_kernel`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import math
 
 from lhom.bitset import bit_list, iter_bits, mask_of, popcount
 from lhom.errors import BudgetExceededError
-from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, forbid,
-                         forbid_monomial, minimal_subrequest)
+from lhom.forbid import DEFAULT_CERT_BUDGET, ForbidRequest, forbid
 from lhom.gf2 import Gf2Poly, extract_basis
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          reduce_lists)
@@ -336,8 +335,7 @@ def reference_search(inst: Instance, hg: Graph, budget: int, on_solution) -> int
 
 def reference_kernel_poly(inst: Instance, hg: Graph,
                           cycle_power: tuple[int, int] | None = None,
-                          budget: int = DEFAULT_CERT_BUDGET,
-                          monomial_only: bool = False) -> KernelReport:
+                          budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
     """The polynomial kernel with a row for every forbidden tuple.
 
     Polynomials are cached per (list, lists, tuple) pattern for this call
@@ -373,12 +371,7 @@ def reference_kernel_poly(inst: Instance, hg: Graph,
                     if key not in cache:
                         req = ForbidRequest(hg, l_mask, f_lists,
                                             tuple(range(r)), tup)
-                        if monomial_only:
-                            sub, _ = minimal_subrequest(req)
-                            cache[key] = forbid_monomial(sub, budget).poly
-                        else:
-                            cache[key] = forbid(req, cycle_power,
-                                                budget).poly
+                        cache[key] = forbid(req, cycle_power, budget).poly
                     polys.append(cache[key].remap_vertices(
                         dict(enumerate(combo))))
                     meta.append(("constr", v, combo))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lhom.cli import main
-from lhom.formats import write_hgraph, write_instance
+from lhom.formats import parse_hgraph, write_hgraph, write_instance
 from lhom.generators import gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
 from lhom.solver import _Search
@@ -46,6 +46,19 @@ def test_invariants_ignores_forged_cycle_power_hint(tmp_path, k4_file, capsys):
     assert out["d_star"] == 3
     assert out["recommended_degree"] >= 3
     assert out["recommended_by"] != "cycle-power"
+
+
+@pytest.mark.parametrize("params", ["k=abc p=2", "k=13 p=x"])
+def test_malformed_cycle_power_hint_is_ignored(tmp_path, capsys, params):
+    plain = write_hgraph(gen_cycle_power(6, 1))
+    hinted = tmp_path / "hinted.hg"
+    hinted.write_text(f"# gen: cycle-power {params}\n" + plain)
+    assert parse_hgraph(hinted.read_text())[1] == {}
+    (tmp_path / "plain.hg").write_text(plain)
+    assert main(["invariants", str(tmp_path / "plain.hg"), "--json"]) == 0
+    want = _json_out(capsys)
+    assert main(["invariants", str(hinted), "--json"]) == 0
+    assert _json_out(capsys) == want
 
 
 def test_solve_exit_codes(tmp_path, c6_file, capsys):

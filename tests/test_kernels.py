@@ -5,7 +5,7 @@ import pytest
 from lhom.bitset import mask_of
 from lhom.errors import BudgetExceededError
 from lhom.generators import SplitMix64, gen_instance
-from lhom.graphs import Graph, Instance
+from lhom.graphs import Graph, Instance, cover_certificate
 from lhom.kernels import kernel_marking, kernel_poly, kernelize
 from lhom.solver import decide
 
@@ -157,15 +157,34 @@ def test_empty_list_short_circuits(c6):
         assert decide(report.kernel, c6)[0] is False
 
 
-def test_monomial_poly_keeps_no_more_vertices_than_marking(c6, k3, k4):
-    """Every retained constraint vertex is also a marking representative."""
+def test_poly_keeps_only_marking_representatives(c6, k3, k4):
+    """Every kept outside vertex of the poly kernel is a marking representative.
+
+    The first vertex of a (subset, reduced list) type is also the first of
+    its (subset, list) type, since equal lists reduce to equal lists.
+    """
     rng = SplitMix64(66)
     for hg in (c6, k3, k4):
         for seed in range(12):
             inst = gen_instance(hg, 10 + rng.below(7), 2 + rng.below(4), seed)
+            cover = cover_certificate(inst).cover
             marking = kernel_marking(inst, hg)
-            poly = kernel_poly(inst, hg, monomial_only=True)
+            poly = kernel_poly(inst, hg)
+            outside = {v for v in poly.vertex_map if not cover >> v & 1}
+            assert outside <= set(marking.vertex_map), (hg, seed)
             assert poly.vertices_out <= marking.vertices_out
+
+
+@pytest.mark.parametrize("last", [0b111111, 0])
+def test_both_methods_reject_unknown_colors(c6, last):
+    """Raised as decide raises it, also when another list is empty."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    inst = Instance(g, (c6.full_mask, c6.full_mask | 1 << 7, last),
+                    cover=mask_of([1]))
+    for method in ("marking", "poly"):
+        with pytest.raises(ValueError,
+                           match="^list of vertex 1 mentions unknown colors$"):
+            kernelize(inst, c6, method)
 
 
 def test_kernelize_rejects_unknown_method(c6):
@@ -207,10 +226,9 @@ def test_poly_budget_is_not_masked_by_the_forbid_cache(c6):
     assert str(again.value) == message
 
 
-def _poly_outcome(kernel, inst, hg, hint, budget, monomial_only):
+def _poly_outcome(kernel, inst, hg, hint, budget):
     try:
-        return kernel(inst, hg, cycle_power=hint, budget=budget,
-                      monomial_only=monomial_only)
+        return kernel(inst, hg, cycle_power=hint, budget=budget)
     except BudgetExceededError as err:
         return str(err)
 
@@ -236,12 +254,10 @@ def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4):
             n, k = n + 6, k + 1
         inst = gen_instance(hg, n, k, 71000 + trial,
                             "planted-yes" if trial % 2 else "random")
-        monomial_only = trial // 10 % 2 == 1
         for budget in (2_000_000, 1 + rng.below(12)):
-            got = _poly_outcome(kernel_poly, inst, hg, hint, budget,
-                                monomial_only)
+            got = _poly_outcome(kernel_poly, inst, hg, hint, budget)
             want = _poly_outcome(reference_kernel_poly, inst, hg, hint,
-                                 budget, monomial_only)
+                                 budget)
             if isinstance(want, str):
                 assert got == want, (trial, budget)
                 raised += 1
