@@ -114,9 +114,13 @@ def _cmd_verify_kernel(args) -> int:
     return 0 if agree else 1
 
 
-def _parse_colors(text: str) -> list[int]:
-    items = text.replace(",", " ").split()
-    return [int(x) for x in items]
+def _parse_colors(text: str, h: int, what: str) -> list[int]:
+    """The colors of a --tuple, --list or --lists part, checked against V(H)."""
+    colors = [int(x) for x in text.replace(",", " ").split()]
+    for c in colors:
+        if not 0 <= c < h:
+            raise FormatError(f"{what} color {c} is out of range 0..{h - 1}")
+    return colors
 
 
 def _default_list_for(hg: Graph, color: int) -> int:
@@ -132,10 +136,10 @@ def _default_list_for(hg: Graph, color: int) -> int:
 
 def _cmd_forbid(args) -> int:
     hg, hints = _load_target(args.target)
-    colors = tuple(_parse_colors(args.tuple))
-    l_mask = mask_of(_parse_colors(args.list))
+    colors = tuple(_parse_colors(args.tuple, hg.n, "tuple"))
+    l_mask = mask_of(_parse_colors(args.list, hg.n, "list"))
     if args.lists:
-        lists = tuple(mask_of(_parse_colors(part))
+        lists = tuple(mask_of(_parse_colors(part, hg.n, "candidate list"))
                       for part in args.lists.split(";"))
     else:
         lists = tuple(_default_list_for(hg, c) for c in colors)

@@ -1,9 +1,13 @@
 """Multilinear GF(2) polynomials on choice variables.
 
 A variable is a (vertex, color) pair; on a choice assignment exactly one
-color variable per vertex is 1.  A monomial is a frozenset of variables, a
-polynomial the frozenset of monomials with coefficient 1.  Rows packed into
-ints drive the elimination routines.
+color variable per vertex is 1.  In `Gf2Poly` a monomial is a frozenset of
+variables and a polynomial the frozenset of monomials with coefficient 1.
+
+The elimination routines work on packed rows.  For `extract_basis` a
+monomial is an int with one bit per variable (the kernel gives the variable
+y[u, c] the bit index(u) * h + c), so its degree is its bit count, and a
+row is the list of its monomials.
 """
 
 from __future__ import annotations
@@ -116,24 +120,25 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
     return acc
 
 
-def extract_basis(polys: Sequence[Gf2Poly], m: int, d: int) -> list[int]:
+def extract_basis(rows: Sequence[Sequence[int]], m: int, d: int) -> list[int]:
     """Indices of a streaming GF(2) row basis of the given polynomials.
 
-    Columns are monomials of degree at most d over m variables; a
-    polynomial is kept iff it is independent of the kept prefix, so earlier
-    indices are always preferred.  The selection size can never exceed the
-    dimension sum_{i<=d} C(m, i).
+    Each row is a polynomial given as the list of its monomials, each
+    monomial an int with one bit per variable (module docstring); a
+    monomial listed twice cancels.  Columns are monomials of degree at most
+    d over m variables; a row is kept iff it is independent of the kept
+    prefix, so earlier indices are always preferred.  The selection size
+    can never exceed the dimension sum_{i<=d} C(m, i).
     """
-    col_index: dict = {}
+    col_index: dict[int, int] = {}
     pivots: dict[int, int] = {}
     kept: list[int] = []
-    for idx, poly in enumerate(polys):
-        if poly.degree() > d:
+    for idx, monos in enumerate(rows):
+        if max(map(int.bit_count, monos), default=0) > d:
             raise ValueError(f"polynomial {idx} exceeds degree bound {d}")
         row = 0
-        for mono in poly.monomials:
-            pos = col_index.setdefault(mono, len(col_index))
-            row |= 1 << pos
+        for mono in monos:
+            row ^= 1 << col_index.setdefault(mono, len(col_index))
         while row:
             top = row.bit_length() - 1
             if top not in pivots:

@@ -8,6 +8,7 @@ to the degree.  The same representation serves both the fixed target graph
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -90,6 +91,7 @@ def incomparable(hg: Graph, u: int, v: int) -> bool:
     return bool(nu & ~nv) and bool(nv & ~nu)
 
 
+@functools.lru_cache(maxsize=4096)
 def is_incomparable_set(hg: Graph, mask: int) -> bool:
     vs = bit_list(mask)
     return all(incomparable(hg, a, b) for a, b in itertools.combinations(vs, 2))

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from .bitset import bit_list, iter_bits, mask_of
 # forbid_monomial and minimal_subrequest stay importable here because
 # perfbench/spans.py wraps them by name in this module
-from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, forbid,
-                     forbid_monomial, minimal_subrequest)
-from .graphs import (Graph, Instance, common_neighbors, cover_certificate,
-                     reduce_lists, validate_instance)
+from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
+                     forbid, forbid_monomial, minimal_subrequest)
+from .graphs import (Graph, Instance, cover_certificate, reduce_lists,
+                     validate_instance)
 from .gf2 import Gf2Poly, extract_basis
 from .invariants import compute_c_star
 
@@ -30,9 +30,10 @@ class KernelReport:
 
     For marking, constraints_total and constraints_retained both count the
     (cover subset, list) types.  For the polynomial method,
-    constraints_total counts the rows given to the basis: one per color
-    missing from a cover vertex's list, plus one per minimal
-    no-common-neighbor tuple on each type; constraints_retained counts the
+    constraints_total counts the constraint rows: one per color missing
+    from a cover vertex's list, plus one per minimal no-common-neighbor
+    tuple on each type, where a row equal to an earlier row of its type is
+    counted but not given to the basis; constraints_retained counts the
     rows the basis kept.
     """
 
@@ -128,23 +129,26 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
         constraints_total=len(chosen), constraints_retained=len(chosen))
 
 
-def _minimal_forbid(hg: Graph, l_mask: int, lists: tuple[int, ...],
-                    colors: tuple[int, ...], cycle_power,
-                    budget) -> Gf2Poly | None:
-    """The polynomial of a minimal no-common-neighbor tuple, else None.
+def _is_minimal(adj: tuple[int, ...], full: int, l_mask: int,
+                colors: tuple[int, ...]) -> bool:
+    """Is this a minimal no-common-neighbor tuple in L?
 
     A tuple is minimal when dropping any one position leaves a common
     neighbor in L; by monotonicity no smaller sub-tuple need be checked.
-    The polynomial is on canonical positions 0..r-1.
+    The common neighborhood of each leave-one-out tuple is the AND of a
+    prefix and a suffix of the colors' neighborhoods.
     """
-    if common_neighbors(hg, mask_of(colors), l_mask):
-        return None
-    for i in range(len(colors)):
-        if not common_neighbors(hg, mask_of(colors[:i] + colors[i + 1:]),
-                                l_mask):
-            return None
-    req = ForbidRequest(hg, l_mask, lists, tuple(range(len(lists))), colors)
-    return forbid(req, cycle_power=cycle_power, budget=budget).poly
+    prefix = [full]
+    for color in colors:
+        prefix.append(prefix[-1] & adj[color])
+    if prefix[-1] & l_mask:
+        return False
+    suffix = l_mask
+    for i in reversed(range(len(colors))):
+        if not prefix[i] & suffix:
+            return False
+        suffix &= adj[colors[i]]
+    return True
 
 
 def kernel_poly(inst: Instance, hg: Graph,
@@ -160,7 +164,8 @@ def kernel_poly(inst: Instance, hg: Graph,
     A non-minimal tuple's polynomial is that of a minimal sub-tuple on a
     smaller subset, and a later vertex of the same type gives the same
     rows, so the basis would keep neither: the kernel is the one every
-    forbidden tuple's row would give.
+    forbidden tuple's row would give.  Rows are packed (`lhom.gf2`): the
+    variable y[u, color] of the i-th cover vertex u is bit i * h + color.
     """
     red = reduce_lists(inst, hg)
     cert = cover_certificate(inst)
@@ -169,36 +174,57 @@ def kernel_poly(inst: Instance, hg: Graph,
         return _trivial_no_kernel(inst, "poly", k)
     cover = cert.cover
     c = compute_c_star(hg).value
+    h = hg.n
+    index = {u: i for i, u in enumerate(bit_list(cover))}
 
-    polys: list[Gf2Poly] = []
+    rows: list[list[int]] = []
     meta: list[tuple] = []
-    for v in bit_list(cover):
-        for color in range(hg.n):
+    for v, i in index.items():
+        for color in range(h):
             if not red.lists[v] >> color & 1:
-                polys.append(Gf2Poly.variable(v, color))
+                rows.append([1 << i * h + color])
                 meta.append(("list", v, color))
-    # (l_mask, f_lists, tup) -> canonical polynomial, or None when the tuple
-    # is not a minimal no-common-neighbor tuple; synthesized once per call
-    canon_of: dict[tuple, Gf2Poly | None] = {}
+    adj, full = hg.adj, hg.full_mask
+    duplicates = 0  # rows equal to an earlier row of their type
+    # (l_mask, f_lists, tup) of a minimal tuple -> its certified polynomial
+    # on canonical positions 0..r-1; synthesized once per call
+    canon_of: dict[tuple, ForbidResult] = {}
+    # canonical polynomial -> its monomials as tuples of canonical variable
+    # ids pos * h + color; one entry per distinct polynomial
+    ids_of: dict[Gf2Poly, tuple] = {}
     for (x_mask, l_mask), v in _types(red, cover, c).items():
         combo = bit_list(x_mask)
         f_lists = tuple(red.lists[u] for u in combo)
-        remap = dict(enumerate(combo))
+        # canonical variable id -> the bit of y[combo[pos], color]
+        table = [1 << index[u] * h + color for u in combo for color in range(h)]
+        placed: set[Gf2Poly] = set()
         # at x_mask == 0 the empty tuple has all of L as common neighbors,
         # so it gives no row
         for tup in itertools.product(*[bit_list(f) for f in f_lists]):
+            if not _is_minimal(adj, full, l_mask, tup):
+                continue
             key = (l_mask, f_lists, tup)
-            try:
-                canon = canon_of[key]
-            except KeyError:
-                canon = canon_of[key] = _minimal_forbid(
-                    hg, l_mask, f_lists, tup, cycle_power, budget)
-            if canon is not None:
-                polys.append(canon.remap_vertices(remap))
-                meta.append(("constr", v, x_mask))
+            canon = canon_of.get(key)
+            if canon is None:
+                req = ForbidRequest(hg, l_mask, f_lists, tuple(range(len(tup))),
+                                    tup)
+                canon = canon_of[key] = forbid(req, cycle_power=cycle_power,
+                                               budget=budget)
+            if canon.poly in placed:  # the basis would not keep it
+                duplicates += 1
+                continue
+            placed.add(canon.poly)
+            ids = ids_of.get(canon.poly)
+            if ids is None:
+                ids = ids_of[canon.poly] = tuple(
+                    tuple(pos * h + color for pos, color in mono)
+                    for mono in canon.poly.monomials)
+            rows.append([sum(map(table.__getitem__, mono)) for mono in ids])
+            meta.append(("constr", v, x_mask))
 
-    degree = max((p.degree() for p in polys), default=1)
-    kept_idx = extract_basis(polys, m=k * hg.n, d=degree)
+    # a list row has degree 1, as has an empty row set
+    degree = max((canon.degree for canon in canon_of.values()), default=1)
+    kept_idx = extract_basis(rows, m=k * h, d=degree)
 
     kept_nbrs: dict[int, int] = {}
     for idx in kept_idx:
@@ -208,13 +234,14 @@ def kernel_poly(inst: Instance, hg: Graph,
             kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
     kernel, vmap = _restrict(red, cover, kept_nbrs)
     retained = len(kept_idx)
-    rank_bound = sum(math.comb(k * hg.n, i) for i in range(degree + 1))
+    rank_bound = sum(math.comb(k * h, i) for i in range(degree + 1))
     return KernelReport(
         kernel=kernel, method="poly", degree_used=degree,
         vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
         vertices_out=kernel.graph.n, edges_out=kernel.graph.edge_count(),
         bound_k=k, bound_formula_ok=retained <= rank_bound, vertex_map=vmap,
-        constraints_total=len(polys), constraints_retained=retained)
+        constraints_total=len(rows) + duplicates,
+        constraints_retained=retained)
 
 
 def kernelize(inst: Instance, hg: Graph, method: str,

@@ -16,9 +16,21 @@ per assigned vertex or color tried.  It uses nothing from `lhom.solver`.
 kept as a differential oracle for `lhom.kernels.kernel_poly`: every
 no-common-neighbor tuple of every outside vertex becomes a basis row, with
 no minimality check and no de-duplication: it walks every (vertex, subset)
-pair, not the kernels' shared first-seen types.  It reuses the library's
-`forbid`, `extract_basis`, `reduce_lists`, `compute_c_star` and the
-kernels' `_restrict` and `_trivial_no_kernel`.
+pair, not the kernels' shared first-seen types.  Its rows are `Gf2Poly`
+frozensets moved onto the vertices by `remap_vertices`, its polynomials
+come from `reference_forbid` and its basis from `reference_extract_basis`.
+It reuses the library's `reduce_lists`, `compute_c_star` and the kernels'
+`_restrict` and `_trivial_no_kernel`.
+
+`reference_forbid` is `lhom.forbid.forbid` as it was before certification
+by construction and by the widest request: every polynomial, the plain
+monomial included, is certified by `certify_forbid` on its own request.
+It shrinks the request to its minimal subsequence itself and builds the
+same polynomials from the library's blocks (`cycle_frame`,
+`_cycle_power_poly`, `poly_local`, and `forbid_linear_system`, whose
+certification is the scan in both).
+`reference_extract_basis` is `extract_basis` on `Gf2Poly` rows, with a
+column per distinct frozenset monomial.
 """
 
 from __future__ import annotations
@@ -27,12 +39,14 @@ import itertools
 import math
 
 from lhom.bitset import bit_list, iter_bits, mask_of, popcount
-from lhom.errors import BudgetExceededError
-from lhom.forbid import DEFAULT_CERT_BUDGET, ForbidRequest, forbid
-from lhom.gf2 import Gf2Poly, extract_basis
+from lhom.errors import BudgetExceededError, CertificationError
+from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
+                         _cycle_power_poly, _is_cycle_power, certify_forbid,
+                         cycle_frame, forbid_linear_system)
+from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          reduce_lists)
-from lhom.invariants import compute_c_star
+from lhom.invariants import compute_c_star, compute_d_star
 from lhom.kernels import KernelReport, _restrict, _trivial_no_kernel
 from lhom.solver import _check_cover_mapping
 
@@ -333,6 +347,103 @@ def reference_search(inst: Instance, hg: Graph, budget: int, on_solution) -> int
     return nodes
 
 
+def packed_rows(polys) -> list[list[int]]:
+    """`Gf2Poly` rows in `extract_basis`'s packed form.
+
+    The i-th smallest variable over all the rows becomes bit i.
+    """
+    variables = sorted({var for p in polys for mono in p.monomials
+                        for var in mono})
+    bit = {var: 1 << i for i, var in enumerate(variables)}
+    return [[sum(bit[var] for var in mono) for mono in p.monomials]
+            for p in polys]
+
+
+def reference_extract_basis(polys, m: int, d: int) -> list[int]:
+    """The streaming basis on `Gf2Poly` rows, one column per monomial."""
+    col_index: dict = {}
+    pivots: dict[int, int] = {}
+    kept: list[int] = []
+    for idx, poly in enumerate(polys):
+        if poly.degree() > d:
+            raise ValueError(f"polynomial {idx} exceeds degree bound {d}")
+        row = 0
+        for mono in poly.monomials:
+            pos = col_index.setdefault(mono, len(col_index))
+            row |= 1 << pos
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                break
+            row ^= pivots[top]
+        if row:
+            pivots[row.bit_length() - 1] = row
+            kept.append(idx)
+    bound = sum(math.comb(m, i) for i in range(d + 1))
+    if len(kept) > bound:
+        raise AssertionError("basis exceeded the degree-d dimension bound")
+    return kept
+
+
+def _scan_certified(req, poly, method, budget) -> ForbidResult:
+    if not certify_forbid(req, poly, budget):
+        raise CertificationError(
+            f"{method} construction failed certification for tuple {req.colors}")
+    return ForbidResult(poly, poly.degree(), method)
+
+
+def reference_forbid(req: ForbidRequest,
+                     cycle_power: tuple[int, int] | None = None,
+                     budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
+    """`forbid` with every polynomial scanned on its own request."""
+    hg = req.target
+    kept = list(range(req.width))  # the minimal subsequence, high first
+    for pos in reversed(range(req.width)):
+        if len(kept) == 1:
+            break
+        trial = [i for i in kept if i != pos]
+        if not common_neighbors(hg, mask_of(req.colors[i] for i in trial),
+                                req.l_mask):
+            kept = trial
+    sub = req
+    if len(kept) < req.width:
+        sub = ForbidRequest(hg, req.l_mask,
+                            tuple(req.lists[i] for i in kept),
+                            tuple(req.verts[i] for i in kept),
+                            tuple(req.colors[i] for i in kept))
+    if cycle_power is not None:
+        k, p = cycle_power
+        if (p >= 2 and k > 6 * p and sub.width == p + 1
+                and _is_cycle_power(hg, k, p)):
+            if len(set(sub.colors)) != p + 1:
+                raise ValueError("tuple must use p + 1 distinct colors")
+            return _scan_certified(sub, _cycle_power_poly(k, p, sub.verts),
+                                   "cycle-power", budget)
+    monomial = Gf2Poly.product_of_vars(zip(sub.verts, sub.colors))
+    frame = cycle_frame(hg)
+    if hg.n == 6 and sub.width <= 3 and frame is not None:
+        if sub.width <= 2:
+            return _scan_certified(sub, monomial, "monomial", budget)
+        pos = {v: i for i, v in enumerate(frame)}
+        s_set = set(sub.colors)
+        if s_set not in ({frame[0], frame[2], frame[4]},
+                         {frame[1], frame[3], frame[5]}):
+            raise ValueError(
+                f"tuple {sub.colors} is not a parity class of the cycle; "
+                "only minimal no-common-neighbor triples can be forbidden here")
+        poly = Gf2Poly.sum_of(
+            poly_local(pair, sub.verts, 6)
+            for pair in itertools.combinations(sorted(s_set, key=pos.get), 2))
+        return _scan_certified(sub, poly, "c6", budget)
+    d_star, _ = compute_d_star(hg)
+    if sub.width == d_star + 1 and d_star >= 1 and \
+            len(set(sub.colors)) == sub.width:
+        result = forbid_linear_system(sub, d_star, budget)
+        if result is not None:
+            return result
+    return _scan_certified(sub, monomial, "monomial", budget)
+
+
 def reference_kernel_poly(inst: Instance, hg: Graph,
                           cycle_power: tuple[int, int] | None = None,
                           budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
@@ -371,12 +482,13 @@ def reference_kernel_poly(inst: Instance, hg: Graph,
                     if key not in cache:
                         req = ForbidRequest(hg, l_mask, f_lists,
                                             tuple(range(r)), tup)
-                        cache[key] = forbid(req, cycle_power, budget).poly
+                        cache[key] = reference_forbid(req, cycle_power,
+                                                      budget).poly
                     polys.append(cache[key].remap_vertices(
                         dict(enumerate(combo))))
                     meta.append(("constr", v, combo))
     degree = max((p.degree() for p in polys), default=1)
-    kept_idx = extract_basis(polys, m=k * hg.n, d=degree)
+    kept_idx = reference_extract_basis(polys, m=k * hg.n, d=degree)
     kept_nbrs: dict[int, int] = {}
     for idx in kept_idx:
         if meta[idx][0] == "constr":

@@ -25,7 +25,7 @@ from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
 from lhom.solver import decide, enumerate_restricted
 
 from conftest import complete_graph
-from oracle import brute_sat, random_graph
+from oracle import brute_sat, packed_rows, random_graph
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -212,7 +212,7 @@ def test_criterion_5_basis_bound():
                 monos.append(frozenset(
                     (rng.below(m), 1) for _ in range(1 + rng.below(d))))
             polys.append(Gf2Poly(frozenset(monos)))
-        kept = extract_basis(polys, m=m, d=d)
+        kept = extract_basis(packed_rows(polys), m=m, d=d)
         bound = sum(math.comb(m, i) for i in range(d + 1))
         ok &= len(kept) <= bound
         if m <= 12:

@@ -136,6 +136,17 @@ def test_forbid_invalid_tuple(c6_file):
                  "--tuple", "0 2"]) == 2
 
 
+@pytest.mark.parametrize("tup, color", [("0 2 99", 99), ("-1 2", -1)])
+def test_forbid_rejects_out_of_range_color(tmp_path, capsys, tup, color):
+    path = tmp_path / "c13.hg"
+    path.write_text(write_hgraph(gen_cycle_power(13, 2),
+                                 ("gen: cycle-power k=13 p=2",)))
+    assert main(["forbid", "--target", str(path), "--list", "0 1 2",
+                 "--tuple", tup]) == 2
+    err = capsys.readouterr().err
+    assert f"tuple color {color} is out of range 0..12" in err
+
+
 def test_reduce_sat_pipeline(tmp_path, k4_file, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
@@ -200,6 +211,25 @@ def test_kernel_uses_generator_hint(tmp_path, capsys):
     assert payload["degree"] <= 2  # the file hint unlocks the degree-p route
     assert main(["verify-kernel", str(inst_path), "--target", str(hg_path),
                  "--method", "poly"]) == 0
+
+
+def test_cycle_power_kernel_golden(tmp_path, capsys):
+    """The README-style pipeline on C13^2, through the cycle-power route."""
+    hg_path, inst_path = str(tmp_path / "c13.hg"), str(tmp_path / "i.lh")
+    assert main(["gen", "hgraph", "cycle-power", "--k", "13", "--p", "2",
+                 "--out", hg_path]) == 0
+    assert main(["gen", "instance", "--target", hg_path, "--n", "150",
+                 "--k", "4", "--seed", "1", "--out", inst_path]) == 0
+    assert main(["kernel", inst_path, "--target", hg_path, "--method", "poly",
+                 "--json"]) == 0
+    payload = _json_out(capsys)
+    assert (payload["vertices_out"], payload["edges_out"], payload["degree"],
+            payload["constraints_total"], payload["constraints_retained"]) \
+        == (45, 91, 2, 4761, 326)
+    assert main(["verify-kernel", inst_path, "--target", hg_path,
+                 "--method", "poly"]) == 0
+    assert capsys.readouterr().out.strip() == \
+        "input=False kernel=False agree=True"
 
 
 def test_gen_missing_params(tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from lhom.bitset import bit_list, mask_of, popcount
-from lhom.errors import BudgetExceededError
+from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (ForbidRequest, certify_forbid, cycle_frame, forbid,
                          forbid_c6, forbid_cycle_power, forbid_linear_system,
                          forbid_monomial, minimal_subrequest)
@@ -369,3 +369,98 @@ def test_certify_agrees_with_brute_force(c6, k4, c13p2):
             verdicts[want] += 1
         done += 1
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def _forbid_outcome(fn, req, hint, budget):
+    try:
+        res = fn(req, hint, budget)
+    except (BudgetExceededError, CertificationError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return res.method, res.degree, res.poly
+
+
+def _is_minimal(hg, colors, l_mask) -> bool:
+    """No common neighbor in L, but one after dropping any position."""
+    return not common_neighbors(hg, mask_of(colors), l_mask) and all(
+        common_neighbors(hg, mask_of(colors[:i] + colors[i + 1:]), l_mask)
+        for i in range(len(colors)))
+
+
+def test_forbid_matches_always_scan_reference(c6, c13p2):
+    """Certification by construction and by the widest request against the
+    scan of every polynomial on its own request, at budgets on both sides of
+    each size a check can need."""
+    from lhom.graphs import dominant_subset
+    from oracle import random_graph, reference_forbid
+    rng = SplitMix64(55)
+    fixed = [(c6, None), (c13p2, (13, 2)), (gen_cycle_power(19, 3), (19, 3))]
+    seen: dict = {}
+    done = 0
+    while done < 100:
+        if done % 4 == 3:
+            hg, hint = random_graph(rng, 2 + rng.below(6)), None
+        else:
+            hg, hint = fixed[done % 4]
+        full = hg.full_mask
+        width = 2 + rng.below(3)
+        special = hint is not None or hg is c6
+        if special:
+            width = 3 if hint is None else hint[1] + 1
+        any_tuple = not special or rng.below(5) == 0
+        while True:
+            colors = tuple(rng.below(hg.n) for _ in range(width))
+            if any_tuple or _is_minimal(hg, colors, full):
+                break
+        lists = (full,) * width
+        if rng.below(2):
+            lists = tuple(dominant_subset(hg, (rng.below(full + 1) | 1 << c)
+                                          & full) for c in colors)
+        l_mask = full if rng.below(4) else rng.below(full + 1)
+        l_mask &= ~common_neighbors(hg, mask_of(colors), full)
+        try:
+            req = ForbidRequest(hg, l_mask, lists, tuple(range(len(colors))),
+                                colors)
+        except ValueError:
+            continue
+        size = 1
+        for f in lists:
+            size *= popcount(f)
+        widest = hg.n ** len(colors)
+        for budget in (2_000_000, size, size - 1, widest, widest - 1):
+            want = _forbid_outcome(reference_forbid, req, hint, budget)
+            assert _forbid_outcome(forbid, req, hint, budget) == want, \
+                (req, budget)
+            seen[want[0]] = seen.get(want[0], 0) + 1
+        done += 1
+    mins = {"monomial": 100, "c6": 30, "cycle-power": 80,
+            "linear-system": 20, "BudgetExceededError": 50}
+    assert all(seen.get(key, 0) >= least for key, least in mins.items()), \
+        sorted(seen.items())
+
+
+def test_widest_memo_does_not_bless_an_unchecked_polynomial(c6, c13p2):
+    """A memoized verdict covers only the polynomial it was computed for."""
+    from lhom.forbid import DEFAULT_CERT_BUDGET, _certified
+    for hg, hint, colors in ((c13p2, (13, 2), (0, 2, 4)),
+                             (c6, None, (0, 2, 4))):
+        req = full_request(hg, colors)
+        good = forbid(req, hint)
+        assert good.method in ("cycle-power", "c6")
+        # the same tuple on narrower lists passes through the memoized verdict
+        narrow = ForbidRequest(hg, req.l_mask, tuple(
+            mask_of([c, (c + 1) % hg.n]) for c in colors), req.verts, colors)
+        assert _certified(narrow, good.poly, good.method,
+                          DEFAULT_CERT_BUDGET).poly == good.poly
+        on_tuple = [mono for mono in good.poly.monomials
+                    if mono <= set(zip(req.verts, colors))]
+        assert on_tuple
+        for mono in sorted(good.poly.monomials, key=sorted):
+            edited = Gf2Poly(good.poly.monomials - {mono})
+            if certify_forbid(req, edited):
+                continue
+            with pytest.raises(CertificationError):
+                _certified(req, edited, good.method, DEFAULT_CERT_BUDGET)
+        for mono in on_tuple:  # 0 on the forbidden tuple: fails every check
+            with pytest.raises(CertificationError):
+                _certified(req, Gf2Poly(good.poly.monomials - {mono}),
+                           good.method, DEFAULT_CERT_BUDGET)

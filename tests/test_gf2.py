@@ -6,6 +6,8 @@ import pytest
 from lhom.generators import SplitMix64
 from lhom.gf2 import Gf2Poly, extract_basis, poly_local, solve_linear_system
 
+from oracle import packed_rows, reference_extract_basis
+
 
 def bool_poly(monomial_sets):
     """Polynomial on 0/1 variables: variable v is the pair (v, 1)."""
@@ -81,13 +83,14 @@ def test_poly_local_validates_arity():
 
 def test_extract_basis_duplicate_rows():
     y1, y2, y3 = (bool_poly([{i}]) for i in (1, 2, 3))
-    assert extract_basis([y1, y1, y1 + y2], m=4, d=1) == [0, 2]
-    assert extract_basis([y1 + y2, y2 + y3, y1 + y3], m=4, d=1) == [0, 1]
+    assert extract_basis(packed_rows([y1, y1, y1 + y2]), m=4, d=1) == [0, 2]
+    assert extract_basis(packed_rows([y1 + y2, y2 + y3, y1 + y3]),
+                         m=4, d=1) == [0, 1]
 
 
 def test_extract_basis_degree_check():
     with pytest.raises(ValueError):
-        extract_basis([bool_poly([{0, 1, 2}])], m=4, d=2)
+        extract_basis(packed_rows([bool_poly([{0, 1, 2}])]), m=4, d=2)
 
 
 def test_extract_basis_rank_bound_random():
@@ -97,7 +100,7 @@ def test_extract_basis_rank_bound_random():
     for _ in range(500):
         monos = [{rng.below(m), rng.below(m)} for _ in range(1 + rng.below(3))]
         polys.append(bool_poly(monos))
-    kept = extract_basis(polys, m=m, d=d)
+    kept = extract_basis(packed_rows(polys), m=m, d=d)
     assert len(kept) <= sum(math.comb(m, i) for i in range(d + 1)) == 56
 
 
@@ -110,12 +113,48 @@ def test_extract_basis_preserves_solution_set():
             monos = [{rng.below(m) for _ in range(1 + rng.below(2))}
                      for _ in range(1 + rng.below(3))]
             polys.append(bool_poly(monos))
-        kept = set(extract_basis(polys, m=m, d=3))
+        kept = set(extract_basis(packed_rows(polys), m=m, d=3))
         sub = [p for i, p in enumerate(polys) if i in kept]
         for bits in itertools.product((0, 1), repeat=m):
             all_zero = all(bool_eval(p, bits) == 0 for p in polys)
             sub_zero = all(bool_eval(p, bits) == 0 for p in sub)
             assert all_zero == sub_zero
+
+
+def test_extract_basis_matches_frozenset_reference():
+    """Packed rows against the frozenset basis, duplicates and sums included."""
+    rng = SplitMix64(45)
+    raised = 0
+    for trial in range(200):
+        h = 2 + rng.below(4)
+        verts = 2 + rng.below(4)
+        d = 1 + rng.below(3)
+        polys = []
+        for _ in range(5 + rng.below(30)):
+            pick = rng.below(6)
+            if polys and pick == 0:  # a duplicate row
+                polys.append(polys[rng.below(len(polys))])
+            elif len(polys) > 1 and pick == 1:  # a dependent row
+                polys.append(polys[rng.below(len(polys))]
+                             + polys[rng.below(len(polys))])
+            else:
+                polys.append(Gf2Poly(frozenset(
+                    frozenset((rng.below(verts), rng.below(h))
+                              for _ in range(1 + rng.below(d)))
+                    for _ in range(1 + rng.below(4)))))
+        if trial % 10 == 0:  # one row above the degree bound
+            polys.insert(rng.below(len(polys) + 1), Gf2Poly.product_of_vars(
+                (v, 0) for v in range(d + 1)))
+        m = verts * h
+        try:
+            want = reference_extract_basis(polys, m=m, d=d)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                extract_basis(packed_rows(polys), m=m, d=d)
+            raised += 1
+            continue
+        assert extract_basis(packed_rows(polys), m=m, d=d) == want
+    assert raised >= 20
 
 
 def test_solve_linear_system_basic():
