@@ -25,14 +25,39 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
-            if mask & ~full:
-                raise ValueError(f"neighbor of {v} out of range")
+        if functools.reduce(int.__or__, self.adj, 0) >> self.n:
+            for v, mask in enumerate(self.adj):
+                if mask >> self.n:
+                    raise ValueError(f"neighbor of {v} out of range")
+        if self._symmetric():
+            return
         for v in range(self.n):
             for u in iter_bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+
+    def _symmetric(self) -> bool:
+        """Is the adjacency symmetric?  One look per edge, from its lower end.
+
+        Every neighbor u > v of v must have v as a neighbor; that maps the
+        pairs above the diagonal one-to-one into those below it, so equal
+        counts on both sides leave no pair below it unmatched.
+        """
+        adj = self.adj
+        above = below = 0
+        for v, mask in enumerate(adj):
+            rest = mask >> v
+            below += mask.bit_count() - rest.bit_count()
+            rest >>= 1
+            above += rest.bit_count()
+            u = v
+            while rest:
+                step = (rest & -rest).bit_length()
+                u += step
+                rest >>= step
+                if not adj[u] >> v & 1:
+                    return False
+        return above == below
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -67,7 +92,9 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return len(self.edges())
+        """Number of edges; a loop on v is bit v of adj[v], counted once."""
+        loops = sum(a >> v & 1 for v, a in enumerate(self.adj))
+        return (sum(map(int.bit_count, self.adj)) + loops) // 2
 
 
 def common_neighbors(hg: Graph, s_mask: int, l_mask: int) -> int:
@@ -126,8 +153,11 @@ class Instance:
 
 def validate_instance(inst: Instance, hg: Graph) -> None:
     """Check that every list is a subset of the target's vertex set."""
+    unknown = ~hg.full_mask
+    if not functools.reduce(int.__or__, inst.lists, 0) & unknown:
+        return
     for v, mask in enumerate(inst.lists):
-        if mask & ~hg.full_mask:
+        if mask & unknown:
             raise ValueError(f"list of vertex {v} mentions unknown colors")
 
 
@@ -163,8 +193,11 @@ def reduce_lists(inst: Instance, hg: Graph) -> Instance:
     is idempotent.
     """
     validate_instance(inst, hg)
-    return Instance(inst.graph,
-                    tuple(dominant_subset(hg, mask) for mask in inst.lists),
+    reduced: dict[int, int] = {}  # list mask -> its dominant subset
+    for mask in inst.lists:
+        if mask not in reduced:
+            reduced[mask] = dominant_subset(hg, mask)
+    return Instance(inst.graph, tuple(map(reduced.__getitem__, inst.lists)),
                     inst.cover)
 
 

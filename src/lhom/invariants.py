@@ -85,7 +85,7 @@ def canonical_list_for(hg: Graph, s_mask: int) -> int:
     return l_mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def compute_c_star(hg: Graph) -> CStarWitness:
     """Largest minimal no-common-neighbor set over all lists, with a witness.
 
@@ -188,7 +188,7 @@ def verify_lbs(hg: Graph, lbs: LowerBoundStructure) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def compute_d_star(hg: Graph) -> tuple[int, LowerBoundStructure | None]:
     """Largest order of a lower bound structure, with a witness.
 

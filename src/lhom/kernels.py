@@ -34,7 +34,9 @@ class KernelReport:
     from a cover vertex's list, plus one per minimal no-common-neighbor
     tuple on each type, where a row equal to an earlier row of its type is
     counted but not given to the basis; constraints_retained counts the
-    rows the basis kept.
+    rows the basis would keep.  The list rows are counted and retained by
+    construction and never reach the basis, so the basis sees constraint
+    rows only.
     """
 
     kernel: Instance
@@ -66,17 +68,34 @@ def _restrict(inst: Instance, cover: int,
 
     `kept_nbrs` maps an outside vertex to the mask of cover neighbors it
     keeps edges to.  Kept vertices are re-indexed in ascending order;
-    returns the instance and the original-id map.
+    returns the instance and the original-id map.  A vertex below the
+    lowest dropped one keeps its index, so only mask bits at or above that
+    vertex are moved one by one.
     """
-    kept = sorted(bit_list(cover) + list(kept_nbrs))
+    kept_mask = cover | mask_of(kept_nbrs)
+    kept = bit_list(kept_mask)
     index = {v: i for i, v in enumerate(kept)}
-    edges = [(index[u], index[v]) for u, v in inst.graph.edges()
-             if cover >> u & 1 and cover >> v & 1]
+    dropped = ~kept_mask
+    low = (dropped & -dropped).bit_length() - 1
+    same = (1 << low) - 1
+
+    def moved(mask: int) -> int:
+        out = mask & same
+        for u in iter_bits(mask & ~same):
+            out |= 1 << index[u]
+        return out
+
+    adj = inst.graph.adj
+    rows = [adj[v] & cover if cover >> v & 1 else 0 for v in kept]
+    if cover & ~same:
+        rows = list(map(moved, rows))
     for v, nbrs in kept_nbrs.items():
-        edges.extend((index[v], index[u]) for u in iter_bits(nbrs))
-    kernel = Instance(Graph.from_edges(len(kept), edges),
-                      tuple(inst.lists[v] for v in kept),
-                      mask_of(index[v] for v in iter_bits(cover)))
+        i = index[v]
+        for u in iter_bits(nbrs):
+            rows[i] |= 1 << index[u]
+            rows[index[u]] |= 1 << i
+    kernel = Instance(Graph(len(kept), tuple(rows)),
+                      tuple(inst.lists[v] for v in kept), moved(cover))
     return kernel, tuple(kept)
 
 
@@ -175,16 +194,20 @@ def kernel_poly(inst: Instance, hg: Graph,
     cover = cert.cover
     c = compute_c_star(hg).value
     h = hg.n
+    adj, full = hg.adj, hg.full_mask
     index = {u: i for i, u in enumerate(bit_list(cover))}
 
-    rows: list[list[int]] = []
-    meta: list[tuple] = []
+    # each color c missing from a cover vertex u's list gives the unit row
+    # y[u, c], placed ahead of every other row: the streaming basis would
+    # keep all of them, and each cancels only its own degree-1 column in
+    # later rows, so they are counted and retained without the basis and
+    # that column is dropped from every constraint row
+    list_vars = 0
     for v, i in index.items():
-        for color in range(h):
-            if not red.lists[v] >> color & 1:
-                rows.append([1 << i * h + color])
-                meta.append(("list", v, color))
-    adj, full = hg.adj, hg.full_mask
+        list_vars |= (full & ~red.lists[v]) << i * h
+    n_list = list_vars.bit_count()
+    rows: list[list[int]] = []
+    meta: list[tuple[int, int]] = []  # (outside vertex, cover subset mask)
     duplicates = 0  # rows equal to an earlier row of their type
     # (l_mask, f_lists, tup) of a minimal tuple -> its certified polynomial
     # on canonical positions 0..r-1; synthesized once per call
@@ -219,8 +242,10 @@ def kernel_poly(inst: Instance, hg: Graph,
                 ids = ids_of[canon.poly] = tuple(
                     tuple(pos * h + color for pos, color in mono)
                     for mono in canon.poly.monomials)
-            rows.append([sum(map(table.__getitem__, mono)) for mono in ids])
-            meta.append(("constr", v, x_mask))
+            row = [sum(map(table.__getitem__, mono)) for mono in ids]
+            rows.append([mono for mono in row
+                         if not mono & list_vars or mono & mono - 1])
+            meta.append((v, x_mask))
 
     # a list row has degree 1, as has an empty row set
     degree = max((canon.degree for canon in canon_of.values()), default=1)
@@ -228,19 +253,17 @@ def kernel_poly(inst: Instance, hg: Graph,
 
     kept_nbrs: dict[int, int] = {}
     for idx in kept_idx:
-        tag = meta[idx]
-        if tag[0] == "constr":
-            _, v, x_mask = tag
-            kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
+        v, x_mask = meta[idx]
+        kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
     kernel, vmap = _restrict(red, cover, kept_nbrs)
-    retained = len(kept_idx)
+    retained = n_list + len(kept_idx)
     rank_bound = sum(math.comb(k * h, i) for i in range(degree + 1))
     return KernelReport(
         kernel=kernel, method="poly", degree_used=degree,
         vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
         vertices_out=kernel.graph.n, edges_out=kernel.graph.edge_count(),
         bound_k=k, bound_formula_ok=retained <= rank_bound, vertex_map=vmap,
-        constraints_total=len(rows) + duplicates,
+        constraints_total=n_list + len(rows) + duplicates,
         constraints_retained=retained)
 
 

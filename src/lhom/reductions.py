@@ -11,6 +11,7 @@ vertices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .bitset import mask_of
@@ -112,6 +113,7 @@ def _certify_pair_gadget(hg: Graph, gadget: Gadget,
                                  f"{gadget.graph.n} vertices, expected 10")
 
 
+@functools.lru_cache(maxsize=128)
 def build_neq(hg: Graph, lbs: LowerBoundStructure, i: int) -> Gadget:
     """Inequality gadget between x_i and its primed partner.
 
@@ -141,6 +143,7 @@ def build_neq(hg: Graph, lbs: LowerBoundStructure, i: int) -> Gadget:
     return gadget
 
 
+@functools.lru_cache(maxsize=128)
 def build_comp(hg: Graph, lbs: LowerBoundStructure, i: int, j: int) -> Gadget:
     """Compatibility gadget coupling slots i and j.
 
@@ -170,6 +173,7 @@ def build_comp(hg: Graph, lbs: LowerBoundStructure, i: int, j: int) -> Gadget:
     return gadget
 
 
+@functools.lru_cache(maxsize=16)
 def build_variable_gadget(hg: Graph, lbs: LowerBoundStructure) -> VariableGadget:
     """One truth-selector gadget: 2d specials with exactly two global states.
 
@@ -263,21 +267,17 @@ def reduce_sat(nvars: int, clauses: list[list[int]], hg: Graph,
         return Instance(Graph.from_edges(1, []), (0,), 0)
     vg = build_variable_gadget(hg, lbs)
     gadget_size = vg.graph.n
-    total = gadget_size * nvars + len(clauses)
-    edges: list[tuple[int, int]] = []
-    lists: list[int] = []
-    for var in range(nvars):
-        off = var * gadget_size
-        edges.extend((a + off, b + off) for a, b in vg.graph.edges())
-        lists.extend(vg.lists)
+    cover_n = gadget_size * nvars
+    adj = [a << off for off in range(0, cover_n, gadget_size)
+           for a in vg.graph.adj]
+    adj += [0] * len(clauses)
     for ci, clause in enumerate(clauses):
-        cvertex = gadget_size * nvars + ci
-        lists.append(lbs.l_mask)
+        cvertex = cover_n + ci
         padded = clause + [clause[-1]] * (d - len(clause))
         for j, lit in enumerate(padded):
-            var = abs(lit) - 1
-            off = var * gadget_size
-            special = (vg.specials_a[j] if lit > 0 else vg.specials_abar[j])
-            edges.append((cvertex, special + off))
-    cover = (1 << gadget_size * nvars) - 1
-    return Instance(Graph.from_edges(total, edges), tuple(lists), cover)
+            off = (abs(lit) - 1) * gadget_size
+            special = off + (vg.specials_a[j] if lit > 0 else vg.specials_abar[j])
+            adj[cvertex] |= 1 << special
+            adj[special] |= 1 << cvertex
+    lists = vg.lists * nvars + (lbs.l_mask,) * len(clauses)
+    return Instance(Graph(len(adj), tuple(adj)), lists, (1 << cover_n) - 1)

@@ -20,7 +20,12 @@ pair, not the kernels' shared first-seen types.  Its rows are `Gf2Poly`
 frozensets moved onto the vertices by `remap_vertices`, its polynomials
 come from `reference_forbid` and its basis from `reference_extract_basis`.
 It reuses the library's `reduce_lists`, `compute_c_star` and the kernels'
-`_restrict` and `_trivial_no_kernel`.
+`_trivial_no_kernel`, and restricts through `reference_restrict`.
+
+`reference_restrict` is the kernels' `_restrict` as it was before it
+worked on adjacency masks: it lists every edge of the input, keeps those
+inside the cover, adds the kept outside edges and builds the kernel
+through `Graph.from_edges`.
 
 `reference_forbid` is `lhom.forbid.forbid` as it was before certification
 by construction and by the widest request: every polynomial, the plain
@@ -47,7 +52,7 @@ from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          reduce_lists)
 from lhom.invariants import compute_c_star, compute_d_star
-from lhom.kernels import KernelReport, _restrict, _trivial_no_kernel
+from lhom.kernels import KernelReport, _trivial_no_kernel
 from lhom.solver import _check_cover_mapping
 
 
@@ -444,6 +449,21 @@ def reference_forbid(req: ForbidRequest,
     return _scan_certified(sub, monomial, "monomial", budget)
 
 
+def reference_restrict(inst: Instance, cover: int, kept_nbrs: dict[int, int]
+                       ) -> tuple[Instance, tuple[int, ...]]:
+    """G[cover] plus each kept outside vertex's kept edges, from the edge list."""
+    kept = sorted(bit_list(cover) + list(kept_nbrs))
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in inst.graph.edges()
+             if cover >> u & 1 and cover >> v & 1]
+    for v, nbrs in kept_nbrs.items():
+        edges.extend((index[v], index[u]) for u in iter_bits(nbrs))
+    kernel = Instance(Graph.from_edges(len(kept), edges),
+                      tuple(inst.lists[v] for v in kept),
+                      mask_of(index[v] for v in iter_bits(cover)))
+    return kernel, tuple(kept)
+
+
 def reference_kernel_poly(inst: Instance, hg: Graph,
                           cycle_power: tuple[int, int] | None = None,
                           budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
@@ -494,7 +514,7 @@ def reference_kernel_poly(inst: Instance, hg: Graph,
         if meta[idx][0] == "constr":
             _, v, combo = meta[idx]
             kept_nbrs[v] = kept_nbrs.get(v, 0) | mask_of(combo)
-    kernel, vmap = _restrict(red, cover, kept_nbrs)
+    kernel, vmap = reference_restrict(red, cover, kept_nbrs)
     retained = len(kept_idx)
     rank_bound = sum(math.comb(k * hg.n, i) for i in range(degree + 1))
     return KernelReport(

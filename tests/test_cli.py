@@ -182,6 +182,26 @@ def test_gadget_check(k4_file, capsys):
     assert all(g["certified"] for g in out["gadgets"])
 
 
+def test_gadget_check_certifies_each_gadget_once(k4_file, capsys,
+                                                 monkeypatch):
+    """9 pair gadgets and the variable gadget; the latter reuses the former."""
+    import lhom.reductions as reductions
+    for build in (reductions.build_neq, reductions.build_comp,
+                  reductions.build_variable_gadget):
+        build.cache_clear()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_restricted(*args, **kwargs)
+
+    enumerate_restricted = reductions.enumerate_restricted
+    monkeypatch.setattr(reductions, "enumerate_restricted", counted)
+    assert main(["gadget-check", "--target", k4_file, "--json"]) == 0
+    assert len(_json_out(capsys)["gadgets"]) == 10
+    assert len(calls) == 10
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     hg_path = tmp_path / "c13.hg"
     assert main(["gen", "hgraph", "cycle-power", "--k", "13", "--p", "2",

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from lhom.bitset import bit_list, mask_of
 from lhom.generators import SplitMix64, gen_instance
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          dominant_subset, greedy_vertex_cover, incomparable,
-                         is_incomparable_set, reduce_lists)
+                         is_incomparable_set, reduce_lists, validate_instance)
 from lhom.solver import decide
 
 from oracle import brute_common, exact_min_vertex_cover, random_graph
@@ -15,6 +16,26 @@ from oracle import brute_common, exact_min_vertex_cover, random_graph
 def test_graph_rejects_asymmetric_adjacency():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))
+    # flipped bits below or above the diagonal, named as an all-pairs scan
+    # in vertex order names them
+    rng = SplitMix64(16)
+    rejected = 0
+    for trial in range(300):
+        adj = list(random_graph(rng, 1 + rng.below(12)).adj)
+        n = len(adj)
+        for _ in range(rng.below(3)):
+            u, v = rng.below(n), rng.below(n)
+            adj[u] ^= 1 << v
+        first = next(((u, v) for v in range(n) for u in range(n)
+                      if adj[v] >> u & 1 and not adj[u] >> v & 1), None)
+        if first is None:
+            assert Graph(n, tuple(adj)).adj == tuple(adj)
+            continue
+        rejected += 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"adjacency not symmetric at {first[0], first[1]}")):
+            Graph(n, tuple(adj))
+    assert rejected >= 150, rejected
 
 
 def test_graph_rejects_out_of_range_neighbors():
@@ -105,9 +126,23 @@ def test_reduce_lists_idempotent():
         once = reduce_lists(inst, hg)
         twice = reduce_lists(once, hg)
         assert once.lists == twice.lists
+        assert once.lists == tuple(dominant_subset(hg, m) for m in lists)
         for mask in once.lists:
             assert is_incomparable_set(hg, mask)
             assert mask & ~hg.full_mask == 0
+
+
+@pytest.mark.parametrize("bad", [(5, 3), (0,)])
+def test_validate_instance_names_lowest_offending_vertex(c6, bad):
+    lists = [c6.full_mask] * 7
+    for v in bad:
+        lists[v] |= 1 << 6 + v
+    inst = Instance(Graph.from_edges(7, []), tuple(lists))
+    for check in (validate_instance, reduce_lists):
+        with pytest.raises(ValueError, match=f"^list of vertex {min(bad)} "
+                                             "mentions unknown colors$"):
+            check(inst, c6)
+    validate_instance(Instance(inst.graph, (c6.full_mask,) * 7), c6)
 
 
 @pytest.mark.parametrize("target_key", ["c5", "c6", "k3"])

@@ -5,8 +5,8 @@ import pytest
 from lhom.bitset import mask_of
 from lhom.errors import BudgetExceededError
 from lhom.generators import SplitMix64, gen_instance
-from lhom.graphs import Graph, Instance, cover_certificate
-from lhom.kernels import kernel_marking, kernel_poly, kernelize
+from lhom.graphs import Graph, Instance, cover_certificate, greedy_vertex_cover
+from lhom.kernels import _restrict, kernel_marking, kernel_poly, kernelize
 from lhom.solver import decide
 
 
@@ -233,13 +233,26 @@ def _poly_outcome(kernel, inst, hg, hint, budget):
         return str(err)
 
 
-def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4):
+def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4, k4_reductions):
     """Minimal, first-seen rows give the kernel of every forbidden tuple's row.
 
     Only constraints_total may differ, and only downwards; under a small
-    budget both raise the same error or return the same report.
+    budget both raise the same error or return the same report.  On the K4
+    reductions, where list rows dominate, the whole report is equal.
     """
     from oracle import random_graph, reference_kernel_poly
+    for inst in k4_reductions:
+        assert kernel_poly(inst, k4) == reference_kernel_poly(inst, k4)
+    # a row here has a monomial of degree >= 2 on a color missing from a
+    # cover vertex's list; only degree-1 list monomials may leave the row
+    for adj, n, k, seed in (((10, 13, 6, 11), 22, 5, 90382),
+                            ((6, 13, 11, 6), 27, 5, 90398),
+                            ((39, 9, 17, 26, 44, 17), 15, 4, 90342)):
+        hg = Graph(len(adj), adj)
+        inst = gen_instance(hg, n, k, seed, "random")
+        assert dataclasses.replace(kernel_poly(inst, hg), constraints_total=0) \
+            == dataclasses.replace(reference_kernel_poly(inst, hg),
+                                   constraints_total=0), seed
     rng = SplitMix64(71)
     targets = ((None, None), (c5, None), (c6, None), (c13p2, (13, 2)),
                (k4, None))
@@ -270,3 +283,42 @@ def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4):
                 dataclasses.replace(want, constraints_total=0), (trial, budget)
     assert cases >= 400 and raised >= 100 and smaller >= 150, \
         (cases, raised, smaller)
+
+
+def test_restrict_matches_edge_list_reference():
+    """Mask-based restriction equals the edge-list one on non-prefix covers.
+
+    Covers are greedy ones and designated ones with holes, kept outside
+    vertices sit between cover vertices, and cover vertices carry loops.
+    """
+    from oracle import random_graph, reference_restrict
+    rng = SplitMix64(73)
+    holes = interleaved = looped = 0
+    for trial in range(200):
+        n = 1 + rng.below(24)
+        if trial % 2:
+            g = random_graph(rng, n, 1, 3, 1, 3)
+            cover = greedy_vertex_cover(g).cover
+            designated = None
+        else:
+            cover = rng.below(1 << n)
+            edges = [(u, v) for u in range(n) for v in range(u, n)
+                     if (cover >> u & 1 or (cover >> v & 1 and u != v))
+                     and rng.below(3) == 0]
+            g = Graph.from_edges(n, edges)
+            designated = cover
+        inst = Instance(g, tuple(1 + rng.below(7) for _ in range(n)),
+                        designated)
+        kept_nbrs = {v: g.adj[v] & rng.below(1 << n) for v in range(n)
+                     if not cover >> v & 1 and rng.below(2)}
+        got = _restrict(inst, cover, kept_nbrs)
+        assert got == reference_restrict(inst, cover, kept_nbrs), trial
+        for graph in (g, got[0].graph):
+            assert graph.edge_count() == len(graph.edges())
+        top = cover.bit_length() - 1
+        dropped = [v for v in range(n) if v not in got[1]]
+        holes += bool(dropped) and dropped[0] < top
+        interleaved += any(v < top for v in kept_nbrs)
+        looped += any(g.adj[v] >> v & 1 for v in range(n))
+    assert holes >= 100 and interleaved >= 100 and looped >= 150, \
+        (holes, interleaved, looped)
