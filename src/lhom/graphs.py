@@ -31,6 +31,7 @@ class Graph:
                     raise ValueError(f"neighbor of {v} out of range")
         if self._symmetric():
             return
+        # name the first asymmetric pair in vertex order
         for v in range(self.n):
             for u in iter_bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:

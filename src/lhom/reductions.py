@@ -6,7 +6,8 @@ endpoints, chain them into variable gadgets with exactly two global states,
 and translate width-d CNF formulas into list-homomorphism instances whose
 cover is the union of the variable gadgets.  Every gadget is certified by
 exhaustively enumerating homomorphism restrictions to its designated
-vertices.
+vertices; the builders are memoized (bounded), so each gadget is built and
+certified once per (target, structure, indices).
 """
 
 from __future__ import annotations

@@ -190,12 +190,12 @@ def test_gadget_check_certifies_each_gadget_once(k4_file, capsys,
                   reductions.build_variable_gadget):
         build.cache_clear()
     calls = []
+    original = reductions.enumerate_restricted
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return enumerate_restricted(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    enumerate_restricted = reductions.enumerate_restricted
     monkeypatch.setattr(reductions, "enumerate_restricted", counted)
     assert main(["gadget-check", "--target", k4_file, "--json"]) == 0
     assert len(_json_out(capsys)["gadgets"]) == 10

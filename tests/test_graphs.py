@@ -16,8 +16,8 @@ from oracle import brute_common, exact_min_vertex_cover, random_graph
 def test_graph_rejects_asymmetric_adjacency():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))
-    # flipped bits below or above the diagonal, named as an all-pairs scan
-    # in vertex order names them
+    # seeded adjacencies with bits flipped on either side of the diagonal:
+    # the error names the pair an all-pairs scan in vertex order finds first
     rng = SplitMix64(16)
     rejected = 0
     for trial in range(300):
