@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bitset import bit_list, iter_bits, mask_of, popcount
 from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, common_neighbors, is_incomparable_set
-from .gf2 import Gf2Poly, poly_local
+from .gf2 import Gf2Poly, poly_local, shadow_solution
 from .invariants import compute_d_star
 
 DEFAULT_CERT_BUDGET = 2_000_000
@@ -238,8 +238,7 @@ def cycle_frame(g: Graph) -> tuple[int, ...] | None:
     return tuple(frame) if len(frame) == g.n else None
 
 
-def forbid_c6(req: ForbidRequest, frame: tuple[int, ...] | None = None,
-              budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
+def forbid_c6(req: ForbidRequest, budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
     """Degree-2 construction on the 6-cycle.
 
     A minimal width-3 tuple must hit one bipartition class of the cycle;
@@ -247,8 +246,7 @@ def forbid_c6(req: ForbidRequest, frame: tuple[int, ...] | None = None,
     fires an odd number of times exactly on that class.  Width <= 2 falls
     back to the plain monomial.
     """
-    if frame is None:
-        frame = cycle_frame(req.target)
+    frame = cycle_frame(req.target)
     if frame is None or req.target.n != 6:
         raise ValueError("target is not a 6-cycle")
     if req.width > 3:
@@ -308,15 +306,9 @@ def forbid_cycle_power(req: ForbidRequest, k: int, p: int,
     return _certified(req, poly, "cycle-power", budget)
 
 
-_CYCLE_POWER_POLYS: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _cycle_power_poly(k: int, p: int, verts: tuple[int, ...]) -> Gf2Poly:
     # the anchor-block sum does not depend on the forbidden tuple
-    key = (k, p, verts)
-    poly = _CYCLE_POWER_POLYS.get(key)
-    if poly is not None:
-        return poly
     blocks = []
     for i in range(k):
         for j in range(k):
@@ -327,9 +319,7 @@ def _cycle_power_poly(k: int, p: int, verts: tuple[int, ...]) -> Gf2Poly:
                 continue
             block = {i} | {(j + t) % k for t in range(p - 1)}
             blocks.append(poly_local(block, verts, k))
-    poly = Gf2Poly.sum_of(blocks)
-    _CYCLE_POWER_POLYS[key] = poly
-    return poly
+    return Gf2Poly.sum_of(blocks)
 
 
 def forbid_linear_system(req: ForbidRequest, target_degree: int,
@@ -354,35 +344,14 @@ def forbid_linear_system(req: ForbidRequest, target_degree: int,
     if len(set(req.colors)) != r:
         raise ValueError("tuple colors must be distinct")
     hg = req.target
-    columns = list(itertools.combinations(range(hg.n), target_degree))
-    col_index = {s: i for i, s in enumerate(columns)}
-
-    def shadow_row(colors) -> int:
-        row = 0
-        for sub in itertools.combinations(sorted(colors), target_degree):
-            row |= 1 << col_index[sub]
-        return row
-
-    union = 0
-    for f in req.lists:
-        union |= f
-    rows, rhs = [], []
-    for combo in itertools.combinations(bit_list(union), r):
-        if not common_neighbors(hg, mask_of(combo), req.l_mask):
-            continue
-        if not _achievable(req.lists, combo):
-            continue
-        rows.append(shadow_row(combo))
-        rhs.append(0)
-    rows.append(shadow_row(req.colors))
-    rhs.append(1)
-    from .gf2 import solve_linear_system
-
-    sol = solve_linear_system(rows, rhs, len(columns))
-    if sol is None:
+    union = functools.reduce(int.__or__, req.lists)
+    sets = shadow_solution(hg.n, target_degree, (
+        combo for combo in itertools.combinations(bit_list(union), r)
+        if common_neighbors(hg, mask_of(combo), req.l_mask)
+        and _achievable(req.lists, combo)), req.colors)
+    if sets is None:
         return None
-    poly = Gf2Poly.sum_of(poly_local(columns[j], req.verts, hg.n)
-                          for j, bit in enumerate(sol) if bit)
+    poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)
     return _certified(req, poly, "linear-system", budget)
 
 
@@ -417,23 +386,35 @@ def minimal_subrequest(req: ForbidRequest) -> tuple[ForbidRequest, tuple[int, ..
     return sub, tuple(kept)
 
 
+def special_construction(hg: Graph,
+                         cycle_power: tuple[int, int] | None) -> str | None:
+    """The route for hg: "cycle-power" when the hint (k, p) names hg itself
+    with p >= 2 and k > 6p, "c6" when hg is a 6-cycle, else None."""
+    if cycle_power is not None:
+        k, p = cycle_power
+        if p >= 2 and k > 6 * p and _is_cycle_power(hg, k, p):
+            return "cycle-power"
+    if hg.n == 6 and cycle_frame(hg) is not None:
+        return "c6"
+    return None
+
+
 def forbid(req: ForbidRequest, cycle_power: tuple[int, int] | None = None,
            budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
     """Best certified construction for a request.
 
-    Tries, in order: minimal subsequence reduction, the 6-cycle and
-    cycle-power special cases, the linear-system synthesizer at the
-    lower-bound order, and finally the plain monomial.
+    Tries, in order: minimal subsequence reduction, the special
+    construction of the target (`special_construction`) when the width
+    suits it, the linear-system synthesizer at the lower-bound order, and
+    finally the plain monomial.
     """
     sub, _ = minimal_subrequest(req)
     hg = req.target
-    if cycle_power is not None:
-        k, p = cycle_power
-        if p >= 2 and k > 6 * p and sub.width == p + 1:
-            if _is_cycle_power(hg, k, p):
-                return forbid_cycle_power(sub, k, p, budget)
-    if hg.n == 6 and sub.width <= 3 and cycle_frame(hg) is not None:
-        return forbid_c6(sub, budget=budget)
+    route = special_construction(hg, cycle_power)
+    if route == "cycle-power" and sub.width == cycle_power[1] + 1:
+        return forbid_cycle_power(sub, *cycle_power, budget)
+    if route == "c6" and sub.width <= 3:
+        return forbid_c6(sub, budget)
     d_star, _ = compute_d_star(hg)
     if sub.width == d_star + 1 and d_star >= 1 and len(set(sub.colors)) == sub.width:
         result = forbid_linear_system(sub, d_star, budget)

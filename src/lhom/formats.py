@@ -61,6 +61,13 @@ def _ints(fields, lineno, expect=None):
     return vals
 
 
+def _naturals(fields, lineno):
+    vals = _ints(fields, lineno)
+    if any(v < 0 for v in vals):
+        raise FormatError(f"line {lineno}: expected non-negative integers")
+    return vals
+
+
 def parse_hgraph(text: str) -> tuple[Graph, dict]:
     """Parse a target graph file; returns the graph and generator hints."""
     h = None
@@ -118,7 +125,7 @@ def parse_instance(text: str) -> tuple[Instance, int]:
             u, v = _ints(fields[1:], lineno, 2)
             edges.append((u, v))
         elif kind == "l":
-            vals = _ints(fields[1:], lineno)
+            vals = _naturals(fields[1:], lineno)
             if not vals:
                 raise FormatError(f"line {lineno}: list line needs a vertex")
             v, colors = vals[0], vals[1:]
@@ -128,7 +135,7 @@ def parse_instance(text: str) -> tuple[Instance, int]:
         elif kind == "x":
             if cover is not None:
                 raise FormatError(f"line {lineno}: duplicate cover line")
-            cover = mask_of(_ints(fields[1:], lineno))
+            cover = mask_of(_naturals(fields[1:], lineno))
         else:
             raise FormatError(f"line {lineno}: unknown line type {kind!r}")
     if header is None:

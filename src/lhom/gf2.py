@@ -7,11 +7,13 @@ variables and a polynomial the frozenset of monomials with coefficient 1.
 The elimination routines work on packed rows.  For `extract_basis` a
 monomial is an int with one bit per variable (the kernel gives the variable
 y[u, c] the bit index(u) * h + c), so its degree is its bit count, and a
-row is the list of its monomials.
+row is the list of its monomials.  `shadow_solution` solves the shadow
+systems behind forbidding polynomials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -188,3 +190,22 @@ def solve_linear_system(rows: Sequence[int], rhs: Sequence[int],
             acc ^= solution[low.bit_length() - 1]
         solution[col] = acc
     return solution
+
+
+def shadow_solution(n: int, d: int, zero_sets: Iterable[Sequence[int]],
+                    one_set: Iterable[int]) -> list[tuple[int, ...]] | None:
+    """The d-sets with coefficient 1 in one solution of a shadow system.
+
+    Unknowns are the d-subsets of range(n).  The shadow sum of a color set
+    (the sum of the unknowns over its d-subsets) is pinned to 0 for each
+    zero set, which must arrive ascending, and to 1 for one_set.  Returns
+    None when the system is inconsistent.
+    """
+    bit = {s: 1 << i for i, s in enumerate(itertools.combinations(range(n), d))}
+    # the d-subsets of a set are distinct columns, so their sum is their OR
+    rows = [sum(map(bit.__getitem__, itertools.combinations(colors, d)))
+            for colors in itertools.chain(zero_sets, [sorted(one_set)])]
+    sol = solve_linear_system(rows, [0] * (len(rows) - 1) + [1], len(bit))
+    if sol is None:
+        return None
+    return [s for s, x in zip(bit, sol) if x]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitset import bit_list, iter_bits, mask_of, popcount
+from .gf2 import shadow_solution
 from .graphs import Graph, common_neighbors, incomparable
 
 
@@ -52,15 +53,14 @@ def _is_all_essential(hg: Graph, s_mask: int) -> bool:
     return True
 
 
-def all_essential_sets(hg: Graph, size: int | None = None,
-                       max_size: int | None = None) -> list[int]:
+def all_essential_sets(hg: Graph, size: int | None = None) -> list[int]:
     """All-essential sets in lexicographic order, optionally filtered by size.
 
     The family is closed under subsets (a witness for an element survives
     restriction), so a DFS that extends by larger indices enumerates it.
     """
     out: list[int] = []
-    cap = size if size is not None else (max_size if max_size is not None else hg.n)
+    cap = hg.n if size is None else size
 
     def dfs(s_mask: int, start: int, count: int) -> None:
         if size is None or count == size:
@@ -267,36 +267,19 @@ def degree_probe(hg: Graph) -> dict:
     Success for all S0 implies every concrete forbid request of width
     c_star admits a degree d_star polynomial.
     """
-    from .gf2 import solve_linear_system
-
     c = compute_c_star(hg).value
     d, _ = compute_d_star(hg)
     report: dict = {"c_star": c, "d_star": d, "cases": [], "all_ok": True}
     if c == d or c < 2:
         return report
-    columns = list(itertools.combinations(range(hg.n), d))
-    col_index = {s: i for i, s in enumerate(columns)}
     for s_mask in all_essential_sets(hg, size=c):
-        s0 = tuple(bit_list(s_mask))
         l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
-        rows, rhs = [], []
-        for combo in itertools.combinations(range(hg.n), c):
-            if not common_neighbors(hg, mask_of(combo), l_star):
-                continue
-            row = 0
-            for sub in itertools.combinations(combo, d):
-                row |= 1 << col_index[sub]
-            rows.append(row)
-            rhs.append(0)
-        row0 = 0
-        for sub in itertools.combinations(s0, d):
-            row0 |= 1 << col_index[sub]
-        rows.append(row0)
-        rhs.append(1)
-        sol = solve_linear_system(rows, rhs, len(columns))
-        report["cases"].append({"s0": list(s0), "solvable": sol is not None})
-        if sol is None:
-            report["all_ok"] = False
+        ok = shadow_solution(hg.n, d, (
+            combo for combo in itertools.combinations(range(hg.n), c)
+            if common_neighbors(hg, mask_of(combo), l_star)),
+            bit_list(s_mask)) is not None
+        report["cases"].append({"s0": bit_list(s_mask), "solvable": ok})
+        report["all_ok"] &= ok
     return report
 
 
@@ -316,15 +299,15 @@ def classify(hg: Graph, cycle_power: tuple[int, int] | None = None) -> dict:
         "d_star_witness": None if lbs is None else {
             "l": bit_list(lbs.l_mask), "xs": list(lbs.xs), "xps": list(lbs.xps)},
     }
-    from .forbid import _is_cycle_power, cycle_frame
+    from .forbid import special_construction
 
-    k, p = cycle_power if cycle_power is not None else (0, 0)
+    route = special_construction(hg, cycle_power)
     if cw.value == d:
         rec = d, "marking"
-    elif p >= 2 and k > 6 * p and _is_cycle_power(hg, k, p):
-        rec = p, "cycle-power"
-    elif cycle_frame(hg) is not None and hg.n == 6:
-        rec = d, "c6"
+    elif route == "cycle-power":
+        rec = cycle_power[1], route
+    elif route == "c6":
+        rec = d, route
     elif cw.value == delta:
         rec = d, "max-degree"
     elif degree_probe(hg)["all_ok"]:

@@ -32,8 +32,15 @@ by construction and by the widest request: every polynomial, the plain
 monomial included, is certified by `certify_forbid` on its own request.
 It shrinks the request to its minimal subsequence itself and builds the
 same polynomials from the library's blocks (`cycle_frame`,
-`_cycle_power_poly`, `poly_local`, and `forbid_linear_system`, whose
-certification is the scan in both).
+`_cycle_power_poly`, `poly_local`) and from `reference_linear_system`.
+
+`reference_shadow_solution` is the shadow system as `forbid_linear_system`
+and `degree_probe` each built it before `lhom.gf2.shadow_solution`: its own
+column index, every row's colors sorted, then the library's
+`solve_linear_system` (which `tests/test_gf2.py` checks on its own).
+`reference_linear_system` and `reference_degree_probe` are
+`forbid_linear_system` and `degree_probe` on it; the former scans every
+polynomial it returns, the plain monomial included.
 `reference_extract_basis` is `extract_basis` on `Gf2Poly` rows, with a
 column per distinct frozenset monomial.
 """
@@ -47,11 +54,11 @@ from lhom.bitset import bit_list, iter_bits, mask_of, popcount
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
                          _cycle_power_poly, _is_cycle_power, certify_forbid,
-                         cycle_frame, forbid_linear_system)
-from lhom.gf2 import Gf2Poly, poly_local
+                         cycle_frame)
+from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          reduce_lists)
-from lhom.invariants import compute_c_star, compute_d_star
+from lhom.invariants import all_essential_sets, compute_c_star, compute_d_star
 from lhom.kernels import KernelReport, _trivial_no_kernel
 from lhom.solver import _check_cover_mapping
 
@@ -443,10 +450,86 @@ def reference_forbid(req: ForbidRequest,
     d_star, _ = compute_d_star(hg)
     if sub.width == d_star + 1 and d_star >= 1 and \
             len(set(sub.colors)) == sub.width:
-        result = forbid_linear_system(sub, d_star, budget)
+        result = reference_linear_system(sub, d_star, budget)
         if result is not None:
             return result
     return _scan_certified(sub, monomial, "monomial", budget)
+
+
+def reference_shadow_solution(n: int, d: int, zero_sets, one_set):
+    """The d-sets with coefficient 1, or None when the system is inconsistent."""
+    columns = list(itertools.combinations(range(n), d))
+    col_index = {s: i for i, s in enumerate(columns)}
+
+    def shadow_row(colors) -> int:
+        row = 0
+        for sub in itertools.combinations(sorted(colors), d):
+            row |= 1 << col_index[sub]
+        return row
+
+    rows, rhs = [], []
+    for combo in zero_sets:
+        rows.append(shadow_row(combo))
+        rhs.append(0)
+    rows.append(shadow_row(one_set))
+    rhs.append(1)
+    sol = solve_linear_system(rows, rhs, len(columns))
+    if sol is None:
+        return None
+    return [columns[j] for j, bit in enumerate(sol) if bit]
+
+
+def reference_linear_system(req: ForbidRequest, target_degree: int,
+                            budget: int = DEFAULT_CERT_BUDGET
+                            ) -> ForbidResult | None:
+    """`forbid_linear_system` on the reference shadow system."""
+    r = req.width
+    if target_degree < 1:
+        raise ValueError("target degree must be positive")
+    if r <= target_degree:
+        return _scan_certified(
+            req, Gf2Poly.product_of_vars(zip(req.verts, req.colors)),
+            "monomial", budget)
+    if r != target_degree + 1:
+        raise ValueError("width exceeds target degree + 1")
+    if len(set(req.colors)) != r:
+        raise ValueError("tuple colors must be distinct")
+    hg = req.target
+    union = 0
+    for f in req.lists:
+        union |= f
+    zero_sets = []
+    for combo in itertools.combinations(bit_list(union), r):
+        if not common_neighbors(hg, mask_of(combo), req.l_mask):
+            continue
+        if any(all(req.lists[i] >> c & 1 for i, c in enumerate(perm))
+               for perm in itertools.permutations(combo)):
+            zero_sets.append(combo)
+    sets = reference_shadow_solution(hg.n, target_degree, zero_sets,
+                                     req.colors)
+    if sets is None:
+        return None
+    poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)
+    return _scan_certified(req, poly, "linear-system", budget)
+
+
+def reference_degree_probe(hg: Graph) -> dict:
+    """`degree_probe` on the reference shadow system."""
+    c = compute_c_star(hg).value
+    d, _ = compute_d_star(hg)
+    report: dict = {"c_star": c, "d_star": d, "cases": [], "all_ok": True}
+    if c == d or c < 2:
+        return report
+    for s_mask in all_essential_sets(hg, size=c):
+        l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
+        zero_sets = [combo for combo in itertools.combinations(range(hg.n), c)
+                     if common_neighbors(hg, mask_of(combo), l_star)]
+        sol = reference_shadow_solution(hg.n, d, zero_sets, bit_list(s_mask))
+        report["cases"].append({"s0": bit_list(s_mask),
+                                "solvable": sol is not None})
+        if sol is None:
+            report["all_ok"] = False
+    return report
 
 
 def reference_restrict(inst: Instance, cover: int, kept_nbrs: dict[int, int]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,19 @@ def test_solve_exit_codes(tmp_path, c6_file, capsys):
     assert main(["solve", str(no), "--target", c6_file]) == 1
 
 
+@pytest.mark.parametrize("line", ["l 0 -1 2", "x -1"])
+def test_negative_instance_numbers_name_the_line(tmp_path, c6_file, capsys,
+                                                 line):
+    lines = ["p lhom 2 1 6", "e 0 1", "l 0 1 2", "l 1 2", "x 0"]
+    at = 2 if line.startswith("l") else 4
+    lines[at] = line
+    bad = tmp_path / "bad.lh"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["solve", str(bad), "--target", c6_file]) == 2
+    assert f"line {at + 1}: expected non-negative integers" in \
+        capsys.readouterr().err
+
+
 def test_solve_rejects_mismatched_target(tmp_path, c6_file):
     bad = tmp_path / "bad.lh"
     bad.write_text(write_instance(
@@ -123,6 +137,16 @@ def test_forbid_prints_polynomial(c6_file, capsys):
     out = _json_out(capsys)
     assert out["degree"] == 2 and out["method"] == "c6"
     assert "y[0,0]" in out["polynomial"]
+
+
+def test_forbid_k4_linear_system_golden(k4_file, capsys):
+    assert main(["forbid", "--target", k4_file, "--list", "0 1 2 3",
+                 "--tuple", "0 1 2 3", "--json"]) == 0
+    out = _json_out(capsys)
+    assert out["method"] == "linear-system" and out["degree"] == 3
+    assert len(out["polynomial"].split(" + ")) == 64
+    assert hashlib.sha256(out["polynomial"].encode()).hexdigest() == \
+        "e0900465498949b4ee611b84836401cbbf4850f825e3de2524d3de93c565f765"
 
 
 def test_forbid_degree_cap(c6_file):

@@ -119,6 +119,22 @@ def test_cycle_power_construction(c13p2):
         assert res.method == "cycle-power" and res.degree == 2
 
 
+def test_cycle_power_memo_is_bounded(c13p2):
+    """Each new vertex tuple is a new memo entry; at most maxsize are kept."""
+    from lhom.forbid import _cycle_power_poly
+    _cycle_power_poly.cache_clear()
+    maxsize = _cycle_power_poly.cache_info().maxsize
+    full = c13p2.full_mask
+    l_mask = full & ~common_neighbors(c13p2, mask_of((0, 2, 4)), full)
+    tuples = itertools.combinations(range(20), 3)
+    for verts in itertools.islice(tuples, maxsize + 8):
+        req = ForbidRequest(c13p2, l_mask, (full,) * 3, verts, (0, 2, 4))
+        res = forbid(req, cycle_power=(13, 2))
+        assert res.method == "cycle-power" and res.degree == 2
+        assert {v for mono in res.poly.monomials for v, _ in mono} == set(verts)
+    assert _cycle_power_poly.cache_info().currsize <= maxsize
+
+
 def test_cycle_power_rejects_small_k(c13p2):
     with pytest.raises(ValueError):
         forbid_cycle_power(full_request(c13p2, (0, 1, 2)), 13, 3)
@@ -376,7 +392,7 @@ def _forbid_outcome(fn, req, hint, budget):
         res = fn(req, hint, budget)
     except (BudgetExceededError, CertificationError, ValueError) as err:
         return type(err).__name__, str(err)
-    return res.method, res.degree, res.poly
+    return None if res is None else (res.method, res.degree, res.poly)
 
 
 def _is_minimal(hg, colors, l_mask) -> bool:
@@ -434,6 +450,65 @@ def test_forbid_matches_always_scan_reference(c6, c13p2):
         done += 1
     mins = {"monomial": 100, "c6": 30, "cycle-power": 80,
             "linear-system": 20, "BudgetExceededError": 50}
+    assert all(seen.get(key, 0) >= least for key, least in mins.items()), \
+        sorted(seen.items())
+
+
+def test_shadow_systems_match_reference(c6, c13p2, k4):
+    """`forbid_linear_system` and `degree_probe` against the shadow system
+    built row by row in the oracle, on fixed and seeded random targets."""
+    from lhom.graphs import dominant_subset, is_incomparable_set
+    from lhom.invariants import degree_probe
+    from oracle import (random_graph, reference_degree_probe,
+                        reference_linear_system)
+    rng = SplitMix64(91)
+    pendant = Graph.from_edges(5, [(0, 1), (0, 4), (1, 4), (3, 4)])
+    targets = [c6, c13p2, gen_cycle_power(19, 3), k4, pendant]
+    targets += [random_graph(rng, 2 + rng.below(6)) for _ in range(60)]
+    seen: dict = {}
+    for hg in targets:
+        probe = degree_probe(hg)
+        assert probe == reference_degree_probe(hg), hg
+        seen["probe cases"] = seen.get("probe cases", 0) + len(probe["cases"])
+        seen["probe unsolvable"] = seen.get("probe unsolvable", 0) + sum(
+            not case["solvable"] for case in probe["cases"])
+        d = max(probe["d_star"], 1)
+        full = hg.full_mask
+        # the widest request on a base set asks the probe's own system
+        widest = [full_request(hg, case["s0"]) for case in probe["cases"][:3]
+                  if is_incomparable_set(hg, full)]
+        done = 0
+        while done < 6 + len(widest):
+            if done < len(widest):
+                req = widest[done]
+            else:
+                width = (d + 1, d + 1, d + 1, d + 1, d, d + 2)[done - len(widest)]
+                colors = tuple(rng.below(hg.n) for _ in range(width))
+                lists = (full,) * width
+                if rng.below(2):
+                    lists = tuple(dominant_subset(
+                        hg, (rng.below(full + 1) | 1 << c) & full) for c in colors)
+                l_mask = full if rng.below(3) else rng.below(full + 1)
+                l_mask &= ~common_neighbors(hg, mask_of(colors), full)
+                try:
+                    req = ForbidRequest(hg, l_mask, lists, tuple(range(width)),
+                                        colors)
+                except ValueError:
+                    continue
+            size = 1
+            for f in req.lists:
+                size *= popcount(f)
+            for budget in (2_000_000, size - 1):
+                want = _forbid_outcome(reference_linear_system, req, d, budget)
+                assert _forbid_outcome(forbid_linear_system, req, d,
+                                       budget) == want, (req, budget)
+                key = "None" if want is None else want[0]
+                seen[key] = seen.get(key, 0) + 1
+            done += 1
+    # no request with incomparable lists has met an inconsistent system, so
+    # None is compared wherever it occurs but has no minimum
+    mins = {"probe cases": 150, "probe unsolvable": 5, "linear-system": 120,
+            "monomial": 50, "ValueError": 200, "BudgetExceededError": 150}
     assert all(seen.get(key, 0) >= least for key, least in mins.items()), \
         sorted(seen.items())
 

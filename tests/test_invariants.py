@@ -177,6 +177,37 @@ def test_classify_k4_experiment(k4):
     assert report["recommended_by"] == "experiment"
 
 
+def test_classify_and_forbid_share_the_route(c5, c6, c13p2, k4):
+    """classify recommends the method and degree that forbid returns on a
+    minimal width-c* tuple of the widest request, forged hints included."""
+    from lhom.bitset import mask_of
+    from lhom.forbid import ForbidRequest, forbid
+    from lhom.graphs import common_neighbors
+    c19p3 = gen_cycle_power(19, 3)
+    relabelled_c6 = Graph.from_edges(
+        6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
+    cases = [(c5, None), (c5, (5, 1)), (c6, None), (c6, (6, 1)),
+             (c13p2, None), (c13p2, (13, 2)), (c19p3, None), (c19p3, (19, 3)),
+             (k4, None), (relabelled_c6, None),
+             (c13p2, (13, 3)), (c13p2, (12, 2))]
+    method_of = {"cycle-power": "cycle-power", "c6": "c6",
+                 "experiment": "linear-system", "marking": "monomial"}
+    routes = set()
+    for hg, hint in cases:
+        report = classify(hg, cycle_power=hint)
+        colors = tuple(report["c_star_witness"]["s"])
+        full = hg.full_mask
+        req = ForbidRequest(
+            hg, full & ~common_neighbors(hg, mask_of(colors), full),
+            (full,) * len(colors), tuple(range(len(colors))), colors)
+        res = forbid(req, cycle_power=hint)
+        assert (res.method, res.degree) == (
+            method_of[report["recommended_by"]],
+            report["recommended_degree"]), (hg, hint)
+        routes.add(report["recommended_by"])
+    assert routes == set(method_of)
+
+
 def test_degree_probe_k4(k4):
     probe = degree_probe(k4)
     assert probe["all_ok"] and probe["cases"]
