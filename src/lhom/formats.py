@@ -68,6 +68,13 @@ def _naturals(fields, lineno):
     return vals
 
 
+def _edge(fields, lineno, n):
+    u, v = _ints(fields, lineno, 2)
+    if not (0 <= u < n and 0 <= v < n):
+        raise FormatError(f"line {lineno}: edge ({u}, {v}) out of range")
+    return u, v
+
+
 def parse_hgraph(text: str) -> tuple[Graph, dict]:
     """Parse a target graph file; returns the graph and generator hints."""
     h = None
@@ -85,8 +92,7 @@ def parse_hgraph(text: str) -> tuple[Graph, dict]:
         elif kind == "e":
             if h is None:
                 raise FormatError(f"line {lineno}: edge before header")
-            u, v = _ints(fields[1:], lineno, 2)
-            edges.append((u, v))
+            edges.append(_edge(fields[1:], lineno, h))
         else:
             raise FormatError(f"line {lineno}: unknown line type {kind!r}")
     if h is None:
@@ -122,8 +128,7 @@ def parse_instance(text: str) -> tuple[Instance, int]:
         elif header is None:
             raise FormatError(f"line {lineno}: data before header")
         elif kind == "e":
-            u, v = _ints(fields[1:], lineno, 2)
-            edges.append((u, v))
+            edges.append(_edge(fields[1:], lineno, header[0]))
         elif kind == "l":
             vals = _naturals(fields[1:], lineno)
             if not vals:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .bitset import bit_list, iter_bits, mask_of, popcount
 from .gf2 import shadow_solution
@@ -114,60 +114,165 @@ def verify_c_star_witness(hg: Graph, w: CStarWitness) -> bool:
     return True
 
 
+# Candidate images that one target's automorphism search may try.  Past it
+# the generators found so far are kept: they generate a subgroup of Aut(H),
+# which is as sound for the orbit skips below, so no answer depends on it.
+_AUT_NODE_BUDGET = 100_000
+
+
+def _image(perm: tuple[int, ...], mask: int) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _orbit(mask: int, gens) -> set[int]:
+    """The images of a vertex set under the group that gens generate."""
+    seen = {mask}
+    todo = [mask]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = _image(g, x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@lru_cache(maxsize=256)
+def automorphism_generators(hg: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of Aut(H), each checked to be an automorphism.
+
+    A stabilizer-chain search (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): for i from the last vertex down, fix 0..i-1
+    and look for an automorphism mapping i to each vertex v not yet known
+    to be in the orbit of i.  The search maps the remaining vertices in an
+    order that follows the edges, and a candidate image keeps the degree,
+    the loop and the adjacency to every vertex already mapped.  A v with no
+    such automorphism rules out its orbit under the generators that fix i
+    too.  The generators found generate the whole group, or a subgroup
+    when _AUT_NODE_BUDGET candidate images have been tried.
+    """
+    n, adj = hg.n, hg.adj
+    sig = [(popcount(a), a >> v & 1) for v, a in enumerate(adj)]
+    same = [mask_of(u for u in range(n) if sig[u] == sig[v]) for v in range(n)]
+    budget = _AUT_NODE_BUDGET
+    gens: list[tuple[int, ...]] = []
+
+    def candidates(f: list[int], used: int, order: list[int], pos: int):
+        j = order[pos]
+        cand = same[j] & ~used
+        for a in order[:pos]:
+            cand &= adj[f[a]] if adj[j] >> a & 1 else ~adj[f[a]]
+        return cand
+
+    def extend(f: list[int], used: int, order: list[int], pos: int):
+        nonlocal budget
+        if pos == n:
+            perm = tuple(f)
+            ok = all(adj[perm[v]] == _image(perm, adj[v]) for v in range(n))
+            return perm if ok else None
+        for u in iter_bits(candidates(f, used, order, pos)):
+            if not budget:
+                return None
+            budget -= 1
+            f[order[pos]] = u
+            found = extend(f, used | 1 << u, order, pos + 1)
+            if found is not None:
+                return found
+        return None
+
+    for i in range(n - 2, -1, -1):
+        fixed = (1 << i) - 1
+        # the rest in an order that maps the most-constrained vertex next
+        order, mapped = list(range(i + 1)), fixed | 1 << i
+        while len(order) < n:
+            nxt = max((u for u in range(n) if not mapped >> u & 1),
+                      key=lambda u: popcount(adj[u] & mapped))
+            order.append(nxt)
+            mapped |= 1 << nxt
+        stabilizer = tuple(gens)  # all of them fix 0..i
+        known = _orbit(1 << i, gens)  # one-vertex sets
+        f = list(range(n))
+        for v in iter_bits(candidates(f, fixed, order, i)):
+            if 1 << v in known:
+                continue
+            f[i] = v
+            g = extend(f, fixed | 1 << v, order, i + 1)
+            if g is not None:
+                gens.append(g)
+                known |= _orbit(1 << i, gens)
+            elif not budget:
+                return tuple(gens)
+            else:
+                known |= _orbit(1 << v, stabilizer)
+    return tuple(gens)
+
+
+def _lbs_on_base(hg: Graph, s_mask: int, partners: list[list[int]]
+                 ) -> LowerBoundStructure | None:
+    xs = bit_list(s_mask)
+    d = len(xs)
+    outside = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
+
+    # pats[m] is the common neighborhood of replacement pattern m (bit i
+    # set: position i takes its primed partner) over the positions so far;
+    # a nonzero pattern keeps only its part outside W(base)
+    def dfs(pos: int, pats: list[int], xps: list[int]):
+        if pos == d:
+            return LowerBoundStructure(d, reduce(int.__or__, pats[1:], 0),
+                                       tuple(xs), tuple(xps))
+        plain = [w & hg.adj[xs[pos]] for w in pats]
+        if not all(plain[1:]):
+            return None
+        w0 = pats[0] & outside
+        for xp in partners[xs[pos]]:
+            n_primed = hg.adj[xp]
+            if not w0 & n_primed:
+                continue
+            primed = [w & n_primed for w in pats]
+            primed[0] &= outside
+            if all(primed):
+                res = dfs(pos + 1, plain + primed, xps + [xp])
+                if res is not None:
+                    return res
+        return None
+
+    return dfs(0, [hg.full_mask], [])
+
+
 def find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:
     """Exhaustive search for a lower bound structure of order exactly d.
 
     The base vertices must form an all-essential set; primed partners are
     found by DFS over positions, tracking the common neighborhood of every
-    replacement pattern.  A pattern prefix that already lost all common
-    neighbors outside W(base) can never recover, which prunes the search.
-    Returns the lexicographically least witness or None.
+    replacement pattern.  Every nonzero pattern needs a common neighbor
+    outside W(base) at the end and its neighborhood only shrinks, so a
+    pattern prefix without one is dropped at once.  An automorphism of H
+    maps a structure on one base set to one on its image, so once a base
+    set fails its whole orbit under `automorphism_generators` is skipped.
+    Base sets are tried in lexicographic order and partners in index
+    order, so the result is the lexicographically least witness, or None.
     """
     if d < 1:
         raise ValueError("order must be at least 1")
     if d > hg.n:
         return None
+    gens = automorphism_generators(hg)
+    partners = [[u for u in range(hg.n) if incomparable(hg, x, u)]
+                for x in range(hg.n)]
+    failed: set[int] = set()
     for s_mask in all_essential_sets(hg, size=d):
-        xs = bit_list(s_mask)
-        w_base = common_neighbors(hg, s_mask, hg.full_mask)
-
-        def dfs(pos: int, pats: dict[int, int], xps: list[int]):
-            if pos == d:
-                l_mask = 0
-                for m, w in pats.items():
-                    if m:
-                        l_mask |= w & ~w_base
-                return LowerBoundStructure(d, l_mask, tuple(xs), tuple(xps))
-            n_plain = hg.adj[xs[pos]]
-            for xp in range(hg.n):
-                if xp == xs[pos] or not incomparable(hg, xs[pos], xp):
-                    continue
-                n_primed = hg.adj[xp]
-                nxt: dict[int, int] = {}
-                ok = True
-                last = pos == d - 1
-                for m, w in pats.items():
-                    for mm, ww in ((m, w & n_plain), (m | 1 << pos, w & n_primed)):
-                        if mm:
-                            if last:
-                                if not ww & ~w_base:
-                                    ok = False
-                                    break
-                            elif not ww:
-                                ok = False
-                                break
-                        nxt[mm] = ww
-                    if not ok:
-                        break
-                if ok:
-                    res = dfs(pos + 1, nxt, xps + [xp])
-                    if res is not None:
-                        return res
-            return None
-
-        found = dfs(0, {0: hg.full_mask}, [])
+        if s_mask in failed:
+            continue
+        found = _lbs_on_base(hg, s_mask, partners)
         if found is not None:
             return found
+        failed |= _orbit(s_mask, gens)
     return None
 
 
@@ -265,19 +370,29 @@ def degree_probe(hg: Graph) -> dict:
     GF(2) system that zeroes the shadow sums of every c_star-set with a
     common neighbor outside W(S0) while flipping the shadow sum of S0.
     Success for all S0 implies every concrete forbid request of width
-    c_star admits a degree d_star polynomial.
+    c_star admits a degree d_star polynomial.  An automorphism of H maps
+    the system of S0 onto that of its image, so one verdict serves the
+    orbit of S0 under `automorphism_generators`.
     """
     c = compute_c_star(hg).value
     d, _ = compute_d_star(hg)
     report: dict = {"c_star": c, "d_star": d, "cases": [], "all_ok": True}
     if c == d or c < 2:
         return report
+    gens = automorphism_generators(hg)
+    verdicts: dict[int, bool] = {}
     for s_mask in all_essential_sets(hg, size=c):
-        l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
-        ok = shadow_solution(hg.n, d, (
-            combo for combo in itertools.combinations(range(hg.n), c)
-            if common_neighbors(hg, mask_of(combo), l_star)),
-            bit_list(s_mask)) is not None
+        ok = verdicts.get(s_mask)
+        if ok is None:
+            l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
+            # a set has a common neighbor in L* iff it lies inside N(w) for
+            # some w in L*; sorted, the rows come in combinations order
+            zero_sets = sorted({
+                combo for w in iter_bits(l_star)
+                for combo in itertools.combinations(bit_list(hg.adj[w]), c)})
+            ok = shadow_solution(hg.n, d, zero_sets,
+                                 bit_list(s_mask)) is not None
+            verdicts.update(dict.fromkeys(_orbit(s_mask, gens), ok))
         report["cases"].append({"s0": bit_list(s_mask), "solvable": ok})
         report["all_ok"] &= ok
     return report

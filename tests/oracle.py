@@ -38,15 +38,23 @@ same polynomials from the library's blocks (`cycle_frame`,
 and `degree_probe` each built it before `lhom.gf2.shadow_solution`: its own
 column index, every row's colors sorted, then the library's
 `solve_linear_system` (which `tests/test_gf2.py` checks on its own).
-`reference_linear_system` and `reference_degree_probe` are
-`forbid_linear_system` and `degree_probe` on it; the former scans every
-polynomial it returns, the plain monomial included.
+`reference_linear_system` is `forbid_linear_system` on it, and scans
+every polynomial it returns, the plain monomial included.
 `reference_extract_basis` is `extract_basis` on `Gf2Poly` rows, with a
 column per distinct frozenset monomial.
+
+`reference_find_lbs` is `lhom.invariants.find_lbs` as it was before it
+used the automorphisms of H: every all-essential base set is searched in
+full, and a replacement pattern is dropped only once its common neighborhood is empty
+(outside W(base) at the last position).  `reference_d_star` is
+`compute_d_star` on it.  `reference_degree_probe` is `degree_probe` on
+`reference_d_star` and the reference shadow system: it solves every case
+and filters every c_star-set of colors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -57,8 +65,9 @@ from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
                          cycle_frame)
 from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
-                         reduce_lists)
-from lhom.invariants import all_essential_sets, compute_c_star, compute_d_star
+                         incomparable, reduce_lists)
+from lhom.invariants import (LowerBoundStructure, all_essential_sets,
+                             compute_c_star, compute_d_star)
 from lhom.kernels import KernelReport, _trivial_no_kernel
 from lhom.solver import _check_cover_mapping
 
@@ -513,10 +522,76 @@ def reference_linear_system(req: ForbidRequest, target_degree: int,
     return _scan_certified(req, poly, "linear-system", budget)
 
 
-def reference_degree_probe(hg: Graph) -> dict:
-    """`degree_probe` on the reference shadow system."""
+def reference_find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:
+    """`find_lbs` without automorphisms: every base set searched in full."""
+    if d < 1:
+        raise ValueError("order must be at least 1")
+    if d > hg.n:
+        return None
+    for s_mask in all_essential_sets(hg, size=d):
+        xs = bit_list(s_mask)
+        w_base = common_neighbors(hg, s_mask, hg.full_mask)
+
+        def dfs(pos: int, pats: dict[int, int], xps: list[int]):
+            if pos == d:
+                l_mask = 0
+                for m, w in pats.items():
+                    if m:
+                        l_mask |= w & ~w_base
+                return LowerBoundStructure(d, l_mask, tuple(xs), tuple(xps))
+            n_plain = hg.adj[xs[pos]]
+            for xp in range(hg.n):
+                if xp == xs[pos] or not incomparable(hg, xs[pos], xp):
+                    continue
+                n_primed = hg.adj[xp]
+                nxt: dict[int, int] = {}
+                ok = True
+                last = pos == d - 1
+                for m, w in pats.items():
+                    for mm, ww in ((m, w & n_plain), (m | 1 << pos, w & n_primed)):
+                        if mm:
+                            if last:
+                                if not ww & ~w_base:
+                                    ok = False
+                                    break
+                            elif not ww:
+                                ok = False
+                                break
+                        nxt[mm] = ww
+                    if not ok:
+                        break
+                if ok:
+                    res = dfs(pos + 1, nxt, xps + [xp])
+                    if res is not None:
+                        return res
+            return None
+
+        found = dfs(0, {0: hg.full_mask}, [])
+        if found is not None:
+            return found
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def reference_d_star(hg: Graph) -> tuple[int, LowerBoundStructure | None]:
+    """`compute_d_star` on `reference_find_lbs`."""
     c = compute_c_star(hg).value
-    d, _ = compute_d_star(hg)
+    for d in (c, c - 1):
+        if d >= 1:
+            lbs = reference_find_lbs(hg, d)
+            if lbs is not None:
+                return d, lbs
+    if c > 1:
+        raise RuntimeError("no lower bound structure of order c_star or "
+                           "c_star - 1")
+    return 0, None
+
+
+def reference_degree_probe(hg: Graph) -> dict:
+    """`degree_probe` on `reference_d_star` and the reference shadow system,
+    solving every case and filtering every c_star-set of colors."""
+    c = compute_c_star(hg).value
+    d, _ = reference_d_star(hg)
     report: dict = {"c_star": c, "d_star": d, "cases": [], "all_ok": True}
     if c == d or c < 2:
         return report

@@ -87,6 +87,25 @@ def test_negative_instance_numbers_name_the_line(tmp_path, c6_file, capsys,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edge", ["0 -1", "3 0"])
+def test_hgraph_edge_out_of_range_names_the_line(tmp_path, capsys, edge):
+    bad = tmp_path / "bad.hg"
+    bad.write_text(f"p hgraph 3\ne 0 1\ne {edge}\n")
+    assert main(["invariants", str(bad)]) == 2
+    u, v = edge.split()
+    assert f"line 3: edge ({u}, {v}) out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ["0 -1", "2 1"])
+def test_instance_edge_out_of_range_names_the_line(tmp_path, c6_file, capsys,
+                                                   edge):
+    bad = tmp_path / "bad.lh"
+    bad.write_text(f"p lhom 2 1 6\ne {edge}\nl 0 1 2\nl 1 2\n")
+    assert main(["solve", str(bad), "--target", c6_file]) == 2
+    u, v = edge.split()
+    assert f"line 2: edge ({u}, {v}) out of range" in capsys.readouterr().err
+
+
 def test_solve_rejects_mismatched_target(tmp_path, c6_file):
     bad = tmp_path / "bad.lh"
     bad.write_text(write_instance(

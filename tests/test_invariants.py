@@ -1,15 +1,20 @@
+import itertools
+
 import pytest
 
+from lhom import invariants
 from lhom.bitset import bit_list
 from lhom.generators import SplitMix64, gen_cycle_power, gen_subdivided_star
 from lhom.graphs import Graph, dominant_subset
-from lhom.invariants import (all_essential_sets, classify, compute_c_star,
-                             compute_d_star, degree_probe, find_lbs,
-                             find_non_bi_arc_witness,
+from lhom.invariants import (all_essential_sets, automorphism_generators,
+                             classify, compute_c_star, compute_d_star,
+                             degree_probe, find_lbs, find_non_bi_arc_witness,
                              max_degree_exchange_holds, verify_c_star_witness,
                              verify_lbs)
 
-from oracle import brute_c_star, brute_lbs_exists, random_graph
+from oracle import (brute_c_star, brute_lbs_exists, random_graph,
+                    reference_d_star, reference_degree_probe,
+                    reference_find_lbs)
 
 
 def test_c_star_cycles(c5, c6, c7):
@@ -227,3 +232,94 @@ def test_k12_path_regime():
     assert compute_c_star(hg).value == 2 == hg.max_degree()
     assert compute_d_star(hg)[0] == 1
     assert max_degree_exchange_holds(hg)
+
+
+def _all_graphs(h):
+    """Every graph on h labelled vertices, loops included."""
+    pairs = [(u, v) for u in range(h) for v in range(u, h)]
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(
+            h, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def _relabelled(hg, seed):
+    perm = list(range(hg.n))
+    rng = SplitMix64(seed)
+    for i in range(hg.n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Graph.from_edges(hg.n, [(perm[u], perm[v]) for u, v in hg.edges()])
+
+
+def _is_automorphism(hg, perm):
+    return sorted(perm) == list(range(hg.n)) and all(
+        hg.has_edge(perm[u], perm[v]) == hg.has_edge(u, v)
+        for u in range(hg.n) for v in range(hg.n))
+
+
+def _generated(gens, n):
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = tuple(g[v] for v in x)
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    return group
+
+
+def _assert_matches_reference(hg):
+    for g in automorphism_generators(hg):
+        assert _is_automorphism(hg, g), (hg, g)
+    for d in range(1, hg.n + 1):
+        assert find_lbs(hg, d) == reference_find_lbs(hg, d), (hg, d)
+    assert compute_d_star.__wrapped__(hg) == reference_d_star(hg), hg
+    assert degree_probe(hg) == reference_degree_probe(hg), hg
+
+
+def test_automorphism_generators_generate_the_group():
+    for h in range(1, 5):
+        for hg in _all_graphs(h):
+            want = {p for p in itertools.permutations(range(h))
+                    if _is_automorphism(hg, p)}
+            assert _generated(automorphism_generators(hg), h) == want, hg
+
+
+def test_symmetry_reduced_search_matches_reference_small_graphs():
+    for h in range(1, 5):
+        for hg in _all_graphs(h):
+            _assert_matches_reference(hg)
+
+
+def test_symmetry_reduced_search_matches_reference_random_graphs():
+    rng = SplitMix64(35)
+    for _ in range(30):
+        _assert_matches_reference(random_graph(rng, 5 + rng.below(4)))
+
+
+def test_symmetry_reduced_search_matches_reference_relabelled(c13p2):
+    for hg in (_relabelled(c13p2, 13), _relabelled(gen_cycle_power(19, 3), 19)):
+        # Aut(C_k^p) is the dihedral group of order 2k
+        assert len(_generated(automorphism_generators(hg), hg.n)) == 2 * hg.n
+        assert compute_d_star.__wrapped__(hg) == reference_d_star(hg)
+        assert degree_probe(hg) == reference_degree_probe(hg)
+
+
+@pytest.fixture
+def no_automorphisms(monkeypatch):
+    monkeypatch.setattr(invariants, "_AUT_NODE_BUDGET", 0)
+    automorphism_generators.cache_clear()
+    yield
+    automorphism_generators.cache_clear()
+
+
+def test_results_do_not_depend_on_automorphisms(no_automorphisms, c6, k4,
+                                                c13p2):
+    rng = SplitMix64(36)
+    graphs = [c6, k4, _relabelled(c13p2, 13)]
+    graphs += [random_graph(rng, 5 + rng.below(4)) for _ in range(10)]
+    for hg in graphs:
+        assert automorphism_generators(hg) == ()
+        _assert_matches_reference(hg)
