@@ -16,14 +16,14 @@ from .invariants import (CStarWitness, LowerBoundStructure, classify,
                          find_non_bi_arc_witness)
 from .kernels import KernelReport, kernel_marking, kernel_poly, kernelize
 from .reductions import build_comp, build_neq, build_variable_gadget, reduce_sat
-from .solver import decide, enumerate_restricted, extendable
+from .solver import decide, enumerate_restricted
 
 __all__ = [
     "Graph", "Instance", "VertexCoverCertificate", "common_neighbors",
     "incomparable", "reduce_lists", "greedy_vertex_cover",
     "CStarWitness", "LowerBoundStructure", "compute_c_star", "compute_d_star",
     "find_lbs", "find_non_bi_arc_witness", "classify",
-    "decide", "extendable", "enumerate_restricted",
+    "decide", "enumerate_restricted",
     "ForbidRequest", "ForbidResult", "forbid", "certify_forbid",
     "KernelReport", "kernel_marking", "kernel_poly", "kernelize",
     "build_neq", "build_comp", "build_variable_gadget", "reduce_sat",

@@ -6,10 +6,9 @@ GF(2) polynomial that is nonzero on S0 and zero on every tuple that does
 have a common neighbor in L.  Tuples in neither class are deliberately
 unconstrained.  No constructor returns a polynomial that fails the
 contract, and each charges the budget of a scan of its candidate product
-(`certify_forbid`).  The plain monomial is correct by construction, the
-6-cycle and cycle-power polynomials are checked once per tuple against the
-widest request (`_widest_verdict`), and the linear-system polynomial is
-scanned on its own request.
+(`certify_forbid`).  The plain monomial is correct by construction; every
+other polynomial passes `certify_forbid`, which reads one memoized table
+per polynomial and target (`_table`) and scans only what it cannot settle.
 """
 
 from __future__ import annotations
@@ -71,21 +70,25 @@ class ForbidResult:
 
 def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
                    budget: int = DEFAULT_CERT_BUDGET) -> bool:
-    """Exhaustively check the forbidding contract over the candidate product.
+    """Check the forbidding contract over the candidate product.
 
-    Each tuple of the product is one bit of an int.  Its positions are the
-    request's vertices, then the polynomial's stray vertices, which take
-    every color of the target; a position adds its color's rank in its list
-    times a mixed-radix stride, so no int is longer than the budget.  A
-    monomial is 1 on every tuple that extends it: its bit is broadcast over
-    each free position by a multiplication with that position's repunit,
-    which never carries.  The forbidden tuple must be odd under every stray
-    coloring, and no other odd tuple may have all its colors adjacent to
-    one w in L.
+    poly must be odd on the forbidden tuple and even on every other tuple
+    of the product whose colors are all adjacent to one w in L, which lies
+    in N(w)^r.  When all of V(H)^r fits the budget, a polynomial with a
+    table (`_table`) passes if the table is odd at the tuple and marks no
+    color of L; the product is no larger, so no budget error is hidden.
+    Every other request is scanned.  The scan's positions are the request's
+    vertices, then the polynomial's stray vertices, which take every color
+    of the target; the tuple must be odd under every stray coloring.
     """
+    hg = req.target
+    entry = hg.n ** req.width <= budget and _table(hg, req.verts, poly)
+    if entry and not req.l_mask & entry[1] and entry[0] >> sum(
+            c * hg.n ** i for i, c in enumerate(req.colors)) & 1:
+        return True
     variables = frozenset().union(*poly.monomials)
     extras = sorted({v for v, _ in variables} - set(req.verts))
-    lists = req.lists + (req.target.full_mask,) * len(extras)
+    lists = req.lists + (hg.full_mask,) * len(extras)
     strides = []
     size = 1
     for f in lists:
@@ -94,7 +97,31 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     if size > budget:
         raise BudgetExceededError(
             f"certification needs {size} evaluations, budget is {budget}")
-    pos = {v: i for i, v in enumerate(req.verts + tuple(extras))}
+    parity = _transform(poly, variables, req.verts + tuple(extras), lists,
+                        strides)
+    strays = 1
+    for s in strides[req.width:]:
+        strays *= _repunit(hg.n, s)
+    pinned = strays << sum(_rank(f, c) * s for f, c, s
+                           in zip(req.lists, req.colors, strides))
+    if parity & pinned != pinned:
+        return False
+    rest = parity ^ pinned
+    return not rest or not any(
+        rest & _box(hg.adj[w], req.lists, strides, strays)
+        for w in iter_bits(req.l_mask))
+
+
+def _transform(poly, variables, verts, lists, strides) -> int:
+    """The values of poly on the product of lists, one bit per tuple.
+
+    Position i holds verts[i] and adds its color's rank in lists[i] times
+    strides[i] to a tuple's bit index, a mixed radix, so the int is no
+    longer than the product.  A monomial is 1 on every tuple that extends
+    it: its bit is broadcast over each free position by a product with that
+    position's repunit, which never carries (a zeta transform).
+    """
+    pos = {v: i for i, v in enumerate(verts)}
     at = {}  # variable on its list -> (its position's bit, its offset)
     for v, c in variables:
         i = pos[v]
@@ -111,39 +138,27 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
             offset += hit[1]
         else:
             groups[support] = groups.get(support, 0) ^ 1 << offset
-    for i, (f, s) in enumerate(zip(lists, strides)):  # the zeta transform
+    for i, (f, s) in enumerate(zip(lists, strides)):
         bit = 1 << i
         unfixed = [k for k in groups if not k & bit]
         if unfixed:
             rep = _repunit(popcount(f), s)
             for k in unfixed:
                 groups[k | bit] = groups.get(k | bit, 0) ^ groups.pop(k) * rep
-    parity = groups.get((1 << len(lists)) - 1, 0)
-    strays = 1
-    for s in strides[req.width:]:
-        strays *= _repunit(req.target.n, s)
-    pinned = strays << sum(_rank(f, c) * s for f, c, s
-                           in zip(req.lists, req.colors, strides))
-    if parity & pinned != pinned:
-        return False
-    rest = parity ^ pinned
-    if not rest:
-        return True
-    adj = req.target.adj
-    for w in iter_bits(req.l_mask):
-        box = strays
-        for f, s in zip(req.lists, strides):
-            near = adj[w] & f
-            if not near:
-                break
-            spread = 0
-            for c in iter_bits(near):
-                spread |= 1 << _rank(f, c) * s
-            box *= spread
-        else:
-            if rest & box:
-                return False
-    return True
+    return groups.get((1 << len(lists)) - 1, 0)
+
+
+def _box(near: int, lists, strides, box: int) -> int:
+    """box times the tuples of the product of lists with every color in
+    near (one w's neighbors), or 0 when some position has none."""
+    for f, s in zip(lists, strides):
+        spread = 0
+        for c in iter_bits(near & f):
+            spread |= 1 << _rank(f, c) * s
+        if not spread:
+            return 0
+        box *= spread
+    return box
 
 
 def _rank(f: int, c: int) -> int:
@@ -160,50 +175,34 @@ def _repunit(m: int, s: int) -> int:
     return rep & ((1 << m * s) - 1)
 
 
+# at most maxsize tables, each no longer than its caller's budget in bits
+@functools.lru_cache(maxsize=64)
+def _table(target: Graph, verts: tuple[int, ...],
+           poly: Gf2Poly) -> tuple[int, int, int] | None:
+    """poly's values on all of V(H)^r (color c at position i adds c * h^i
+    to a tuple's bit index), the mask of colors w where poly is 1 somewhere
+    on N(w)^r, and poly's degree; None when poly has a vertex outside verts.
+    """
+    variables = frozenset().union(*poly.monomials)
+    if not {v for v, _ in variables} <= set(verts):
+        return None
+    lists = (target.full_mask,) * len(verts)
+    strides = [target.n ** i for i in range(len(verts))]
+    values = _transform(poly, variables, verts, lists, strides)
+    marked = mask_of(w for w in range(target.n)
+                     if values & _box(target.adj[w], lists, strides, 1))
+    return values, marked, poly.degree()
+
+
 def _certified(req, poly, method, budget) -> ForbidResult:
-    """The result, once poly passes the contract of req; else raises.
-
-    A 6-cycle or cycle-power polynomial first tries the memoized verdict of
-    the widest request on its tuple, when that check fits the budget; the
-    scan of req's own product decides everything else, so verdicts and
-    budget errors are those of `certify_forbid` on req.
-    """
-    degree = None
-    if method in ("c6", "cycle-power") and req.target.n ** req.width <= budget:
-        degree = _widest_verdict(req.target, req.verts, req.colors, poly)
-    if degree is None:
-        if not certify_forbid(req, poly, budget):
-            raise CertificationError(f"{method} construction failed "
-                                     f"certification for tuple {req.colors}")
-        degree = poly.degree()
-    return ForbidResult(poly, degree, method)
-
-
-@functools.lru_cache(maxsize=1024)
-def _widest_verdict(target: Graph, verts: tuple[int, ...],
-                    colors: tuple[int, ...], poly: Gf2Poly) -> int | None:
-    """The degree of poly when it passes the widest request, else None.
-
-    The widest request on the tuple lists every color at every position and
-    takes L = V(H) minus the common neighbors of the tuple.  Every request
-    with the same tuple and vertices has narrower lists and an L inside
-    that one (its L has no common neighbor of the tuple), so it asks a
-    subset of the same constraints and passes too.  A polynomial with a
-    vertex outside verts, or a target whose full color set is not
-    incomparable, is not checked here (None).
-    """
-    if any(v not in verts for mono in poly.monomials for v, _ in mono):
-        return None
-    full = target.full_mask
-    try:
-        widest = ForbidRequest(
-            target, full & ~common_neighbors(target, mask_of(colors), full),
-            (full,) * len(verts), verts, colors)
-    except ValueError:
-        return None
-    if not certify_forbid(widest, poly, target.n ** len(verts)):
-        return None
-    return poly.degree()
+    """The result, once poly passes `certify_forbid` on req; else raises.
+    A memo hit takes the degree from the table, not from the monomials."""
+    if not certify_forbid(req, poly, budget):
+        raise CertificationError(f"{method} construction failed "
+                                 f"certification for tuple {req.colors}")
+    entry = req.target.n ** req.width <= budget and _table(
+        req.target, req.verts, poly)
+    return ForbidResult(poly, entry[2] if entry else poly.degree(), method)
 
 
 def forbid_monomial(req: ForbidRequest,

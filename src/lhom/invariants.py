@@ -53,27 +53,25 @@ def _is_all_essential(hg: Graph, s_mask: int) -> bool:
     return True
 
 
-def all_essential_sets(hg: Graph, size: int | None = None) -> list[int]:
-    """All-essential sets in lexicographic order, optionally filtered by size.
+@lru_cache(maxsize=256)
+def all_essential_sets(hg: Graph) -> tuple[int, ...]:
+    """All-essential sets in lexicographic order, enumerated once per target.
 
     The family is closed under subsets (a witness for an element survives
     restriction), so a DFS that extends by larger indices enumerates it.
+    Callers keep the sets of one size with `popcount`, in the same order.
     """
     out: list[int] = []
-    cap = hg.n if size is None else size
 
-    def dfs(s_mask: int, start: int, count: int) -> None:
-        if size is None or count == size:
-            out.append(s_mask)
-        if count == cap:
-            return
+    def dfs(s_mask: int, start: int) -> None:
+        out.append(s_mask)
         for v in range(start, hg.n):
             nxt = s_mask | 1 << v
             if _is_all_essential(hg, nxt):
-                dfs(nxt, v + 1, count + 1)
+                dfs(nxt, v + 1)
 
-    dfs(0, 0, 0)
-    return out
+    dfs(0, 0)
+    return tuple(out)
 
 
 def canonical_list_for(hg: Graph, s_mask: int) -> int:
@@ -101,17 +99,6 @@ def compute_c_star(hg: Graph) -> CStarWitness:
             best = popcount(s_mask)
             best_mask = s_mask
     return CStarWitness(best, canonical_list_for(hg, best_mask), best_mask)
-
-
-def verify_c_star_witness(hg: Graph, w: CStarWitness) -> bool:
-    if popcount(w.s_mask) != w.value:
-        return False
-    if common_neighbors(hg, w.s_mask, w.l_mask):
-        return False
-    for v in iter_bits(w.s_mask):
-        if not common_neighbors(hg, w.s_mask ^ (1 << v), w.l_mask):
-            return False
-    return True
 
 
 # Candidate images that one target's automorphism search may try.  Past it
@@ -266,31 +253,14 @@ def find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:
     partners = [[u for u in range(hg.n) if incomparable(hg, x, u)]
                 for x in range(hg.n)]
     failed: set[int] = set()
-    for s_mask in all_essential_sets(hg, size=d):
-        if s_mask in failed:
+    for s_mask in all_essential_sets(hg):
+        if popcount(s_mask) != d or s_mask in failed:
             continue
         found = _lbs_on_base(hg, s_mask, partners)
         if found is not None:
             return found
         failed |= _orbit(s_mask, gens)
     return None
-
-
-def verify_lbs(hg: Graph, lbs: LowerBoundStructure) -> bool:
-    d = lbs.order
-    if len(lbs.xs) != d or len(lbs.xps) != d or len(set(lbs.xs)) != d:
-        return False
-    for x, xp in zip(lbs.xs, lbs.xps):
-        if not incomparable(hg, x, xp):
-            return False
-    if common_neighbors(hg, mask_of(lbs.xs), lbs.l_mask):
-        return False
-    for pattern in range(1, 1 << d):
-        chosen = mask_of(lbs.xps[i] if pattern >> i & 1 else lbs.xs[i]
-                         for i in range(d))
-        if not common_neighbors(hg, chosen, lbs.l_mask):
-            return False
-    return True
 
 
 @lru_cache(maxsize=256)
@@ -333,36 +303,6 @@ def find_non_bi_arc_witness(hg: Graph) -> NonBiArcWitness | None:
     return None
 
 
-def max_degree_exchange_holds(hg: Graph) -> bool:
-    """Check the exchange property of maximum-degree neighborhoods.
-
-    For every vertex v of maximum degree there must be some u in N(v) such
-    that any v' whose neighborhood covers N(v) - u has N(v') inside N(v).
-    Expected to hold whenever d_star + 1 = c_star = max degree.
-    """
-    delta = hg.max_degree()
-    for v in range(hg.n):
-        if hg.degree(v) != delta:
-            continue
-        s_mask = hg.adj[v]
-        ok = False
-        for u in iter_bits(s_mask):
-            need = s_mask ^ (1 << u)
-            good = True
-            for vp in range(hg.n):
-                if need & ~hg.adj[vp]:
-                    continue
-                if hg.adj[vp] & ~s_mask:
-                    good = False
-                    break
-            if good:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
 def degree_probe(hg: Graph) -> dict:
     """Try to certify synthesis degree d_star for every hardest base set.
 
@@ -381,7 +321,9 @@ def degree_probe(hg: Graph) -> dict:
         return report
     gens = automorphism_generators(hg)
     verdicts: dict[int, bool] = {}
-    for s_mask in all_essential_sets(hg, size=c):
+    for s_mask in all_essential_sets(hg):
+        if popcount(s_mask) != c:
+            continue
         ok = verdicts.get(s_mask)
         if ok is None:
             l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)

@@ -168,38 +168,3 @@ def enumerate_restricted(inst: Instance, hg: Graph, targets,
 
     _Search(inst, hg, node_budget).run(collect)
     return out
-
-
-def _check_cover_mapping(inst: Instance, hg: Graph, phi: dict[int, int]) -> int:
-    if inst.cover is None:
-        raise ValueError("instance carries no designated cover")
-    cover = inst.cover
-    for v in iter_bits(cover):
-        if v not in phi:
-            raise ValueError(f"cover vertex {v} unassigned")
-        if not inst.lists[v] >> phi[v] & 1:
-            raise ValueError(f"phi violates the list of {v}")
-        for u in iter_bits(inst.graph.adj[v] & cover):
-            if u < v:
-                continue
-            if not hg.adj[phi[v]] >> phi[u] & 1:
-                raise ValueError(f"phi violates edge ({v}, {u})")
-    return cover
-
-
-def extendable(inst: Instance, hg: Graph, phi: dict[int, int]) -> bool:
-    """Can a cover coloring be completed on the outside independent set?
-
-    True iff every vertex outside the cover keeps a list color adjacent to
-    all of its (cover) neighbors' images.
-    """
-    cover = _check_cover_mapping(inst, hg, phi)
-    for v in range(inst.graph.n):
-        if cover >> v & 1:
-            continue
-        allowed = inst.lists[v]
-        for u in iter_bits(inst.graph.adj[v]):
-            allowed &= hg.adj[phi[u]]
-            if not allowed:
-                return False
-    return True

@@ -4,8 +4,10 @@ Everything here is deliberately naive: literal definition enumeration over
 all (list, set) pairs, product-space homomorphism search, truth-table SAT,
 evaluation of a forbidding polynomial on every tuple, plain backtracking
 over a cover.  None of it shares code paths with the library
-implementations it checks, except `extendable_bounded`: it reuses the
-solver's cover validation but reaches its answer by a different route.
+implementations it checks.  The witness checks `verify_c_star_witness` and
+`verify_lbs`, the exchange check `max_degree_exchange_holds` and the
+extension check `extendable` live here because only tests call them;
+`extendable_bounded` reaches `extendable`'s answer by a different route.
 
 `reference_search` is the oracle's earlier search, kept as a differential
 oracle for `lhom.solver._Search`: it copies the whole candidate list at
@@ -28,11 +30,13 @@ inside the cover, adds the kept outside edges and builds the kernel
 through `Graph.from_edges`.
 
 `reference_forbid` is `lhom.forbid.forbid` as it was before certification
-by construction and by the widest request: every polynomial, the plain
-monomial included, is certified by `certify_forbid` on its own request.
-It shrinks the request to its minimal subsequence itself and builds the
-same polynomials from the library's blocks (`cycle_frame`,
-`_cycle_power_poly`, `poly_local`) and from `reference_linear_system`.
+by construction and by a per-polynomial table: every polynomial, the plain
+monomial included, is certified by `reference_certify_forbid` on its own
+request.  That is `certify_forbid` before the table, verbatim: a scan of
+the request's own product, which reads no memo.  `reference_forbid`
+shrinks the request to its minimal subsequence itself and builds the same
+polynomials from the library's blocks (`cycle_frame`, `_cycle_power_poly`,
+`poly_local`) and from `reference_linear_system`.
 
 `reference_shadow_solution` is the shadow system as `forbid_linear_system`
 and `degree_probe` each built it before `lhom.gf2.shadow_solution`: its own
@@ -61,15 +65,14 @@ import math
 from lhom.bitset import bit_list, iter_bits, mask_of, popcount
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
-                         _cycle_power_poly, _is_cycle_power, certify_forbid,
-                         cycle_frame)
+                         _cycle_power_poly, _is_cycle_power, cycle_frame)
 from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          incomparable, reduce_lists)
-from lhom.invariants import (LowerBoundStructure, all_essential_sets,
-                             compute_c_star, compute_d_star)
+from lhom.invariants import (CStarWitness, LowerBoundStructure,
+                             all_essential_sets, compute_c_star,
+                             compute_d_star)
 from lhom.kernels import KernelReport, _trivial_no_kernel
-from lhom.solver import _check_cover_mapping
 
 
 def brute_common(hg: Graph, s_mask: int, l_mask: int) -> int:
@@ -149,6 +152,99 @@ def brute_certify(req, poly) -> bool:
             for m in poly.monomials:
                 val ^= all(colors[v] == c for v, c in m)
             if pinned and not val or must_vanish and val:
+                return False
+    return True
+
+
+def verify_c_star_witness(hg: Graph, w: CStarWitness) -> bool:
+    if popcount(w.s_mask) != w.value:
+        return False
+    if common_neighbors(hg, w.s_mask, w.l_mask):
+        return False
+    for v in iter_bits(w.s_mask):
+        if not common_neighbors(hg, w.s_mask ^ (1 << v), w.l_mask):
+            return False
+    return True
+
+
+def verify_lbs(hg: Graph, lbs: LowerBoundStructure) -> bool:
+    d = lbs.order
+    if len(lbs.xs) != d or len(lbs.xps) != d or len(set(lbs.xs)) != d:
+        return False
+    for x, xp in zip(lbs.xs, lbs.xps):
+        if not incomparable(hg, x, xp):
+            return False
+    if common_neighbors(hg, mask_of(lbs.xs), lbs.l_mask):
+        return False
+    for pattern in range(1, 1 << d):
+        chosen = mask_of(lbs.xps[i] if pattern >> i & 1 else lbs.xs[i]
+                         for i in range(d))
+        if not common_neighbors(hg, chosen, lbs.l_mask):
+            return False
+    return True
+
+
+def max_degree_exchange_holds(hg: Graph) -> bool:
+    """Check the exchange property of maximum-degree neighborhoods.
+
+    For every vertex v of maximum degree there must be some u in N(v) such
+    that any v' whose neighborhood covers N(v) - u has N(v') inside N(v).
+    Expected to hold whenever d_star + 1 = c_star = max degree.
+    """
+    delta = hg.max_degree()
+    for v in range(hg.n):
+        if hg.degree(v) != delta:
+            continue
+        s_mask = hg.adj[v]
+        ok = False
+        for u in iter_bits(s_mask):
+            need = s_mask ^ (1 << u)
+            good = True
+            for vp in range(hg.n):
+                if need & ~hg.adj[vp]:
+                    continue
+                if hg.adj[vp] & ~s_mask:
+                    good = False
+                    break
+            if good:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+def _check_cover_mapping(inst: Instance, hg: Graph, phi: dict[int, int]) -> int:
+    if inst.cover is None:
+        raise ValueError("instance carries no designated cover")
+    cover = inst.cover
+    for v in iter_bits(cover):
+        if v not in phi:
+            raise ValueError(f"cover vertex {v} unassigned")
+        if not inst.lists[v] >> phi[v] & 1:
+            raise ValueError(f"phi violates the list of {v}")
+        for u in iter_bits(inst.graph.adj[v] & cover):
+            if u < v:
+                continue
+            if not hg.adj[phi[v]] >> phi[u] & 1:
+                raise ValueError(f"phi violates edge ({v}, {u})")
+    return cover
+
+
+def extendable(inst: Instance, hg: Graph, phi: dict[int, int]) -> bool:
+    """Can a cover coloring be completed on the outside independent set?
+
+    True iff every vertex outside the cover keeps a list color adjacent to
+    all of its (cover) neighbors' images.
+    """
+    cover = _check_cover_mapping(inst, hg, phi)
+    for v in range(inst.graph.n):
+        if cover >> v & 1:
+            continue
+        allowed = inst.lists[v]
+        for u in iter_bits(inst.graph.adj[v]):
+            allowed &= hg.adj[phi[u]]
+            if not allowed:
                 return False
     return True
 
@@ -406,8 +502,99 @@ def reference_extract_basis(polys, m: int, d: int) -> list[int]:
     return kept
 
 
+def reference_certify_forbid(req: ForbidRequest, poly: Gf2Poly,
+                             budget: int = DEFAULT_CERT_BUDGET) -> bool:
+    """Exhaustively check the forbidding contract over the candidate product.
+
+    Each tuple of the product is one bit of an int.  Its positions are the
+    request's vertices, then the polynomial's stray vertices, which take
+    every color of the target; a position adds its color's rank in its list
+    times a mixed-radix stride, so no int is longer than the budget.  A
+    monomial is 1 on every tuple that extends it: its bit is broadcast over
+    each free position by a multiplication with that position's repunit,
+    which never carries.  The forbidden tuple must be odd under every stray
+    coloring, and no other odd tuple may have all its colors adjacent to
+    one w in L.
+    """
+    variables = frozenset().union(*poly.monomials)
+    extras = sorted({v for v, _ in variables} - set(req.verts))
+    lists = req.lists + (req.target.full_mask,) * len(extras)
+    strides = []
+    size = 1
+    for f in lists:
+        strides.append(size)
+        size *= popcount(f)
+    if size > budget:
+        raise BudgetExceededError(
+            f"certification needs {size} evaluations, budget is {budget}")
+    pos = {v: i for i, v in enumerate(req.verts + tuple(extras))}
+    at = {}  # variable on its list -> (its position's bit, its offset)
+    for v, c in variables:
+        i = pos[v]
+        if lists[i] >> c & 1:
+            at[v, c] = 1 << i, _rank(lists[i], c) * strides[i]
+    groups: dict[int, int] = {}  # fixed positions -> XOR of monomial bits
+    for mono in poly.monomials:
+        support = offset = 0
+        for var in mono:
+            hit = at.get(var)
+            if hit is None or support & hit[0]:
+                break  # off the list, or two colors on one vertex: always 0
+            support |= hit[0]
+            offset += hit[1]
+        else:
+            groups[support] = groups.get(support, 0) ^ 1 << offset
+    for i, (f, s) in enumerate(zip(lists, strides)):  # the zeta transform
+        bit = 1 << i
+        unfixed = [k for k in groups if not k & bit]
+        if unfixed:
+            rep = _repunit(popcount(f), s)
+            for k in unfixed:
+                groups[k | bit] = groups.get(k | bit, 0) ^ groups.pop(k) * rep
+    parity = groups.get((1 << len(lists)) - 1, 0)
+    strays = 1
+    for s in strides[req.width:]:
+        strays *= _repunit(req.target.n, s)
+    pinned = strays << sum(_rank(f, c) * s for f, c, s
+                           in zip(req.lists, req.colors, strides))
+    if parity & pinned != pinned:
+        return False
+    rest = parity ^ pinned
+    if not rest:
+        return True
+    adj = req.target.adj
+    for w in iter_bits(req.l_mask):
+        box = strays
+        for f, s in zip(req.lists, strides):
+            near = adj[w] & f
+            if not near:
+                break
+            spread = 0
+            for c in iter_bits(near):
+                spread |= 1 << _rank(f, c) * s
+            box *= spread
+        else:
+            if rest & box:
+                return False
+    return True
+
+
+def _rank(f: int, c: int) -> int:
+    """Index of color c among the colors of list f."""
+    return (f & ((1 << c) - 1)).bit_count()
+
+
+def _repunit(m: int, s: int) -> int:
+    """The int with bits 0, s, 2s, ..., (m-1)s set."""
+    rep, k = 1, 1
+    while k < m:
+        rep |= rep << k * s
+        k *= 2
+    return rep & ((1 << m * s) - 1)
+
+
 def _scan_certified(req, poly, method, budget) -> ForbidResult:
-    if not certify_forbid(req, poly, budget):
+    if not reference_certify_forbid(req, poly, budget):
         raise CertificationError(
             f"{method} construction failed certification for tuple {req.colors}")
     return ForbidResult(poly, poly.degree(), method)
@@ -528,7 +715,9 @@ def reference_find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:
         raise ValueError("order must be at least 1")
     if d > hg.n:
         return None
-    for s_mask in all_essential_sets(hg, size=d):
+    for s_mask in all_essential_sets(hg):
+        if popcount(s_mask) != d:
+            continue
         xs = bit_list(s_mask)
         w_base = common_neighbors(hg, s_mask, hg.full_mask)
 
@@ -595,7 +784,9 @@ def reference_degree_probe(hg: Graph) -> dict:
     report: dict = {"c_star": c, "d_star": d, "cases": [], "all_ok": True}
     if c == d or c < 2:
         return report
-    for s_mask in all_essential_sets(hg, size=c):
+    for s_mask in all_essential_sets(hg):
+        if popcount(s_mask) != c:
+            continue
         l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
         zero_sets = [combo for combo in itertools.combinations(range(hg.n), c)
                      if common_neighbors(hg, mask_of(combo), l_star)]

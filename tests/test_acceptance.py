@@ -16,16 +16,15 @@ from lhom.graphs import Graph, common_neighbors, dominant_subset, incomparable
 from lhom.invariants import (CStarWitness, all_essential_sets,
                              canonical_list_for, compute_c_star,
                              compute_d_star, degree_probe,
-                             find_non_bi_arc_witness,
-                             max_degree_exchange_holds, verify_c_star_witness,
-                             verify_lbs)
+                             find_non_bi_arc_witness)
 from lhom.kernels import kernel_marking, kernel_poly
 from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
                              reduce_sat, variable_gadget_states)
 from lhom.solver import decide, enumerate_restricted
 
 from conftest import complete_graph
-from oracle import brute_sat, packed_rows, random_graph
+from oracle import (brute_sat, max_degree_exchange_holds, packed_rows,
+                    random_graph, verify_c_star_witness, verify_lbs)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -143,7 +142,9 @@ def _forbid_request_family(hg):
                for u, v in itertools.combinations(range(hg.n), 2))
     c = compute_c_star(hg).value
     for size in range(1, c + 1):
-        for s_mask in all_essential_sets(hg, size=size):
+        for s_mask in all_essential_sets(hg):
+            if popcount(s_mask) != size:
+                continue
             colors = tuple(bit_list(s_mask))
             big_l = v_all & ~common_neighbors(hg, s_mask, v_all)
             for l_mask in {big_l, canonical_list_for(hg, s_mask)}:
@@ -172,8 +173,8 @@ def test_criterion_4_forbidding_certification():
         v_all = hg.full_mask
         extra = 0
         while extra < 15:
-            sets = all_essential_sets(hg, size=2 + rng.below(
-                compute_c_star(hg).value - 1))
+            size = 2 + rng.below(compute_c_star(hg).value - 1)
+            sets = [s for s in all_essential_sets(hg) if popcount(s) == size]
             s_mask = sets[rng.below(len(sets))]
             colors = tuple(bit_list(s_mask))
             lists = tuple((rng.below(v_all + 1) | 1 << c) for c in colors)

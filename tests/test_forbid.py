@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -403,9 +404,9 @@ def _is_minimal(hg, colors, l_mask) -> bool:
 
 
 def test_forbid_matches_always_scan_reference(c6, c13p2):
-    """Certification by construction and by the widest request against the
-    scan of every polynomial on its own request, at budgets on both sides of
-    each size a check can need."""
+    """Certification by construction and by the per-polynomial table against
+    the scan of every polynomial on its own request, at budgets on both
+    sides of each size a check can need."""
     from lhom.graphs import dominant_subset
     from oracle import random_graph, reference_forbid
     rng = SplitMix64(55)
@@ -513,29 +514,178 @@ def test_shadow_systems_match_reference(c6, c13p2, k4):
         sorted(seen.items())
 
 
-def test_widest_memo_does_not_bless_an_unchecked_polynomial(c6, c13p2):
-    """A memoized verdict covers only the polynomial it was computed for."""
-    from lhom.forbid import DEFAULT_CERT_BUDGET, _certified
+def _certify_outcome(certify, req, poly, budget):
+    try:
+        return certify(req, poly, budget)
+    except BudgetExceededError as err:  # the only error a check raises
+        return type(err).__name__, str(err)
+
+
+def _table_cases(hg, hint, wide, rng, deletions):
+    """The polynomial forbid builds for `wide` and edits of it, each with
+    requests on the same tuple with narrowed lists and subsets of its L,
+    and with budgets on both sides of V(H)^r and of the request's product.
+    A deletion changes no size, so it is checked at the budget V(H)^r, on
+    the widest request and on the narrowest."""
+    narrow = tuple(f & rng.below(hg.full_mask + 1) | 1 << c
+                   for f, c in zip(wide.lists, wide.colors))
+    l_sub = wide.l_mask & rng.below(hg.full_mask + 1)
+    reqs = [ForbidRequest(hg, l_mask, lists, wide.verts, wide.colors)
+            for lists in (wide.lists, narrow) for l_mask in (wide.l_mask, l_sub)]
+    poly = forbid(wide, hint).poly
+    monos = sorted(poly.monomials, key=sorted)
+    if deletions is not None and deletions < len(monos):
+        monos = [monos[rng.below(len(monos))] for _ in range(deletions)]
+    widest = hg.n ** wide.width
+    cases = []
+    for req in reqs:
+        size = math.prod(map(popcount, req.lists))
+        cases += [(req, budget) for budget in
+                  (widest - 1, widest, size - 1, size, size + 1)]
+    last = hg.n - 1
+    for edited in (poly, poly + Gf2Poly.product_of_vars([(99, 0), (99, 1)]),
+                   poly * Gf2Poly.variable(99, last)):
+        yield edited, cases
+    for mono in monos:
+        yield (Gf2Poly(poly.monomials - {mono}),
+               [(reqs[0], widest), (reqs[-1], widest)])
+
+
+def test_certify_matches_reference_scan():
+    """The table rule against the parent scan (`reference_certify_forbid`),
+    verdicts and errors alike, with a cold memo and with the memo warmed by
+    the wider request the polynomial was built for."""
+    import contextlib
+
+    from lhom.forbid import DEFAULT_CERT_BUDGET, _table
+    from lhom.graphs import dominant_subset, is_incomparable_set
+    from oracle import random_graph, reference_certify_forbid
+    rng = SplitMix64(56)
+    k4 = gen_cycle_power(4, 2)
+    fixed = [(gen_cycle_power(6, 1), None, [(0, 2, 4), (1, 3, 5), (0, 3)], None),
+             (gen_cycle_power(13, 2), (13, 2), [(0, 2, 4)], None),
+             # the same anchor-block sum as above, on another tuple and L
+             (gen_cycle_power(13, 2), (13, 2), [(0, 1, 2)], 20),
+             # 6,080 monomials: every deletion would take minutes
+             (gen_cycle_power(19, 3), (19, 3), [(0, 1, 2, 3)], 6),
+             (k4, None, [(0, 1, 2, 3), (3, 1, 0, 2), (0, 1, 2)], None)]
+    targets = [(hg, hint, [full_request(hg, colors) for colors in tuples], dels)
+               for hg, hint, tuples, dels in fixed]
+    while len(targets) < len(fixed) + 30:
+        hg = random_graph(rng, 5 + rng.below(4))
+        full = hg.full_mask
+        wides = []
+        for _ in range(40):
+            colors = tuple(rng.below(hg.n) for _ in range(2 + rng.below(2)))
+            if not _is_minimal(hg, colors, full):
+                continue
+            lists = (full,) * len(colors)
+            if not is_incomparable_set(hg, full):
+                lists = tuple(dominant_subset(hg, full) | 1 << c for c in colors)
+            try:
+                wides.append(ForbidRequest(
+                    hg, full & ~common_neighbors(hg, mask_of(colors), full),
+                    lists, tuple(range(len(colors))), colors))
+            except ValueError:
+                continue
+            if len(wides) == 2:
+                break
+        if wides:
+            targets.append((hg, None, wides, None))
+    seen: dict = {}
+    for hg, hint, wides, deletions in targets:
+        for wide in wides:
+            for poly, cases in _table_cases(hg, hint, wide, rng, deletions):
+                wants = [_certify_outcome(reference_certify_forbid, req, poly,
+                                          budget) for req, budget in cases]
+                for (req, budget), want in zip(cases, wants):
+                    _table.cache_clear()
+                    assert _certify_outcome(certify_forbid, req, poly,
+                                            budget) == want, (req, poly, budget)
+                _table.cache_clear()
+                with contextlib.suppress(BudgetExceededError):
+                    certify_forbid(wide, poly, DEFAULT_CERT_BUDGET)
+                for (req, budget), want in zip(cases, wants):
+                    assert _certify_outcome(certify_forbid, req, poly,
+                                            budget) == want, (req, poly, budget)
+                    key = str(want) if isinstance(want, bool) else want[0]
+                    seen[key] = seen.get(key, 0) + 1
+    assert min(seen.values()) >= 500 and len(seen) == 3, sorted(seen.items())
+
+
+def test_table_never_passes_an_edited_polynomial(c6, c13p2, monkeypatch):
+    """A table covers only the polynomial it was built for, and a memo hit
+    evaluates nothing."""
+    import importlib
+
+    from lhom.forbid import DEFAULT_CERT_BUDGET, _certified, _table
+    from oracle import reference_certify_forbid
+    module = importlib.import_module("lhom.forbid")
     for hg, hint, colors in ((c13p2, (13, 2), (0, 2, 4)),
                              (c6, None, (0, 2, 4))):
         req = full_request(hg, colors)
         good = forbid(req, hint)
         assert good.method in ("cycle-power", "c6")
-        # the same tuple on narrower lists passes through the memoized verdict
+        assert _table(hg, req.verts, good.poly) is not None
         narrow = ForbidRequest(hg, req.l_mask, tuple(
             mask_of([c, (c + 1) % hg.n]) for c in colors), req.verts, colors)
-        assert _certified(narrow, good.poly, good.method,
-                          DEFAULT_CERT_BUDGET).poly == good.poly
-        on_tuple = [mono for mono in good.poly.monomials
-                    if mono <= set(zip(req.verts, colors))]
-        assert on_tuple
+        with monkeypatch.context() as patched:
+            patched.setattr(module, "_transform", None)  # a call would fail
+            assert _certified(narrow, good.poly, good.method,
+                              DEFAULT_CERT_BUDGET) == good
+        failed = 0
         for mono in sorted(good.poly.monomials, key=sorted):
             edited = Gf2Poly(good.poly.monomials - {mono})
-            if certify_forbid(req, edited):
+            if reference_certify_forbid(req, edited):
+                assert certify_forbid(req, edited)
                 continue
+            failed += 1
+            assert not certify_forbid(req, edited)
             with pytest.raises(CertificationError):
                 _certified(req, edited, good.method, DEFAULT_CERT_BUDGET)
-        for mono in on_tuple:  # 0 on the forbidden tuple: fails every check
-            with pytest.raises(CertificationError):
-                _certified(req, Gf2Poly(good.poly.monomials - {mono}),
-                           good.method, DEFAULT_CERT_BUDGET)
+        assert failed
+
+
+def test_table_falls_back_to_the_scan(c13p2, monkeypatch):
+    """A polynomial that is 1 on a tuple inside N(w)^r for some w in L, but
+    off the request's lists, passes by the scan alone."""
+    import importlib
+
+    from lhom.forbid import _table
+    from oracle import reference_certify_forbid
+    module = importlib.import_module("lhom.forbid")
+    colors = (0, 2, 4)
+    req = full_request(c13p2, colors)
+    good = forbid(req, (13, 2)).poly
+    w = 7  # in L: no color of the tuple is within distance 2 of 7
+    assert req.l_mask >> w & 1
+    extra = (5, 6, 8)  # inside N(7)^3
+    bad = good + Gf2Poly.product_of_vars(zip(req.verts, extra))
+    narrow = ForbidRequest(c13p2, req.l_mask, tuple(
+        mask_of([c, (c + 1) % 13]) for c in colors), req.verts, colors)
+    assert not narrow.lists[0] >> extra[0] & 1
+    _, marked, _ = _table(c13p2, req.verts, bad)
+    assert marked & narrow.l_mask
+    transforms = []
+    transform = module._transform
+    monkeypatch.setattr(module, "_transform",
+                        lambda *args: transforms.append(1) or transform(*args))
+    assert certify_forbid(narrow, bad) and reference_certify_forbid(narrow, bad)
+    assert len(transforms) == 1  # the scan; the table was already built
+    assert not certify_forbid(req, bad) and not reference_certify_forbid(req, bad)
+
+
+def test_table_memo_is_bounded(c6):
+    """Each new vertex tuple is a new table; at most maxsize are kept."""
+    from lhom.forbid import _table
+    _table.cache_clear()
+    maxsize = _table.cache_info().maxsize
+    assert maxsize is not None
+    full = c6.full_mask
+    l_mask = full & ~common_neighbors(c6, mask_of((0, 2, 4)), full)
+    tuples = itertools.combinations(range(20), 3)
+    for verts in itertools.islice(tuples, maxsize + 8):
+        req = ForbidRequest(c6, l_mask, (full,) * 3, verts, (0, 2, 4))
+        assert forbid(req).method == "c6"
+    info = _table.cache_info()
+    assert info.misses == maxsize + 8 and info.currsize == maxsize

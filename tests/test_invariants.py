@@ -8,13 +8,11 @@ from lhom.generators import SplitMix64, gen_cycle_power, gen_subdivided_star
 from lhom.graphs import Graph, dominant_subset
 from lhom.invariants import (all_essential_sets, automorphism_generators,
                              classify, compute_c_star, compute_d_star,
-                             degree_probe, find_lbs, find_non_bi_arc_witness,
-                             max_degree_exchange_holds, verify_c_star_witness,
-                             verify_lbs)
+                             degree_probe, find_lbs, find_non_bi_arc_witness)
 
-from oracle import (brute_c_star, brute_lbs_exists, random_graph,
-                    reference_d_star, reference_degree_probe,
-                    reference_find_lbs)
+from oracle import (brute_c_star, brute_lbs_exists, max_degree_exchange_holds,
+                    random_graph, reference_d_star, reference_degree_probe,
+                    reference_find_lbs, verify_c_star_witness, verify_lbs)
 
 
 def test_c_star_cycles(c5, c6, c7):

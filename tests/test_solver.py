@@ -4,9 +4,10 @@ from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
 from lhom.generators import SplitMix64, gen_instance
 from lhom.graphs import Graph, Instance
-from lhom.solver import _Search, decide, enumerate_restricted, extendable
+from lhom.solver import _Search, decide, enumerate_restricted
 
-from oracle import (brute_decide, brute_restrictions, decide_two_phase, extendable_bounded, random_graph,
+from oracle import (brute_decide, brute_restrictions, decide_two_phase,
+                    extendable, extendable_bounded, random_graph,
                     reference_search)
 
 
