@@ -116,10 +116,16 @@ def _cmd_verify_kernel(args) -> int:
 
 def _parse_colors(text: str, h: int, what: str) -> list[int]:
     """The colors of a --tuple, --list or --lists part, checked against V(H)."""
-    colors = [int(x) for x in text.replace(",", " ").split()]
-    for c in colors:
+    colors = []
+    for part in text.replace(",", " ").split():
+        try:
+            c = int(part)
+        except ValueError as exc:
+            raise FormatError(
+                f"{what} color {part!r} is not an integer") from exc
         if not 0 <= c < h:
             raise FormatError(f"{what} color {c} is out of range 0..{h - 1}")
+        colors.append(c)
     return colors
 
 

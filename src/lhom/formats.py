@@ -61,8 +61,8 @@ def _ints(fields, lineno, expect=None):
     return vals
 
 
-def _naturals(fields, lineno):
-    vals = _ints(fields, lineno)
+def _naturals(fields, lineno, expect=None):
+    vals = _ints(fields, lineno, expect)
     if any(v < 0 for v in vals):
         raise FormatError(f"line {lineno}: expected non-negative integers")
     return vals
@@ -88,7 +88,7 @@ def parse_hgraph(text: str) -> tuple[Graph, dict]:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(fields) != 3 or fields[1] != "hgraph":
                 raise FormatError(f"line {lineno}: expected 'p hgraph <h>'")
-            (h,) = _ints(fields[2:], lineno, 1)
+            (h,) = _naturals(fields[2:], lineno, 1)
         elif kind == "e":
             if h is None:
                 raise FormatError(f"line {lineno}: edge before header")
@@ -124,7 +124,7 @@ def parse_instance(text: str) -> tuple[Instance, int]:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(fields) != 5 or fields[1] != "lhom":
                 raise FormatError(f"line {lineno}: expected 'p lhom <n> <m> <h>'")
-            header = _ints(fields[2:], lineno, 3)
+            header = _naturals(fields[2:], lineno, 3)
         elif header is None:
             raise FormatError(f"line {lineno}: data before header")
         elif kind == "e":
@@ -184,7 +184,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(fields) != 4 or fields[1] != "cnf":
                 raise FormatError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            header = _ints(fields[2:], lineno, 2)
+            header = _naturals(fields[2:], lineno, 2)
             continue
         if header is None:
             raise FormatError(f"line {lineno}: clause before header")

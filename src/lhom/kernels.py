@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .bitset import bit_list, iter_bits, mask_of
 # forbid_monomial and minimal_subrequest stay importable here because
 # perfbench/spans.py wraps them by name in this module
-from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
-                     forbid, forbid_monomial, minimal_subrequest)
+from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, forbid,
+                     forbid_monomial, minimal_subrequest)
 from .graphs import (Graph, Instance, cover_certificate, reduce_lists,
                      validate_instance)
 from .gf2 import Gf2Poly, extract_basis
@@ -32,11 +32,12 @@ class KernelReport:
     (cover subset, list) types.  For the polynomial method,
     constraints_total counts the constraint rows: one per color missing
     from a cover vertex's list, plus one per minimal no-common-neighbor
-    tuple on each type, where a row equal to an earlier row of its type is
-    counted but not given to the basis; constraints_retained counts the
-    rows the basis would keep.  The list rows are counted and retained by
-    construction and never reach the basis, so the basis sees constraint
-    rows only.
+    tuple on each type; constraints_retained counts the rows the basis
+    would keep.  The basis is given one row per distinct (cover subset,
+    polynomial) pair, so it sees distinct rows only: a later tuple with
+    the same pair is counted, but its row equals an earlier one.  The list
+    rows are counted and retained by construction and never reach the
+    basis.
     """
 
     kernel: Instance
@@ -183,8 +184,10 @@ def kernel_poly(inst: Instance, hg: Graph,
     A non-minimal tuple's polynomial is that of a minimal sub-tuple on a
     smaller subset, and a later vertex of the same type gives the same
     rows, so the basis would keep neither: the kernel is the one every
-    forbidden tuple's row would give.  Rows are packed (`lhom.gf2`): the
-    variable y[u, color] of the i-th cover vertex u is bit i * h + color.
+    forbidden tuple's row would give.  A later tuple with the same (cover
+    subset, polynomial) pair gives the same row, so the rows held grow with
+    the distinct rows, which the rank bound caps.  Rows are packed
+    (`lhom.gf2`): y[u, color] of the i-th cover vertex u is bit i * h + color.
     """
     red = reduce_lists(inst, hg)
     cert = cover_certificate(inst)
@@ -206,54 +209,39 @@ def kernel_poly(inst: Instance, hg: Graph,
     for v, i in index.items():
         list_vars |= (full & ~red.lists[v]) << i * h
     n_list = list_vars.bit_count()
-    rows: list[list[int]] = []
-    meta: list[tuple[int, int]] = []  # (outside vertex, cover subset mask)
-    duplicates = 0  # rows equal to an earlier row of their type
-    # (l_mask, f_lists, tup) of a minimal tuple -> its certified polynomial
-    # on canonical positions 0..r-1; synthesized once per call
-    canon_of: dict[tuple, ForbidResult] = {}
-    # canonical polynomial -> its monomials as tuples of canonical variable
-    # ids pos * h + color; one entry per distinct polynomial
-    ids_of: dict[Gf2Poly, tuple] = {}
+    # (cover subset mask, canonical polynomial) -> the outside vertex of its
+    # first minimal tuple; a later tuple with the same key gives the same
+    # row, which the basis could not keep
+    first: dict[tuple[int, Gf2Poly], int] = {}
+    tuples = 0
+    degree = 1  # a list row has degree 1, as has an empty row set
     for (x_mask, l_mask), v in _types(red, cover, c).items():
-        combo = bit_list(x_mask)
-        f_lists = tuple(red.lists[u] for u in combo)
-        # canonical variable id -> the bit of y[combo[pos], color]
-        table = [1 << index[u] * h + color for u in combo for color in range(h)]
-        placed: set[Gf2Poly] = set()
+        f_lists = tuple(red.lists[u] for u in bit_list(x_mask))
         # at x_mask == 0 the empty tuple has all of L as common neighbors,
         # so it gives no row
         for tup in itertools.product(*[bit_list(f) for f in f_lists]):
             if not _is_minimal(adj, full, l_mask, tup):
                 continue
-            key = (l_mask, f_lists, tup)
-            canon = canon_of.get(key)
-            if canon is None:
-                req = ForbidRequest(hg, l_mask, f_lists, tuple(range(len(tup))),
-                                    tup)
-                canon = canon_of[key] = forbid(req, cycle_power=cycle_power,
-                                               budget=budget)
-            if canon.poly in placed:  # the basis would not keep it
-                duplicates += 1
-                continue
-            placed.add(canon.poly)
-            ids = ids_of.get(canon.poly)
-            if ids is None:
-                ids = ids_of[canon.poly] = tuple(
-                    tuple(pos * h + color for pos, color in mono)
-                    for mono in canon.poly.monomials)
-            row = [sum(map(table.__getitem__, mono)) for mono in ids]
-            rows.append([mono for mono in row
-                         if not mono & list_vars or mono & mono - 1])
-            meta.append((v, x_mask))
+            req = ForbidRequest(hg, l_mask, f_lists, tuple(range(len(tup))),
+                                tup)
+            canon = forbid(req, cycle_power=cycle_power, budget=budget)
+            first.setdefault((x_mask, canon.poly), v)
+            tuples += 1
+            degree = max(degree, canon.degree)
 
-    # a list row has degree 1, as has an empty row set
-    degree = max((canon.degree for canon in canon_of.values()), default=1)
+    rows: list[list[int]] = []
+    for x_mask, poly in first:
+        combo = bit_list(x_mask)
+        row = [sum(1 << index[combo[pos]] * h + color for pos, color in mono)
+               for mono in poly.monomials]
+        rows.append([mono for mono in row
+                     if not mono & list_vars or mono & mono - 1])
     kept_idx = extract_basis(rows, m=k * h, d=degree)
+    keys = list(first.items())
 
     kept_nbrs: dict[int, int] = {}
     for idx in kept_idx:
-        v, x_mask = meta[idx]
+        (x_mask, _), v = keys[idx]
         kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
     kernel, vmap = _restrict(red, cover, kept_nbrs)
     retained = n_list + len(kept_idx)
@@ -263,7 +251,7 @@ def kernel_poly(inst: Instance, hg: Graph,
         vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
         vertices_out=kernel.graph.n, edges_out=kernel.graph.edge_count(),
         bound_k=k, bound_formula_ok=retained <= rank_bound, vertex_map=vmap,
-        constraints_total=n_list + len(rows) + duplicates,
+        constraints_total=n_list + tuples,
         constraints_retained=retained)
 
 

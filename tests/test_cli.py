@@ -87,6 +87,22 @@ def test_negative_instance_numbers_name_the_line(tmp_path, c6_file, capsys,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, command", [
+    ("bad.lh", "p lhom 1 0 -2\nl 0 0\n", ["solve", "{bad}", "--target", "{c6}"]),
+    ("bad.cnf", "p cnf -1 0\n",
+     ["reduce-sat", "{bad}", "--target", "{k4}", "--out", "{out}"]),
+    ("bad.hg", "p hgraph -1\n", ["invariants", "{bad}"]),
+], ids=["lhom", "cnf", "hgraph"])
+def test_negative_header_counts_name_the_line(tmp_path, c6_file, k4_file,
+                                              capsys, name, text, command):
+    bad = tmp_path / name
+    bad.write_text(text)
+    paths = {"bad": str(bad), "c6": c6_file, "k4": k4_file,
+             "out": str(tmp_path / "out.lh")}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert "line 1: expected non-negative integers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edge", ["0 -1", "3 0"])
 def test_hgraph_edge_out_of_range_names_the_line(tmp_path, capsys, edge):
     bad = tmp_path / "bad.hg"
@@ -188,6 +204,16 @@ def test_forbid_rejects_out_of_range_color(tmp_path, capsys, tup, color):
                  "--tuple", tup]) == 2
     err = capsys.readouterr().err
     assert f"tuple color {color} is out of range 0..12" in err
+
+
+@pytest.mark.parametrize("option, what", [
+    ("--tuple", "tuple"), ("--list", "list"), ("--lists", "candidate list")])
+def test_forbid_rejects_non_integer_color(c6_file, capsys, option, what):
+    args = {"--tuple": "0 2", "--list": "0 1 2 3 4 5", "--lists": "0 1;2 3"}
+    args[option] = "0 x"
+    assert main(["forbid", "--target", c6_file,
+                 *[arg for pair in args.items() for arg in pair]]) == 2
+    assert f"{what} color 'x' is not an integer" in capsys.readouterr().err
 
 
 def test_reduce_sat_pipeline(tmp_path, k4_file, capsys):

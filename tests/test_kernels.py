@@ -1,10 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
+from lhom import kernels
 from lhom.bitset import mask_of
 from lhom.errors import BudgetExceededError
 from lhom.generators import SplitMix64, gen_instance
+from lhom.gf2 import extract_basis
 from lhom.graphs import Graph, Instance, cover_certificate, greedy_vertex_cover
 from lhom.kernels import _restrict, kernel_marking, kernel_poly, kernelize
 from lhom.solver import decide
@@ -224,6 +227,46 @@ def test_poly_budget_is_not_masked_by_the_forbid_cache(c6):
     with pytest.raises(BudgetExceededError) as again:
         kernel_poly(inst, c6, budget=5)
     assert str(again.value) == message
+
+
+@pytest.mark.parametrize("target, n, k, hint", [
+    ("c13p2", 150, 4, (13, 2)), ("c6", 200, 3, (6, 1))])
+def test_poly_basis_gets_distinct_rows(monkeypatch, request, target, n, k,
+                                       hint):
+    """One row per distinct (cover subset, polynomial) reaches the basis.
+
+    A repeat could never be kept.  Both cases repeat rows across types:
+    deduplicated per type only, the basis would get 4,463 rows of which 302
+    are distinct, and 294 of which 26 are.
+    """
+    hg = request.getfixturevalue(target)
+    given = []
+
+    def spy(rows, m, d):
+        given.append(rows)
+        return extract_basis(rows, m=m, d=d)
+
+    monkeypatch.setattr(kernels, "extract_basis", spy)
+    kernel_poly(gen_instance(hg, n, k, 1), hg, cycle_power=hint)
+    (rows,) = given
+    assert len({frozenset(row) for row in rows}) == len(rows)
+
+
+def test_poly_memory_follows_the_distinct_rows(c13p2):
+    """The kernel's own state grows with the distinct rows, not the tuples.
+
+    With the target memos warm, a second call holds little beyond its 302
+    rows; a row or memo entry per tuple takes the peak here past 5 MB.
+    """
+    inst = gen_instance(c13p2, 150, 4, 1)
+    kernel_poly(inst, c13p2, cycle_power=(13, 2))
+    tracemalloc.start()
+    try:
+        kernel_poly(inst, c13p2, cycle_power=(13, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
 
 
 def _poly_outcome(kernel, inst, hg, hint, budget):
