@@ -39,6 +39,14 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_target(path: str) -> tuple[Graph, dict]:
     return formats.parse_hgraph(_read(path))
 
@@ -84,8 +92,7 @@ def _cmd_kernel(args) -> int:
     if args.emit:
         comments = (f"method={report.method} degree={report.degree_used} "
                     f"vin={report.vertices_in} vout={report.vertices_out}",)
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(formats.write_instance(report.kernel, hg.n, comments))
+        _write(args.emit, formats.write_instance(report.kernel, hg.n, comments))
     payload = {
         "method": report.method, "degree": report.degree_used,
         "vertices_in": report.vertices_in, "edges_in": report.edges_in,
@@ -180,8 +187,7 @@ def _cmd_reduce_sat(args) -> int:
                 f"order={lbs.order}",)
     text = formats.write_instance(inst, hg.n, comments)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         _emit(args, {"vertices": inst.graph.n,
                      "cover_size": len(bit_list(inst.cover)),
                      "out": args.out},
@@ -238,8 +244,7 @@ def _cmd_gen(args) -> int:
         comments = (f"gen: instance seed={args.seed} mode={args.mode}",)
         text = formats.write_instance(inst, hg.n, comments)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

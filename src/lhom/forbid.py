@@ -68,6 +68,13 @@ class ForbidResult:
     method: str
 
 
+def charge(size: int, budget: int) -> None:
+    """Raise when a scan of `size` tuples would exceed the budget."""
+    if size > budget:
+        raise BudgetExceededError(
+            f"certification needs {size} evaluations, budget is {budget}")
+
+
 def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
                    budget: int = DEFAULT_CERT_BUDGET) -> bool:
     """Check the forbidding contract over the candidate product.
@@ -94,9 +101,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     for f in lists:
         strides.append(size)
         size *= popcount(f)
-    if size > budget:
-        raise BudgetExceededError(
-            f"certification needs {size} evaluations, budget is {budget}")
+    charge(size, budget)
     parity = _transform(poly, variables, req.verts + tuple(extras), lists,
                         strides)
     strays = 1
@@ -213,10 +218,7 @@ def forbid_monomial(req: ForbidRequest,
     on S0, and the request proves that S0 has no common neighbor in L.  The
     budget still applies to the candidate product a scan would cover.
     """
-    size = math.prod(map(popcount, req.lists))
-    if size > budget:
-        raise BudgetExceededError(
-            f"certification needs {size} evaluations, budget is {budget}")
+    charge(math.prod(map(popcount, req.lists)), budget)
     poly = Gf2Poly.product_of_vars(zip(req.verts, req.colors))
     return ForbidResult(poly, req.width, "monomial")
 
@@ -398,25 +400,32 @@ def special_construction(hg: Graph,
     return None
 
 
+def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
+                 width: int) -> str | None:
+    """The route of a minimal request (its colors distinct) of this width:
+    "cycle-power" (width p + 1), "c6" (width 3) or "linear-system" (width
+    d_star + 1 >= 2), each of which reads L, else None: the plain monomial.
+    """
+    route = special_construction(hg, cycle_power)
+    if route == "c6" and width <= 3:
+        return route if width == 3 else None
+    if route == "cycle-power" and width == cycle_power[1] + 1:
+        return route
+    return "linear-system" if 2 <= width == compute_d_star(hg)[0] + 1 else None
+
+
 def forbid(req: ForbidRequest, cycle_power: tuple[int, int] | None = None,
            budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
-    """Best certified construction for a request.
-
-    Tries, in order: minimal subsequence reduction, the special
-    construction of the target (`special_construction`) when the width
-    suits it, the linear-system synthesizer at the lower-bound order, and
-    finally the plain monomial.
-    """
+    """Best certified construction: the route (`forbid_route`) of the
+    minimal subsequence, or the monomial when its linear system fails."""
     sub, _ = minimal_subrequest(req)
-    hg = req.target
-    route = special_construction(hg, cycle_power)
-    if route == "cycle-power" and sub.width == cycle_power[1] + 1:
+    route = forbid_route(req.target, cycle_power, sub.width)
+    if route == "cycle-power":
         return forbid_cycle_power(sub, *cycle_power, budget)
-    if route == "c6" and sub.width <= 3:
+    if route == "c6":
         return forbid_c6(sub, budget)
-    d_star, _ = compute_d_star(hg)
-    if sub.width == d_star + 1 and d_star >= 1 and len(set(sub.colors)) == sub.width:
-        result = forbid_linear_system(sub, d_star, budget)
+    if route == "linear-system":
+        result = forbid_linear_system(sub, sub.width - 1, budget)
         if result is not None:
             return result
     return forbid_monomial(sub, budget)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from .bitset import bit_list, iter_bits, mask_of
 # forbid_monomial and minimal_subrequest stay importable here because
 # perfbench/spans.py wraps them by name in this module
-from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, forbid,
-                     forbid_monomial, minimal_subrequest)
-from .graphs import (Graph, Instance, cover_certificate, reduce_lists,
-                     validate_instance)
+from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, charge, forbid,
+                     forbid_monomial, forbid_route, minimal_subrequest)
+from .graphs import (Graph, Instance, cover_certificate, is_incomparable_set,
+                     reduce_lists, validate_instance)
 from .gf2 import Gf2Poly, extract_basis
 from .invariants import compute_c_star
 
@@ -33,11 +33,9 @@ class KernelReport:
     constraints_total counts the constraint rows: one per color missing
     from a cover vertex's list, plus one per minimal no-common-neighbor
     tuple on each type; constraints_retained counts the rows the basis
-    would keep.  The basis is given one row per distinct (cover subset,
-    polynomial) pair, so it sees distinct rows only: a later tuple with
-    the same pair is counted, but its row equals an earlier one.  The list
-    rows are counted and retained by construction and never reach the
-    basis.
+    would keep.  The basis sees one row per distinct (cover subset,
+    polynomial) pair; a later tuple with the same pair is only counted.
+    The list rows are counted and retained without the basis.
     """
 
     kernel: Instance
@@ -149,26 +147,41 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
         constraints_total=len(chosen), constraints_retained=len(chosen))
 
 
-def _is_minimal(adj: tuple[int, ...], full: int, l_mask: int,
-                colors: tuple[int, ...]) -> bool:
-    """Is this a minimal no-common-neighbor tuple in L?
-
-    A tuple is minimal when dropping any one position leaves a common
-    neighbor in L; by monotonicity no smaller sub-tuple need be checked.
-    The common neighborhood of each leave-one-out tuple is the AND of a
-    prefix and a suffix of the colors' neighborhoods.
-    """
-    prefix = [full]
-    for color in colors:
-        prefix.append(prefix[-1] & adj[color])
-    if prefix[-1] & l_mask:
-        return False
-    suffix = l_mask
-    for i in reversed(range(len(colors))):
-        if not prefix[i] & suffix:
-            return False
-        suffix &= adj[colors[i]]
-    return True
+def _minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
+                    cands: tuple[list[int], ...]):
+    """The minimal no-common-neighbor tuples in a non-empty L of the
+    product of cands, in `itertools.product` order.  The depth-first walk
+    skips a proper prefix with no common neighbor in L (an extension would
+    have none without its last position); a last color must meet each
+    leave-one-out neighborhood of its prefix, a stored prefix AND a suffix."""
+    last = len(cands) - 1
+    prefix = [full] * (last + 1)  # prefix[j]: common neighbors of tup[:j]
+    tup = [0] * last
+    stack = [iter(cands[0])] if cands else []
+    while stack:
+        j = len(stack) - 1
+        if j < last:
+            color = next(stack[j], None)
+            if color is None:
+                stack.pop()
+            elif prefix[j] & adj[color] & l_mask:
+                tup[j], prefix[j + 1] = color, prefix[j] & adj[color]
+                stack.append(iter(cands[j + 1]))
+            continue
+        stack.pop()
+        outs, suffix = [], l_mask
+        for i in reversed(range(last)):
+            outs.append(prefix[i] & suffix)
+            suffix &= adj[tup[i]]
+        base = prefix[last] & l_mask
+        for color in cands[last] if all(outs) else ():
+            near = adj[color]
+            if not base & near:
+                for out in outs:
+                    if not out & near:
+                        break
+                else:
+                    yield (*tup, color)
 
 
 def kernel_poly(inst: Instance, hg: Graph,
@@ -176,18 +189,16 @@ def kernel_poly(inst: Instance, hg: Graph,
                 budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
     """Polynomial-method kernel.
 
-    After list reduction it walks the same first-seen types as the marking
-    kernel (`_types`), but over the reduced lists.  Each minimal
-    no-common-neighbor tuple on a type contributes a certified forbidding
-    polynomial, placed on the type's lowest vertex; a streaming GF(2) basis
-    then decides which outside vertices and which of their edges survive.
-    A non-minimal tuple's polynomial is that of a minimal sub-tuple on a
-    smaller subset, and a later vertex of the same type gives the same
-    rows, so the basis would keep neither: the kernel is the one every
-    forbidden tuple's row would give.  A later tuple with the same (cover
-    subset, polynomial) pair gives the same row, so the rows held grow with
-    the distinct rows, which the rank bound caps.  Rows are packed
-    (`lhom.gf2`): y[u, color] of the i-th cover vertex u is bit i * h + color.
+    After list reduction it walks the marking kernel's first-seen types
+    (`_types`) over the reduced lists, and only their minimal
+    no-common-neighbor tuples (`_minimal_tuples`); a non-minimal tuple's
+    row is that of a minimal sub-tuple on a smaller subset.  A tuple on a
+    route that reads L (`forbid_route`) gets `forbid`'s certified
+    polynomial, any other its plain monomial, on the type's lowest vertex.
+    A streaming GF(2) basis of one row per distinct (cover subset,
+    polynomial) decides which outside vertices and edges survive.  Rows are
+    packed (`lhom.gf2`): y[u, color] of the i-th cover vertex u is bit
+    i * h + color.
     """
     red = reduce_lists(inst, hg)
     cert = cover_certificate(inst)
@@ -200,34 +211,44 @@ def kernel_poly(inst: Instance, hg: Graph,
     adj, full = hg.adj, hg.full_mask
     index = {u: i for i, u in enumerate(bit_list(cover))}
 
-    # each color c missing from a cover vertex u's list gives the unit row
-    # y[u, c], placed ahead of every other row: the streaming basis would
-    # keep all of them, and each cancels only its own degree-1 column in
-    # later rows, so they are counted and retained without the basis and
-    # that column is dropped from every constraint row
+    # a color c missing from a cover vertex u's list gives the unit row
+    # y[u, c]; the basis would keep all of these ahead of the other rows, so
+    # they bypass it, and their degree-1 monomials leave every other row
     list_vars = 0
     for v, i in index.items():
         list_vars |= (full & ~red.lists[v]) << i * h
     n_list = list_vars.bit_count()
-    # (cover subset mask, canonical polynomial) -> the outside vertex of its
-    # first minimal tuple; a later tuple with the same key gives the same
-    # row, which the basis could not keep
+    # a request's other checks hold by construction or by the walk's test
+    if not all(is_incomparable_set(hg, f)
+               for f in {red.lists[u] for u in index}):
+        raise ValueError("a reduced cover list is not incomparable")
+    routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
+    subsets = {}  # cover subset mask -> its lists, their colors, product size
+    # (cover subset mask, polynomial) -> the vertex of its first minimal tuple
     first: dict[tuple[int, Gf2Poly], int] = {}
+    seen = set()  # (cover subset mask, tuple) of the monomials placed
     tuples = 0
     degree = 1  # a list row has degree 1, as has an empty row set
     for (x_mask, l_mask), v in _types(red, cover, c).items():
-        f_lists = tuple(red.lists[u] for u in bit_list(x_mask))
-        # at x_mask == 0 the empty tuple has all of L as common neighbors,
-        # so it gives no row
-        for tup in itertools.product(*[bit_list(f) for f in f_lists]):
-            if not _is_minimal(adj, full, l_mask, tup):
-                continue
-            req = ForbidRequest(hg, l_mask, f_lists, tuple(range(len(tup))),
-                                tup)
-            canon = forbid(req, cycle_power=cycle_power, budget=budget)
-            first.setdefault((x_mask, canon.poly), v)
+        if x_mask not in subsets:
+            f_lists = tuple(red.lists[u] for u in bit_list(x_mask))
+            cands = tuple(map(bit_list, f_lists))
+            subsets[x_mask] = f_lists, cands, math.prod(map(len, cands))
+        f_lists, cands, size = subsets[x_mask]
+        for tup in _minimal_tuples(adj, full, l_mask, cands):
             tuples += 1
-            degree = max(degree, canon.degree)
+            if routes[len(tup)]:
+                req = ForbidRequest(hg, l_mask, f_lists,
+                                    tuple(range(len(tup))), tup)
+                canon = forbid(req, cycle_power=cycle_power, budget=budget)
+                first.setdefault((x_mask, canon.poly), v)
+                degree = max(degree, canon.degree)
+            elif (x_mask, tup) not in seen:
+                charge(size, budget)
+                seen.add((x_mask, tup))
+                first.setdefault(
+                    (x_mask, Gf2Poly.product_of_vars(enumerate(tup))), v)
+                degree = max(degree, len(tup))
 
     rows: list[list[int]] = []
     for x_mask, poly in first:

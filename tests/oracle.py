@@ -29,6 +29,12 @@ worked on adjacency masks: it lists every edge of the input, keeps those
 inside the cover, adds the kept outside edges and builds the kernel
 through `Graph.from_edges`.
 
+`reference_minimal_tuples` is the kernels' constraint walk as it was
+before `lhom.kernels._minimal_tuples` pruned it: the whole
+`itertools.product` of the candidate lists, each tuple kept when it has no
+common neighbor in L and every leave-one-out tuple has one, read off the
+ANDs of a prefix and a suffix of the colors' neighborhoods.
+
 `reference_forbid` is `lhom.forbid.forbid` as it was before certification
 by construction and by a per-polynomial table: every polynomial, the plain
 monomial included, is certified by `reference_certify_forbid` on its own
@@ -811,6 +817,27 @@ def reference_restrict(inst: Instance, cover: int, kept_nbrs: dict[int, int]
                       tuple(inst.lists[v] for v in kept),
                       mask_of(index[v] for v in iter_bits(cover)))
     return kernel, tuple(kept)
+
+
+def reference_minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
+                             cands) -> list[tuple[int, ...]]:
+    """Every tuple of the product of cands that is a minimal
+    no-common-neighbor tuple in L, in product order."""
+    out = []
+    for colors in itertools.product(*cands):
+        prefix = [full]
+        for color in colors:
+            prefix.append(prefix[-1] & adj[color])
+        if prefix[-1] & l_mask:
+            continue
+        suffix = l_mask
+        for i in reversed(range(len(colors))):
+            if not prefix[i] & suffix:
+                break
+            suffix &= adj[colors[i]]
+        else:
+            out.append(colors)
+    return out
 
 
 def reference_kernel_poly(inst: Instance, hg: Graph,

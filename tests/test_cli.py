@@ -370,3 +370,25 @@ def test_budget_env_boundary(tmp_path, k4, k4_file, k4_reductions,
     monkeypatch.setenv("LHOM_NODE_BUDGET", str(n - 1))
     assert main(["solve", str(inst), "--target", k4_file]) == 3
     assert f"search exceeded {n - 1} nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["kernel", "{lh}", "--target", "{c6}", "--method", "poly",
+     "--emit", "{out}"],
+    ["gen", "hgraph", "cycle-power", "--k", "6", "--p", "1", "--out", "{out}"],
+    ["reduce-sat", "{cnf}", "--target", "{k4}", "--out", "{out}"],
+], ids=["kernel", "gen", "reduce-sat"])
+def test_unwritable_output_is_a_usage_error(tmp_path, c6_file, k4_file,
+                                            capsys, command):
+    """A path that cannot be written exits 2 with its name, not with the
+    code of a negative answer."""
+    lh = tmp_path / "i.lh"
+    lh.write_text(write_instance(gen_instance(gen_cycle_power(6, 1), 12, 3,
+                                              1), 6))
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    out = tmp_path / "missing" / "out"
+    paths = {"lh": str(lh), "cnf": str(cnf), "c6": c6_file, "k4": k4_file,
+             "out": str(out)}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import pytest
 
 from lhom import kernels
-from lhom.bitset import mask_of
+from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
-from lhom.generators import SplitMix64, gen_instance
+from lhom.forbid import forbid
+from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.gf2 import extract_basis
 from lhom.graphs import Graph, Instance, cover_certificate, greedy_vertex_cover
 from lhom.kernels import _restrict, kernel_marking, kernel_poly, kernelize
@@ -365,3 +367,74 @@ def test_restrict_matches_edge_list_reference():
         looped += any(g.adj[v] >> v & 1 for v in range(n))
     assert holes >= 100 and interleaved >= 100 and looped >= 150, \
         (holes, interleaved, looped)
+
+
+def test_minimal_tuples_match_the_full_product(c13p2, k4):
+    """The pruned walk yields the full product's minimal tuples, in order.
+
+    Candidate lists are random incomparable sets of widths 1 to 4, L is a
+    random non-empty list, and the targets are C13^2, C19^3, K4 and random
+    graphs on up to 7 vertices.
+    """
+    from lhom.graphs import dominant_subset
+    from oracle import random_graph, reference_minimal_tuples
+    rng = SplitMix64(74)
+    fixed = (c13p2, gen_cycle_power(19, 3), k4)
+    found = 0
+    for trial in range(600):
+        hg = fixed[trial % 4] if trial % 4 < 3 else \
+            random_graph(rng, 1 + rng.below(7))
+        full = hg.full_mask
+        cands = tuple(bit_list(dominant_subset(hg, 1 + rng.below(full)))
+                      for _ in range(1 + rng.below(4)))
+        l_mask = 1 + rng.below(full)
+        want = reference_minimal_tuples(hg.adj, full, l_mask, cands)
+        got = list(kernels._minimal_tuples(hg.adj, full, l_mask, cands))
+        assert got == want, (trial, hg, l_mask, cands)
+        found += len(want) > 1
+    assert found >= 100, found
+
+
+def test_poly_calls_forbid_only_where_the_list_matters(monkeypatch, c13p2):
+    """Only width-3 tuples take C13^2's cycle-power route, which reads L.
+
+    Every narrower minimal tuple becomes its plain monomial without a
+    call, so 320 of the 4,737 minimal tuples reach `forbid`.  The report
+    is pinned byte for byte.
+    """
+    widths = []
+
+    def counting(req, **kwargs):
+        widths.append(req.width)
+        return forbid(req, **kwargs)
+
+    monkeypatch.setattr(kernels, "forbid", counting)
+    report = kernel_poly(gen_instance(c13p2, 150, 4, 1), c13p2,
+                         cycle_power=(13, 2))
+    assert set(widths) == {3} and len(widths) == 320
+    assert (report.degree_used, report.vertices_out, report.edges_out,
+            report.constraints_total, report.constraints_retained) == \
+        (2, 45, 91, 4761, 326)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+        "8bb436e6ef92eabf831b9183259f050857684218bd293497971ca7873450bc29")
+
+
+@pytest.mark.parametrize("k, p, hint, budget, want", [
+    (13, 2, True, 200, 240),
+    (13, 2, True, 3000, (2674, 235)),
+    (6, 1, False, 30, 50),
+    (4, 2, False, 8, 12),
+    (19, 3, True, 3000, 7200),
+], ids=["c13p2-200", "c13p2-3000", "c6-30", "k4-8", "c19p3-3000"])
+def test_poly_budget_errors_are_pinned(k, p, hint, budget, want):
+    """The first budget error of the walk, or the report when none is hit."""
+    hg = gen_cycle_power(k, p)
+    args = gen_instance(hg, 120, 4, 3), hg, (k, p) if hint else None, budget
+    if isinstance(want, tuple):
+        report = kernel_poly(*args)
+        assert (report.constraints_total, report.constraints_retained) == want
+        return
+    with pytest.raises(BudgetExceededError) as err:
+        kernel_poly(*args)
+    assert str(err.value) == \
+        f"certification needs {want} evaluations, budget is {budget}"
