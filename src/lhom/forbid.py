@@ -22,7 +22,8 @@ from .bitset import bit_list, iter_bits, mask_of, popcount
 from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, common_neighbors, is_incomparable_set
 from .gf2 import Gf2Poly, poly_local, shadow_solution
-from .invariants import compute_d_star
+from .invariants import (_is_cycle_power, compute_c_star, compute_d_star,
+                         cycle_frame, special_construction)
 
 DEFAULT_CERT_BUDGET = 2_000_000
 
@@ -183,11 +184,10 @@ def _repunit(m: int, s: int) -> int:
 # at most maxsize tables, each no longer than its caller's budget in bits
 @functools.lru_cache(maxsize=64)
 def _table(target: Graph, verts: tuple[int, ...],
-           poly: Gf2Poly) -> tuple[int, int, int] | None:
+           poly: Gf2Poly) -> tuple[int, int] | None:
     """poly's values on all of V(H)^r (color c at position i adds c * h^i
-    to a tuple's bit index), the mask of colors w where poly is 1 somewhere
-    on N(w)^r, and poly's degree; None when poly has a vertex outside verts.
-    """
+    to a tuple's bit index) and the mask of colors w where poly is 1
+    somewhere on N(w)^r; None when poly has a vertex outside verts."""
     variables = frozenset().union(*poly.monomials)
     if not {v for v, _ in variables} <= set(verts):
         return None
@@ -196,18 +196,18 @@ def _table(target: Graph, verts: tuple[int, ...],
     values = _transform(poly, variables, verts, lists, strides)
     marked = mask_of(w for w in range(target.n)
                      if values & _box(target.adj[w], lists, strides, 1))
-    return values, marked, poly.degree()
+    return values, marked
 
 
-def _certified(req, poly, method, budget) -> ForbidResult:
+def _certified(req, poly, degree, method, budget) -> ForbidResult:
     """The result, once poly passes `certify_forbid` on req; else raises.
-    A memo hit takes the degree from the table, not from the monomials."""
+    The caller states the degree: poly sums `poly_local` blocks of degree
+    colors each, every monomial of a block uses all of its colors, so blocks
+    on distinct color sets share none and a nonzero sum has that degree."""
     if not certify_forbid(req, poly, budget):
         raise CertificationError(f"{method} construction failed "
                                  f"certification for tuple {req.colors}")
-    entry = req.target.n ** req.width <= budget and _table(
-        req.target, req.verts, poly)
-    return ForbidResult(poly, entry[2] if entry else poly.degree(), method)
+    return ForbidResult(poly, degree, method)
 
 
 def forbid_monomial(req: ForbidRequest,
@@ -221,22 +221,6 @@ def forbid_monomial(req: ForbidRequest,
     charge(math.prod(map(popcount, req.lists)), budget)
     poly = Gf2Poly.product_of_vars(zip(req.verts, req.colors))
     return ForbidResult(poly, req.width, "monomial")
-
-
-def cycle_frame(g: Graph) -> tuple[int, ...] | None:
-    """Cyclic vertex order when g is a single loopless cycle, else None."""
-    if g.n < 3 or any(g.degree(v) != 2 or g.adj[v] >> v & 1 for v in range(g.n)):
-        return None
-    frame = [0]
-    prev = None
-    while True:
-        nbrs = [u for u in iter_bits(g.adj[frame[-1]]) if u != prev]
-        nxt = nbrs[0]
-        if nxt == 0:
-            break
-        prev = frame[-1]
-        frame.append(nxt)
-    return tuple(frame) if len(frame) == g.n else None
 
 
 def forbid_c6(req: ForbidRequest, budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
@@ -264,26 +248,12 @@ def forbid_c6(req: ForbidRequest, budget: int = DEFAULT_CERT_BUDGET) -> ForbidRe
     poly = Gf2Poly.sum_of(
         poly_local(pair, req.verts, req.target.n)
         for pair in itertools.combinations(sorted(s_set, key=lambda v: pos[v]), 2))
-    return _certified(req, poly, "c6", budget)
+    return _certified(req, poly, 2, "c6", budget)
 
 
 def _cyclic_dist(k: int, u: int, v: int) -> int:
     d = abs(u - v) % k
     return min(d, k - d)
-
-
-@functools.lru_cache(maxsize=256)
-def _is_cycle_power(g: Graph, k: int, p: int) -> bool:
-    if g.n != k:
-        return False
-    for u in range(k):
-        want = 0
-        for v in range(k):
-            if v != u and _cyclic_dist(k, u, v) <= p:
-                want |= 1 << v
-        if g.adj[u] != want:
-            return False
-    return True
 
 
 def forbid_cycle_power(req: ForbidRequest, k: int, p: int,
@@ -304,7 +274,7 @@ def forbid_cycle_power(req: ForbidRequest, k: int, p: int,
     if req.width != p + 1 or len(set(req.colors)) != p + 1:
         raise ValueError("tuple must use p + 1 distinct colors")
     poly = _cycle_power_poly(k, p, req.verts)
-    return _certified(req, poly, "cycle-power", budget)
+    return _certified(req, poly, p, "cycle-power", budget)
 
 
 @functools.lru_cache(maxsize=64)
@@ -353,7 +323,7 @@ def forbid_linear_system(req: ForbidRequest, target_degree: int,
     if sets is None:
         return None
     poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)
-    return _certified(req, poly, "linear-system", budget)
+    return _certified(req, poly, target_degree, "linear-system", budget)
 
 
 def _achievable(lists: tuple[int, ...], combo) -> bool:
@@ -387,31 +357,22 @@ def minimal_subrequest(req: ForbidRequest) -> tuple[ForbidRequest, tuple[int, ..
     return sub, tuple(kept)
 
 
-def special_construction(hg: Graph,
-                         cycle_power: tuple[int, int] | None) -> str | None:
-    """The route for hg: "cycle-power" when the hint (k, p) names hg itself
-    with p >= 2 and k > 6p, "c6" when hg is a 6-cycle, else None."""
-    if cycle_power is not None:
-        k, p = cycle_power
-        if p >= 2 and k > 6 * p and _is_cycle_power(hg, k, p):
-            return "cycle-power"
-    if hg.n == 6 and cycle_frame(hg) is not None:
-        return "c6"
-    return None
-
-
 def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
                  width: int) -> str | None:
     """The route of a minimal request (its colors distinct) of this width:
     "cycle-power" (width p + 1), "c6" (width 3) or "linear-system" (width
     d_star + 1 >= 2), each of which reads L, else None: the plain monomial.
+    A minimal request has width <= c_star <= d_star + 1, so the linear
+    system can only apply at width c_star, the one width that reads d_star.
     """
     route = special_construction(hg, cycle_power)
     if route == "c6" and width <= 3:
         return route if width == 3 else None
     if route == "cycle-power" and width == cycle_power[1] + 1:
         return route
-    return "linear-system" if 2 <= width == compute_d_star(hg)[0] + 1 else None
+    c = compute_c_star(hg).value
+    return ("linear-system" if 2 <= width == c
+            and compute_d_star(hg)[0] == c - 1 else None)
 
 
 def forbid(req: ForbidRequest, cycle_power: tuple[int, int] | None = None,

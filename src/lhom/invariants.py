@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .bitset import bit_list, iter_bits, mask_of, popcount
+from .generators import gen_cycle_power
 from .gf2 import shadow_solution
 from .graphs import Graph, common_neighbors, incomparable
 
@@ -340,6 +341,41 @@ def degree_probe(hg: Graph) -> dict:
     return report
 
 
+def cycle_frame(g: Graph) -> tuple[int, ...] | None:
+    """Cyclic vertex order when g is a single loopless cycle, else None."""
+    if g.n < 3 or any(g.degree(v) != 2 or g.adj[v] >> v & 1 for v in range(g.n)):
+        return None
+    frame = [0]
+    prev = None
+    while True:
+        nbrs = [u for u in iter_bits(g.adj[frame[-1]]) if u != prev]
+        nxt = nbrs[0]
+        if nxt == 0:
+            break
+        prev = frame[-1]
+        frame.append(nxt)
+    return tuple(frame) if len(frame) == g.n else None
+
+
+@lru_cache(maxsize=256)
+def _is_cycle_power(g: Graph, k: int, p: int) -> bool:
+    # the order test first: a hint with a huge k builds nothing
+    return g.n == k and g == gen_cycle_power(k, p)
+
+
+def special_construction(hg: Graph,
+                         cycle_power: tuple[int, int] | None) -> str | None:
+    """The route for hg: "cycle-power" when the hint (k, p) names hg itself
+    with p >= 2 and k > 6p, "c6" when hg is a 6-cycle, else None."""
+    if cycle_power is not None:
+        k, p = cycle_power
+        if p >= 2 and k > 6 * p and _is_cycle_power(hg, k, p):
+            return "cycle-power"
+    if hg.n == 6 and cycle_frame(hg) is not None:
+        return "c6"
+    return None
+
+
 def classify(hg: Graph, cycle_power: tuple[int, int] | None = None) -> dict:
     """Summarize the invariants and the kernel degree this toolkit certifies."""
     cw = compute_c_star(hg)
@@ -356,8 +392,6 @@ def classify(hg: Graph, cycle_power: tuple[int, int] | None = None) -> dict:
         "d_star_witness": None if lbs is None else {
             "l": bit_list(lbs.l_mask), "xs": list(lbs.xs), "xps": list(lbs.xps)},
     }
-    from .forbid import special_construction
-
     route = special_construction(hg, cycle_power)
     if cw.value == d:
         rec = d, "marking"

@@ -20,10 +20,10 @@ from .graphs import Graph, Instance, validate_instance
 DEFAULT_NODE_BUDGET = 10**7
 
 
-def node_budget_from_env(default: int = DEFAULT_NODE_BUDGET) -> int:
+def node_budget_from_env() -> int:
     raw = os.environ.get("LHOM_NODE_BUDGET")
     if raw is None:
-        return default
+        return DEFAULT_NODE_BUDGET
     try:
         budget = int(raw)
     except ValueError:

@@ -252,6 +252,97 @@ def test_forbid_dispatch(c5, c6, c13p2, k4):
     assert res.degree == 3 and res.method == "linear-system"
 
 
+def test_hinted_cycle_powers_never_reach_d_star(c13p2, k4, monkeypatch):
+    """A minimal request is no wider than c_star, so the linear system can
+    only apply at width c_star; on a hinted cycle power the cycle-power
+    route claims that width, and neither kernel_poly nor forbid reads d_star.
+    K4, with no special route, still reaches the linear system."""
+    import importlib
+
+    from lhom.generators import gen_instance
+    from lhom.kernels import kernel_poly
+    module = importlib.import_module("lhom.forbid")
+    compute_d_star = module.compute_d_star
+
+    def refuse(hg):
+        raise AssertionError("d_star was computed")
+
+    monkeypatch.setattr(module, "compute_d_star", refuse)
+    for (k, p), n, size, pinned in (((13, 2), 150, 4, (326, 4761, 45)),
+                                    ((19, 3), 100, 4, (754, 5913, 54)),
+                                    ((31, 5), 40, 3, (769, 3663, 21))):
+        hg = gen_cycle_power(k, p)
+        report = kernel_poly(gen_instance(hg, n, size, 1), hg,
+                             cycle_power=(k, p))
+        assert (report.constraints_retained, report.constraints_total,
+                report.vertices_out) == pinned, (k, p)
+    res = forbid(full_request(c13p2, (0, 2, 4)), cycle_power=(13, 2))
+    assert res.method == "cycle-power" and res.degree == 2
+    asked = []
+    monkeypatch.setattr(module, "compute_d_star",
+                        lambda hg: asked.append(hg) or compute_d_star(hg))
+    res = forbid(full_request(k4, (0, 1, 2, 3)))
+    assert res.method == "linear-system" and res.degree == 3
+    assert asked == [k4]
+
+
+def test_stated_degree_is_the_real_degree(c6, c13p2, k4):
+    """Each construction states its degree; on seeded minimal requests of
+    every route it equals the polynomial's degree, and the outcome equals
+    the reference that scans every polynomial and reads its degree."""
+    from lhom.graphs import dominant_subset
+    from lhom.invariants import all_essential_sets
+    from oracle import random_graph, reference_forbid
+    rng = SplitMix64(57)
+    fixed = [(c6, None), (c13p2, (13, 2)), (gen_cycle_power(19, 3), (19, 3)),
+             (k4, None)]
+    seen: dict = {}
+    for done in range(200):
+        if done % 5 == 4:
+            hg, hint = random_graph(rng, 2 + rng.below(5)), None
+        else:
+            hg, hint = fixed[done % 5]
+        full = hg.full_mask
+        sets = [s for s in all_essential_sets(hg) if s]
+        if rng.below(3):  # mostly the widest, where the special routes act
+            widest = max(map(popcount, sets))
+            sets = [s for s in sets if popcount(s) == widest]
+        colors = bit_list(sets[rng.below(len(sets))])
+        for i in range(len(colors) - 1, 0, -1):
+            j = rng.below(i + 1)
+            colors[i], colors[j] = colors[j], colors[i]
+        lists = (full,) * len(colors)
+        if rng.below(2):
+            lists = tuple(dominant_subset(hg, (rng.below(full + 1) | 1 << c)
+                                          & full) for c in colors)
+        l_mask = full & ~common_neighbors(hg, mask_of(colors), full)
+        try:
+            req = ForbidRequest(hg, l_mask, lists, tuple(range(len(colors))),
+                                tuple(colors))
+        except ValueError:
+            continue
+        res = forbid(req, hint)
+        assert (res.method, res.degree, res.poly) == _forbid_outcome(
+            reference_forbid, req, hint, 2_000_000), req
+        assert res.degree == res.poly.degree(), req
+        seen[res.method] = seen.get(res.method, 0) + 1
+    assert all(seen.get(method, 0) >= 20 for method in
+               ("c6", "cycle-power", "linear-system", "monomial")), seen
+
+
+def test_a_huge_hint_builds_no_cycle_power(c13p2, monkeypatch):
+    """The order test comes first, so a hint naming a huge cycle is turned
+    down without building it."""
+    import lhom.invariants as invariants
+
+    def refuse(k, p):
+        raise AssertionError("a cycle power was built")
+
+    monkeypatch.setattr(invariants, "gen_cycle_power", refuse)
+    assert invariants._is_cycle_power(c13p2, 10**6, 2) is False
+    assert invariants.special_construction(c13p2, (10**6, 2)) is None
+
+
 def test_forbid_shrinks_padded_tuples(c6):
     v_all = c6.full_mask
     req = ForbidRequest(c6, v_all, (v_all,) * 3, (0, 1, 2), (0, 3, 3))
@@ -631,7 +722,7 @@ def test_table_never_passes_an_edited_polynomial(c6, c13p2, monkeypatch):
             mask_of([c, (c + 1) % hg.n]) for c in colors), req.verts, colors)
         with monkeypatch.context() as patched:
             patched.setattr(module, "_transform", None)  # a call would fail
-            assert _certified(narrow, good.poly, good.method,
+            assert _certified(narrow, good.poly, good.degree, good.method,
                               DEFAULT_CERT_BUDGET) == good
         failed = 0
         for mono in sorted(good.poly.monomials, key=sorted):
@@ -642,7 +733,8 @@ def test_table_never_passes_an_edited_polynomial(c6, c13p2, monkeypatch):
             failed += 1
             assert not certify_forbid(req, edited)
             with pytest.raises(CertificationError):
-                _certified(req, edited, good.method, DEFAULT_CERT_BUDGET)
+                _certified(req, edited, good.degree, good.method,
+                           DEFAULT_CERT_BUDGET)
         assert failed
 
 
@@ -664,7 +756,7 @@ def test_table_falls_back_to_the_scan(c13p2, monkeypatch):
     narrow = ForbidRequest(c13p2, req.l_mask, tuple(
         mask_of([c, (c + 1) % 13]) for c in colors), req.verts, colors)
     assert not narrow.lists[0] >> extra[0] & 1
-    _, marked, _ = _table(c13p2, req.verts, bad)
+    _, marked = _table(c13p2, req.verts, bad)
     assert marked & narrow.l_mask
     transforms = []
     transform = module._transform
