@@ -22,8 +22,8 @@ from .bitset import bit_list, iter_bits, mask_of, popcount
 from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, common_neighbors, is_incomparable_set
 from .gf2 import Gf2Poly, poly_local, shadow_solution
-from .invariants import (_is_cycle_power, compute_c_star, compute_d_star,
-                         cycle_frame, special_construction)
+from .invariants import (compute_c_star, compute_d_star, cycle_frame,
+                         special_construction)
 
 DEFAULT_CERT_BUDGET = 2_000_000
 
@@ -223,63 +223,21 @@ def forbid_monomial(req: ForbidRequest,
     return ForbidResult(poly, req.width, "monomial")
 
 
-def forbid_c6(req: ForbidRequest, budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
-    """Degree-2 construction on the 6-cycle.
-
-    A minimal width-3 tuple must hit one bipartition class of the cycle;
-    the polynomial is the sum of the three exactly-once pair blocks, which
-    fires an odd number of times exactly on that class.  Width <= 2 falls
-    back to the plain monomial.
-    """
-    frame = cycle_frame(req.target)
-    if frame is None or req.target.n != 6:
-        raise ValueError("target is not a 6-cycle")
-    if req.width > 3:
-        raise ValueError("width exceeds 3")
-    if req.width <= 2:
-        return forbid_monomial(req, budget)
-    pos = {v: i for i, v in enumerate(frame)}
-    classes = ({frame[0], frame[2], frame[4]}, {frame[1], frame[3], frame[5]})
-    s_set = set(req.colors)
-    if s_set not in classes:
-        raise ValueError(
-            f"tuple {req.colors} is not a parity class of the cycle; "
-            "only minimal no-common-neighbor triples can be forbidden here")
-    poly = Gf2Poly.sum_of(
-        poly_local(pair, req.verts, req.target.n)
-        for pair in itertools.combinations(sorted(s_set, key=lambda v: pos[v]), 2))
-    return _certified(req, poly, 2, "c6", budget)
-
-
 def _cyclic_dist(k: int, u: int, v: int) -> int:
     d = abs(u - v) % k
     return min(d, k - d)
 
 
-def forbid_cycle_power(req: ForbidRequest, k: int, p: int,
-                       budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
+@functools.lru_cache(maxsize=64)
+def _cycle_power_poly(k: int, p: int, verts: tuple[int, ...]) -> Gf2Poly:
     """Degree-p construction on the p-th power of a long cycle.
 
     Sums the exactly-once blocks of the sets {i, j, j+1, ..., j+p-2} over
     anchor pairs (i, j) at cyclic distance 2..2p with j moving away from i.
     Minimal width-(p+1) tuples fire an odd number of blocks; tuples with a
-    common neighbor fire an even number.
+    common neighbor fire an even number.  The sum does not depend on the
+    forbidden tuple.
     """
-    if p < 2:
-        raise ValueError("power must be at least 2")
-    if k <= 6 * p:
-        raise ValueError(f"cycle length {k} not above 6p = {6 * p}")
-    if not _is_cycle_power(req.target, k, p):
-        raise ValueError("target does not match the declared cycle power")
-    if req.width != p + 1 or len(set(req.colors)) != p + 1:
-        raise ValueError("tuple must use p + 1 distinct colors")
-    poly = _cycle_power_poly(k, p, req.verts)
-    return _certified(req, poly, p, "cycle-power", budget)
-
-
-@functools.lru_cache(maxsize=64)
-def _cycle_power_poly(k: int, p: int, verts: tuple[int, ...]) -> Gf2Poly:
-    # the anchor-block sum does not depend on the forbidden tuple
     blocks = []
     for i in range(k):
         for j in range(k):
@@ -334,7 +292,7 @@ def _achievable(lists: tuple[int, ...], combo) -> bool:
     return False
 
 
-def minimal_subrequest(req: ForbidRequest) -> tuple[ForbidRequest, tuple[int, ...]]:
+def minimal_subrequest(req: ForbidRequest) -> ForbidRequest:
     """Shrink to a minimal no-common-neighbor subsequence (high positions first)."""
     adj = req.target.adj
     kept = list(range(req.width))
@@ -348,13 +306,12 @@ def minimal_subrequest(req: ForbidRequest) -> tuple[ForbidRequest, tuple[int, ..
         if not common:
             kept = trial
     if len(kept) == req.width:
-        return req, tuple(kept)
-    sub = ForbidRequest(
+        return req
+    return ForbidRequest(
         req.target, req.l_mask,
         tuple(req.lists[i] for i in kept),
         tuple(req.verts[i] for i in kept),
         tuple(req.colors[i] for i in kept))
-    return sub, tuple(kept)
 
 
 def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
@@ -375,18 +332,36 @@ def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
             and compute_d_star(hg)[0] == c - 1 else None)
 
 
-def forbid(req: ForbidRequest, cycle_power: tuple[int, int] | None = None,
-           budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
-    """Best certified construction: the route (`forbid_route`) of the
-    minimal subsequence, or the monomial when its linear system fails."""
-    sub, _ = minimal_subrequest(req)
-    route = forbid_route(req.target, cycle_power, sub.width)
+def construct(req: ForbidRequest, route: str | None,
+              cycle_power: tuple[int, int] | None,
+              budget: int) -> ForbidResult:
+    """The certified result of a minimal request on the route that
+    `forbid_route` gives its width, or the monomial when its linear system
+    fails.  Minimality settles what each route needs of the tuple: its
+    colors are distinct, and a triple on the 6-cycle is a parity class of
+    the cycle, the one place where the sum of its three exactly-once pair
+    blocks fires an odd number of times."""
     if route == "cycle-power":
-        return forbid_cycle_power(sub, *cycle_power, budget)
+        k, p = cycle_power
+        return _certified(req, _cycle_power_poly(k, p, req.verts), p, route,
+                          budget)
     if route == "c6":
-        return forbid_c6(sub, budget)
+        pos = cycle_frame(req.target).index
+        poly = Gf2Poly.sum_of(
+            poly_local(pair, req.verts, 6)
+            for pair in itertools.combinations(sorted(req.colors, key=pos), 2))
+        return _certified(req, poly, 2, route, budget)
     if route == "linear-system":
-        result = forbid_linear_system(sub, sub.width - 1, budget)
+        result = forbid_linear_system(req, req.width - 1, budget)
         if result is not None:
             return result
-    return forbid_monomial(sub, budget)
+    return forbid_monomial(req, budget)
+
+
+def forbid(req: ForbidRequest, cycle_power: tuple[int, int] | None = None,
+           budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
+    """Best certified construction (`construct`) for the minimal
+    subsequence, on the route of its width (`forbid_route`)."""
+    sub = minimal_subrequest(req)
+    return construct(sub, forbid_route(req.target, cycle_power, sub.width),
+                     cycle_power, budget)

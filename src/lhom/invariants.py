@@ -43,35 +43,30 @@ class NonBiArcWitness:
     walk: tuple[int, int, int, int, int]
 
 
-def _is_all_essential(hg: Graph, s_mask: int) -> bool:
-    w = common_neighbors(hg, s_mask, hg.full_mask)
-    m = s_mask
-    while m:
-        low = m & -m
-        m ^= low
-        if not (common_neighbors(hg, s_mask ^ low, hg.full_mask) & ~w):
-            return False
-    return True
-
-
 @lru_cache(maxsize=256)
 def all_essential_sets(hg: Graph) -> tuple[int, ...]:
     """All-essential sets in lexicographic order, enumerated once per target.
 
     The family is closed under subsets (a witness for an element survives
     restriction), so a DFS that extends by larger indices enumerates it.
+    Each prefix carries its common neighborhood w and, per member, its
+    common neighborhood without that member.  Adding v turns these into
+    w & N(v) and o & N(v), and v's own leave-one-out neighborhood is w; v
+    extends the prefix iff each of them has a color outside w & N(v).
     Callers keep the sets of one size with `popcount`, in the same order.
     """
     out: list[int] = []
+    adj = hg.adj
 
-    def dfs(s_mask: int, start: int) -> None:
+    def dfs(s_mask: int, start: int, w: int, outs: list[int]) -> None:
         out.append(s_mask)
         for v in range(start, hg.n):
-            nxt = s_mask | 1 << v
-            if _is_all_essential(hg, nxt):
-                dfs(nxt, v + 1)
+            nxt = w & adj[v]
+            grown = [o & adj[v] for o in outs] + [w]
+            if all(o & ~nxt for o in grown):
+                dfs(s_mask | 1 << v, v + 1, nxt, grown)
 
-    dfs(0, 0)
+    dfs(0, 0, hg.full_mask, [])
     return tuple(out)
 
 

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
-# forbid_monomial and minimal_subrequest stay importable here because
-# perfbench/spans.py wraps them by name in this module
-from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, charge, forbid,
-                     forbid_monomial, forbid_route, minimal_subrequest)
+# the kernel calls none of forbid, forbid_monomial and minimal_subrequest;
+# they stay importable here because perfbench/spans.py wraps them by name
+from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, charge, construct,
+                     forbid, forbid_monomial, forbid_route, minimal_subrequest)
 from .graphs import (Graph, Instance, cover_certificate, is_incomparable_set,
                      reduce_lists, validate_instance)
 from .gf2 import Gf2Poly, extract_basis
@@ -136,9 +136,9 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
         kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
     kernel, vmap = _restrict(inst, cover, kept_nbrs)
     v_out, e_out = kernel.graph.n, kernel.graph.edge_count()
-    h = hg.n
-    bound_ok = (v_out <= k + 2 ** h * k ** c
-                and e_out <= k * k + c * 2 ** h * k ** c)
+    # a non-empty list and a cover subset of at most c vertices per type
+    types = (2 ** hg.n - 1) * sum(math.comb(k, i) for i in range(c + 1))
+    bound_ok = v_out <= k + types and e_out <= k * k + c * types
     return KernelReport(
         kernel=kernel, method="marking", degree_used=c,
         vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
@@ -193,8 +193,9 @@ def kernel_poly(inst: Instance, hg: Graph,
     (`_types`) over the reduced lists, and only their minimal
     no-common-neighbor tuples (`_minimal_tuples`); a non-minimal tuple's
     row is that of a minimal sub-tuple on a smaller subset.  A tuple on a
-    route that reads L (`forbid_route`) gets `forbid`'s certified
-    polynomial, any other its plain monomial, on the type's lowest vertex.
+    route that reads L (`forbid_route`) gets that route's certified
+    polynomial (`construct`, with no further shrinking or routing), any
+    other its plain monomial, on the type's lowest vertex.
     A streaming GF(2) basis of one row per distinct (cover subset,
     polynomial) decides which outside vertices and edges survive.  Rows are
     packed (`lhom.gf2`): y[u, color] of the i-th cover vertex u is bit
@@ -240,7 +241,7 @@ def kernel_poly(inst: Instance, hg: Graph,
             if routes[len(tup)]:
                 req = ForbidRequest(hg, l_mask, f_lists,
                                     tuple(range(len(tup))), tup)
-                canon = forbid(req, cycle_power=cycle_power, budget=budget)
+                canon = construct(req, routes[len(tup)], cycle_power, budget)
                 first.setdefault((x_mask, canon.poly), v)
                 degree = max(degree, canon.degree)
             elif (x_mask, tup) not in seen:

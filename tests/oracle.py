@@ -53,6 +53,10 @@ every polynomial it returns, the plain monomial included.
 `reference_extract_basis` is `extract_basis` on `Gf2Poly` rows, with a
 column per distinct frozenset monomial.
 
+`reference_all_essential_sets` is `lhom.invariants.all_essential_sets` as
+it was before its DFS carried each prefix's neighborhoods: every candidate
+set is tested from scratch, one `common_neighbors` call per member.
+
 `reference_find_lbs` is `lhom.invariants.find_lbs` as it was before it
 used the automorphisms of H: every all-essential base set is searched in
 full, and a replacement pattern is dropped only once its common neighborhood is empty
@@ -71,13 +75,13 @@ import math
 from lhom.bitset import bit_list, iter_bits, mask_of, popcount
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
-                         _cycle_power_poly, _is_cycle_power, cycle_frame)
+                         _cycle_power_poly, cycle_frame)
 from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          incomparable, reduce_lists)
 from lhom.invariants import (CStarWitness, LowerBoundStructure,
-                             all_essential_sets, compute_c_star,
-                             compute_d_star)
+                             _is_cycle_power, all_essential_sets,
+                             compute_c_star, compute_d_star)
 from lhom.kernels import KernelReport, _trivial_no_kernel
 
 
@@ -713,6 +717,25 @@ def reference_linear_system(req: ForbidRequest, target_degree: int,
         return None
     poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)
     return _scan_certified(req, poly, "linear-system", budget)
+
+
+def reference_all_essential_sets(hg: Graph) -> tuple[int, ...]:
+    """`all_essential_sets` with each candidate set filtered from scratch."""
+    out: list[int] = []
+
+    def all_essential(s_mask: int) -> bool:
+        w = common_neighbors(hg, s_mask, hg.full_mask)
+        return all(common_neighbors(hg, s_mask ^ 1 << v, hg.full_mask) & ~w
+                   for v in iter_bits(s_mask))
+
+    def dfs(s_mask: int, start: int) -> None:
+        out.append(s_mask)
+        for v in range(start, hg.n):
+            if all_essential(s_mask | 1 << v):
+                dfs(s_mask | 1 << v, v + 1)
+
+    dfs(0, 0)
+    return tuple(out)
 
 
 def reference_find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:

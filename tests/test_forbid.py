@@ -6,8 +6,8 @@ import pytest
 from lhom.bitset import bit_list, mask_of, popcount
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (ForbidRequest, certify_forbid, cycle_frame, forbid,
-                         forbid_c6, forbid_cycle_power, forbid_linear_system,
-                         forbid_monomial, minimal_subrequest)
+                         forbid_linear_system, forbid_monomial,
+                         minimal_subrequest)
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import Graph, common_neighbors
@@ -59,30 +59,35 @@ def test_monomial_on_c6_triple_is_valid_but_degree_three(c6):
 
 
 def test_c6_construction(c6):
-    res = forbid_c6(full_request(c6, (0, 2, 4)))
+    res = forbid(full_request(c6, (0, 2, 4)))
     assert res.method == "c6" and res.degree == 2
-    res = forbid_c6(full_request(c6, (1, 3, 5)))
+    res = forbid(full_request(c6, (1, 3, 5)))
     assert res.method == "c6" and res.degree == 2
     # order of the tuple does not matter
-    res = forbid_c6(full_request(c6, (4, 0, 2)))
-    assert res.degree == 2
+    res = forbid(full_request(c6, (4, 0, 2)))
+    assert res.method == "c6" and res.degree == 2
+    assert res.poly == forbid(full_request(c6, (0, 2, 4))).poly
 
 
 def test_c6_pair_falls_back_to_monomial(c6):
-    res = forbid_c6(full_request(c6, (0, 3)))
+    res = forbid(full_request(c6, (0, 3)))
     assert res.method == "monomial" and res.degree == 2
 
 
 def test_c6_rejects_non_minimal_triple(c6):
-    # (0, 1, 3) misses every bipartition class; 0 and 1 already clash
+    # (0, 1, 3) misses every bipartition class; 0 and 1 already clash, so
+    # the triple is shrunk to that pair and gets its monomial
     req = full_request(c6, (0, 1, 3))
-    with pytest.raises(ValueError):
-        forbid_c6(req)
+    res = forbid(req)
+    assert res.method == "monomial" and res.degree == 2
+    assert res.poly == Gf2Poly.product_of_vars([(0, 0), (1, 1)])
+    assert certify_forbid(req, res.poly)
 
 
 def test_c6_rejects_wrong_graph(c5):
-    with pytest.raises(ValueError):
-        forbid_c6(full_request(c5, (0, 2)))
+    # the 5-cycle takes no 6-cycle route, whatever the width
+    for colors in ((0, 2), (0, 1)):
+        assert forbid(full_request(c5, colors)).method == "monomial"
 
 
 def test_cycle_frame_detection(c5, c6, k4):
@@ -116,7 +121,7 @@ def test_cycle_power_firing_counts(c13p2):
 
 def test_cycle_power_construction(c13p2):
     for colors in [(0, 1, 2), (0, 2, 4), (5, 7, 9)]:
-        res = forbid_cycle_power(full_request(c13p2, colors), 13, 2)
+        res = forbid(full_request(c13p2, colors), cycle_power=(13, 2))
         assert res.method == "cycle-power" and res.degree == 2
 
 
@@ -137,20 +142,24 @@ def test_cycle_power_memo_is_bounded(c13p2):
 
 
 def test_cycle_power_rejects_small_k(c13p2):
-    with pytest.raises(ValueError):
-        forbid_cycle_power(full_request(c13p2, (0, 1, 2)), 13, 3)
+    # k = 13 is not above 6p = 18, so the hint (13, 3) is turned down and
+    # the request takes the route of the unhinted target
+    req = full_request(c13p2, (0, 1, 2))
+    res = forbid(req, cycle_power=(13, 3))
+    assert res.method == "linear-system" and res == forbid(req)
 
 
 def test_cycle_power_rejects_wrong_graph(c6):
-    with pytest.raises(ValueError):
-        forbid_cycle_power(full_request(c6, (0, 2, 4)), 6, 2)
+    # (6, 2) does not name the 6-cycle, which keeps its own route
+    res = forbid(full_request(c6, (0, 2, 4)), cycle_power=(6, 2))
+    assert res.method == "c6" and res.degree == 2
 
 
 def test_c19_cubed_samples():
     c19 = gen_cycle_power(19, 3)
     for colors in [(0, 1, 2, 3), (0, 2, 3, 5), (4, 6, 7, 9)]:
-        res = forbid_cycle_power(full_request(c19, colors), 19, 3)
-        assert res.degree == 3
+        res = forbid(full_request(c19, colors), cycle_power=(19, 3))
+        assert res.method == "cycle-power" and res.degree == 3
 
 
 def test_linear_system_c6_paper_solution(c6):
@@ -171,14 +180,13 @@ def test_linear_system_c6_paper_solution(c6):
     res = forbid_linear_system(req, 2)
     assert res is not None and res.degree == 2 and res.method == "linear-system"
     # the dedicated construction satisfies the same linear constraints
-    from lhom.forbid import forbid_c6 as build_c6
-    c6_poly = build_c6(req).poly
+    c6_poly = forbid(req).poly
     assert certify_forbid(req, c6_poly) and certify_forbid(req, res.poly)
 
 
 def test_linear_system_agrees_with_c6_on_pinned_tuples(c6):
     req = full_request(c6, (0, 2, 4))
-    a = forbid_c6(req).poly
+    a = forbid(req).poly
     b = forbid_linear_system(req, 2).poly
     v_all = c6.full_mask
     for tup in itertools.product(range(6), repeat=3):
@@ -231,8 +239,7 @@ def test_minimal_subrequest_drops_high_positions(c6):
     # (0, 3) already has no common neighbor; appending 1 keeps that
     v_all = c6.full_mask
     req = ForbidRequest(c6, v_all, (v_all,) * 3, (5, 6, 7), (0, 3, 1))
-    sub, kept = minimal_subrequest(req)
-    assert kept == (0, 1)
+    sub = minimal_subrequest(req)
     assert sub.colors == (0, 3) and sub.verts == (5, 6)
 
 
@@ -240,8 +247,8 @@ def test_minimal_subrequest_removes_duplicates(k4):
     # (0, 0) against L = {0}: already the singleton (0) has no neighbor in L
     v_all = k4.full_mask
     req = ForbidRequest(k4, mask_of([0]), (v_all,) * 2, (0, 1), (0, 0))
-    sub, kept = minimal_subrequest(req)
-    assert len(kept) == 1 and sub.colors == (0,)
+    sub = minimal_subrequest(req)
+    assert sub.verts == (0,) and sub.colors == (0,)
 
 
 def test_forbid_dispatch(c5, c6, c13p2, k4):
@@ -376,7 +383,7 @@ def test_certify_budget(c6, c13p2):
         certify_forbid(req, poly, budget=10)
     # the size is the candidate product times n per stray vertex
     req = full_request(c6, (0, 2, 4))
-    good = forbid_c6(req).poly
+    good = forbid(req).poly
     stray = good + Gf2Poly.product_of_vars([(99, 0), (99, 1)])
     for poly, size in ((good, 6 ** 3), (stray, 6 ** 4)):
         assert certify_forbid(req, poly, budget=size)
@@ -388,7 +395,7 @@ def test_certify_budget(c6, c13p2):
 def test_certify_handles_stray_vertices(c6):
     # a polynomial mentioning a vertex outside the request is still checked
     req = full_request(c6, (0, 2, 4))
-    good = forbid_c6(req).poly
+    good = forbid(req).poly
     stray = good + Gf2Poly.product_of_vars([(99, 0), (99, 1)])  # always zero
     assert certify_forbid(req, stray)
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from lhom import invariants
-from lhom.bitset import bit_list
+from lhom.bitset import bit_list, popcount
 from lhom.generators import SplitMix64, gen_cycle_power, gen_subdivided_star
 from lhom.graphs import Graph, dominant_subset
 from lhom.invariants import (all_essential_sets, automorphism_generators,
@@ -11,7 +11,8 @@ from lhom.invariants import (all_essential_sets, automorphism_generators,
                              degree_probe, find_lbs, find_non_bi_arc_witness)
 
 from oracle import (brute_c_star, brute_lbs_exists, max_degree_exchange_holds,
-                    random_graph, reference_d_star, reference_degree_probe,
+                    random_graph, reference_all_essential_sets,
+                    reference_d_star, reference_degree_probe,
                     reference_find_lbs, verify_c_star_witness, verify_lbs)
 
 
@@ -151,6 +152,22 @@ def test_all_essential_sets_downward_closed(c6, k4):
         for s in family:
             for v in bit_list(s):
                 assert s ^ (1 << v) in family
+
+
+def test_all_essential_sets_match_reference(c5, c6, k4, c13p2):
+    """The DFS that carries each prefix's neighborhoods against the filter
+    that tests every candidate set from scratch, sets and order alike."""
+    rng = SplitMix64(92)
+    targets = [c5, c6, k4, c13p2, gen_cycle_power(19, 3),
+               gen_subdivided_star(3)]
+    targets += [random_graph(rng, 1 + rng.below(9), 1 + rng.below(3), 4)
+                for _ in range(200)]
+    sizes = set()
+    for hg in targets:
+        family = all_essential_sets(hg)
+        assert family == reference_all_essential_sets(hg), hg
+        sizes.add(max(map(popcount, family)))
+    assert sizes >= {0, 1, 2, 3, 4}, sizes
 
 
 def test_classify_c6(c6):

@@ -7,7 +7,7 @@ import pytest
 from lhom import kernels
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
-from lhom.forbid import forbid
+from lhom.forbid import construct
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.gf2 import extract_basis
 from lhom.graphs import Graph, Instance, cover_certificate, greedy_vertex_cover
@@ -23,6 +23,15 @@ def test_marking_drops_duplicate_type():
     report = kernel_marking(inst, hg)
     assert report.vertices_out == 3
     assert report.bound_formula_ok
+
+
+def test_marking_bound_counts_every_type(c6, k4):
+    """The marking bound counts the (cover subset, list) types, the empty
+    subset among them: k + (2^h - 1) * sum_{i <= c} C(k, i) vertices."""
+    for hg, n, k, want in ((c6, 10, 0, 9), (k4, 40, 1, 20)):
+        report = kernel_marking(gen_instance(hg, n, k, 1), hg)
+        assert (report.bound_k, report.vertices_out) == (k, want)
+        assert report.bound_formula_ok
 
 
 def test_marking_small_outside_unchanged(c6):
@@ -399,19 +408,30 @@ def test_poly_calls_forbid_only_where_the_list_matters(monkeypatch, c13p2):
     """Only width-3 tuples take C13^2's cycle-power route, which reads L.
 
     Every narrower minimal tuple becomes its plain monomial without a
-    call, so 320 of the 4,737 minimal tuples reach `forbid`.  The report
-    is pinned byte for byte.
+    call, so 320 of the 4,737 minimal tuples reach `construct`, each on
+    its route; the walk has proved them minimal, so the kernel neither
+    shrinks nor routes them again through `forbid`.  The report is pinned
+    byte for byte.
     """
+    import importlib
+    forbid_module = importlib.import_module("lhom.forbid")
     widths = []
 
-    def counting(req, **kwargs):
-        widths.append(req.width)
-        return forbid(req, **kwargs)
+    def counting(req, route, cycle_power, budget):
+        widths.append((req.width, route))
+        return construct(req, route, cycle_power, budget)
 
-    monkeypatch.setattr(kernels, "forbid", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel called forbid or minimal_subrequest")
+
+    monkeypatch.setattr(kernels, "construct", counting)
+    monkeypatch.setattr(kernels, "forbid", refuse)
+    monkeypatch.setattr(kernels, "minimal_subrequest", refuse)
+    monkeypatch.setattr(forbid_module, "forbid", refuse)
+    monkeypatch.setattr(forbid_module, "minimal_subrequest", refuse)
     report = kernel_poly(gen_instance(c13p2, 150, 4, 1), c13p2,
                          cycle_power=(13, 2))
-    assert set(widths) == {3} and len(widths) == 320
+    assert set(widths) == {(3, "cycle-power")} and len(widths) == 320
     assert (report.degree_used, report.vertices_out, report.edges_out,
             report.constraints_total, report.constraints_retained) == \
         (2, 45, 91, 4761, 326)
