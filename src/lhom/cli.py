@@ -331,10 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, CertificationError) as exc:

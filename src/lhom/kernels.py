@@ -18,9 +18,9 @@ from .bitset import bit_list, iter_bits, mask_of
 # they stay importable here because perfbench/spans.py wraps them by name
 from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, charge, construct,
                      forbid, forbid_monomial, forbid_route, minimal_subrequest)
-from .graphs import (Graph, Instance, cover_certificate, is_incomparable_set,
-                     reduce_lists, validate_instance)
-from .gf2 import Gf2Poly, extract_basis
+from .graphs import (Graph, Instance, cover_certificate, reduce_lists,
+                     validate_instance)
+from .gf2 import extract_basis
 from .invariants import compute_c_star
 
 
@@ -33,8 +33,8 @@ class KernelReport:
     constraints_total counts the constraint rows: one per color missing
     from a cover vertex's list, plus one per minimal no-common-neighbor
     tuple on each type; constraints_retained counts the rows the basis
-    would keep.  The basis sees one row per distinct (cover subset,
-    polynomial) pair; a later tuple with the same pair is only counted.
+    would keep.  The basis sees one row per distinct row key (`kernel_poly`)
+    in first-met order; a later tuple with the same key is only counted.
     The list rows are counted and retained without the basis.
     """
 
@@ -61,16 +61,18 @@ def _trivial_no_kernel(inst: Instance, method: str, bound_k: int) -> KernelRepor
         bound_formula_ok=True, vertex_map=(-1,))
 
 
-def _restrict(inst: Instance, cover: int,
-              kept_nbrs: dict[int, int]) -> tuple[Instance, tuple[int, ...]]:
-    """The kernel on G[cover] plus each kept outside vertex's kept edges.
+def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
+              ) -> tuple[Instance, tuple[int, ...]]:
+    """The kernel on G[cover] plus each pick (cover subset mask, v): outside
+    vertex v with its edges to the subset, the union over v's picks.
 
-    `kept_nbrs` maps an outside vertex to the mask of cover neighbors it
-    keeps edges to.  Kept vertices are re-indexed in ascending order;
-    returns the instance and the original-id map.  A vertex below the
-    lowest dropped one keeps its index, so only mask bits at or above that
-    vertex are moved one by one.
+    Kept vertices are re-indexed in ascending order; returns the instance
+    and the original-id map.  A vertex below the lowest dropped one keeps
+    its index, so only mask bits at or above that vertex are moved one by one.
     """
+    kept_nbrs: dict[int, int] = {}
+    for x_mask, v in picks:
+        kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
     kept_mask = cover | mask_of(kept_nbrs)
     kept = bit_list(kept_mask)
     index = {v: i for i, v in enumerate(kept)}
@@ -131,10 +133,8 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     c = compute_c_star(hg).value
     cover = cert.cover
     chosen = _types(inst, cover, c)
-    kept_nbrs: dict[int, int] = {}
-    for (x_mask, _), v in chosen.items():
-        kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
-    kernel, vmap = _restrict(inst, cover, kept_nbrs)
+    kernel, vmap = _restrict(
+        inst, cover, [(x_mask, v) for (x_mask, _), v in chosen.items()])
     v_out, e_out = kernel.graph.n, kernel.graph.edge_count()
     # a non-empty list and a cover subset of at most c vertices per type
     types = (2 ** hg.n - 1) * sum(math.comb(k, i) for i in range(c + 1))
@@ -196,10 +196,12 @@ def kernel_poly(inst: Instance, hg: Graph,
     route that reads L (`forbid_route`) gets that route's certified
     polynomial (`construct`, with no further shrinking or routing), any
     other its plain monomial, on the type's lowest vertex.
-    A streaming GF(2) basis of one row per distinct (cover subset,
-    polynomial) decides which outside vertices and edges survive.  Rows are
-    packed (`lhom.gf2`): y[u, color] of the i-th cover vertex u is bit
-    i * h + color.
+    A row's key is (cover subset, tuple) for a monomial and (cover subset,
+    polynomial) on a route.  One step places each key when first met: it
+    packs the row (`lhom.gf2`: y[u, color] of the i-th cover vertex u is
+    bit i * h + color) and records its (subset, vertex) pick.  A streaming
+    GF(2) basis of the rows picks the outside vertices and edges that
+    survive, and `_restrict` keeps them.
     """
     red = reduce_lists(inst, hg)
     cert = cover_certificate(inst)
@@ -219,53 +221,43 @@ def kernel_poly(inst: Instance, hg: Graph,
     for v, i in index.items():
         list_vars |= (full & ~red.lists[v]) << i * h
     n_list = list_vars.bit_count()
-    # a request's other checks hold by construction or by the walk's test
-    if not all(is_incomparable_set(hg, f)
-               for f in {red.lists[u] for u in index}):
-        raise ValueError("a reduced cover list is not incomparable")
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
-    subsets = {}  # cover subset mask -> its lists, their colors, product size
-    # (cover subset mask, polynomial) -> the vertex of its first minimal tuple
-    first: dict[tuple[int, Gf2Poly], int] = {}
-    seen = set()  # (cover subset mask, tuple) of the monomials placed
+    subsets = {}  # cover subset mask -> lists, colors, size, route, offsets
+    placed = set()  # the keys of the rows
+    rows: list[list[int]] = []
+    picks: list[tuple[int, int]] = []
     tuples = 0
     degree = 1  # a list row has degree 1, as has an empty row set
     for (x_mask, l_mask), v in _types(red, cover, c).items():
         if x_mask not in subsets:
-            f_lists = tuple(red.lists[u] for u in bit_list(x_mask))
+            combo = bit_list(x_mask)
+            f_lists = tuple(red.lists[u] for u in combo)
             cands = tuple(map(bit_list, f_lists))
-            subsets[x_mask] = f_lists, cands, math.prod(map(len, cands))
-        f_lists, cands, size = subsets[x_mask]
+            subsets[x_mask] = (f_lists, cands, math.prod(map(len, cands)),
+                               routes[len(combo)], [index[u] * h for u in combo])
+        f_lists, cands, size, route, offs = subsets[x_mask]
         for tup in _minimal_tuples(adj, full, l_mask, cands):
             tuples += 1
-            if routes[len(tup)]:
+            if route:
                 req = ForbidRequest(hg, l_mask, f_lists,
                                     tuple(range(len(tup))), tup)
-                canon = construct(req, routes[len(tup)], cycle_power, budget)
-                first.setdefault((x_mask, canon.poly), v)
-                degree = max(degree, canon.degree)
-            elif (x_mask, tup) not in seen:
+                canon = construct(req, route, cycle_power, budget)
+                key, monos, deg = canon.poly, canon.poly.monomials, canon.degree
+            else:
+                key, monos, deg = tup, (enumerate(tup),), len(tup)
+            if (x_mask, key) in placed:
+                continue
+            if not route:
                 charge(size, budget)
-                seen.add((x_mask, tup))
-                first.setdefault(
-                    (x_mask, Gf2Poly.product_of_vars(enumerate(tup))), v)
-                degree = max(degree, len(tup))
-
-    rows: list[list[int]] = []
-    for x_mask, poly in first:
-        combo = bit_list(x_mask)
-        row = [sum(1 << index[combo[pos]] * h + color for pos, color in mono)
-               for mono in poly.monomials]
-        rows.append([mono for mono in row
-                     if not mono & list_vars or mono & mono - 1])
+            placed.add((x_mask, key))
+            degree = max(degree, deg)
+            row = [sum(1 << offs[pos] + color for pos, color in mono)
+                   for mono in monos]
+            rows.append([mono for mono in row
+                         if not mono & list_vars or mono & mono - 1])
+            picks.append((x_mask, v))
     kept_idx = extract_basis(rows, m=k * h, d=degree)
-    keys = list(first.items())
-
-    kept_nbrs: dict[int, int] = {}
-    for idx in kept_idx:
-        (x_mask, _), v = keys[idx]
-        kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
-    kernel, vmap = _restrict(red, cover, kept_nbrs)
+    kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)
     rank_bound = sum(math.comb(k * h, i) for i in range(degree + 1))
     return KernelReport(

@@ -258,6 +258,8 @@ def reduce_sat(nvars: int, clauses: list[list[int]], hg: Graph,
     d = lbs.order
     if d < 3:
         raise ValueError("the reduction needs a structure of order >= 3")
+    if nvars < 0:
+        raise ValueError(f"variable count must be >= 0, got {nvars}")
     for clause in clauses:
         if len(clause) > d:
             raise ValueError(f"clause wider than {d}: {clause}")

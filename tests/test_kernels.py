@@ -344,10 +344,11 @@ def test_restrict_matches_edge_list_reference():
 
     Covers are greedy ones and designated ones with holes, kept outside
     vertices sit between cover vertices, and cover vertices carry loops.
+    Each kept vertex's mask is split over several shuffled picks.
     """
     from oracle import random_graph, reference_restrict
     rng = SplitMix64(73)
-    holes = interleaved = looped = 0
+    holes = interleaved = looped = split = 0
     for trial in range(200):
         n = 1 + rng.below(24)
         if trial % 2:
@@ -365,7 +366,20 @@ def test_restrict_matches_edge_list_reference():
                         designated)
         kept_nbrs = {v: g.adj[v] & rng.below(1 << n) for v in range(n)
                      if not cover >> v & 1 and rng.below(2)}
-        got = _restrict(inst, cover, kept_nbrs)
+        # each kept vertex's mask arrives as 1-3 shuffled picks, which may
+        # overlap or be empty; `_restrict` keeps their union
+        picks = []
+        for v, nbrs in kept_nbrs.items():
+            parts = [0] * (1 + rng.below(3))
+            for u in bit_list(nbrs):
+                parts[rng.below(len(parts))] |= 1 << u
+                parts[rng.below(len(parts))] |= 1 << u
+            split += sum(map(bool, parts)) > 1
+            picks.extend((part, v) for part in parts)
+        for i in reversed(range(1, len(picks))):
+            j = rng.below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        got = _restrict(inst, cover, picks)
         assert got == reference_restrict(inst, cover, kept_nbrs), trial
         for graph in (g, got[0].graph):
             assert graph.edge_count() == len(graph.edges())
@@ -376,6 +390,7 @@ def test_restrict_matches_edge_list_reference():
         looped += any(g.adj[v] >> v & 1 for v in range(n))
     assert holes >= 100 and interleaved >= 100 and looped >= 150, \
         (holes, interleaved, looped)
+    assert split >= 100, split
 
 
 def test_minimal_tuples_match_the_full_product(c13p2, k4):

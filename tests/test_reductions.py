@@ -50,6 +50,18 @@ def test_gadgets_require_order_three(k4, k4_lbs):
         build_comp(k4, small, 0, 1)
 
 
+@pytest.mark.parametrize("build, idx, message", [
+    (build_neq, (3,), "index out of range"),
+    (build_neq, (-1,), "index out of range"),
+    (build_comp, (1, 1), "indices must be distinct and in range"),
+    (build_comp, (0, 3), "indices must be distinct and in range"),
+    (build_comp, (-1, 0), "indices must be distinct and in range"),
+])
+def test_gadget_indices_are_checked(k4, k4_lbs, build, idx, message):
+    with pytest.raises(ValueError, match=message):
+        build(k4, k4_lbs, *idx)
+
+
 def test_invalid_structure_is_rejected(k4):
     # claims order 3 but the replacement patterns have no witnesses
     fake = LowerBoundStructure(3, 0, (0, 1, 2), (1, 2, 3))
@@ -93,6 +105,11 @@ def test_reduce_sat_wide_clause_rejected(k4, k4_lbs):
 def test_reduce_sat_bad_literal(k4, k4_lbs):
     with pytest.raises(ValueError):
         reduce_sat(1, [[2]], k4, k4_lbs)
+
+
+def test_reduce_sat_negative_variable_count(k4, k4_lbs):
+    with pytest.raises(ValueError, match="variable count must be >= 0, got -1"):
+        reduce_sat(-1, [], k4, k4_lbs)
 
 
 def test_reduce_sat_cover_is_linear_in_vars(k4, k4_lbs):
