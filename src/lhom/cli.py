@@ -203,17 +203,11 @@ def _cmd_gadget_check(args) -> int:
     d, lbs = invariants.compute_d_star(hg)
     if lbs is None or d < 3:
         raise FormatError("gadgets need a lower bound structure of order >= 3")
-    jobs = [("NEQ", (i,)) for i in range(d)]
-    jobs += [("COMP", (i, j)) for i in range(d) for j in range(d) if i != j]
-
-    results = []
-    for kind, params in jobs:
-        if kind == "NEQ":
-            g = reductions.build_neq(hg, lbs, *params)
-        else:
-            g = reductions.build_comp(hg, lbs, *params)
-        results.append({"kind": kind, "params": list(params),
-                        "vertices": g.graph.n, "certified": True})
+    gadgets = [reductions.build_neq(hg, lbs, i) for i in range(d)]
+    gadgets += [reductions.build_comp(hg, lbs, i, j)
+                for i in range(d) for j in range(d) if i != j]
+    results = [{"kind": g.kind, "params": list(g.params),
+                "vertices": g.graph.n, "certified": True} for g in gadgets]
     vg = reductions.build_variable_gadget(hg, lbs)
     results.append({"kind": "VAR", "params": [], "vertices": vg.graph.n,
                     "certified": True})

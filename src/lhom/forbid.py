@@ -50,7 +50,7 @@ class ForbidRequest:
         for i, (f, c) in enumerate(zip(self.lists, self.colors)):
             if f & ~full:
                 raise ValueError(f"candidate list {i} out of range")
-            if not f >> c & 1:
+            if c < 0 or not f >> c & 1:
                 raise ValueError(f"color {c} not in candidate list {i}")
             if not is_incomparable_set(self.target, f):
                 raise ValueError(f"candidate list {i} is not incomparable")

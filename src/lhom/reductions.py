@@ -4,10 +4,12 @@ From a lower bound structure of order d >= 3 we build 10-vertex inequality
 and compatibility gadgets out of two list-labeled paths with identified
 endpoints, chain them into variable gadgets with exactly two global states,
 and translate width-d CNF formulas into list-homomorphism instances whose
-cover is the union of the variable gadgets.  Every gadget is certified by
-exhaustively enumerating homomorphism restrictions to its designated
-vertices; the builders are memoized (bounded), so each gadget is built and
-certified once per (target, structure, indices).
+cover is the union of the variable gadgets.  One join, `_splice`, does all
+the gluing: a pair gadget's second path onto the ends of its first, and
+pair gadgets onto the specials of a variable gadget.  Every gadget is
+certified by exhaustively enumerating homomorphism restrictions to its
+designated vertices; the builders are memoized (bounded), so each gadget
+is built and certified once per (target, structure, indices).
 """
 
 from __future__ import annotations
@@ -46,72 +48,70 @@ class VariableGadget:
         return Instance(self.graph, self.lists)
 
 
-def _helper_colors(hg: Graph, lbs: LowerBoundStructure) -> tuple[list[int], list[int]]:
-    """Per index: a neighbor of x outside N(x'), and a primed-side witness.
-
-    The witness for index l is a common neighbor, inside L, of all base
-    vertices except x_l together with x_l'; it is never adjacent to x_l.
-    Lowest indices are taken for determinism.
+def _slots(hg: Graph, lbs: LowerBoundStructure,
+           front: tuple[int, ...]) -> tuple[list[int], ...]:
+    """x, x', a plain helper and a primed-side witness per slot, the slots
+    in `front` first and the rest ascending.  The plain helper is a neighbor
+    of x outside N(x'); the witness for slot l is a common neighbor, inside
+    L, of x_l' and every base vertex but x_l, so never adjacent to x_l.
+    Lowest colors are taken for determinism.
     """
-    d = lbs.order
+    order = list(front) + [s for s in range(lbs.order) if s not in front]
+    x = [lbs.xs[s] for s in order]
+    xp = [lbs.xps[s] for s in order]
     plain, primed = [], []
-    for ell in range(d):
-        inter = lbs.l_mask & hg.adj[lbs.xps[ell]]
-        for p in range(d):
+    for ell in range(len(order)):
+        inter = lbs.l_mask & hg.adj[xp[ell]]
+        for p, base in enumerate(x):
             if p != ell:
-                inter &= hg.adj[lbs.xs[p]]
+                inter &= hg.adj[base]
         if not inter:
             raise ValueError("structure admits no primed-side witness; "
                              "the supplied lower bound structure is invalid")
         primed.append((inter & -inter).bit_length() - 1)
-        diff = hg.adj[lbs.xs[ell]] & ~hg.adj[lbs.xps[ell]]
+        diff = hg.adj[x[ell]] & ~hg.adj[xp[ell]]
         if not diff:
             raise ValueError("base and primed vertices are comparable; "
                              "the supplied lower bound structure is invalid")
         plain.append((diff & -diff).bit_length() - 1)
-    return plain, primed
+    return x, xp, plain, primed
 
 
-def _permuted(lbs: LowerBoundStructure, order: list[int]) -> LowerBoundStructure:
-    return LowerBoundStructure(
-        lbs.order, lbs.l_mask,
-        tuple(lbs.xs[i] for i in order),
-        tuple(lbs.xps[i] for i in order))
+def _splice(lists: list[int], edges: list[tuple[int, int]], part_lists,
+            part_edges, ends: tuple[int, int], at: tuple[int, int]) -> None:
+    """Append a part whose end vertices `ends` become the vertices `at`,
+    whose lists must agree; its other vertices take the next ids, in order."""
+    ids = dict(zip(ends, at))
+    for w, mask in enumerate(part_lists):
+        if w not in ids:
+            ids[w] = len(lists)
+            lists.append(mask)
+        elif lists[ids[w]] != mask:
+            raise ValueError("join points disagree on lists")
+    edges += [(ids[a], ids[b]) for a, b in part_edges]
 
 
-def _two_path_gadget(hg: Graph, path1: list[tuple[int, int]],
-                     path2: list[tuple[int, int]], kind: str,
-                     params: tuple[int, ...]) -> Gadget:
-    """Join two list-labeled paths at both ends; lists are the given pairs."""
-    assert mask_of(path1[0]) == mask_of(path2[0])
-    assert mask_of(path1[-1]) == mask_of(path2[-1])
-    n1 = len(path1)
-    ids1 = list(range(n1))
-    ids2 = [0] + list(range(n1, n1 + len(path2) - 2)) + [n1 - 1]
-    n = n1 + len(path2) - 2
-    edges = [(ids1[i], ids1[i + 1]) for i in range(n1 - 1)]
-    edges += [(ids2[i], ids2[i + 1]) for i in range(len(path2) - 1)]
-    lists = [0] * n
-    for ids, path in ((ids1, path1), (ids2, path2)):
-        for vid, pair in zip(ids, path):
-            mask = mask_of(pair)
-            if lists[vid] and lists[vid] != mask:
-                raise ValueError("join points disagree on lists")
-            lists[vid] = mask
-    return Gadget(Graph.from_edges(n, edges), tuple(lists),
-                  u=0, v=n1 - 1, kind=kind, params=params)
-
-
-def _certify_pair_gadget(hg: Graph, gadget: Gadget,
-                         expected: set[tuple[int, int]]) -> None:
-    got = enumerate_restricted(gadget.instance(), hg, [gadget.u, gadget.v])
+def _pair_gadget(hg: Graph, kind: str, params: tuple[int, ...],
+                 path1: list[tuple[int, int]], path2: list[tuple[int, int]],
+                 expected: set[tuple[int, int]]) -> Gadget:
+    """Splice path 2 onto the ends of path 1, the designated vertices, and
+    certify that their restrictions are `expected`, on 10 vertices."""
+    v, end = len(path1) - 1, len(path2) - 1
+    lists = [mask_of(pair) for pair in path1]
+    edges = [(w, w + 1) for w in range(v)]
+    _splice(lists, edges, [mask_of(pair) for pair in path2],
+            [(w, w + 1) for w in range(end)], (0, end), (0, v))
+    gadget = Gadget(Graph.from_edges(len(lists), edges), tuple(lists),
+                    u=0, v=v, kind=kind, params=params)
+    got = enumerate_restricted(gadget.instance(), hg, [0, v])
     if got != expected:
         raise CertificationError(
-            f"{gadget.kind}{gadget.params}: designated restrictions {sorted(got)} "
+            f"{kind}{params}: designated restrictions {sorted(got)} "
             f"differ from required {sorted(expected)}")
     if gadget.graph.n != 10:
-        raise CertificationError(f"{gadget.kind}{gadget.params}: "
+        raise CertificationError(f"{kind}{params}: "
                                  f"{gadget.graph.n} vertices, expected 10")
+    return gadget
 
 
 @functools.lru_cache(maxsize=128)
@@ -120,28 +120,22 @@ def build_neq(hg: Graph, lbs: LowerBoundStructure, i: int) -> Gadget:
 
     The designated endpoints share the list {x_i, x_i'} and every
     homomorphism maps them to different colors, both orders achievable.
-    Indices are permuted so the construction always runs on slot 0; two
-    further slots are consumed, hence order >= 3.
+    Slot i leads so the construction always runs on slot 0; two further
+    slots are consumed, hence order >= 3.
     """
     d = lbs.order
     if d < 3:
         raise ValueError("inequality gadgets need a structure of order >= 3")
     if not 0 <= i < d:
         raise ValueError("index out of range")
-    order = [i] + [j for j in range(d) if j != i]
-    s = _permuted(lbs, order)
-    xt, xtp = _helper_colors(hg, s)
-    x = s.xs
-    xp = s.xps
+    x, xp, xt, xtp = _slots(hg, lbs, (i,))
     path1 = [(xp[0], x[0]), (xtp[0], xtp[1]), (x[1], x[2]),
              (xtp[2], xtp[0]), (x[0], xp[0])]
     path2 = [(x[0], xp[0]), (xt[0], xtp[0]), (x[0], x[1]),
              (xtp[1], xtp[2]), (x[2], x[0]), (xtp[0], xt[0]),
              (xp[0], x[0])]
-    gadget = _two_path_gadget(hg, path1, path2, "NEQ", (i,))
-    a, b = lbs.xs[i], lbs.xps[i]
-    _certify_pair_gadget(hg, gadget, {(a, b), (b, a)})
-    return gadget
+    return _pair_gadget(hg, "NEQ", (i,), path1, path2,
+                        {(x[0], xp[0]), (xp[0], x[0])})
 
 
 @functools.lru_cache(maxsize=128)
@@ -157,21 +151,14 @@ def build_comp(hg: Graph, lbs: LowerBoundStructure, i: int, j: int) -> Gadget:
     if i == j or not (0 <= i < d and 0 <= j < d):
         raise ValueError("indices must be distinct and in range")
     third = min(t for t in range(d) if t not in (i, j))
-    order = [i, j, third] + [t for t in range(d) if t not in (i, j, third)]
-    s = _permuted(lbs, order)
-    xt, xtp = _helper_colors(hg, s)
-    x = s.xs
-    xp = s.xps
+    x, xp, xt, xtp = _slots(hg, lbs, (i, j, third))
     path1 = [(x[0], xp[0]), (xtp[1], xtp[0]), (x[2], x[1]),
              (xtp[0], xtp[2]), (x[1], x[0]), (xt[1], xtp[1]),
              (x[1], xp[1])]
     path2 = [(x[0], xp[0]), (xtp[0], xt[0]), (x[2], x[0]),
              (xtp[1], xtp[2]), (x[1], xp[1])]
-    gadget = _two_path_gadget(hg, path1, path2, "COMP", (i, j))
-    a, ap = lbs.xs[i], lbs.xps[i]
-    b, bp = lbs.xs[j], lbs.xps[j]
-    _certify_pair_gadget(hg, gadget, {(a, b), (ap, bp)})
-    return gadget
+    return _pair_gadget(hg, "COMP", (i, j), path1, path2,
+                        {(x[0], x[1]), (xp[0], xp[1])})
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,37 +173,13 @@ def build_variable_gadget(hg: Graph, lbs: LowerBoundStructure) -> VariableGadget
     d = lbs.order
     if d < 3:
         raise ValueError("variable gadgets need a structure of order >= 3")
-    n = 2 * d
+    lists = [mask_of((lbs.xs[i], lbs.xps[i])) for i in range(d)] * 2
     edges: list[tuple[int, int]] = []
-    lists: list[int] = [0] * n
-    for i in range(d):
-        pair = mask_of((lbs.xs[i], lbs.xps[i]))
-        lists[i] = pair
-        lists[d + i] = pair
-
-    def splice(gadget: Gadget, at_u: int, at_v: int) -> None:
-        nonlocal n
-        mapping = {}
-        for w in range(gadget.graph.n):
-            if w == gadget.u:
-                mapping[w] = at_u
-            elif w == gadget.v:
-                mapping[w] = at_v
-            else:
-                mapping[w] = n
-                lists.append(gadget.lists[w])
-                n += 1
-        for a, b in gadget.graph.edges():
-            edges.append((mapping[a], mapping[b]))
-        assert gadget.lists[gadget.u] == lists[at_u]
-        assert gadget.lists[gadget.v] == lists[at_v]
-
-    for i in range(d):
-        splice(build_neq(hg, lbs, i), i, d + i)
-    for i in range(d - 1):
-        splice(build_comp(hg, lbs, i, i + 1), i, i + 1)
-    graph = Graph.from_edges(n, edges)
-    vg = VariableGadget(graph, tuple(lists),
+    parts = [(build_neq(hg, lbs, i), (i, d + i)) for i in range(d)]
+    parts += [(build_comp(hg, lbs, i, i + 1), (i, i + 1)) for i in range(d - 1)]
+    for g, at in parts:
+        _splice(lists, edges, g.lists, g.graph.edges(), (g.u, g.v), at)
+    vg = VariableGadget(Graph.from_edges(len(lists), edges), tuple(lists),
                         tuple(range(d)), tuple(range(d, 2 * d)))
     _certify_variable_gadget(hg, lbs, vg)
     return vg

@@ -160,6 +160,9 @@ def enumerate_restricted(inst: Instance, hg: Graph, targets,
                          node_budget: int = DEFAULT_NODE_BUDGET) -> set[tuple[int, ...]]:
     """Exact set of restrictions to `targets` over all list homomorphisms."""
     targets = list(targets)
+    for t in targets:
+        if not 0 <= t < inst.graph.n:
+            raise ValueError(f"target {t} is not a vertex of the instance")
     out: set[tuple[int, ...]] = set()
 
     def collect(colors):

@@ -27,6 +27,9 @@ def test_request_validation(c6):
         ForbidRequest(c6, v_all, (v_all, v_all), (0, 1), (0, 2))
     with pytest.raises(ValueError):  # color outside its list
         ForbidRequest(c6, v_all, (mask_of([1]),), (0,), (0,))
+    # a negative color is outside every list, not a negative shift count
+    with pytest.raises(ValueError, match="color -1 not in candidate list 0"):
+        ForbidRequest(c6, v_all, (v_all,), (0,), (-1,))
     with pytest.raises(ValueError):  # repeated vertex
         ForbidRequest(c6, v_all, (v_all, v_all), (0, 0), (0, 3))
 

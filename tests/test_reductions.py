@@ -1,8 +1,11 @@
+import hashlib
+import itertools
+
 import pytest
 
 from lhom.bitset import mask_of, popcount
 from lhom.errors import CertificationError
-from lhom.generators import SplitMix64
+from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
 from lhom.invariants import LowerBoundStructure, compute_d_star, find_lbs
 from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
@@ -137,6 +140,26 @@ def test_reduce_sat_matches_bruteforce(k4, k4_lbs):
                             for _ in range(1 + rng.below(3))])
         inst = reduce_sat(nvars, clauses, k4, k4_lbs)
         assert decide(inst, k4)[0] == brute_sat(nvars, clauses)
+
+
+def test_gadget_layout_is_pinned():
+    """Vertex ids, edges and lists of every gadget and of one reduction,
+    on K4 and K5 (orders 3 and 4), hashed in a fixed order."""
+    digest = hashlib.sha256()
+    for k in (4, 5):
+        hg = gen_cycle_power(k, 2)
+        d, lbs = compute_d_star(hg)
+        assert d == k - 1
+        built = [build_neq(hg, lbs, i) for i in range(d)]
+        built += [build_comp(hg, lbs, i, j)
+                  for i, j in itertools.permutations(range(d), 2)]
+        built.append(build_variable_gadget(hg, lbs))
+        built.append(reduce_sat(3, [[1, 2, -3], [-1, 2], [-2, 3], [1, -3]],
+                                hg, lbs))
+        for item in built:
+            digest.update(repr(item).encode())
+    assert digest.hexdigest() == (
+        "4bbe05fa87a8e2bed85816ae92664e978b24928bb84cce15ddfc2f3d1660153c")
 
 
 def test_gadgets_on_another_target():

@@ -219,6 +219,16 @@ def test_enumerate_restricted_path(c5):
     assert enumerate_restricted(inst, c5, [0, 1]) == {(0, 1), (0, 4)}
 
 
+def test_enumerate_restricted_rejects_bad_target(k4):
+    # -1 must not wrap around to the last vertex, nor may an index past the
+    # end be ignored when the instance has no solution
+    for lists in ((1, 2), (1, 1)):
+        inst = Instance(Graph.from_edges(2, [(0, 1)]), lists)
+        for target in (-1, 2):
+            with pytest.raises(ValueError, match=f"target {target} "):
+                enumerate_restricted(inst, k4, [0, target])
+
+
 def test_enumerate_restricted_matches_bruteforce():
     rng = SplitMix64(27)
     nonempty = 0
