@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Every subcommand accepts --json and then emits exactly one JSON object on
-stdout (schema tag "lhom/1").  Exit codes: 0 success, 1 for a negative
-decision answer, 2 usage or input-format errors, 3 exhausted budgets or
-failed certifications.  LHOM_NODE_BUDGET, a positive integer, overrides the
-oracle node budget.
+Every subcommand but gen accepts --json and then emits exactly one JSON
+object on stdout (schema tag "lhom/1").  Exit codes: 0 success, 1 for a
+negative decision answer, 2 usage or input-format errors, 3 exhausted
+budgets or failed certifications.  LHOM_NODE_BUDGET, a positive integer,
+overrides the oracle node budget.
 """
 
 from __future__ import annotations

@@ -274,7 +274,7 @@ def forbid_linear_system(req: ForbidRequest, target_degree: int,
         raise ValueError("tuple colors must be distinct")
     hg = req.target
     union = functools.reduce(int.__or__, req.lists)
-    sets = shadow_solution(hg.n, target_degree, (
+    sets = shadow_solution(target_degree, (
         combo for combo in itertools.combinations(bit_list(union), r)
         if common_neighbors(hg, mask_of(combo), req.l_mask)
         and _achievable(req.lists, combo)), req.colors)

@@ -3,10 +3,14 @@
 Target graph file: header ``p hgraph <h>`` followed by edge lines
 ``e <u> <v>`` (0-indexed, ``e v v`` is a loop).  Instance file: header
 ``p lhom <n> <m> <h>``, edge lines, one mandatory list line ``l <v> <c...>``
-per vertex and an optional cover line ``x <v...>``.  Lines starting with
-``#`` or ``c`` are comments in both formats; unknown line types are an
-error.  Generator provenance is carried in comments of the form
-``gen: <name> key=value ...`` and surfaced as hints.
+per vertex and an optional cover line ``x <v...>``.  DIMACS: header
+``p cnf <vars> <clauses>``, then literals, each clause ended by ``0``.
+One header rule, kept by `_read`, holds in all three: exactly one ``p``
+line, naming the format and giving its count of non-negative integers,
+and no data line ahead of it.  Blank lines are skipped; lines starting
+with ``#`` or ``c`` are comments; other unknown line types are an error.
+The last ``gen: cycle-power k=<k> p=<p>`` comment whose k and p are both
+integers is surfaced as the hint ``cycle_power``.
 """
 
 from __future__ import annotations
@@ -16,38 +20,46 @@ from .errors import FormatError
 from .graphs import Graph, Instance
 
 
-def _data_lines(text: str):
+def _read(text: str, usage: str, line) -> tuple[list[int], list[str]]:
+    """The one reading loop: returns the header's numbers and the comments.
+
+    Skips blank lines, collects comments and owns the ``p <usage>`` header;
+    every other line goes to ``line(lineno, fields, header)``, with header
+    None ahead of the header line, so errors are raised in line order.
+    """
+    name, *counts = usage.split()
+    header = None
     comments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#") or line.split()[0] == "c":
-            comments.append(line.lstrip("#c").strip())
-            continue
-        yield lineno, line.split(), comments
-
-
-def _hints_from_comments(comments: list[str]) -> dict:
-    hints: dict = {}
-    for comment in comments:
-        if not comment.startswith("gen:"):
-            continue
-        fields = comment[4:].split()
+        fields = raw.split()
         if not fields:
             continue
-        name, kv = fields[0], {}
-        for item in fields[1:]:
-            if "=" in item:
-                key, _, val = item.partition("=")
-                try:
-                    kv[key] = int(val)
-                except ValueError:
-                    kv[key] = val
-        k, p = kv.get("k"), kv.get("p")
-        # a hint with a missing or non-integer k or p is ignored
-        if name == "cycle-power" and isinstance(k, int) and isinstance(p, int):
-            hints["cycle_power"] = (k, p)
+        if fields[0][0] == "#" or fields[0] == "c":
+            comments.append(raw.strip().lstrip("#c").strip())
+        elif fields[0] != "p":
+            line(lineno, fields, header)
+        elif header is not None:
+            raise FormatError(f"line {lineno}: duplicate header")
+        elif fields[1:2] != [name] or len(fields) != 2 + len(counts):
+            raise FormatError(f"line {lineno}: expected 'p {usage}'")
+        else:
+            header = _naturals(fields[2:], lineno)
+    if header is None:
+        raise FormatError(f"missing 'p {name}' header")
+    return header, comments
+
+
+def _cycle_power_hint(comments: list[str]) -> dict:
+    """k and p of the last ``gen: cycle-power`` comment where both are ints."""
+    hints = {}
+    for comment in comments:
+        fields = comment[4:].split() if comment.startswith("gen:") else []
+        if fields[:1] == ["cycle-power"]:
+            kv = dict(item.partition("=")[::2] for item in fields if "=" in item)
+            try:
+                hints["cycle_power"] = int(kv["k"]), int(kv["p"])
+            except (KeyError, ValueError):
+                pass
     return hints
 
 
@@ -61,8 +73,8 @@ def _ints(fields, lineno, expect=None):
     return vals
 
 
-def _naturals(fields, lineno, expect=None):
-    vals = _ints(fields, lineno, expect)
+def _naturals(fields, lineno):
+    vals = _ints(fields, lineno)
     if any(v < 0 for v in vals):
         raise FormatError(f"line {lineno}: expected non-negative integers")
     return vals
@@ -77,31 +89,17 @@ def _edge(fields, lineno, n):
 
 def parse_hgraph(text: str) -> tuple[Graph, dict]:
     """Parse a target graph file; returns the graph and generator hints."""
-    h = None
     edges = []
-    all_comments: list[str] = []
-    for lineno, fields, comments in _data_lines(text):
-        all_comments = comments
-        kind = fields[0]
-        if kind == "p":
-            if h is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(fields) != 3 or fields[1] != "hgraph":
-                raise FormatError(f"line {lineno}: expected 'p hgraph <h>'")
-            (h,) = _naturals(fields[2:], lineno, 1)
-        elif kind == "e":
-            if h is None:
-                raise FormatError(f"line {lineno}: edge before header")
-            edges.append(_edge(fields[1:], lineno, h))
-        else:
-            raise FormatError(f"line {lineno}: unknown line type {kind!r}")
-    if h is None:
-        raise FormatError("missing 'p hgraph' header")
-    try:
-        graph = Graph.from_edges(h, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    return graph, _hints_from_comments(all_comments)
+
+    def line(lineno, fields, header):
+        if fields[0] != "e":
+            raise FormatError(f"line {lineno}: unknown line type {fields[0]!r}")
+        if header is None:
+            raise FormatError(f"line {lineno}: edge before header")
+        edges.append(_edge(fields[1:], lineno, header[0]))
+
+    (h,), comments = _read(text, "hgraph <h>", line)
+    return Graph.from_edges(h, edges), _cycle_power_hint(comments)
 
 
 def write_hgraph(g: Graph, comments: tuple[str, ...] = ()) -> str:
@@ -113,21 +111,15 @@ def write_hgraph(g: Graph, comments: tuple[str, ...] = ()) -> str:
 
 def parse_instance(text: str) -> tuple[Instance, int]:
     """Parse an instance file; returns the instance and the target size h."""
-    header = None
     edges = []
     lists: dict[int, int] = {}
-    cover = None
-    for lineno, fields, _ in _data_lines(text):
+    covers = []  # the cover line, when there is one
+
+    def line(lineno, fields, header):
         kind = fields[0]
-        if kind == "p":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(fields) != 5 or fields[1] != "lhom":
-                raise FormatError(f"line {lineno}: expected 'p lhom <n> <m> <h>'")
-            header = _naturals(fields[2:], lineno, 3)
-        elif header is None:
+        if header is None:
             raise FormatError(f"line {lineno}: data before header")
-        elif kind == "e":
+        if kind == "e":
             edges.append(_edge(fields[1:], lineno, header[0]))
         elif kind == "l":
             vals = _naturals(fields[1:], lineno)
@@ -138,14 +130,13 @@ def parse_instance(text: str) -> tuple[Instance, int]:
                 raise FormatError(f"line {lineno}: duplicate list for vertex {v}")
             lists[v] = mask_of(colors)
         elif kind == "x":
-            if cover is not None:
+            if covers:
                 raise FormatError(f"line {lineno}: duplicate cover line")
-            cover = mask_of(_naturals(fields[1:], lineno))
+            covers.append(mask_of(_naturals(fields[1:], lineno)))
         else:
             raise FormatError(f"line {lineno}: unknown line type {kind!r}")
-    if header is None:
-        raise FormatError("missing 'p lhom' header")
-    n, m, h = header
+
+    (n, m, h), _ = _read(text, "lhom <n> <m> <h>", line)
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
     if sorted(lists) != list(range(n)):
@@ -154,8 +145,8 @@ def parse_instance(text: str) -> tuple[Instance, int]:
         if mask >> h:
             raise FormatError(f"list of vertex {v} mentions colors >= {h}")
     try:
-        graph = Graph.from_edges(n, edges)
-        inst = Instance(graph, tuple(lists[v] for v in range(n)), cover)
+        inst = Instance(Graph.from_edges(n, edges),
+                        tuple(lists[v] for v in range(n)), *covers)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     return inst, h
@@ -175,32 +166,22 @@ def write_instance(inst: Instance, h: int, comments: tuple[str, ...] = ()) -> st
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     """Parse DIMACS CNF; returns (variable count, clauses as literal lists)."""
-    header = None
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for lineno, fields, _ in _data_lines(text):
-        if fields[0] == "p":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise FormatError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            header = _naturals(fields[2:], lineno, 2)
-            continue
+    clauses: list[list[int]] = [[]]  # the last one is still open
+
+    def line(lineno, fields, header):
         if header is None:
             raise FormatError(f"line {lineno}: clause before header")
         for lit in _ints(fields, lineno):
             if lit == 0:
-                clauses.append(current)
-                current = []
+                clauses.append([])
+            elif abs(lit) > header[0]:
+                raise FormatError(f"line {lineno}: literal {lit} out of range")
             else:
-                if abs(lit) > header[0]:
-                    raise FormatError(f"line {lineno}: literal {lit} out of range")
-                current.append(lit)
-    if header is None:
-        raise FormatError("missing 'p cnf' header")
-    if current:
+                clauses[-1].append(lit)
+
+    (nvars, nclauses), _ = _read(text, "cnf <vars> <clauses>", line)
+    if clauses.pop():
         raise FormatError("last clause not terminated by 0")
-    nvars, nclauses = header
     if len(clauses) != nclauses:
         raise FormatError(f"header declares {nclauses} clauses, found {len(clauses)}")
     return nvars, clauses

@@ -81,8 +81,6 @@ def gen_instance(hg: Graph, n: int, k: int, seed: int,
     edges = []
     for u in range(k):
         for v in range(u + 1, n):
-            if v >= k and u >= k:
-                continue
             if rng.chance(1, 2):
                 if plant is not None and not hg.adj[plant[u]] >> plant[v] & 1:
                     continue

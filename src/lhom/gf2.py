@@ -192,19 +192,23 @@ def solve_linear_system(rows: Sequence[int], rhs: Sequence[int],
     return solution
 
 
-def shadow_solution(n: int, d: int, zero_sets: Iterable[Sequence[int]],
+def shadow_solution(d: int, zero_sets: Iterable[Sequence[int]],
                     one_set: Iterable[int]) -> list[tuple[int, ...]] | None:
     """The d-sets with coefficient 1 in one solution of a shadow system.
 
-    Unknowns are the d-subsets of range(n).  The shadow sum of a color set
-    (the sum of the unknowns over its d-subsets) is pinned to 0 for each
-    zero set, which must arrive ascending, and to 1 for one_set.  Returns
-    None when the system is inconsistent.
+    The shadow sum of a color set (the sum of the unknowns over its
+    d-subsets) is pinned to 0 for each zero set, which must arrive
+    ascending, and to 1 for one_set.  Unknowns are the d-sets that occur in
+    a pinned set, in lexicographic order; any other d-set's column would be
+    all zero, never a pivot and 0 in the solution.  Returns None when the
+    system is inconsistent.
     """
-    bit = {s: 1 << i for i, s in enumerate(itertools.combinations(range(n), d))}
+    subsets = [list(itertools.combinations(colors, d))
+               for colors in itertools.chain(zero_sets, [sorted(one_set)])]
+    bit = {s: 1 << i for i, s in
+           enumerate(sorted(set(itertools.chain.from_iterable(subsets))))}
     # the d-subsets of a set are distinct columns, so their sum is their OR
-    rows = [sum(map(bit.__getitem__, itertools.combinations(colors, d)))
-            for colors in itertools.chain(zero_sets, [sorted(one_set)])]
+    rows = [sum(map(bit.__getitem__, combos)) for combos in subsets]
     sol = solve_linear_system(rows, [0] * (len(rows) - 1) + [1], len(bit))
     if sol is None:
         return None

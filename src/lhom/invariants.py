@@ -328,8 +328,7 @@ def degree_probe(hg: Graph) -> dict:
             zero_sets = sorted({
                 combo for w in iter_bits(l_star)
                 for combo in itertools.combinations(bit_list(hg.adj[w]), c)})
-            ok = shadow_solution(hg.n, d, zero_sets,
-                                 bit_list(s_mask)) is not None
+            ok = shadow_solution(d, zero_sets, bit_list(s_mask)) is not None
             verdicts.update(dict.fromkeys(_orbit(s_mask, gens), ok))
         report["cases"].append({"s0": bit_list(s_mask), "solvable": ok})
         report["all_ok"] &= ok

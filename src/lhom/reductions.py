@@ -48,6 +48,24 @@ class VariableGadget:
         return Instance(self.graph, self.lists)
 
 
+def _order(hg: Graph, lbs: LowerBoundStructure, who: str) -> int:
+    """The structure's order d, once it is at least 3 (else the error
+    starts with `who`) and the structure is checked against hg: d entries
+    in xs and in xps, every color a vertex of hg and L inside V(hg)."""
+    d = lbs.order
+    if d < 3:
+        raise ValueError(f"{who} a structure of order >= 3")
+    if len(lbs.xs) != d or len(lbs.xps) != d:
+        raise ValueError(f"structure of order {d} has {len(lbs.xs)} xs and "
+                         f"{len(lbs.xps)} xps")
+    for c in lbs.xs + lbs.xps:
+        if not 0 <= c < hg.n:
+            raise ValueError(f"structure color {c} is not a vertex of the target")
+    if lbs.l_mask & ~hg.full_mask:
+        raise ValueError("structure list L is not inside the target's vertices")
+    return d
+
+
 def _slots(hg: Graph, lbs: LowerBoundStructure,
            front: tuple[int, ...]) -> tuple[list[int], ...]:
     """x, x', a plain helper and a primed-side witness per slot, the slots
@@ -123,9 +141,7 @@ def build_neq(hg: Graph, lbs: LowerBoundStructure, i: int) -> Gadget:
     Slot i leads so the construction always runs on slot 0; two further
     slots are consumed, hence order >= 3.
     """
-    d = lbs.order
-    if d < 3:
-        raise ValueError("inequality gadgets need a structure of order >= 3")
+    d = _order(hg, lbs, "inequality gadgets need")
     if not 0 <= i < d:
         raise ValueError("index out of range")
     x, xp, xt, xtp = _slots(hg, lbs, (i,))
@@ -145,9 +161,7 @@ def build_comp(hg: Graph, lbs: LowerBoundStructure, i: int, j: int) -> Gadget:
     Endpoints carry lists {x_i, x_i'} and {x_j, x_j'}; exactly the aligned
     pairs (x_i, x_j) and (x_i', x_j') survive.
     """
-    d = lbs.order
-    if d < 3:
-        raise ValueError("compatibility gadgets need a structure of order >= 3")
+    d = _order(hg, lbs, "compatibility gadgets need")
     if i == j or not (0 <= i < d and 0 <= j < d):
         raise ValueError("indices must be distinct and in range")
     third = min(t for t in range(d) if t not in (i, j))
@@ -170,9 +184,7 @@ def build_variable_gadget(hg: Graph, lbs: LowerBoundStructure) -> VariableGadget
     gadget chains a_i to a_{i+1}, so either every a_i is x_i (false) or
     every a_i is x_i' (true).
     """
-    d = lbs.order
-    if d < 3:
-        raise ValueError("variable gadgets need a structure of order >= 3")
+    d = _order(hg, lbs, "variable gadgets need")
     lists = [mask_of((lbs.xs[i], lbs.xps[i])) for i in range(d)] * 2
     edges: list[tuple[int, int]] = []
     parts = [(build_neq(hg, lbs, i), (i, d + i)) for i in range(d)]
@@ -218,9 +230,7 @@ def reduce_sat(nvars: int, clauses: list[list[int]], hg: Graph,
     clauses are padded by repeating their last literal.  The gadget
     vertices form the designated cover.
     """
-    d = lbs.order
-    if d < 3:
-        raise ValueError("the reduction needs a structure of order >= 3")
+    d = _order(hg, lbs, "the reduction needs")
     if nvars < 0:
         raise ValueError(f"variable count must be >= 0, got {nvars}")
     for clause in clauses:

@@ -231,6 +231,27 @@ def test_reduce_sat_pipeline(tmp_path, k4_file, capsys):
     assert main(["solve", str(out2), "--target", k4_file]) == 1
 
 
+def test_reduce_sat_lbs_order_and_stdout(tmp_path, k4_file, capsys):
+    cnf = tmp_path / "sat.cnf"
+    cnf.write_text("p cnf 3 4\n1 2 -3 0\n-1 2 0\n-2 3 0\n1 -3 0\n")
+    plain, ordered = tmp_path / "plain.lh", tmp_path / "ordered.lh"
+    assert main(["reduce-sat", str(cnf), "--target", k4_file,
+                 "--out", str(plain), "--json"]) == 0
+    out = _json_out(capsys)
+    assert (out["vertices"], out["cover_size"]) == (142, 138)
+    assert main(["reduce-sat", str(cnf), "--target", k4_file, "--lbs-order",
+                 "3", "--out", str(ordered)]) == 0
+    assert ordered.read_text() == plain.read_text()
+    capsys.readouterr()
+    assert main(["reduce-sat", str(cnf), "--target", k4_file, "--lbs-order",
+                 "4", "--out", str(tmp_path / "four.lh")]) == 2
+    assert "no lower bound structure of order 4" in capsys.readouterr().err
+    assert main(["reduce-sat", str(cnf), "--target", k4_file]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("c reduce-sat vars=3 clauses=4 order=3\n")
+    assert stdout == plain.read_text()
+
+
 def test_reduce_sat_rejects_low_order_target(tmp_path, c6_file):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 1\n1 0\n")

@@ -96,3 +96,111 @@ def test_dimacs_unterminated_clause():
 def test_dimacs_clause_count_checked():
     with pytest.raises(FormatError):
         parse_dimacs("p cnf 2 2\n1 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p hgraph 2\np hgraph 2\n", "line 2: duplicate header"),
+    ("p hgraph 2\np lhom 1 0 1\n", "line 2: duplicate header"),
+    ("p hgraph\n", "line 1: expected 'p hgraph <h>'"),
+    ("p hgraph 2 3\n", "line 1: expected 'p hgraph <h>'"),
+    ("p lhom 2\n", "line 1: expected 'p hgraph <h>'"),
+    ("p hgraph x\n", "line 1: expected integers"),
+    ("p hgraph -1\n", "line 1: expected non-negative integers"),
+    ("e 0 1\np hgraph 2\n", "line 1: edge before header"),
+    ("q 0 1\np hgraph 2\n", "line 1: unknown line type 'q'"),
+    ("p hgraph 2\nq 0 1\n", "line 2: unknown line type 'q'"),
+    ("p hgraph 2\ne 0\n", "line 2: expected 2 integers"),
+    ("p hgraph 2\ne 0 x\n", "line 2: expected integers"),
+    ("p hgraph 2\ne 0 2\n", "line 2: edge (0, 2) out of range"),
+    ("", "missing 'p hgraph' header"),
+    ("# gen: cycle-power k=3 p=1\n\n", "missing 'p hgraph' header"),
+])
+def test_hgraph_error_messages(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_hgraph(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p lhom 1 0 1\np lhom 1 0 1\n", "line 2: duplicate header"),
+    ("p lhom 1 0 1\nl 0 0\np cnf 1 1\n", "line 3: duplicate header"),
+    ("p lhom 1 0\n", "line 1: expected 'p lhom <n> <m> <h>'"),
+    ("p hgraph 1 0 1\n", "line 1: expected 'p lhom <n> <m> <h>'"),
+    ("p lhom 1 0 x\n", "line 1: expected integers"),
+    ("p lhom 1 0 -1\n", "line 1: expected non-negative integers"),
+    ("l 0 0\np lhom 1 0 1\n", "line 1: data before header"),
+    ("z 1\np lhom 1 0 1\n", "line 1: data before header"),
+    ("p lhom 1 0 1\nl 0 0\nz 1\n", "line 3: unknown line type 'z'"),
+    ("p lhom 2 1 1\ne 0 1 1\n", "line 2: expected 2 integers"),
+    ("p lhom 2 1 1\ne 0 2\n", "line 2: edge (0, 2) out of range"),
+    ("p lhom 1 0 1\nl\n", "line 2: list line needs a vertex"),
+    ("p lhom 1 0 1\nl 0 x\n", "line 2: expected integers"),
+    ("p lhom 1 0 1\nl 0 0\nl 0 0\n", "line 3: duplicate list for vertex 0"),
+    ("p lhom 1 0 1\nl 0 0\nx 0\nx 0\n", "line 4: duplicate cover line"),
+    ("p lhom 1 0 1\nl 0 0\nx -1\n", "line 3: expected non-negative integers"),
+    ("c only a comment\n", "missing 'p lhom' header"),
+    ("p lhom 2 2 1\ne 0 1\nl 0 0\nl 1 0\n", "header declares 2 edges, found 1"),
+    ("p lhom 2 0 1\nl 0 0\n", "exactly one list line per vertex is required"),
+    ("p lhom 1 0 1\nl 1 0\n", "exactly one list line per vertex is required"),
+    ("p lhom 1 0 3\nl 0 5\n", "list of vertex 0 mentions colors >= 3"),
+    ("p lhom 1 0 1\nl 0 0\nx 3\n", "cover vertex out of range"),
+    ("p lhom 3 2 1\ne 0 1\ne 1 2\nl 0 0\nl 1 0\nl 2 0\nx 0\n",
+     "designated cover does not cover all edges"),
+])
+def test_instance_error_messages(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 1 1\np cnf 1 1\n", "line 2: duplicate header"),
+    ("p cnf 1\n", "line 1: expected 'p cnf <vars> <clauses>'"),
+    ("p dnf 1 1\n", "line 1: expected 'p cnf <vars> <clauses>'"),
+    ("p cnf 1 x\n", "line 1: expected integers"),
+    ("p cnf -1 0\n", "line 1: expected non-negative integers"),
+    ("1 0\np cnf 1 1\n", "line 1: clause before header"),
+    ("p cnf 1 1\n1 x 0\n", "line 2: expected integers"),
+    ("p cnf 2 1\n1 -3 0\n", "line 2: literal -3 out of range"),
+    ("c only a comment\n", "missing 'p cnf' header"),
+    ("p cnf 2 1\n1 2\n", "last clause not terminated by 0"),
+    ("p cnf 2 2\n1 0\n", "header declares 2 clauses, found 1"),
+])
+def test_dimacs_error_messages(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == message
+
+
+def test_blank_and_comment_lines_between_data_lines():
+    spaced = "\n# one\np hgraph 3\n\n   \nc two\ne 0 1\n\t\n#three\ne 1 2\n"
+    assert parse_hgraph(spaced) == parse_hgraph("p hgraph 3\ne 0 1\ne 1 2\n")
+    # blank and comment lines still count toward the line numbers
+    with pytest.raises(FormatError, match="^line 6: edge \\(0, 5\\) out of range$"):
+        parse_hgraph("p hgraph 2\n\n  \n# c\nc x\ne 0 5\n")
+    inst = "p lhom 2 1 2\n\ne 0 1\nc between\nl 0 0\n\n# again\nl 1 1\n"
+    assert parse_instance(inst) == parse_instance(
+        "p lhom 2 1 2\ne 0 1\nl 0 0\nl 1 1\n")
+    cnf = "c head\np cnf 3 2\n1 -2\n\nc split clause\n0 2 3 -1 0\n"
+    assert parse_dimacs(cnf) == (3, [[1, -2], [2, 3, -1]])
+
+
+@pytest.mark.parametrize("comments, hints", [
+    (["gen:"], {}),
+    (["gen:", "gen: cycle-power k=7 p=2"], {"cycle_power": (7, 2)}),
+    (["gen: cycle-power k=7 p=2", "gen:"], {"cycle_power": (7, 2)}),
+    (["gen: cycle-power k=7 p=2", "gen: cycle-power k=9 p=3"],
+     {"cycle_power": (9, 3)}),
+    (["gen: cycle-power k=7 p=2", "gen: cycle-power k=9 p=x"],
+     {"cycle_power": (7, 2)}),
+    (["gen: cycle-power k=7 p=2 k=x"], {}),
+    (["gen: cycle-power k=7"], {}),
+    (["gen: instance k=7 p=2"], {}),
+    (["gen:cycle-power k=7 p=2"], {"cycle_power": (7, 2)}),
+])
+def test_cycle_power_hint_from_comments(comments, hints):
+    text = "".join(f"# {c}\n" for c in comments) + "p hgraph 1\n"
+    assert parse_hgraph(text)[1] == hints
+    # c-style comments and comments after the data carry hints as well
+    text = "p hgraph 1\n" + "".join(f"c {c}\n" for c in comments)
+    assert parse_hgraph(text)[1] == hints

@@ -197,6 +197,19 @@ def test_classify_k4_experiment(k4):
     assert report["recommended_by"] == "experiment"
 
 
+@pytest.mark.parametrize("edges, c, d, probe_ok, rec", [
+    ([(0, 3), (1, 2), (1, 5), (2, 5), (3, 5)], 3, 2, True, (2, "max-degree")),
+    ([(0, 2), (0, 4), (1, 2), (2, 5), (3, 5)], 2, 1, False,
+     (2, "marking-fallback")),
+], ids=["max-degree", "marking-fallback"])
+def test_classify_max_degree_and_fallback_routes(edges, c, d, probe_ok, rec):
+    hg = Graph.from_edges(6, edges)
+    report = classify(hg)
+    assert (report["c_star"], report["d_star"], report["delta"]) == (c, d, 3)
+    assert degree_probe(hg)["all_ok"] is probe_ok
+    assert (report["recommended_degree"], report["recommended_by"]) == rec
+
+
 def test_classify_and_forbid_share_the_route(c5, c6, c13p2, k4):
     """classify recommends the method and degree that forbid returns on a
     minimal width-c* tuple of the widest request, forged hints included."""
@@ -231,6 +244,31 @@ def test_classify_and_forbid_share_the_route(c5, c6, c13p2, k4):
 def test_degree_probe_k4(k4):
     probe = degree_probe(k4)
     assert probe["all_ok"] and probe["cases"]
+
+
+def test_degree_probe_columns_are_the_occurring_sets(monkeypatch):
+    """The probe's shadow systems get one column per 3-subset of a pinned
+    set on C19^3, not one per 3-subset of the 19 colors."""
+    from lhom import gf2
+    pinned, columns = [], []
+    shadow, solve = gf2.shadow_solution, gf2.solve_linear_system
+
+    def record_shadow(d, zero_sets, one_set):
+        zero_sets, one_set = list(zero_sets), list(one_set)
+        pinned.append({combo for colors in zero_sets + [sorted(one_set)]
+                       for combo in itertools.combinations(colors, d)})
+        return shadow(d, zero_sets, one_set)
+
+    def record_solve(rows, rhs, n_cols):
+        columns.append(n_cols)
+        return solve(rows, rhs, n_cols)
+
+    monkeypatch.setattr(invariants, "shadow_solution", record_shadow)
+    monkeypatch.setattr(gf2, "solve_linear_system", record_solve)
+    hg = gen_cycle_power(19, 3)
+    assert degree_probe(hg) == reference_degree_probe(hg)
+    assert columns and columns == [len(sets) for sets in pinned]
+    assert max(columns) < 969  # C(19, 3)
 
 
 def test_max_degree_exchange_in_regime():

@@ -473,3 +473,31 @@ def test_poly_budget_errors_are_pinned(k, p, hint, budget, want):
         kernel_poly(*args)
     assert str(err.value) == \
         f"certification needs {want} evaluations, budget is {budget}"
+
+
+def test_both_kernels_without_a_designated_cover(c6, k4, c13p2):
+    """With no cover line both kernels fall back to the greedy cover; the
+    poly kernel still matches the reference and every kernel keeps the
+    answer."""
+    from oracle import reference_kernel_poly
+    rng = SplitMix64(53)
+    checked = 0
+    for hg, hint in ((c6, None), (k4, None), (c13p2, (13, 2))):
+        for trial in range(6):
+            planted = gen_instance(hg, 8 + rng.below(10), 2 + rng.below(3),
+                                   5300 + trial,
+                                   "planted-yes" if trial % 2 else "random")
+            inst = Instance(planted.graph, planted.lists)
+            greedy = greedy_vertex_cover(inst.graph)
+            assert cover_certificate(inst) == greedy
+            got = kernel_poly(inst, hg, cycle_power=hint)
+            want = reference_kernel_poly(inst, hg, cycle_power=hint)
+            assert got.constraints_total <= want.constraints_total
+            assert dataclasses.replace(got, constraints_total=0) == \
+                dataclasses.replace(want, constraints_total=0), (hg, trial)
+            answer = decide(inst, hg)[0]
+            for report in (got, kernel_marking(inst, hg)):
+                assert report.bound_k == greedy.size()
+                assert decide(report.kernel, hg)[0] == answer, (hg, trial)
+            checked += 1
+    assert checked == 18

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -188,3 +190,22 @@ def test_order_four_reduction_on_k5():
         inst = reduce_sat(nvars, clauses, k5, lbs)
         assert popcount(inst.cover) == 64 * nvars
         assert decide(inst, k5)[0] == brute_sat(nvars, clauses)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"xs": (-1, 1, 2)}, "structure color -1 is not a vertex of the target"),
+    ({"xs": (0, 1)}, "structure of order 3 has 2 xs and 3 xps"),
+    ({"xps": (7, 1, 2)}, "structure color 7 is not a vertex of the target"),
+    ({"l_mask": 1 << 9}, "structure list L is not inside the target's vertices"),
+], ids=["negative-color", "short-xs", "color-7", "l-mask"])
+@pytest.mark.parametrize("build", [
+    lambda hg, lbs: build_neq(hg, lbs, 0),
+    lambda hg, lbs: build_comp(hg, lbs, 0, 1),
+    build_variable_gadget,
+    lambda hg, lbs: reduce_sat(1, [[1]], hg, lbs),
+], ids=["neq", "comp", "variable", "reduce-sat"])
+def test_structure_is_checked_against_the_target(k4, k4_lbs, change, message,
+                                                 build):
+    bad = dataclasses.replace(k4_lbs, **change)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(k4, bad)
