@@ -112,7 +112,7 @@ def write_hgraph(g: Graph, comments: tuple[str, ...] = ()) -> str:
 def parse_instance(text: str) -> tuple[Instance, int]:
     """Parse an instance file; returns the instance and the target size h."""
     edges = []
-    lists: dict[int, int] = {}
+    lists: dict[int, list[int]] = {}  # vertex -> its colors
     covers = []  # the cover line, when there is one
 
     def line(lineno, fields, header):
@@ -125,28 +125,32 @@ def parse_instance(text: str) -> tuple[Instance, int]:
             vals = _naturals(fields[1:], lineno)
             if not vals:
                 raise FormatError(f"line {lineno}: list line needs a vertex")
-            v, colors = vals[0], vals[1:]
+            v, *colors = vals
             if v in lists:
                 raise FormatError(f"line {lineno}: duplicate list for vertex {v}")
-            lists[v] = mask_of(colors)
+            lists[v] = colors
         elif kind == "x":
             if covers:
                 raise FormatError(f"line {lineno}: duplicate cover line")
-            covers.append(mask_of(_naturals(fields[1:], lineno)))
+            covers.append(_naturals(fields[1:], lineno))
         else:
             raise FormatError(f"line {lineno}: unknown line type {kind!r}")
 
     (n, m, h), _ = _read(text, "lhom <n> <m> <h>", line)
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    if sorted(lists) != list(range(n)):
+    # counted, and masks built after their checks: work follows the file's length
+    if len(lists) != n or any(v >= n for v in lists):
         raise FormatError("exactly one list line per vertex is required")
-    for v, mask in lists.items():
-        if mask >> h:
+    for v, colors in lists.items():
+        if any(c >= h for c in colors):
             raise FormatError(f"list of vertex {v} mentions colors >= {h}")
+    if any(v >= n for cover in covers for v in cover):
+        raise FormatError("cover vertex out of range")
     try:
         inst = Instance(Graph.from_edges(n, edges),
-                        tuple(lists[v] for v in range(n)), *covers)
+                        tuple(mask_of(lists[v]) for v in range(n)),
+                        *map(mask_of, covers))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     return inst, h

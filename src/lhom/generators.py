@@ -73,6 +73,8 @@ def gen_instance(hg: Graph, n: int, k: int, seed: int,
         raise ValueError("cover size must be between 0 and n")
     if mode not in ("random", "planted-yes"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n and not hg.n:
+        raise ValueError("target graph must have at least one vertex")
     rng = SplitMix64(seed)
     h = hg.n
     plant = None

@@ -1,9 +1,11 @@
 """Exact list-homomorphism oracle.
 
 Backtracking search that maintains arc consistency, with smallest-list-first
-vertex selection.  The search keeps one candidate list and undoes its
-changes from a trail on backtrack.  After each propagation every vertex
-left with a single candidate is assigned in one step.  Meant for
+vertex selection.  The search is one generator, `_Search.solutions`, that
+yields each solution in turn: `decide` takes the first and
+`enumerate_restricted` collects them all.  It keeps one candidate list and
+undoes its changes from a trail on backtrack.  After each propagation every
+vertex left with a single candidate is assigned in one step.  Meant for
 verification at desk scale; every search is bounded by a node budget and
 raises when it is exhausted.  A node is one assigned vertex or one color
 tried, so a forced vertex counts as one node, as if it had been branched on.
@@ -34,7 +36,8 @@ def node_budget_from_env() -> int:
 
 
 class _Search:
-    """Shared backtracking machinery for decide/enumerate."""
+    """One search over an instance; `solutions()` is the generator that
+    decide and enumerate_restricted iterate, and `nodes` counts its work."""
 
     def __init__(self, inst: Instance, hg: Graph, budget: int):
         validate_instance(inst, hg)
@@ -89,71 +92,55 @@ class _Search:
                     queue.append(u)
         return True
 
-    def _undo(self, mark: int) -> None:
-        """Restore the candidates to when the trail was `mark` long."""
-        cand, trail = self.cand, self.trail
-        for v, old in reversed(trail[mark:]):
-            cand[v] = old
-        del trail[mark:]
-
-    def run(self, on_solution) -> None:
-        """Depth-first search; on_solution(assignment) may return True to stop.
+    def solutions(self):
+        """Depth-first search, yielding each solution's colors in turn.
 
         Each frame of the explicit stack is one branch vertex: its colors
         left to try, the trail length to undo to, and the vertices still
         open (two or more candidates) when it was pushed.  A vertex with
         one candidate is assigned by propagation: it would have no other
         color to try, and under arc consistency its own propagation changes
-        nothing.
+        nothing.  A caller that stops iterating stops the search there.
         """
         if not self.consistent:
             return
-        cand = self.cand
+        cand, trail = self.cand, self.trail
         open_ = [v for v, mask in enumerate(cand) if mask & (mask - 1)]
         self._tick(len(cand) - len(open_))
         stack: list = []
         while open_ is not None:
             if not open_:
-                if on_solution(tuple(c.bit_length() - 1 for c in cand)):
-                    return
+                yield tuple(c.bit_length() - 1 for c in cand)
             else:
                 sizes = list(map(int.bit_count, map(cand.__getitem__, open_)))
                 v = open_[sizes.index(min(sizes))]
-                stack.append((v, iter_bits(cand[v]), len(self.trail), open_))
-            open_ = self._next_branch(stack)
-
-    def _next_branch(self, stack) -> list[int] | None:
-        """Open vertices after the next consistent color of the deepest
-        frame, closing exhausted frames; None once the stack is empty."""
-        cand, trail = self.cand, self.trail
-        while stack:
-            v, colors, mark, open_ = stack[-1]
-            for color in colors:
-                self._undo(mark)
-                self._tick()
-                trail.append((v, cand[v]))
-                cand[v] = 1 << color
-                if self._propagate([v]):
-                    nxt = [u for u in open_ if cand[u] & (cand[u] - 1)]
-                    self._tick(len(open_) - 1 - len(nxt))
-                    return nxt
-            stack.pop()
-        return None
+                stack.append((v, iter_bits(cand[v]), len(trail), open_))
+            # advance the deepest frame to its next consistent color, closing
+            # exhausted frames; open_ stays None once the stack is empty
+            open_ = None
+            while stack and open_ is None:
+                v, colors, mark, pushed = stack[-1]
+                for color in colors:
+                    # undo to the candidates the frame was pushed with
+                    for u, old in reversed(trail[mark:]):
+                        cand[u] = old
+                    del trail[mark:]
+                    self._tick()
+                    trail.append((v, cand[v]))
+                    cand[v] = 1 << color
+                    if self._propagate([v]):
+                        open_ = [u for u in pushed if cand[u] & (cand[u] - 1)]
+                        self._tick(len(pushed) - 1 - len(open_))
+                        break
+                else:
+                    stack.pop()
 
 
 def decide(inst: Instance, hg: Graph,
            node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[bool, tuple[int, ...] | None]:
     """Decide list-homomorphism existence; returns (answer, witness or None)."""
-    found: list[tuple[int, ...]] = []
-
-    def stop(colors):
-        found.append(colors)
-        return True
-
-    _Search(inst, hg, node_budget).run(stop)
-    if found:
-        return True, found[0]
-    return False, None
+    colors = next(_Search(inst, hg, node_budget).solutions(), None)
+    return colors is not None, colors
 
 
 def enumerate_restricted(inst: Instance, hg: Graph, targets,
@@ -163,11 +150,5 @@ def enumerate_restricted(inst: Instance, hg: Graph, targets,
     for t in targets:
         if not 0 <= t < inst.graph.n:
             raise ValueError(f"target {t} is not a vertex of the instance")
-    out: set[tuple[int, ...]] = set()
-
-    def collect(colors):
-        out.add(tuple(colors[t] for t in targets))
-        return False
-
-    _Search(inst, hg, node_budget).run(collect)
-    return out
+    return {tuple(colors[t] for t in targets)
+            for colors in _Search(inst, hg, node_budget).solutions()}

@@ -381,7 +381,7 @@ def test_budget_env_boundary(tmp_path, k4, k4_file, k4_reductions,
                              monkeypatch, capsys):
     sat, _ = k4_reductions
     search = _Search(sat, k4, 10**7)
-    search.run(lambda colors: True)
+    next(search.solutions(), None)
     n = search.nodes
     inst = tmp_path / "sat.lh"
     inst.write_text(write_instance(sat, 4))
@@ -413,3 +413,26 @@ def test_unwritable_output_is_a_usage_error(tmp_path, c6_file, k4_file,
              "out": str(out)}
     assert main([arg.format(**paths) for arg in command]) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_gen_hgraph_checks_and_stdout(tmp_path, capsys):
+    assert main(["gen", "hgraph", "subdivided-star"]) == 2
+    assert capsys.readouterr().err == "error: subdivided-star needs --r\n"
+    out = tmp_path / "c6.hg"
+    args = ["gen", "hgraph", "cycle-power", "--k", "6", "--p", "1"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_gen_instance_on_a_target_without_vertices(tmp_path, capsys):
+    hg = tmp_path / "empty.hg"
+    hg.write_text("p hgraph 0\n")
+    gen = ["gen", "instance", "--target", str(hg), "--k", "0", "--seed", "1"]
+    assert main(gen + ["--n", "3"]) == 2
+    assert (capsys.readouterr().err
+            == "error: target graph must have at least one vertex\n")
+    assert main(gen + ["--n", "0"]) == 0
+    assert capsys.readouterr().out == ("c gen: instance seed=1 mode=random\n"
+                                       "p lhom 0 0 0\nx \n")

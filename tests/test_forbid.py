@@ -791,3 +791,15 @@ def test_table_memo_is_bounded(c6):
         assert forbid(req).method == "c6"
     info = _table.cache_info()
     assert info.misses == maxsize + 8 and info.currsize == maxsize
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, (), (), ()), "a request needs at least one position"),
+    ((1, (1, 4), (0,), (0,)), "lists, verts and colors must have equal length"),
+    ((1 << 6, (0b111111,), (0,), (0,)), "target list out of range"),
+    ((0b111111, (1 << 6,), (0,), (0,)), "candidate list 0 out of range"),
+])
+def test_request_input_checks(c6, args, message):
+    with pytest.raises(ValueError) as err:
+        ForbidRequest(c6, *args)
+    assert str(err.value) == message

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from lhom.errors import FormatError
@@ -204,3 +206,26 @@ def test_cycle_power_hint_from_comments(comments, hints):
     # c-style comments and comments after the data carry hints as well
     text = "p hgraph 1\n" + "".join(f"c {c}\n" for c in comments)
     assert parse_hgraph(text)[1] == hints
+
+
+@pytest.mark.parametrize("text, message", [
+    # a huge vertex count and one list line
+    ("p lhom 2000000 0 6\nl 0 1\n",
+     "exactly one list line per vertex is required"),
+    # a huge color
+    ("p lhom 1 0 6\nl 0 999999999\n", "list of vertex 0 mentions colors >= 6"),
+    # a huge cover vertex
+    ("p lhom 1 0 6\nl 0 1\nx 999999999\n", "cover vertex out of range"),
+])
+def test_instance_work_follows_file_length(text, message):
+    """Large numbers in a short file are rejected without building
+    anything of their size."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 1 << 20

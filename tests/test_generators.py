@@ -4,6 +4,7 @@ from lhom.bitset import bit_list, popcount
 from lhom.formats import write_instance
 from lhom.generators import (SplitMix64, gen_cycle_power, gen_instance,
                              gen_subdivided_star)
+from lhom.graphs import Graph, Instance
 from lhom.invariants import all_essential_sets, compute_c_star
 from lhom.solver import decide
 
@@ -98,3 +99,23 @@ def test_splitmix_below_range():
     vals = [rng.below(10) for _ in range(200)]
     assert set(vals) <= set(range(10))
     assert len(set(vals)) == 10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SplitMix64(1).below(0), "range must be positive"),
+    (lambda: gen_subdivided_star(0), "need at least one leaf"),
+])
+def test_generator_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mode", ["random", "planted-yes"])
+def test_instance_needs_a_target_vertex(mode):
+    empty = Graph.from_edges(0, [])
+    with pytest.raises(ValueError) as err:
+        gen_instance(empty, 3, 1, 1, mode)
+    assert str(err.value) == "target graph must have at least one vertex"
+    # no vertex asks for no color
+    assert gen_instance(empty, 0, 0, 1, mode) == Instance(empty, (), 0)

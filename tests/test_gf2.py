@@ -187,3 +187,13 @@ def test_poly_str_canonical():
     p = bool_poly([{1, 0}, set()])
     assert str(p) == "1 + y[0,1]*y[1,1]"
     assert str(Gf2Poly.zero()) == "0"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_linear_system([1], [], 1), "row/rhs length mismatch"),
+    (lambda: poly_local([6], (0, 1), 6), "color out of range"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

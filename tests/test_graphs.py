@@ -209,3 +209,15 @@ def test_dominant_subset_is_incomparable():
         sub = dominant_subset(hg, mask)
         assert sub & ~mask == 0
         assert is_incomparable_set(hg, sub)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(2, (0,)), "adjacency length must equal vertex count"),
+    (lambda: Graph.from_edges(2, [(0, 2)]), "edge (0, 2) out of range"),
+    (lambda: Instance(Graph.from_edges(2, []), (1,)),
+     "one list per vertex is required"),
+])
+def test_graph_and_instance_input_checks(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

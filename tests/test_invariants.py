@@ -376,3 +376,9 @@ def test_results_do_not_depend_on_automorphisms(no_automorphisms, c6, k4,
     for hg in graphs:
         assert automorphism_generators(hg) == ()
         _assert_matches_reference(hg)
+
+
+def test_c_star_needs_a_target_vertex():
+    with pytest.raises(ValueError) as err:
+        compute_c_star(Graph.from_edges(0, []))
+    assert str(err.value) == "target graph must have at least one vertex"

@@ -70,7 +70,7 @@ def test_budget_exceeded(k4):
 def _nodes_used(inst, hg) -> int:
     """Nodes the search takes to decide `inst`."""
     search = _Search(inst, hg, 10**7)
-    search.run(lambda colors: True)
+    next(search.solutions(), None)
     return search.nodes
 
 
@@ -106,7 +106,9 @@ def _check_against_reference(inst, hg, cap: int) -> list[bool]:
     def current(budget, on_solution):
         search = _Search(inst, hg, budget)
         try:
-            search.run(on_solution)
+            for colors in search.solutions():
+                if on_solution(colors):
+                    break
         except BudgetExceededError:
             # one-by-one counting stops at the first node past the budget
             assert search.nodes == max(budget, 0) + 1
