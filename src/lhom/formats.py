@@ -164,7 +164,7 @@ def write_instance(inst: Instance, h: int, comments: tuple[str, ...] = ()) -> st
     for v in range(g.n):
         lines.append("l " + " ".join(str(x) for x in [v] + bit_list(inst.lists[v])))
     if inst.cover is not None:
-        lines.append("x " + " ".join(str(v) for v in bit_list(inst.cover)))
+        lines.append("x" + "".join(f" {v}" for v in bit_list(inst.cover)))
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,8 @@
 Vertices are dense 0-based indices.  Neighbor sets are stored as int bit
 masks, so a loop on v shows up as bit v of adj[v] and contributes exactly 1
 to the degree.  The same representation serves both the fixed target graph
-(whose vertices are "colors") and instance graphs.
+(whose vertices are "colors") and instance graphs.  A caller's Graph(n, adj)
+is checked; from_edges, the kernels and reduce_sat build valid ones unchecked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ from .bitset import bit_list, iter_bits, popcount
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph, loops allowed; adj[v] is the neighbor mask of v."""
+    """Undirected graph, loops allowed; adj[v] is the neighbor mask of v.
+
+    Graph(n, adj) names the first out-of-range neighbor, else the first
+    asymmetric pair in vertex order; lhom's builders skip it via _built.
+    """
 
     n: int
     adj: tuple[int, ...]
@@ -25,40 +30,20 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
-        if functools.reduce(int.__or__, self.adj, 0) >> self.n:
-            for v, mask in enumerate(self.adj):
-                if mask >> self.n:
-                    raise ValueError(f"neighbor of {v} out of range")
-        if self._symmetric():
-            return
-        # name the first asymmetric pair in vertex order
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
+        for v, mask in enumerate(self.adj):
+            if mask >> self.n:
+                raise ValueError(f"neighbor of {v} out of range")
+        for v, mask in enumerate(self.adj):
+            for u in iter_bits(mask):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
 
-    def _symmetric(self) -> bool:
-        """Is the adjacency symmetric?  One look per edge, from its lower end.
-
-        Every neighbor u > v of v must have v as a neighbor; that maps the
-        pairs above the diagonal one-to-one into those below it, so equal
-        counts on both sides leave no pair below it unmatched.
-        """
-        adj = self.adj
-        above = below = 0
-        for v, mask in enumerate(adj):
-            rest = mask >> v
-            below += mask.bit_count() - rest.bit_count()
-            rest >>= 1
-            above += rest.bit_count()
-            u = v
-            while rest:
-                step = (rest & -rest).bit_length()
-                u += step
-                rest >>= step
-                if not adj[u] >> v & 1:
-                    return False
-        return above == below
+    @classmethod
+    def _built(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -68,7 +53,9 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        if n < 0:
+            raise ValueError("adjacency length must equal vertex count")
+        return cls._built(n, tuple(adj))
 
     @property
     def full_mask(self) -> int:
@@ -85,12 +72,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u <= v; a loop appears as (v, v)."""
-        out = []
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if u >= v:
-                    out.append((v, u))
-        return out
+        return [(v, u) for v, a in enumerate(self.adj)
+                for u in iter_bits(a >> v << v)]
 
     def edge_count(self) -> int:
         """Number of edges; a loop on v is bit v of adj[v], counted once."""
@@ -153,8 +136,6 @@ class Instance:
 def validate_instance(inst: Instance, hg: Graph) -> None:
     """Check that every list is a subset of the target's vertex set."""
     unknown = ~hg.full_mask
-    if not functools.reduce(int.__or__, inst.lists, 0) & unknown:
-        return
     for v, mask in enumerate(inst.lists):
         if mask & unknown:
             raise ValueError(f"list of vertex {v} mentions unknown colors")

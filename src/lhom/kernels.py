@@ -95,7 +95,7 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
         for u in iter_bits(nbrs):
             rows[i] |= 1 << index[u]
             rows[index[u]] |= 1 << i
-    kernel = Instance(Graph(len(kept), tuple(rows)),
+    kernel = Instance(Graph._built(len(kept), tuple(rows)),
                       tuple(inst.lists[v] for v in kept), moved(cover))
     return kernel, tuple(kept)
 

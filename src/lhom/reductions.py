@@ -256,4 +256,5 @@ def reduce_sat(nvars: int, clauses: list[list[int]], hg: Graph,
             adj[cvertex] |= 1 << special
             adj[special] |= 1 << cvertex
     lists = vg.lists * nvars + (lbs.l_mask,) * len(clauses)
-    return Instance(Graph(len(adj), tuple(adj)), lists, (1 << cover_n) - 1)
+    return Instance(Graph._built(len(adj), tuple(adj)), lists,
+                    (1 << cover_n) - 1)

@@ -435,4 +435,4 @@ def test_gen_instance_on_a_target_without_vertices(tmp_path, capsys):
             == "error: target graph must have at least one vertex\n")
     assert main(gen + ["--n", "0"]) == 0
     assert capsys.readouterr().out == ("c gen: instance seed=1 mode=random\n"
-                                       "p lhom 0 0 0\nx \n")
+                                       "p lhom 0 0 0\nx\n")

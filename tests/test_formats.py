@@ -6,6 +6,8 @@ from lhom.errors import FormatError
 from lhom.formats import (parse_dimacs, parse_hgraph, parse_instance,
                           write_hgraph, write_instance)
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
+from lhom.invariants import compute_d_star
+from lhom.reductions import reduce_sat
 
 
 def test_hgraph_roundtrip():
@@ -71,6 +73,19 @@ def test_instance_cover_line_must_cover():
     text = "p lhom 3 2 2\ne 0 1\ne 1 2\nl 0 0\nl 1 0\nl 2 0\nx 0\n"
     with pytest.raises(FormatError):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_instance_lines_end_without_whitespace(k, k4):
+    cases = [(gen_instance(hg, 5, k, seed), hg.n)
+             for hg in (gen_cycle_power(6, 1), k4) for seed in (1, 2)]
+    if k == 0:
+        # no variables and no clauses: no vertex, and an empty cover
+        cases.append((reduce_sat(0, [], k4, compute_d_star(k4)[1]), k4.n))
+    for inst, h in cases:
+        text = write_instance(inst, h)
+        assert all(line == line.rstrip() for line in text.splitlines()), text
+        assert parse_instance(text) == (inst, h)
 
 
 def test_instance_cover_line_roundtrip():

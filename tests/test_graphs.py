@@ -8,8 +8,12 @@ from lhom.generators import SplitMix64, gen_instance
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          dominant_subset, greedy_vertex_cover, incomparable,
                          is_incomparable_set, reduce_lists, validate_instance)
+from lhom.invariants import compute_d_star
+from lhom.kernels import kernel_marking, kernel_poly
+from lhom.reductions import reduce_sat
 from lhom.solver import decide
 
+from conftest import complete_graph
 from oracle import brute_common, exact_min_vertex_cover, random_graph
 
 
@@ -216,8 +220,62 @@ def test_dominant_subset_is_incomparable():
     (lambda: Graph.from_edges(2, [(0, 2)]), "edge (0, 2) out of range"),
     (lambda: Instance(Graph.from_edges(2, []), (1,)),
      "one list per vertex is required"),
+    (lambda: Graph(1, (0b10,)), "neighbor of 0 out of range"),
+    # the range pass runs first, though (1, 0) is also asymmetric
+    (lambda: Graph(2, (0b10, 0b100)), "neighbor of 1 out of range"),
+    # an explicit id: the message alone would repeat the first case's id
+    pytest.param(lambda: Graph.from_edges(-1, []),
+                 "adjacency length must equal vertex count",
+                 id="from_edges-negative-n"),
+    # with n < 0 the edge loop names the first edge before the length check
+    (lambda: Graph.from_edges(-1, [(0, 0)]), "edge (0, 0) out of range"),
+    (lambda: validate_instance(Instance(Graph.from_edges(2, []), (1, 0b100)),
+                               Graph.from_edges(2, [])),
+     "list of vertex 1 mentions unknown colors"),
 ])
 def test_graph_and_instance_input_checks(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def _assert_checked(g: Graph) -> None:
+    assert Graph(g.n, g.adj) == g
+
+
+def test_builders_make_graphs_the_checked_constructor_accepts(
+        c5, c6, k4, c13p2, k4_reductions):
+    """from_edges, both kernels and reduce_sat build their graphs without
+    the check; Graph(n, adj) must accept each one as it is."""
+    rng = SplitMix64(2001)
+    for _ in range(200):
+        n = 1 + rng.below(10)
+        # loops and repeated edges included
+        edges = [(rng.below(n), rng.below(n)) for _ in range(rng.below(3 * n))]
+        edges += edges[:rng.below(len(edges) + 1)]
+        _assert_checked(Graph.from_edges(n, edges))
+    cases = [("small", hg, None, gen_instance(hg, 6 + rng.below(20),
+                                              1 + rng.below(3), 2100 + trial))
+             for hg in (c5, c6, k4) for trial in range(4)]
+    cases += [("c13", c13p2, (13, 2), gen_instance(c13p2, 60, 3, 2200 + trial))
+              for trial in range(2)]
+    cases += [("sat", k4, None, inst) for inst in k4_reductions]
+    shrunk: dict[str, set[bool]] = {}
+    for name, hg, hint, inst in cases:
+        # with the cover line, and without it (the greedy cover)
+        for case in (inst, Instance(inst.graph, inst.lists)):
+            for report in (kernel_marking(case, hg),
+                           kernel_poly(case, hg, cycle_power=hint)):
+                _assert_checked(report.kernel.graph)
+                shrunk.setdefault(name, set()).add(
+                    report.vertices_out < report.vertices_in)
+    # C13^2 poly kernels drop and re-index vertices; K4 reductions drop none
+    assert True in shrunk["c13"] and shrunk["sat"] == {False}, shrunk
+    for hg in (k4, complete_graph(5)):
+        d, lbs = compute_d_star(hg)
+        assert d == hg.n - 1  # orders 3 and 4
+        nvars = 4
+        clauses = [[(1 if rng.below(2) else -1) * (1 + rng.below(nvars))
+                    for _ in range(3)] for _ in range(6)]
+        for args in ((nvars, clauses), (0, []), (nvars, clauses + [[]])):
+            _assert_checked(reduce_sat(*args, hg, lbs).graph)
