@@ -72,19 +72,6 @@ class Gf2Poly:
         return Gf2Poly(frozenset(
             frozenset((mapping[v], c) for v, c in m) for m in self.monomials))
 
-    def eval(self, colors: Mapping[int, int]) -> int:
-        """Value on the choice assignment coloring each vertex as given."""
-        acc = 0
-        for m in self.monomials:
-            for v, c in m:
-                if v not in colors:
-                    raise ValueError(f"variable for vertex {v} is unassigned")
-                if colors[v] != c:
-                    break
-            else:
-                acc ^= 1
-        return acc
-
     def __str__(self) -> str:
         if not self.monomials:
             return "0"

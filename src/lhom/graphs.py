@@ -4,7 +4,8 @@ Vertices are dense 0-based indices.  Neighbor sets are stored as int bit
 masks, so a loop on v shows up as bit v of adj[v] and contributes exactly 1
 to the degree.  The same representation serves both the fixed target graph
 (whose vertices are "colors") and instance graphs.  A caller's Graph(n, adj)
-is checked; from_edges, the kernels and reduce_sat build valid ones unchecked.
+and Instance(graph, lists, cover) are checked; from_edges, the kernels,
+reduce_lists, reduce_sat and the gadgets build valid ones unchecked.
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ import itertools
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, popcount
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass made without its __post_init__ check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -40,10 +49,7 @@ class Graph:
 
     @classmethod
     def _built(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
+        return _unchecked(cls, n=n, adj=adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -60,9 +66,6 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return popcount(self.adj[v])
@@ -113,7 +116,8 @@ class Instance:
     """Input graph with one color list per vertex and an optional cover.
 
     Lists are masks over the target graph's vertices.  When `cover` is
-    present, deleting it from the graph must leave no edge.
+    present, deleting it from the graph must leave no edge.  Instance(...)
+    checks both; lhom's builders skip the check via _built.
     """
 
     graph: Graph
@@ -131,6 +135,11 @@ class Instance:
                     continue
                 if self.graph.adj[v] & ~self.cover:
                     raise ValueError("designated cover does not cover all edges")
+
+    @classmethod
+    def _built(cls, graph: Graph, lists: tuple[int, ...],
+               cover: int | None = None) -> "Instance":
+        return _unchecked(cls, graph=graph, lists=lists, cover=cover)
 
 
 def validate_instance(inst: Instance, hg: Graph) -> None:
@@ -177,8 +186,8 @@ def reduce_lists(inst: Instance, hg: Graph) -> Instance:
     for mask in inst.lists:
         if mask not in reduced:
             reduced[mask] = dominant_subset(hg, mask)
-    return Instance(inst.graph, tuple(map(reduced.__getitem__, inst.lists)),
-                    inst.cover)
+    lists = tuple(map(reduced.__getitem__, inst.lists))
+    return Instance._built(inst.graph, lists, inst.cover)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class KernelReport:
 
 
 def _trivial_no_kernel(inst: Instance, method: str, bound_k: int) -> KernelReport:
-    kernel = Instance(Graph.from_edges(1, []), (0,), 0)
+    kernel = Instance._built(Graph.from_edges(1, []), (0,), 0)
     return KernelReport(
         kernel=kernel, method=method, degree_used=0,
         vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
@@ -95,8 +95,8 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
         for u in iter_bits(nbrs):
             rows[i] |= 1 << index[u]
             rows[index[u]] |= 1 << i
-    kernel = Instance(Graph._built(len(kept), tuple(rows)),
-                      tuple(inst.lists[v] for v in kept), moved(cover))
+    kernel = Instance._built(Graph._built(len(kept), tuple(rows)),
+                             tuple(inst.lists[v] for v in kept), moved(cover))
     return kernel, tuple(kept)
 
 

@@ -34,7 +34,7 @@ class Gadget:
     params: tuple[int, ...]
 
     def instance(self) -> Instance:
-        return Instance(self.graph, self.lists)
+        return Instance._built(self.graph, self.lists)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class VariableGadget:
     specials_abar: tuple[int, ...]
 
     def instance(self) -> Instance:
-        return Instance(self.graph, self.lists)
+        return Instance._built(self.graph, self.lists)
 
 
 def _order(hg: Graph, lbs: LowerBoundStructure, who: str) -> int:
@@ -240,7 +240,7 @@ def reduce_sat(nvars: int, clauses: list[list[int]], hg: Graph,
             raise ValueError(f"bad literal in clause {clause}")
     if any(not clause for clause in clauses):
         # an empty clause is unsatisfiable outright
-        return Instance(Graph.from_edges(1, []), (0,), 0)
+        return Instance._built(Graph.from_edges(1, []), (0,), 0)
     vg = build_variable_gadget(hg, lbs)
     gadget_size = vg.graph.n
     cover_n = gadget_size * nvars
@@ -256,5 +256,5 @@ def reduce_sat(nvars: int, clauses: list[list[int]], hg: Graph,
             adj[cvertex] |= 1 << special
             adj[special] |= 1 << cvertex
     lists = vg.lists * nvars + (lbs.l_mask,) * len(clauses)
-    return Instance(Graph._built(len(adj), tuple(adj)), lists,
-                    (1 << cover_n) - 1)
+    return Instance._built(Graph._built(len(adj), tuple(adj)), lists,
+                           (1 << cover_n) - 1)

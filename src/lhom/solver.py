@@ -5,7 +5,10 @@ vertex selection.  The search is one generator, `_Search.solutions`, that
 yields each solution in turn: `decide` takes the first and
 `enumerate_restricted` collects them all.  It keeps one candidate list and
 undoes its changes from a trail on backtrack.  After each propagation every
-vertex left with a single candidate is assigned in one step.  Meant for
+vertex left with a single candidate is assigned in one step.  The open
+vertices of a frame are one int mask, and the branch vertex comes from
+per-size masks kept lazily, so a color tried costs work in proportion to
+the changes it makes, not to the number of vertices.  Meant for
 verification at desk scale; every search is bounded by a node budget and
 raises when it is exhausted.  A node is one assigned vertex or one color
 tried, so a forced vertex counts as one node, as if it had been branched on.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import os
 
-from .bitset import iter_bits
+from .bitset import iter_bits, mask_of
 from .errors import BudgetExceededError
 from .graphs import Graph, Instance, validate_instance
 
@@ -37,7 +40,15 @@ def node_budget_from_env() -> int:
 
 class _Search:
     """One search over an instance; `solutions()` is the generator that
-    decide and enumerate_restricted iterate, and `nodes` counts its work."""
+    decide and enumerate_restricted iterate, and `nodes` counts its work.
+
+    `seen[s]` holds every open vertex with s candidates, and may hold stale
+    bits of vertices that now have more: the start fills it, `_propagate`
+    adds a vertex whenever its list shrinks to two or more colors, and undo
+    never touches it.  Sizes only fall along a search path, so a vertex
+    with more than s candidates gets back to s only through `_propagate`,
+    and `_pick` may drop such a bit for good.
+    """
 
     def __init__(self, inst: Instance, hg: Graph, budget: int):
         validate_instance(inst, hg)
@@ -45,11 +56,26 @@ class _Search:
         self.adj = hg.adj
         self.budget = budget
         self.nodes = 0
-        self.nbrs = [[u for u in iter_bits(g.adj[v]) if u != v] for v in range(g.n)]
+        # ascending loop-free neighbour lists in one walk over the bits
+        # above each vertex, shifting the mask down past each one found
+        self.nbrs = nbrs = [[] for _ in range(g.n)]
+        for v, mask in enumerate(g.adj):
+            mask >>= v + 1
+            u = v
+            while mask:
+                step = (mask & -mask).bit_length()
+                mask >>= step
+                u += step
+                nbrs[v].append(u)
+                nbrs[u].append(v)
         # a looped vertex needs a looped image
         looped = sum(1 << c for c in range(hg.n) if hg.adj[c] >> c & 1)
         self.cand = [mask & looped if g.adj[v] >> v & 1 else mask
                      for v, mask in enumerate(inst.lists)]
+        self.seen = [0] * (hg.n + 1)
+        for v, mask in enumerate(self.cand):
+            if mask & (mask - 1):
+                self.seen[mask.bit_count()] |= 1 << v
         self.trail: list[tuple[int, int]] = []
         self.supports: dict[int, int] = {}
         self.consistent = all(self.cand) and self._propagate(list(range(g.n)))
@@ -66,9 +92,10 @@ class _Search:
     def _propagate(self, queue: list[int]) -> bool:
         """Narrow the neighbours of queued vertices until every candidate
         has a support on every edge; False once a list runs empty.  Each
-        change goes on the trail."""
+        change goes on the trail, and a list left with s >= 2 colors puts
+        its vertex in seen[s]."""
         cand, adj, nbrs, trail = self.cand, self.adj, self.nbrs, self.trail
-        supports = self.supports
+        supports, seen = self.supports, self.seen
         while queue:
             w = queue.pop()
             mask = cand[w]
@@ -90,30 +117,51 @@ class _Search:
                     trail.append((u, old))
                     cand[u] = new
                     queue.append(u)
+                    if new & (new - 1):
+                        seen[new.bit_count()] |= 1 << u
         return True
+
+    def _pick(self, open_: int) -> int:
+        """The open vertex with the fewest candidates, the lowest first.
+
+        Scans seen[s] & open_ for s = 2, 3, ...; a smaller list would have
+        been met at a smaller s, so a bit whose vertex has not s candidates
+        has more, and is stale.  open_ is non-empty, so some s finds one."""
+        cand, seen = self.cand, self.seen
+        for s in range(2, len(seen)):
+            found = seen[s] & open_
+            while found:
+                low = found & -found
+                v = low.bit_length() - 1
+                if cand[v].bit_count() == s:
+                    return v
+                seen[s] ^= low
+                found ^= low
 
     def solutions(self):
         """Depth-first search, yielding each solution's colors in turn.
 
         Each frame of the explicit stack is one branch vertex: its colors
-        left to try, the trail length to undo to, and the vertices still
-        open (two or more candidates) when it was pushed.  A vertex with
-        one candidate is assigned by propagation: it would have no other
-        color to try, and under arc consistency its own propagation changes
-        nothing.  A caller that stops iterating stops the search there.
+        left to try, the trail length to undo to, and the mask of vertices
+        still open (two or more candidates) when it was pushed.  A vertex
+        with one candidate is assigned by propagation: it would have no
+        other color to try, and under arc consistency its own propagation
+        changes nothing.  After a color's propagation the vertices that it
+        closed are read off the trail, so a try costs the changes it makes,
+        not a pass over the frame's open vertices.  A caller that stops
+        iterating stops the search there.
         """
         if not self.consistent:
             return
         cand, trail = self.cand, self.trail
-        open_ = [v for v, mask in enumerate(cand) if mask & (mask - 1)]
-        self._tick(len(cand) - len(open_))
+        open_ = mask_of(v for v, mask in enumerate(cand) if mask & (mask - 1))
+        self._tick(len(cand) - open_.bit_count())
         stack: list = []
         while open_ is not None:
             if not open_:
                 yield tuple(c.bit_length() - 1 for c in cand)
             else:
-                sizes = list(map(int.bit_count, map(cand.__getitem__, open_)))
-                v = open_[sizes.index(min(sizes))]
+                v = self._pick(open_)
                 stack.append((v, iter_bits(cand[v]), len(trail), open_))
             # advance the deepest frame to its next consistent color, closing
             # exhausted frames; open_ stays None once the stack is empty
@@ -129,8 +177,14 @@ class _Search:
                     trail.append((v, cand[v]))
                     cand[v] = 1 << color
                     if self._propagate([v]):
-                        open_ = [u for u in pushed if cand[u] & (cand[u] - 1)]
-                        self._tick(len(pushed) - 1 - len(open_))
+                        # every change since the mark was made to an open
+                        # list; those now down to one color are closed
+                        closed = 0
+                        for u, old in trail[mark:]:
+                            if not cand[u] & (cand[u] - 1):
+                                closed |= 1 << u
+                        open_ = pushed & ~closed
+                        self._tick(closed.bit_count() - 1)
                         break
                 else:
                     stack.pop()

@@ -5,8 +5,9 @@ all (list, set) pairs, product-space homomorphism search, truth-table SAT,
 evaluation of a forbidding polynomial on every tuple, plain backtracking
 over a cover.  None of it shares code paths with the library
 implementations it checks.  The witness checks `verify_c_star_witness` and
-`verify_lbs`, the exchange check `max_degree_exchange_holds` and the
-extension check `extendable` live here because only tests call them;
+`verify_lbs`, the exchange check `max_degree_exchange_holds`, the
+extension check `extendable`, the edge test `has_edge` and the polynomial
+evaluation `poly_eval` live here because only tests call them;
 `extendable_bounded` reaches `extendable`'s answer by a different route.
 
 `reference_search` is the oracle's earlier search, kept as a differential
@@ -83,6 +84,24 @@ from lhom.invariants import (CStarWitness, LowerBoundStructure,
                              _is_cycle_power, all_essential_sets,
                              compute_c_star, compute_d_star)
 from lhom.kernels import KernelReport, _trivial_no_kernel
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u] >> v & 1)
+
+
+def poly_eval(poly: Gf2Poly, colors: dict[int, int]) -> int:
+    """`poly` on the choice assignment coloring each vertex as given."""
+    acc = 0
+    for m in poly.monomials:
+        for v, c in m:
+            if v not in colors:
+                raise ValueError(f"variable for vertex {v} is unassigned")
+            if colors[v] != c:
+                break
+        else:
+            acc ^= 1
+    return acc
 
 
 def brute_common(hg: Graph, s_mask: int, l_mask: int) -> int:

@@ -24,7 +24,8 @@ from lhom.solver import decide, enumerate_restricted
 
 from conftest import complete_graph
 from oracle import (brute_sat, max_degree_exchange_holds, packed_rows,
-                    random_graph, verify_c_star_witness, verify_lbs)
+                    poly_eval, random_graph, verify_c_star_witness,
+                    verify_lbs)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -119,7 +120,7 @@ def test_criterion_3_poly_local_contract():
                 poly = poly_local(colors, verts, h)
                 for assignment in itertools.product(range(h), repeat=size + 1):
                     want = int(all(assignment.count(c) == 1 for c in colors))
-                    got = poly.eval(dict(zip(verts, assignment)))
+                    got = poly_eval(poly, dict(zip(verts, assignment)))
                     cases += 1
                     if got != want:
                         failures += 1
@@ -220,8 +221,8 @@ def test_criterion_5_basis_bound():
             sub = [p for i, p in enumerate(polys) if i in set(kept)]
             for bits in itertools.product((0, 1), repeat=m):
                 colors = {v: b for v, b in enumerate(bits)}
-                all_zero = all(p.eval(colors) == 0 for p in polys)
-                sub_zero = all(p.eval(colors) == 0 for p in sub)
+                all_zero = all(poly_eval(p, colors) == 0 for p in polys)
+                sub_zero = all(poly_eval(p, colors) == 0 for p in sub)
                 if all_zero != sub_zero:
                     ok = False
                     break

@@ -10,7 +10,8 @@ from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          is_incomparable_set, reduce_lists, validate_instance)
 from lhom.invariants import compute_d_star
 from lhom.kernels import kernel_marking, kernel_poly
-from lhom.reductions import reduce_sat
+from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
+                             reduce_sat)
 from lhom.solver import decide
 
 from conftest import complete_graph
@@ -243,10 +244,16 @@ def _assert_checked(g: Graph) -> None:
     assert Graph(g.n, g.adj) == g
 
 
+def _assert_checked_instance(inst: Instance) -> None:
+    _assert_checked(inst.graph)
+    assert Instance(inst.graph, inst.lists, inst.cover) == inst
+
+
 def test_builders_make_graphs_the_checked_constructor_accepts(
         c5, c6, k4, c13p2, k4_reductions):
-    """from_edges, both kernels and reduce_sat build their graphs without
-    the check; Graph(n, adj) must accept each one as it is."""
+    """from_edges, both kernels, reduce_lists, reduce_sat and the gadgets
+    build their graphs and instances without the check; Graph(n, adj) and
+    Instance(graph, lists, cover) must accept each one as it is."""
     rng = SplitMix64(2001)
     for _ in range(200):
         n = 1 + rng.below(10)
@@ -264,13 +271,19 @@ def test_builders_make_graphs_the_checked_constructor_accepts(
     for name, hg, hint, inst in cases:
         # with the cover line, and without it (the greedy cover)
         for case in (inst, Instance(inst.graph, inst.lists)):
+            _assert_checked_instance(reduce_lists(case, hg))
             for report in (kernel_marking(case, hg),
                            kernel_poly(case, hg, cycle_power=hint)):
-                _assert_checked(report.kernel.graph)
+                _assert_checked_instance(report.kernel)
                 shrunk.setdefault(name, set()).add(
                     report.vertices_out < report.vertices_in)
     # C13^2 poly kernels drop and re-index vertices; K4 reductions drop none
     assert True in shrunk["c13"] and shrunk["sat"] == {False}, shrunk
+    # an empty list gives the one-vertex no-instance
+    empty = Instance(Graph.from_edges(2, [(0, 1)]), (0, 1), 1)
+    for report in (kernel_marking(empty, k4), kernel_poly(empty, k4)):
+        assert report.vertex_map == (-1,)
+        _assert_checked_instance(report.kernel)
     for hg in (k4, complete_graph(5)):
         d, lbs = compute_d_star(hg)
         assert d == hg.n - 1  # orders 3 and 4
@@ -278,4 +291,10 @@ def test_builders_make_graphs_the_checked_constructor_accepts(
         clauses = [[(1 if rng.below(2) else -1) * (1 + rng.below(nvars))
                     for _ in range(3)] for _ in range(6)]
         for args in ((nvars, clauses), (0, []), (nvars, clauses + [[]])):
-            _assert_checked(reduce_sat(*args, hg, lbs).graph)
+            _assert_checked_instance(reduce_sat(*args, hg, lbs))
+        gadgets = [build_variable_gadget(hg, lbs)]
+        for i in range(d):
+            gadgets.append(build_neq(hg, lbs, i))
+            gadgets += [build_comp(hg, lbs, i, j) for j in range(d) if j != i]
+        for gadget in gadgets:
+            _assert_checked_instance(gadget.instance())
