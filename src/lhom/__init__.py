@@ -9,8 +9,8 @@ every construction at desk scale.
 
 from .forbid import ForbidRequest, ForbidResult, certify_forbid, forbid
 from .generators import gen_cycle_power, gen_instance, gen_subdivided_star
-from .graphs import (Graph, Instance, VertexCoverCertificate, common_neighbors,
-                     greedy_vertex_cover, incomparable, reduce_lists)
+from .graphs import (Graph, Instance, common_neighbors, greedy_vertex_cover,
+                     incomparable, reduce_lists)
 from .invariants import (CStarWitness, LowerBoundStructure, classify,
                          compute_c_star, compute_d_star, find_lbs,
                          find_non_bi_arc_witness)
@@ -19,7 +19,7 @@ from .reductions import build_comp, build_neq, build_variable_gadget, reduce_sat
 from .solver import decide, enumerate_restricted
 
 __all__ = [
-    "Graph", "Instance", "VertexCoverCertificate", "common_neighbors",
+    "Graph", "Instance", "common_neighbors",
     "incomparable", "reduce_lists", "greedy_vertex_cover",
     "CStarWitness", "LowerBoundStructure", "compute_c_star", "compute_d_star",
     "find_lbs", "find_non_bi_arc_witness", "classify",

@@ -22,7 +22,3 @@ def mask_of(items: Iterable[int]) -> int:
     for i in items:
         mask |= 1 << i
     return mask
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import formats, generators, invariants, kernels, reductions
-from .bitset import bit_list, mask_of
+from .bitset import mask_of
 from .errors import BudgetExceededError, CertificationError, FormatError
 from .forbid import ForbidRequest, forbid
 from .graphs import Graph, Instance, is_incomparable_set
@@ -47,24 +47,24 @@ def _write(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_target(path: str) -> tuple[Graph, dict]:
+def _load_target(path: str) -> tuple[Graph, tuple[int, int] | None]:
     return formats.parse_hgraph(_read(path))
 
 
-def _load_problem(args) -> tuple[Graph, dict, Instance]:
-    """The --target graph, its hints, and the instance file checked against it."""
-    hg, hints = _load_target(args.target)
+def _load_problem(args) -> tuple[Graph, tuple[int, int] | None, Instance]:
+    """The --target graph, its hint, and the instance file checked against it."""
+    hg, hint = _load_target(args.target)
     inst, h = formats.parse_instance(_read(args.instance))
     if h != hg.n:
         raise FormatError("instance and target disagree on the color count")
-    return hg, hints, inst
+    return hg, hint, inst
 
 
 def _cmd_invariants(args) -> int:
-    hg, hints = _load_target(args.hgraph)
-    report = invariants.classify(hg, cycle_power=hints.get("cycle_power"))
+    hg, hint = _load_target(args.hgraph)
+    report = invariants.classify(hg, cycle_power=hint)
     nba = invariants.find_non_bi_arc_witness(hg)
-    report["non_bi_arc_witness"] = None if nba is None else list(nba.walk)
+    report["non_bi_arc_witness"] = None if nba is None else list(nba)
     human = (f"c_star={report['c_star']} d_star={report['d_star']} "
              f"delta={report['delta']} recommended_degree="
              f"{report['recommended_degree']} ({report['recommended_by']})")
@@ -86,9 +86,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    hg, hints, inst = _load_problem(args)
-    report = kernels.kernelize(inst, hg, args.method,
-                               cycle_power=hints.get("cycle_power"))
+    hg, hint, inst = _load_problem(args)
+    report = kernels.kernelize(inst, hg, args.method, cycle_power=hint)
     if args.emit:
         comments = (f"method={report.method} degree={report.degree_used} "
                     f"vin={report.vertices_in} vout={report.vertices_out}",)
@@ -109,9 +108,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_verify_kernel(args) -> int:
-    hg, hints, inst = _load_problem(args)
-    report = kernels.kernelize(inst, hg, args.method,
-                               cycle_power=hints.get("cycle_power"))
+    hg, hint, inst = _load_problem(args)
+    report = kernels.kernelize(inst, hg, args.method, cycle_power=hint)
     budget = node_budget_from_env()
     before, _ = decide(inst, hg, node_budget=budget)
     after, _ = decide(report.kernel, hg, node_budget=budget)
@@ -148,7 +146,7 @@ def _default_list_for(hg: Graph, color: int) -> int:
 
 
 def _cmd_forbid(args) -> int:
-    hg, hints = _load_target(args.target)
+    hg, hint = _load_target(args.target)
     colors = tuple(_parse_colors(args.tuple, hg.n, "tuple"))
     l_mask = mask_of(_parse_colors(args.list, hg.n, "list"))
     if args.lists:
@@ -158,7 +156,7 @@ def _cmd_forbid(args) -> int:
         lists = tuple(_default_list_for(hg, c) for c in colors)
     verts = tuple(range(len(colors)))
     req = ForbidRequest(hg, l_mask, lists, verts, colors)
-    result = forbid(req, cycle_power=hints.get("cycle_power"))
+    result = forbid(req, cycle_power=hint)
     if args.degree is not None and result.degree > args.degree:
         raise CertificationError(
             f"no certified polynomial of degree <= {args.degree}; "
@@ -189,10 +187,10 @@ def _cmd_reduce_sat(args) -> int:
     if args.out:
         _write(args.out, text)
         _emit(args, {"vertices": inst.graph.n,
-                     "cover_size": len(bit_list(inst.cover)),
+                     "cover_size": inst.cover.bit_count(),
                      "out": args.out},
               f"wrote {args.out}: {inst.graph.n} vertices, "
-              f"cover {len(bit_list(inst.cover))}")
+              f"cover {inst.cover.bit_count()}")
     else:
         sys.stdout.write(text)
     return 0

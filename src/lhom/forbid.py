@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bitset import bit_list, iter_bits, mask_of, popcount
+from .bitset import bit_list, iter_bits, mask_of
 from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, common_neighbors, is_incomparable_set
 from .gf2 import Gf2Poly, poly_local, shadow_solution
@@ -101,7 +101,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     size = 1
     for f in lists:
         strides.append(size)
-        size *= popcount(f)
+        size *= f.bit_count()
     charge(size, budget)
     parity = _transform(poly, variables, req.verts + tuple(extras), lists,
                         strides)
@@ -148,7 +148,7 @@ def _transform(poly, variables, verts, lists, strides) -> int:
         bit = 1 << i
         unfixed = [k for k in groups if not k & bit]
         if unfixed:
-            rep = _repunit(popcount(f), s)
+            rep = _repunit(f.bit_count(), s)
             for k in unfixed:
                 groups[k | bit] = groups.get(k | bit, 0) ^ groups.pop(k) * rep
     return groups.get((1 << len(lists)) - 1, 0)
@@ -218,7 +218,7 @@ def forbid_monomial(req: ForbidRequest,
     on S0, and the request proves that S0 has no common neighbor in L.  The
     budget still applies to the candidate product a scan would cover.
     """
-    charge(math.prod(map(popcount, req.lists)), budget)
+    charge(math.prod(map(int.bit_count, req.lists)), budget)
     poly = Gf2Poly.product_of_vars(zip(req.verts, req.colors))
     return ForbidResult(poly, req.width, "monomial")
 

@@ -10,7 +10,7 @@ line, naming the format and giving its count of non-negative integers,
 and no data line ahead of it.  Blank lines are skipped; lines starting
 with ``#`` or ``c`` are comments; other unknown line types are an error.
 The last ``gen: cycle-power k=<k> p=<p>`` comment whose k and p are both
-integers is surfaced as the hint ``cycle_power``.
+integers is surfaced as the cycle-power hint (k, p).
 """
 
 from __future__ import annotations
@@ -49,18 +49,18 @@ def _read(text: str, usage: str, line) -> tuple[list[int], list[str]]:
     return header, comments
 
 
-def _cycle_power_hint(comments: list[str]) -> dict:
-    """k and p of the last ``gen: cycle-power`` comment where both are ints."""
-    hints = {}
+def _cycle_power_hint(comments: list[str]) -> tuple[int, int] | None:
+    """(k, p) of the last ``gen: cycle-power`` comment where both are ints."""
+    hint = None
     for comment in comments:
         fields = comment[4:].split() if comment.startswith("gen:") else []
         if fields[:1] == ["cycle-power"]:
             kv = dict(item.partition("=")[::2] for item in fields if "=" in item)
             try:
-                hints["cycle_power"] = int(kv["k"]), int(kv["p"])
+                hint = int(kv["k"]), int(kv["p"])
             except (KeyError, ValueError):
                 pass
-    return hints
+    return hint
 
 
 def _ints(fields, lineno, expect=None):
@@ -87,8 +87,9 @@ def _edge(fields, lineno, n):
     return u, v
 
 
-def parse_hgraph(text: str) -> tuple[Graph, dict]:
-    """Parse a target graph file; returns the graph and generator hints."""
+def parse_hgraph(text: str) -> tuple[Graph, tuple[int, int] | None]:
+    """Parse a target graph file: the graph, and the cycle-power hint (k, p)
+    of its comments (module docstring) or None."""
     edges = []
 
     def line(lineno, fields, header):

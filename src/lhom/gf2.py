@@ -3,6 +3,8 @@
 A variable is a (vertex, color) pair; on a choice assignment exactly one
 color variable per vertex is 1.  In `Gf2Poly` a monomial is a frozenset of
 variables and a polynomial the frozenset of monomials with coefficient 1.
+lhom builds them as monomials (`product_of_vars`) and sums (`sum_of`, where
+a monomial met twice cancels); `poly_local` lists its block's monomials.
 
 The elimination routines work on packed rows.  For `extract_basis` a
 monomial is an int with one bit per variable (the kernel gives the variable
@@ -26,23 +28,8 @@ class Gf2Poly:
     monomials: frozenset
 
     @classmethod
-    def zero(cls) -> "Gf2Poly":
-        return cls(frozenset())
-
-    @classmethod
-    def one(cls) -> "Gf2Poly":
-        return cls(frozenset({frozenset()}))
-
-    @classmethod
-    def variable(cls, v: int, c: int) -> "Gf2Poly":
-        return cls(frozenset({frozenset({(v, c)})}))
-
-    @classmethod
     def product_of_vars(cls, pairs: Iterable[Var]) -> "Gf2Poly":
         return cls(frozenset({frozenset(pairs)}))
-
-    def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(self.monomials ^ other.monomials)
 
     @classmethod
     def sum_of(cls, polys: Iterable["Gf2Poly"]) -> "Gf2Poly":
@@ -50,23 +37,6 @@ class Gf2Poly:
         for p in polys:
             acc ^= p.monomials
         return cls(frozenset(acc))
-
-    def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        acc: set = set()
-        for m1 in self.monomials:
-            for m2 in other.monomials:
-                m = m1 | m2
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-        return Gf2Poly(frozenset(acc))
-
-    def __bool__(self) -> bool:
-        return bool(self.monomials)
-
-    def degree(self) -> int:
-        return max((len(m) for m in self.monomials), default=0)
 
     def remap_vertices(self, mapping: Mapping[int, int]) -> "Gf2Poly":
         return Gf2Poly(frozenset(
@@ -90,9 +60,11 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
 
     Built as the product over s in S of the parity of s-occurrences among
     the r = |S| + 1 vertices.  All counts odd on r slots forces all counts
-    equal to one, which is why r must exceed |S| by exactly one.  Callers
-    certify every forbidding polynomial built from these blocks before
-    returning it.
+    equal to one, which is why r must exceed |S| by exactly one.  Each
+    factor's variables carry its own color, so the expansion's monomials
+    (one vertex per color) are distinct and none cancels: they are listed
+    directly.  Callers certify every forbidding polynomial built from these
+    blocks before returning it.
     """
     s = sorted(set(colors))
     verts = tuple(verts)
@@ -102,11 +74,11 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
         raise ValueError("vertex count must be |S| + 1")
     if any(c < 0 or c >= h for c in s):
         raise ValueError("color out of range")
-    acc = Gf2Poly.one()
+    monos = [frozenset()]
     for c in s:
-        acc = acc * Gf2Poly(frozenset(
-            frozenset({(v, c)}) for v in verts))
-    return acc
+        units = [frozenset({(v, c)}) for v in verts]
+        monos = [m | u for m in monos for u in units]
+    return Gf2Poly(frozenset(monos))
 
 
 def extract_basis(rows: Sequence[Sequence[int]], m: int, d: int) -> list[int]:

@@ -3,9 +3,11 @@
 Vertices are dense 0-based indices.  Neighbor sets are stored as int bit
 masks, so a loop on v shows up as bit v of adj[v] and contributes exactly 1
 to the degree.  The same representation serves both the fixed target graph
-(whose vertices are "colors") and instance graphs.  A caller's Graph(n, adj)
-and Instance(graph, lists, cover) are checked; from_edges, the kernels,
-reduce_lists, reduce_sat and the gadgets build valid ones unchecked.
+(whose vertices are "colors") and instance graphs.  A vertex cover is a
+mask too; the kernels' parameter k is its bit count.  A caller's
+Graph(n, adj) and Instance(graph, lists, cover) are checked; from_edges,
+the kernels, reduce_lists, reduce_sat and the gadgets build valid ones
+unchecked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .bitset import bit_list, iter_bits, popcount
+from .bitset import bit_list, iter_bits
 
 
 def _unchecked(cls, **fields):
@@ -68,10 +70,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((popcount(a) for a in self.adj), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u <= v; a loop appears as (v, v)."""
@@ -190,17 +192,8 @@ def reduce_lists(inst: Instance, hg: Graph) -> Instance:
     return Instance._built(inst.graph, lists, inst.cover)
 
 
-@dataclass(frozen=True)
-class VertexCoverCertificate:
-    cover: int
-    approx_factor: int
-
-    def size(self) -> int:
-        return popcount(self.cover)
-
-
-def greedy_vertex_cover(g: Graph) -> VertexCoverCertificate:
-    """2-approximate cover: take looped vertices, then both ends of a maximal matching."""
+def greedy_vertex_cover(g: Graph) -> int:
+    """2-approximate cover: looped vertices, then a maximal matching's ends."""
     cover = 0
     for v in range(g.n):
         if g.adj[v] >> v & 1:
@@ -210,11 +203,11 @@ def greedy_vertex_cover(g: Graph) -> VertexCoverCertificate:
             continue
         if not (cover >> v & 1 or cover >> u & 1):
             cover |= 1 << v | 1 << u
-    return VertexCoverCertificate(cover, 2)
+    return cover
 
 
-def cover_certificate(inst: Instance) -> VertexCoverCertificate:
-    """The designated cover when present (factor 1), else the greedy one."""
+def cover_certificate(inst: Instance) -> int:
+    """The designated cover mask when present, else the greedy one."""
     if inst.cover is not None:
-        return VertexCoverCertificate(inst.cover, 1)
+        return inst.cover
     return greedy_vertex_cover(inst.graph)

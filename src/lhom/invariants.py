@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .bitset import bit_list, iter_bits, mask_of, popcount
+from .bitset import bit_list, iter_bits, mask_of
 from .generators import gen_cycle_power
 from .gf2 import shadow_solution
 from .graphs import Graph, common_neighbors, incomparable
@@ -38,11 +38,6 @@ class LowerBoundStructure:
     xps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NonBiArcWitness:
-    walk: tuple[int, int, int, int, int]
-
-
 @lru_cache(maxsize=256)
 def all_essential_sets(hg: Graph) -> tuple[int, ...]:
     """All-essential sets in lexicographic order, enumerated once per target.
@@ -53,7 +48,7 @@ def all_essential_sets(hg: Graph) -> tuple[int, ...]:
     common neighborhood without that member.  Adding v turns these into
     w & N(v) and o & N(v), and v's own leave-one-out neighborhood is w; v
     extends the prefix iff each of them has a color outside w & N(v).
-    Callers keep the sets of one size with `popcount`, in the same order.
+    Callers keep the sets of one size by bit count, in the same order.
     """
     out: list[int] = []
     adj = hg.adj
@@ -91,8 +86,8 @@ def compute_c_star(hg: Graph) -> CStarWitness:
     best = 0
     best_mask = 0
     for s_mask in all_essential_sets(hg):
-        if popcount(s_mask) > best:
-            best = popcount(s_mask)
+        if s_mask.bit_count() > best:
+            best = s_mask.bit_count()
             best_mask = s_mask
     return CStarWitness(best, canonical_list_for(hg, best_mask), best_mask)
 
@@ -141,7 +136,7 @@ def automorphism_generators(hg: Graph) -> tuple[tuple[int, ...], ...]:
     when _AUT_NODE_BUDGET candidate images have been tried.
     """
     n, adj = hg.n, hg.adj
-    sig = [(popcount(a), a >> v & 1) for v, a in enumerate(adj)]
+    sig = [(a.bit_count(), a >> v & 1) for v, a in enumerate(adj)]
     same = [mask_of(u for u in range(n) if sig[u] == sig[v]) for v in range(n)]
     budget = _AUT_NODE_BUDGET
     gens: list[tuple[int, ...]] = []
@@ -175,7 +170,7 @@ def automorphism_generators(hg: Graph) -> tuple[tuple[int, ...], ...]:
         order, mapped = list(range(i + 1)), fixed | 1 << i
         while len(order) < n:
             nxt = max((u for u in range(n) if not mapped >> u & 1),
-                      key=lambda u: popcount(adj[u] & mapped))
+                      key=lambda u: (adj[u] & mapped).bit_count())
             order.append(nxt)
             mapped |= 1 << nxt
         stabilizer = tuple(gens)  # all of them fix 0..i
@@ -250,7 +245,7 @@ def find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:
                 for x in range(hg.n)]
     failed: set[int] = set()
     for s_mask in all_essential_sets(hg):
-        if popcount(s_mask) != d or s_mask in failed:
+        if s_mask.bit_count() != d or s_mask in failed:
             continue
         found = _lbs_on_base(hg, s_mask, partners)
         if found is not None:
@@ -280,12 +275,12 @@ def compute_d_star(hg: Graph) -> tuple[int, LowerBoundStructure | None]:
     return 0, None
 
 
-def find_non_bi_arc_witness(hg: Graph) -> NonBiArcWitness | None:
-    """A 5-walk witnessing NP-hardness (necessary for non-bi-arc targets).
+def find_non_bi_arc_witness(hg: Graph) -> tuple[int, int, int, int, int] | None:
+    """A 5-walk (v1, ..., v5) witnessing NP-hardness, or None.
 
-    Vertices need not be distinct: v3 incomparable with both ends, the five
-    form a walk, and the two chords v1-v4, v2-v5 are absent.  Presence does
-    not decide bi-arc-ness.
+    Necessary for non-bi-arc targets.  Vertices need not be distinct: v3
+    incomparable with both ends, the five form a walk, and the two chords
+    v1-v4, v2-v5 are absent.  Presence does not decide bi-arc-ness.
     """
     for v1 in range(hg.n):
         for v2 in iter_bits(hg.adj[v1]):
@@ -295,7 +290,7 @@ def find_non_bi_arc_witness(hg: Graph) -> NonBiArcWitness | None:
                 for v4 in iter_bits(hg.adj[v3] & ~hg.adj[v1]):
                     for v5 in iter_bits(hg.adj[v4] & ~hg.adj[v2]):
                         if incomparable(hg, v3, v5):
-                            return NonBiArcWitness((v1, v2, v3, v4, v5))
+                            return v1, v2, v3, v4, v5
     return None
 
 
@@ -318,7 +313,7 @@ def degree_probe(hg: Graph) -> dict:
     gens = automorphism_generators(hg)
     verdicts: dict[int, bool] = {}
     for s_mask in all_essential_sets(hg):
-        if popcount(s_mask) != c:
+        if s_mask.bit_count() != c:
             continue
         ok = verdicts.get(s_mask)
         if ok is None:

@@ -126,12 +126,11 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     keeps its edges into every subset it represents and loses all others.
     """
     validate_instance(inst, hg)
-    cert = cover_certificate(inst)
-    k = cert.size()
+    cover = cover_certificate(inst)
+    k = cover.bit_count()
     if any(not m for m in inst.lists):
         return _trivial_no_kernel(inst, "marking", k)
     c = compute_c_star(hg).value
-    cover = cert.cover
     chosen = _types(inst, cover, c)
     kernel, vmap = _restrict(
         inst, cover, [(x_mask, v) for (x_mask, _), v in chosen.items()])
@@ -204,11 +203,10 @@ def kernel_poly(inst: Instance, hg: Graph,
     survive, and `_restrict` keeps them.
     """
     red = reduce_lists(inst, hg)
-    cert = cover_certificate(inst)
-    k = cert.size()
+    cover = cover_certificate(inst)
+    k = cover.bit_count()
     if any(not m for m in inst.lists):
         return _trivial_no_kernel(inst, "poly", k)
-    cover = cert.cover
     c = compute_c_star(hg).value
     h = hg.n
     adj, full = hg.adj, hg.full_mask

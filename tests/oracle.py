@@ -7,8 +7,15 @@ over a cover.  None of it shares code paths with the library
 implementations it checks.  The witness checks `verify_c_star_witness` and
 `verify_lbs`, the exchange check `max_degree_exchange_holds`, the
 extension check `extendable`, the edge test `has_edge` and the polynomial
-evaluation `poly_eval` live here because only tests call them;
-`extendable_bounded` reaches `extendable`'s answer by a different route.
+helpers `poly_eval`, `poly_degree` and `poly_mul` (the multilinear product)
+live here because only tests call them; `extendable_bounded` reaches
+`extendable`'s answer by a different route.
+
+`reference_poly_local` is `lhom.gf2.poly_local` as it was before the block
+was listed monomial by monomial: it starts from the polynomial `ONE` and
+multiplies in, by `poly_mul`, one parity factor per color, cancelling
+repeated monomials as a product over GF(2) does.  It leaves out
+`poly_local`'s input checks.
 
 `reference_search` is the oracle's earlier search, kept as a differential
 oracle for `lhom.solver._Search`: it copies the whole candidate list at
@@ -73,7 +80,7 @@ import functools
 import itertools
 import math
 
-from lhom.bitset import bit_list, iter_bits, mask_of, popcount
+from lhom.bitset import bit_list, iter_bits, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
                          _cycle_power_poly, cycle_frame)
@@ -88,6 +95,36 @@ from lhom.kernels import KernelReport, _trivial_no_kernel
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u] >> v & 1)
+
+
+ONE = Gf2Poly(frozenset({frozenset()}))
+
+
+def poly_degree(poly: Gf2Poly) -> int:
+    """The largest monomial size; 0 for the zero polynomial."""
+    return max((len(m) for m in poly.monomials), default=0)
+
+
+def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    """The multilinear product: y * y = y, and a monomial met twice cancels."""
+    acc: set = set()
+    for m1 in a.monomials:
+        for m2 in b.monomials:
+            m = m1 | m2
+            if m in acc:
+                acc.discard(m)
+            else:
+                acc.add(m)
+    return Gf2Poly(frozenset(acc))
+
+
+def reference_poly_local(colors, verts) -> Gf2Poly:
+    """`poly_local` as a product: one parity factor per color of S."""
+    acc = ONE
+    for c in sorted(set(colors)):
+        acc = poly_mul(acc, Gf2Poly(frozenset(
+            frozenset({(v, c)}) for v in verts)))
+    return acc
 
 
 def poly_eval(poly: Gf2Poly, colors: dict[int, int]) -> int:
@@ -186,7 +223,7 @@ def brute_certify(req, poly) -> bool:
 
 
 def verify_c_star_witness(hg: Graph, w: CStarWitness) -> bool:
-    if popcount(w.s_mask) != w.value:
+    if w.s_mask.bit_count() != w.value:
         return False
     if common_neighbors(hg, w.s_mask, w.l_mask):
         return False
@@ -435,7 +472,7 @@ def reference_search(inst: Instance, hg: Graph, budget: int, on_solution) -> int
         queue = [v]
         while queue:
             w = queue.pop()
-            if popcount(cand[w]) == 1:
+            if cand[w].bit_count() == 1:
                 nbr_support = hg.adj[cand[w].bit_length() - 1]
             else:
                 nbr_support = 0
@@ -457,7 +494,7 @@ def reference_search(inst: Instance, hg: Graph, budget: int, on_solution) -> int
         for v in range(g.n):
             if assigned[v]:
                 continue
-            size = popcount(cand[v])
+            size = cand[v].bit_count()
             if best_size is None or size < best_size:
                 best, best_size = v, size
                 if size == 1:
@@ -511,7 +548,7 @@ def reference_extract_basis(polys, m: int, d: int) -> list[int]:
     pivots: dict[int, int] = {}
     kept: list[int] = []
     for idx, poly in enumerate(polys):
-        if poly.degree() > d:
+        if poly_degree(poly) > d:
             raise ValueError(f"polynomial {idx} exceeds degree bound {d}")
         row = 0
         for mono in poly.monomials:
@@ -552,7 +589,7 @@ def reference_certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     size = 1
     for f in lists:
         strides.append(size)
-        size *= popcount(f)
+        size *= f.bit_count()
     if size > budget:
         raise BudgetExceededError(
             f"certification needs {size} evaluations, budget is {budget}")
@@ -577,7 +614,7 @@ def reference_certify_forbid(req: ForbidRequest, poly: Gf2Poly,
         bit = 1 << i
         unfixed = [k for k in groups if not k & bit]
         if unfixed:
-            rep = _repunit(popcount(f), s)
+            rep = _repunit(f.bit_count(), s)
             for k in unfixed:
                 groups[k | bit] = groups.get(k | bit, 0) ^ groups.pop(k) * rep
     parity = groups.get((1 << len(lists)) - 1, 0)
@@ -626,7 +663,7 @@ def _scan_certified(req, poly, method, budget) -> ForbidResult:
     if not reference_certify_forbid(req, poly, budget):
         raise CertificationError(
             f"{method} construction failed certification for tuple {req.colors}")
-    return ForbidResult(poly, poly.degree(), method)
+    return ForbidResult(poly, poly_degree(poly), method)
 
 
 def reference_forbid(req: ForbidRequest,
@@ -764,7 +801,7 @@ def reference_find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:
     if d > hg.n:
         return None
     for s_mask in all_essential_sets(hg):
-        if popcount(s_mask) != d:
+        if s_mask.bit_count() != d:
             continue
         xs = bit_list(s_mask)
         w_base = common_neighbors(hg, s_mask, hg.full_mask)
@@ -833,7 +870,7 @@ def reference_degree_probe(hg: Graph) -> dict:
     if c == d or c < 2:
         return report
     for s_mask in all_essential_sets(hg):
-        if popcount(s_mask) != c:
+        if s_mask.bit_count() != c:
             continue
         l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
         zero_sets = [combo for combo in itertools.combinations(range(hg.n), c)
@@ -890,19 +927,18 @@ def reference_kernel_poly(inst: Instance, hg: Graph,
     Polynomials are cached per (list, lists, tuple) pattern for this call
     only, so the budget applies to every call alike.
     """
-    cert = cover_certificate(inst)
-    k = cert.size()
+    cover = cover_certificate(inst)
+    k = cover.bit_count()
     if any(not m for m in inst.lists):
         return _trivial_no_kernel(inst, "poly", k)
     red = reduce_lists(inst, hg)
-    cover = cert.cover
     c = compute_c_star(hg).value
     polys: list[Gf2Poly] = []
     meta: list[tuple] = []
     for v in bit_list(cover):
         for color in range(hg.n):
             if not red.lists[v] >> color & 1:
-                polys.append(Gf2Poly.variable(v, color))
+                polys.append(Gf2Poly.product_of_vars([(v, color)]))
                 meta.append(("list", v, color))
     cache: dict = {}
     for v in range(red.graph.n):
@@ -925,7 +961,7 @@ def reference_kernel_poly(inst: Instance, hg: Graph,
                     polys.append(cache[key].remap_vertices(
                         dict(enumerate(combo))))
                     meta.append(("constr", v, combo))
-    degree = max((p.degree() for p in polys), default=1)
+    degree = max(map(poly_degree, polys), default=1)
     kept_idx = reference_extract_basis(polys, m=k * hg.n, d=degree)
     kept_nbrs: dict[int, int] = {}
     for idx in kept_idx:

@@ -8,7 +8,7 @@ import itertools
 import time
 
 import conftest
-from lhom.bitset import bit_list, popcount
+from lhom.bitset import bit_list
 from lhom.forbid import ForbidRequest, certify_forbid, forbid
 from lhom.generators import (SplitMix64, gen_cycle_power, gen_instance,
                              gen_subdivided_star)
@@ -144,7 +144,7 @@ def _forbid_request_family(hg):
     c = compute_c_star(hg).value
     for size in range(1, c + 1):
         for s_mask in all_essential_sets(hg):
-            if popcount(s_mask) != size:
+            if s_mask.bit_count() != size:
                 continue
             colors = tuple(bit_list(s_mask))
             big_l = v_all & ~common_neighbors(hg, s_mask, v_all)
@@ -175,7 +175,7 @@ def test_criterion_4_forbidding_certification():
         extra = 0
         while extra < 15:
             size = 2 + rng.below(compute_c_star(hg).value - 1)
-            sets = [s for s in all_essential_sets(hg) if popcount(s) == size]
+            sets = [s for s in all_essential_sets(hg) if s.bit_count() == size]
             s_mask = sets[rng.below(len(sets))]
             colors = tuple(bit_list(s_mask))
             lists = tuple((rng.below(v_all + 1) | 1 << c) for c in colors)
@@ -306,7 +306,7 @@ def test_criterion_8_reduction_equivalence():
             clauses.append([(1 if rng.below(2) else -1) * (1 + rng.below(nvars))
                             for _ in range(3)])
         inst = reduce_sat(nvars, clauses, k4, lbs)
-        cover_ok &= popcount(inst.cover) == 46 * nvars
+        cover_ok &= inst.cover.bit_count() == 46 * nvars
         agree += decide(inst, k4)[0] == brute_sat(nvars, clauses)
     _report(8, agree == 20 and cover_ok,
             f"20 random 3-CNFs: satisfiability matches the oracle {agree}/20, "

@@ -1,5 +1,8 @@
 import hashlib
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +57,7 @@ def test_malformed_cycle_power_hint_is_ignored(tmp_path, capsys, params):
     plain = write_hgraph(gen_cycle_power(6, 1))
     hinted = tmp_path / "hinted.hg"
     hinted.write_text(f"# gen: cycle-power {params}\n" + plain)
-    assert parse_hgraph(hinted.read_text())[1] == {}
+    assert parse_hgraph(hinted.read_text())[1] is None
     (tmp_path / "plain.hg").write_text(plain)
     assert main(["invariants", str(tmp_path / "plain.hg"), "--json"]) == 0
     want = _json_out(capsys)
@@ -436,3 +439,75 @@ def test_gen_instance_on_a_target_without_vertices(tmp_path, capsys):
     assert main(gen + ["--n", "0"]) == 0
     assert capsys.readouterr().out == ("c gen: instance seed=1 mode=random\n"
                                        "p lhom 0 0 0\nx\n")
+
+
+# Sub-second checks of the installed command that CI once ran as shell
+# lines, now in process: each keeps the substrings CI grepped for and exit
+# code 0, and pins the SHA-256 of its whole stdout.  Targets come from
+# `lhom gen hgraph cycle-power`, so each file carries its cycle-power hint.
+GOLDEN_TARGETS = {"c6": (6, 1), "k4": (4, 2), "k5": (5, 2), "c19": (19, 3)}
+GOLDEN = {
+    "invariants-k4": (
+        ["invariants", "{k4}", "--json"], ['"recommended_by": "experiment"'],
+        "965a0df99b1b969e5d0f35ea05ef6e03ad4186a9fc0ebb3c80e4d43e74c7824f"),
+    "forbid-c6": (
+        ["forbid", "--target", "{c6}", "--list", "0 1 2 3 4 5",
+         "--tuple", "0 2 4", "--json"], ['"degree": 2, "method": "c6"'],
+        "fc7e2c8067380df6b76de5853310827724cff04fb93453f08ab4554ec9697a03"),
+    "forbid-k4": (
+        ["forbid", "--target", "{k4}", "--list", "0 1 2 3",
+         "--tuple", "0 1 2 3", "--json"], ['"method": "linear-system"'],
+        "2b0fc1b05be9e560b8941c3ecaee386b1fc2709c6f985109ed6b2e293e2ea195"),
+    "forbid-c19": (
+        ["forbid", "--target", "{c19}", "--list", "0 1 2 3 4 18",
+         "--tuple", "0 1 2 3", "--json"],
+        ['"degree": 3, "method": "cycle-power"'],
+        "097850b19de09589cd6bd5e4529fabe13531c0f21449f881fce00d73c61f68a3"),
+    "forbid-c19-narrow": (
+        ["forbid", "--target", "{c19}", "--list", "0 1 2 3 4 18",
+         "--tuple", "0 1 2 3", "--lists", "0 5 10;1 6 11;2 7 12;3 8 13",
+         "--json"], ['"degree": 3, "method": "cycle-power"'],
+        "097850b19de09589cd6bd5e4529fabe13531c0f21449f881fce00d73c61f68a3"),
+    "gadgets-k4": (
+        ["gadget-check", "--target", "{k4}", "--json"],
+        ['"order": 3', '"kind": "VAR", "params": [], "vertices": 46'],
+        "5f59209159d3946629a6fa6d6c5ccb8d7b97fa82cc0e89ae996d394dfc394960"),
+    "gadgets-k5": (
+        ["gadget-check", "--target", "{k5}", "--json"],
+        ['"order": 4', '"kind": "VAR", "params": [], "vertices": 64'],
+        "ea0a4906249cbbb0542cf7751cd8f20b4fbfd3e02f48c1ad470c8c769ff62255"),
+    "cover-k0": (  # a k=0 instance ends with a bare cover line
+        ["gen", "instance", "--target", "{k4}", "--n", "3", "--k", "0",
+         "--seed", "1"], ["\nx\n"],
+        "fceef361ff26d5c93ff9536e7a6fdd7dd8725a357cc9f5e796454ef916e85c8d"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_cli_output(tmp_path, capsys, name):
+    argv, needles, digest = GOLDEN[name]
+    paths = {}
+    for target, (k, p) in GOLDEN_TARGETS.items():
+        paths[target] = str(tmp_path / f"{target}.hg")
+        assert main(["gen", "hgraph", "cycle-power", "--k", str(k),
+                     "--p", str(p), "--out", paths[target]]) == 0
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    for needle in needles:
+        assert needle in out
+    assert out.endswith("\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_benchmark_wrapped_names_resolve():
+    """Every (module, attribute) that perfbench/spans.py wraps by name, and
+    the `Gf2Poly.remap_vertices` it wraps by hand, still exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.WRAPS) >= 30
+    for module, attr, *_ in spans.WRAPS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    gf2 = importlib.import_module("lhom.gf2")
+    assert callable(gf2.Gf2Poly.remap_vertices)

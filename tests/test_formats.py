@@ -14,9 +14,9 @@ from oracle import has_edge
 
 def test_hgraph_roundtrip():
     g = gen_cycle_power(7, 2)
-    g2, hints = parse_hgraph(write_hgraph(g, ("gen: cycle-power k=7 p=2",)))
+    g2, hint = parse_hgraph(write_hgraph(g, ("gen: cycle-power k=7 p=2",)))
     assert g2 == g
-    assert hints == {"cycle_power": (7, 2)}
+    assert hint == (7, 2)
 
 
 def test_hgraph_comment_styles():
@@ -204,25 +204,28 @@ def test_blank_and_comment_lines_between_data_lines():
     assert parse_dimacs(cnf) == (3, [[1, -2], [2, 3, -1]])
 
 
-@pytest.mark.parametrize("comments, hints", [
-    (["gen:"], {}),
-    (["gen:", "gen: cycle-power k=7 p=2"], {"cycle_power": (7, 2)}),
-    (["gen: cycle-power k=7 p=2", "gen:"], {"cycle_power": (7, 2)}),
-    (["gen: cycle-power k=7 p=2", "gen: cycle-power k=9 p=3"],
-     {"cycle_power": (9, 3)}),
-    (["gen: cycle-power k=7 p=2", "gen: cycle-power k=9 p=x"],
-     {"cycle_power": (7, 2)}),
-    (["gen: cycle-power k=7 p=2 k=x"], {}),
-    (["gen: cycle-power k=7"], {}),
-    (["gen: instance k=7 p=2"], {}),
-    (["gen:cycle-power k=7 p=2"], {"cycle_power": (7, 2)}),
-])
-def test_cycle_power_hint_from_comments(comments, hints):
+HINT_CASES = [
+    (["gen:"], None),
+    (["gen:", "gen: cycle-power k=7 p=2"], (7, 2)),
+    (["gen: cycle-power k=7 p=2", "gen:"], (7, 2)),
+    (["gen: cycle-power k=7 p=2", "gen: cycle-power k=9 p=3"], (9, 3)),
+    (["gen: cycle-power k=7 p=2", "gen: cycle-power k=9 p=x"], (7, 2)),
+    (["gen: cycle-power k=7 p=2 k=x"], None),
+    (["gen: cycle-power k=7"], None),
+    (["gen: instance k=7 p=2"], None),
+    (["gen:cycle-power k=7 p=2"], (7, 2)),
+]
+
+
+# explicit ids, so that a case expecting None is not named "None"
+@pytest.mark.parametrize("comments, hint", HINT_CASES, ids=[
+    f"comments{i}-hints{i}" for i in range(len(HINT_CASES))])
+def test_cycle_power_hint_from_comments(comments, hint):
     text = "".join(f"# {c}\n" for c in comments) + "p hgraph 1\n"
-    assert parse_hgraph(text)[1] == hints
+    assert parse_hgraph(text)[1] == hint
     # c-style comments and comments after the data carry hints as well
     text = "p hgraph 1\n" + "".join(f"c {c}\n" for c in comments)
-    assert parse_hgraph(text)[1] == hints
+    assert parse_hgraph(text)[1] == hint
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,6 +1,6 @@
 import pytest
 
-from lhom.bitset import bit_list, popcount
+from lhom.bitset import bit_list
 from lhom.formats import write_instance
 from lhom.generators import (SplitMix64, gen_cycle_power, gen_instance,
                              gen_subdivided_star)
@@ -50,7 +50,7 @@ def test_minimal_witnesses_of_cycle_power_match_known_forms():
         gapped = {frozenset({i} | {(i + t) % k for t in range(2, p + 1)}
                             | {(i + p + 2) % k}) for i in range(k)}
         for s_mask in all_essential_sets(g):
-            if popcount(s_mask) != p + 1:
+            if s_mask.bit_count() != p + 1:
                 continue
             s = frozenset(bit_list(s_mask))
             assert s in consecutive or s in gapped, sorted(s)

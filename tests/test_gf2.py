@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from lhom.forbid import _cycle_power_poly
 from lhom.generators import SplitMix64
 from lhom.gf2 import Gf2Poly, extract_basis, poly_local, solve_linear_system
 
-from oracle import packed_rows, poly_eval, reference_extract_basis
+from oracle import (ONE, packed_rows, poly_degree, poly_eval, poly_mul,
+                    reference_extract_basis, reference_poly_local)
 
 
 def bool_poly(monomial_sets):
@@ -22,26 +24,26 @@ def bool_eval(poly, bits):
 def test_add_is_xor():
     p = bool_poly([{0}, {1}])
     q = bool_poly([{1}, {2}])
-    assert p + q == bool_poly([{0}, {2}])
+    assert Gf2Poly.sum_of([p, q]) == bool_poly([{0}, {2}])
 
 
 def test_mul_is_multilinear():
     y0 = bool_poly([{0}])
-    assert y0 * y0 == y0
+    assert poly_mul(y0, y0) == y0
     p = bool_poly([{0}, {1}])
-    assert p * p == bool_poly([{0}, {1}])  # cross terms cancel mod 2
+    assert poly_mul(p, p) == bool_poly([{0}, {1}])  # cross terms cancel mod 2
 
 
 def test_eval_examples():
     p = Gf2Poly.product_of_vars([(0, 0), (1, 1)])
     assert poly_eval(p, {0: 0, 1: 1}) == 1
     assert poly_eval(p, {0: 0, 1: 0}) == 0
-    assert poly_eval(Gf2Poly.zero(), {0: 0}) == 0
-    assert poly_eval(Gf2Poly.one(), {}) == 1
+    assert poly_eval(Gf2Poly(frozenset()), {0: 0}) == 0
+    assert poly_eval(ONE, {}) == 1
 
 
 def test_eval_unassigned_vertex():
-    p = Gf2Poly.variable(3, 0)
+    p = Gf2Poly.product_of_vars([(3, 0)])
     with pytest.raises(ValueError):
         poly_eval(p, {0: 0})
 
@@ -54,7 +56,8 @@ def test_eval_additivity():
         q = bool_poly([{rng.below(5) for _ in range(1 + rng.below(3))}
                        for _ in range(rng.below(4))])
         bits = [rng.below(2) for _ in range(5)]
-        assert bool_eval(p + q, bits) == bool_eval(p, bits) ^ bool_eval(q, bits)
+        assert bool_eval(Gf2Poly.sum_of([p, q]), bits) == \
+            bool_eval(p, bits) ^ bool_eval(q, bits)
 
 
 def test_poly_local_exactly_once_contract():
@@ -63,15 +66,44 @@ def test_poly_local_exactly_once_contract():
             colors = list(range(size))
             verts = list(range(size + 1))
             poly = poly_local(colors, verts, h)
-            assert poly.degree() == size
+            assert poly_degree(poly) == size
             for assignment in itertools.product(range(h), repeat=size + 1):
                 want = int(all(assignment.count(c) == 1 for c in colors))
                 got = poly_eval(poly, dict(zip(verts, assignment)))
                 assert got == want, (h, colors, assignment)
 
 
+def test_poly_local_matches_reference_product():
+    """The listed block against the product of parity factors, and the
+    cycle-power polynomial against the sum of reference blocks."""
+    checked = 0
+    for h in range(1, 8):
+        for size in range(5):
+            spread = tuple(3 * i + 1 for i in range(size + 1))
+            for colors in itertools.combinations(range(h), size):
+                for verts in (tuple(range(size + 1)), spread):
+                    assert poly_local(colors, verts, h) == \
+                        reference_poly_local(colors, verts), (h, colors, verts)
+                    checked += 1
+    assert checked == 2 * sum(math.comb(h, s) for h in range(1, 8)
+                             for s in range(5))
+    for k, p in ((13, 2), (19, 3)):
+        # the blocks {i, j, ..., j+p-2} over anchors i, j at cyclic distance
+        # 2..2p, j moving away from i
+        dist = [min(d, k - d) for d in range(k)]
+        blocks = [{i} | {(j + t) % k for t in range(p - 1)}
+                  for i in range(k) for j in range(k)
+                  if 2 <= dist[(j - i) % k] <= 2 * p
+                  and dist[(j - i) % k] < dist[(j + 1 - i) % k]]
+        verts = tuple(range(p + 1))
+        want = Gf2Poly.sum_of(reference_poly_local(block, verts)
+                              for block in blocks)
+        assert len(blocks) == k * (2 * p - 1)
+        assert _cycle_power_poly(k, p, verts) == want, (k, p)
+
+
 def test_poly_local_empty_set_is_one():
-    assert poly_local([], [7], 3) == Gf2Poly.one()
+    assert poly_local([], [7], 3) == ONE
 
 
 def test_poly_local_validates_arity():
@@ -83,9 +115,10 @@ def test_poly_local_validates_arity():
 
 def test_extract_basis_duplicate_rows():
     y1, y2, y3 = (bool_poly([{i}]) for i in (1, 2, 3))
-    assert extract_basis(packed_rows([y1, y1, y1 + y2]), m=4, d=1) == [0, 2]
-    assert extract_basis(packed_rows([y1 + y2, y2 + y3, y1 + y3]),
-                         m=4, d=1) == [0, 1]
+    y12, y23, y13 = (Gf2Poly.sum_of(pair) for pair in
+                     ((y1, y2), (y2, y3), (y1, y3)))
+    assert extract_basis(packed_rows([y1, y1, y12]), m=4, d=1) == [0, 2]
+    assert extract_basis(packed_rows([y12, y23, y13]), m=4, d=1) == [0, 1]
 
 
 def test_extract_basis_degree_check():
@@ -135,8 +168,8 @@ def test_extract_basis_matches_frozenset_reference():
             if polys and pick == 0:  # a duplicate row
                 polys.append(polys[rng.below(len(polys))])
             elif len(polys) > 1 and pick == 1:  # a dependent row
-                polys.append(polys[rng.below(len(polys))]
-                             + polys[rng.below(len(polys))])
+                polys.append(Gf2Poly.sum_of([polys[rng.below(len(polys))],
+                                             polys[rng.below(len(polys))]]))
             else:
                 polys.append(Gf2Poly(frozenset(
                     frozenset((rng.below(verts), rng.below(h))
@@ -186,7 +219,7 @@ def test_solve_linear_system_random_consistency():
 def test_poly_str_canonical():
     p = bool_poly([{1, 0}, set()])
     assert str(p) == "1 + y[0,1]*y[1,1]"
-    assert str(Gf2Poly.zero()) == "0"
+    assert str(Gf2Poly(frozenset())) == "0"
 
 
 @pytest.mark.parametrize("call, message", [

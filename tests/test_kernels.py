@@ -184,7 +184,7 @@ def test_poly_keeps_only_marking_representatives(c6, k3, k4):
     for hg in (c6, k3, k4):
         for seed in range(12):
             inst = gen_instance(hg, 10 + rng.below(7), 2 + rng.below(4), seed)
-            cover = cover_certificate(inst).cover
+            cover = cover_certificate(inst)
             marking = kernel_marking(inst, hg)
             poly = kernel_poly(inst, hg)
             outside = {v for v in poly.vertex_map if not cover >> v & 1}
@@ -356,7 +356,7 @@ def test_restrict_matches_edge_list_reference():
         n = 1 + rng.below(24)
         if trial % 2:
             g = random_graph(rng, n, 1, 3, 1, 3)
-            cover = greedy_vertex_cover(g).cover
+            cover = greedy_vertex_cover(g)
             designated = None
         else:
             cover = rng.below(1 << n)
@@ -500,7 +500,7 @@ def test_both_kernels_without_a_designated_cover(c6, k4, c13p2):
                 dataclasses.replace(want, constraints_total=0), (hg, trial)
             answer = decide(inst, hg)[0]
             for report in (got, kernel_marking(inst, hg)):
-                assert report.bound_k == greedy.size()
+                assert report.bound_k == greedy.bit_count()
                 assert decide(report.kernel, hg)[0] == answer, (hg, trial)
             checked += 1
     assert checked == 18

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lhom.bitset import mask_of, popcount
+from lhom.bitset import mask_of
 from lhom.errors import CertificationError
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
@@ -89,7 +89,7 @@ def test_variable_gadget(k4, k4_lbs):
 def test_reduce_sat_single_tautology(k4, k4_lbs):
     inst = reduce_sat(1, [[1, 1, 1]], k4, k4_lbs)
     assert decide(inst, k4)[0] is True
-    assert popcount(inst.cover) == 46
+    assert inst.cover.bit_count() == 46
 
 
 def test_reduce_sat_contradiction(k4, k4_lbs):
@@ -120,7 +120,7 @@ def test_reduce_sat_negative_variable_count(k4, k4_lbs):
 def test_reduce_sat_cover_is_linear_in_vars(k4, k4_lbs):
     for nvars in (1, 2, 4):
         inst = reduce_sat(nvars, [[1, -1]], k4, k4_lbs)
-        assert popcount(inst.cover) == 46 * nvars
+        assert inst.cover.bit_count() == 46 * nvars
 
 
 def test_reduce_sat_clause_vertices_independent(k4, k4_lbs):
@@ -188,7 +188,7 @@ def test_order_four_reduction_on_k5():
                     for _ in range(1 + rng.below(4))]
                    for _ in range(3 + rng.below(8))]
         inst = reduce_sat(nvars, clauses, k5, lbs)
-        assert popcount(inst.cover) == 64 * nvars
+        assert inst.cover.bit_count() == 64 * nvars
         assert decide(inst, k5)[0] == brute_sat(nvars, clauses)
 
 
