@@ -9,6 +9,8 @@ contract, and each charges the budget of a scan of its candidate product
 (`certify_forbid`).  The plain monomial is correct by construction; every
 other polynomial passes `certify_forbid`, which reads one memoized table
 per polynomial and target (`_table`) and scans only what it cannot settle.
+A table marks the colors w whose N(w)^r the polynomial meets by one AND
+per color against boxes built once per target and width (`_boxes`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ from .invariants import (compute_c_star, compute_d_star, cycle_frame,
                          special_construction)
 
 DEFAULT_CERT_BUDGET = 2_000_000
+# `_boxes` keeps the h boxes of a (target, width r), h^r bits each, only
+# when their h^(r+1) bits are at most BOX_CAP.  That admits C19^3 at width
+# 4, the widest table the default budget gives it (19^5 = 2,476,099 bits),
+# and bounds its 16 keys by 8 MiB; a larger key's boxes are built for its
+# one table and dropped.
+BOX_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -94,8 +102,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     if entry and not req.l_mask & entry[1] and entry[0] >> sum(
             c * hg.n ** i for i, c in enumerate(req.colors)) & 1:
         return True
-    variables = frozenset().union(*poly.monomials)
-    extras = sorted({v for v, _ in variables} - set(req.verts))
+    extras = sorted({v for v, _ in poly.variables} - set(req.verts))
     lists = req.lists + (hg.full_mask,) * len(extras)
     strides = []
     size = 1
@@ -103,7 +110,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
         strides.append(size)
         size *= f.bit_count()
     charge(size, budget)
-    parity = _transform(poly, variables, req.verts + tuple(extras), lists,
+    parity = _transform(poly, poly.variables, req.verts + tuple(extras), lists,
                         strides)
     strays = 1
     for s in strides[req.width:]:
@@ -181,22 +188,33 @@ def _repunit(m: int, s: int) -> int:
     return rep & ((1 << m * s) - 1)
 
 
-# at most maxsize tables, each no longer than its caller's budget in bits
+# at most maxsize tables, each no longer than its caller's budget in bits;
+# the boxes they mark against are kept apart, once per target and width
 @functools.lru_cache(maxsize=64)
 def _table(target: Graph, verts: tuple[int, ...],
            poly: Gf2Poly) -> tuple[int, int] | None:
     """poly's values on all of V(H)^r (color c at position i adds c * h^i
     to a tuple's bit index) and the mask of colors w where poly is 1
     somewhere on N(w)^r; None when poly has a vertex outside verts."""
-    variables = frozenset().union(*poly.monomials)
-    if not {v for v, _ in variables} <= set(verts):
+    if not {v for v, _ in poly.variables} <= set(verts):
         return None
-    lists = (target.full_mask,) * len(verts)
-    strides = [target.n ** i for i in range(len(verts))]
-    values = _transform(poly, variables, verts, lists, strides)
-    marked = mask_of(w for w in range(target.n)
-                     if values & _box(target.adj[w], lists, strides, 1))
-    return values, marked
+    r = len(verts)
+    values = _transform(poly, poly.variables, verts, (target.full_mask,) * r,
+                        [target.n ** i for i in range(r)])
+    boxes = (_boxes if target.n ** (r + 1) <= BOX_CAP
+             else _boxes.__wrapped__)(target, r)
+    return values, mask_of(w for w, box in enumerate(boxes) if values & box)
+
+
+# at most maxsize keys, each of at most BOX_CAP bits: `_table` builds a
+# larger key's boxes through __wrapped__, past the memo
+@functools.lru_cache(maxsize=16)
+def _boxes(target: Graph, r: int) -> tuple[int, ...]:
+    """N(w)^r for each color w, as tuples of V(H)^r indexed as in `_table`;
+    0 when w has no neighbor.  They depend on no polynomial."""
+    lists = (target.full_mask,) * r
+    strides = [target.n ** i for i in range(r)]
+    return tuple(_box(near, lists, strides, 1) for near in target.adj)
 
 
 def _certified(req, poly, degree, method, budget) -> ForbidResult:

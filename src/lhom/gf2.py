@@ -5,6 +5,7 @@ color variable per vertex is 1.  In `Gf2Poly` a monomial is a frozenset of
 variables and a polynomial the frozenset of monomials with coefficient 1.
 lhom builds them as monomials (`product_of_vars`) and sums (`sum_of`, where
 a monomial met twice cancels); `poly_local` lists its block's monomials.
+A polynomial computes the set of its variables once (`variables`).
 
 The elimination routines work on packed rows.  For `extract_basis` a
 monomial is an int with one bit per variable (the kernel gives the variable
@@ -15,6 +16,7 @@ systems behind forbidding polynomials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +39,11 @@ class Gf2Poly:
         for p in polys:
             acc ^= p.monomials
         return cls(frozenset(acc))
+
+    @functools.cached_property
+    def variables(self) -> frozenset:
+        """The variables of all monomials, computed once per polynomial."""
+        return frozenset().union(*self.monomials)
 
     def remap_vertices(self, mapping: Mapping[int, int]) -> "Gf2Poly":
         return Gf2Poly(frozenset(

@@ -46,8 +46,11 @@ ANDs of a prefix and a suffix of the colors' neighborhoods.
 `reference_forbid` is `lhom.forbid.forbid` as it was before certification
 by construction and by a per-polynomial table: every polynomial, the plain
 monomial included, is certified by `reference_certify_forbid` on its own
-request.  That is `certify_forbid` before the table, verbatim: a scan of
-the request's own product, which reads no memo.  `reference_forbid`
+request.  That is `certify_forbid` before the table: a scan of the
+request's own product, which reads no memo.  `reference_table` is
+`lhom.forbid._table` as it was before the boxes of N(w)^r were kept per
+target and width: every table builds them again, one per color.  Both
+share the oracle's own zeta transform (`_values`) and box (`_box`).  `reference_forbid`
 shrinks the request to its minimal subsequence itself and builds the same
 polynomials from the library's blocks (`cycle_frame`, `_cycle_power_poly`,
 `poly_local`) and from `reference_linear_system`.
@@ -593,7 +596,47 @@ def reference_certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     if size > budget:
         raise BudgetExceededError(
             f"certification needs {size} evaluations, budget is {budget}")
-    pos = {v: i for i, v in enumerate(req.verts + tuple(extras))}
+    parity = _values(poly, variables, req.verts + tuple(extras), lists,
+                     strides)
+    strays = 1
+    for s in strides[req.width:]:
+        strays *= _repunit(req.target.n, s)
+    pinned = strays << sum(_rank(f, c) * s for f, c, s
+                           in zip(req.lists, req.colors, strides))
+    if parity & pinned != pinned:
+        return False
+    rest = parity ^ pinned
+    if not rest:
+        return True
+    adj = req.target.adj
+    return not any(rest & _box(adj[w], req.lists, strides, strays)
+                   for w in iter_bits(req.l_mask))
+
+
+def reference_table(target: Graph, verts: tuple[int, ...],
+                    poly: Gf2Poly) -> tuple[int, int] | None:
+    """`lhom.forbid._table` as it was before the boxes were kept per target
+    and width: each table builds the box of N(w)^r for every color w again.
+    poly's values on all of V(H)^r (color c at position i adds c * h^i to a
+    tuple's bit index) and the mask of colors w where poly is 1 somewhere
+    on N(w)^r; None when poly has a vertex outside verts."""
+    variables = frozenset().union(*poly.monomials)
+    if not {v for v, _ in variables} <= set(verts):
+        return None
+    lists = (target.full_mask,) * len(verts)
+    strides = [target.n ** i for i in range(len(verts))]
+    values = _values(poly, variables, verts, lists, strides)
+    marked = 0
+    for w in range(target.n):
+        if values & _box(target.adj[w], lists, strides, 1):
+            marked |= 1 << w
+    return values, marked
+
+
+def _values(poly, variables, verts, lists, strides) -> int:
+    """poly's values on the product of lists, one bit per tuple: position i
+    holds verts[i] and adds its color's rank in lists[i] times strides[i]."""
+    pos = {v: i for i, v in enumerate(verts)}
     at = {}  # variable on its list -> (its position's bit, its offset)
     for v, c in variables:
         i = pos[v]
@@ -617,32 +660,20 @@ def reference_certify_forbid(req: ForbidRequest, poly: Gf2Poly,
             rep = _repunit(f.bit_count(), s)
             for k in unfixed:
                 groups[k | bit] = groups.get(k | bit, 0) ^ groups.pop(k) * rep
-    parity = groups.get((1 << len(lists)) - 1, 0)
-    strays = 1
-    for s in strides[req.width:]:
-        strays *= _repunit(req.target.n, s)
-    pinned = strays << sum(_rank(f, c) * s for f, c, s
-                           in zip(req.lists, req.colors, strides))
-    if parity & pinned != pinned:
-        return False
-    rest = parity ^ pinned
-    if not rest:
-        return True
-    adj = req.target.adj
-    for w in iter_bits(req.l_mask):
-        box = strays
-        for f, s in zip(req.lists, strides):
-            near = adj[w] & f
-            if not near:
-                break
-            spread = 0
-            for c in iter_bits(near):
-                spread |= 1 << _rank(f, c) * s
-            box *= spread
-        else:
-            if rest & box:
-                return False
-    return True
+    return groups.get((1 << len(lists)) - 1, 0)
+
+
+def _box(near: int, lists, strides, box: int) -> int:
+    """box times the tuples of the product of lists with every color in
+    near, or 0 when some position has none."""
+    for f, s in zip(lists, strides):
+        spread = 0
+        for c in iter_bits(near & f):
+            spread |= 1 << _rank(f, c) * s
+        if not spread:
+            return 0
+        box *= spread
+    return box
 
 
 def _rank(f: int, c: int) -> int:

@@ -664,7 +664,7 @@ def test_certify_matches_reference_scan():
     the wider request the polynomial was built for."""
     import contextlib
 
-    from lhom.forbid import DEFAULT_CERT_BUDGET, _table
+    from lhom.forbid import DEFAULT_CERT_BUDGET, _boxes, _table
     from lhom.graphs import dominant_subset, is_incomparable_set
     from oracle import random_graph, reference_certify_forbid
     rng = SplitMix64(56)
@@ -707,9 +707,11 @@ def test_certify_matches_reference_scan():
                                           budget) for req, budget in cases]
                 for (req, budget), want in zip(cases, wants):
                     _table.cache_clear()
+                    _boxes.cache_clear()
                     assert _certify_outcome(certify_forbid, req, poly,
                                             budget) == want, (req, poly, budget)
                 _table.cache_clear()
+                _boxes.cache_clear()
                 with contextlib.suppress(BudgetExceededError):
                     certify_forbid(wide, poly, DEFAULT_CERT_BUDGET)
                 for (req, budget), want in zip(cases, wants):
@@ -785,8 +787,9 @@ def test_table_falls_back_to_the_scan(c13p2, monkeypatch):
 
 def test_table_memo_is_bounded(c6):
     """Each new vertex tuple is a new table; at most maxsize are kept."""
-    from lhom.forbid import _table
+    from lhom.forbid import _boxes, _table
     _table.cache_clear()
+    _boxes.cache_clear()
     maxsize = _table.cache_info().maxsize
     assert maxsize is not None
     full = c6.full_mask
@@ -797,6 +800,144 @@ def test_table_memo_is_bounded(c6):
         assert forbid(req).method == "c6"
     info = _table.cache_info()
     assert info.misses == maxsize + 8 and info.currsize == maxsize
+
+
+def _table_polys(hg, hint, rng, polys, plain=False):
+    """Each polynomial that `construct` gives a request on an all-essential
+    set of hg (so at widths 1..c*), or the plain monomial when plain is set,
+    then edits of some: a monomial added on a random tuple of the same
+    vertices, which marks the colors around it, a monomial dropped, and
+    a stray vertex, which gets no table."""
+    from lhom.forbid import DEFAULT_CERT_BUDGET, construct, forbid_route
+    from lhom.graphs import dominant_subset, is_incomparable_set
+    from lhom.invariants import all_essential_sets
+    full = hg.full_mask
+    built = []
+    for s in all_essential_sets(hg)[1:]:
+        colors = tuple(bit_list(s))
+        r = len(colors)
+        verts = ((0, 1, 2, 3, 4), (7, 3, 9, 1, 5))[rng.below(2)][:r]
+        lists = (full,) * r
+        if not is_incomparable_set(hg, full):
+            lists = tuple(dominant_subset(hg, full) | 1 << c for c in colors)
+        try:
+            req = ForbidRequest(hg, full & ~common_neighbors(hg, s, full),
+                                lists, verts, colors)
+        except ValueError:
+            continue
+        route = None if plain else forbid_route(hg, hint, r)
+        poly = construct(req, route, hint, DEFAULT_CERT_BUDGET).poly
+        if (hg, verts, poly) not in polys:
+            polys[hg, verts, poly] = None
+            built.append((verts, poly))
+    for verts, poly in built[::max(1, len(built) // 4)]:
+        extra = Gf2Poly.product_of_vars((v, rng.below(hg.n)) for v in verts)
+        monos = sorted(poly.monomials, key=sorted)
+        for edited in (Gf2Poly.sum_of([poly, extra]),
+                       Gf2Poly(poly.monomials - {monos[rng.below(len(monos))]}),
+                       poly_mul(poly, Gf2Poly.product_of_vars([(99, 0)]))):
+            polys[hg, verts, edited] = None
+
+
+def test_table_matches_reference_table(c6, c13p2, k4):
+    """`_table` against the table that builds its boxes anew for every
+    polynomial (`reference_table`), values and marks bit for bit: every
+    route's polynomial at widths 1..c* on C6, C13^2 and C19^3, the
+    monomials on K4 and forbid's polynomials on seeded random targets on
+    5-8 vertices, with their edits, from a cold box memo on."""
+    from lhom.forbid import _boxes, _table
+    from oracle import random_graph, reference_table
+    _table.cache_clear()
+    _boxes.cache_clear()
+    rng = SplitMix64(24)
+    polys: dict = {}  # (target, verts, polynomial), in first-built order
+    for hg, hint in ((c6, None), (c13p2, (13, 2)),
+                     (gen_cycle_power(19, 3), (19, 3))):
+        _table_polys(hg, hint, rng, polys)
+    _table_polys(k4, None, rng, polys, plain=True)
+    for _ in range(12):
+        _table_polys(random_graph(rng, 5 + rng.below(4)), None, rng, polys)
+    seen = {"None": 0, "marked": 0, "unmarked": 0}
+    for hg, verts, poly in polys:
+        want = reference_table(hg, verts, poly)
+        assert _table(hg, verts, poly) == want, (hg, verts, poly)
+        seen["None" if want is None else
+             "marked" if want[1] else "unmarked"] += 1
+    info = _boxes.cache_info()
+    assert info.hits >= 200 and info.misses >= 20, info
+    assert min(seen.values()) >= 20, seen
+
+
+def test_box_memo_is_capped():
+    """The widest boxes C19^3 certifies against (width 4: 19^5 bits) fit
+    BOX_CAP and are kept; C22^3's at width 4 (22^5 bits) do not, so every
+    table on them builds its own, none is kept, and each verdict is the
+    scan's (`reference_certify_forbid`)."""
+    from lhom.forbid import BOX_CAP, DEFAULT_CERT_BUDGET, _boxes, _table
+    from oracle import reference_certify_forbid, reference_table
+    c19p3 = gen_cycle_power(19, 3)
+    assert 19 ** 4 <= DEFAULT_CERT_BUDGET < 19 ** 5 <= BOX_CAP
+    _table.cache_clear()
+    _boxes.cache_clear()
+    assert forbid(full_request(c19p3, (0, 1, 2, 3)), (19, 3)).degree == 3
+    assert _boxes.cache_info().currsize == 1
+    c22p3 = gen_cycle_power(22, 3)
+    assert 22 ** 4 <= DEFAULT_CERT_BUDGET and 22 ** 5 > BOX_CAP
+    _boxes.cache_clear()
+    rng = SplitMix64(25)
+    verdicts = {True: 0, False: 0}
+    for colors in ((0, 1, 2, 3), (5, 7, 8, 10), (12, 15, 13, 14)):
+        wide = full_request(c22p3, colors)
+        good = forbid(wide, (22, 3))
+        assert good.method == "cycle-power"
+        w = (colors[0] + 11) % 22  # in L; the tuple inside lies in N(w)^4
+        inside = ((w + d) % 22 for d in (-1, 1, -2, 2))
+        bad = Gf2Poly.sum_of([good.poly, Gf2Poly.product_of_vars(
+            zip(wide.verts, inside))])
+        for poly in (good.poly, bad):
+            assert _table(c22p3, wide.verts, poly) == reference_table(
+                c22p3, wide.verts, poly)
+            for req in [wide] + [ForbidRequest(
+                    c22p3, wide.l_mask & rng.next() or wide.l_mask,
+                    tuple(f & rng.next() | 1 << c
+                          for f, c in zip(wide.lists, colors)),
+                    wide.verts, colors) for _ in range(3)]:
+                want = reference_certify_forbid(req, poly)
+                assert certify_forbid(req, poly) == want, (req, poly)
+                verdicts[want] += 1
+    assert verdicts[True] >= 12 and verdicts[False] >= 3, verdicts
+    info = _boxes.cache_info()
+    assert info.currsize == 0 and info.misses == 0, info
+
+
+def test_certification_outcomes_are_pinned():
+    """(degree, monomial count, certify_forbid verdict) of `forbid` on the
+    dominating request family of C13^2 and C19^3, hashed in a fixed order:
+    each all-essential set on full lists, with L the colors outside its
+    common neighborhood and with its surplus list, the colors that one
+    member's removal adds to that neighborhood."""
+    import hashlib
+
+    from lhom.invariants import all_essential_sets
+    digest = hashlib.sha256()
+    for k, p in ((13, 2), (19, 3)):
+        hg = gen_cycle_power(k, p)
+        full = hg.full_mask
+        for s in all_essential_sets(hg)[1:]:
+            common = common_neighbors(hg, s, full)
+            surplus = 0
+            for c in bit_list(s):
+                surplus |= common_neighbors(hg, s & ~(1 << c), full) & ~common
+            colors = tuple(bit_list(s))
+            for l_mask in sorted({full & ~common, surplus}):
+                req = ForbidRequest(hg, l_mask, (full,) * len(colors),
+                                    tuple(range(len(colors))), colors)
+                res = forbid(req, (k, p))
+                digest.update(repr((k, l_mask, colors, res.degree,
+                                    len(res.poly.monomials),
+                                    certify_forbid(req, res.poly))).encode())
+    assert digest.hexdigest() == (
+        "190667362cf04a878df2d2cb5db51078bef2b9ef17b412985b1e05deae03f7dd")
 
 
 @pytest.mark.parametrize("args, message", [
