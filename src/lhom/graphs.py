@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits
@@ -82,7 +83,9 @@ class Graph:
 
     def edge_count(self) -> int:
         """Number of edges; a loop on v is bit v of adj[v], counted once."""
-        loops = sum(a >> v & 1 for v, a in enumerate(self.adj))
+        loops = sum(map(operator.and_,
+                        map(operator.rshift, self.adj, range(self.n)),
+                        itertools.repeat(1)))
         return (sum(map(int.bit_count, self.adj)) + loops) // 2
 
 

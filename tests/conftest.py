@@ -56,13 +56,10 @@ def c13p2():
     return gen_cycle_power(13, 2)
 
 
-@pytest.fixture(scope="session")
-def k4_reductions(k4):
-    """K4 reductions (402 vertices) of a satisfiable and an unsatisfiable
-    seeded 3-CNF on 8 variables at clause ratio 4.26."""
+def _k4_pair(k4, rng, nvars: int):
+    """K4 reductions of a satisfiable and an unsatisfiable seeded 3-CNF on
+    nvars variables at clause ratio 4.26, the first of each drawn."""
     _, lbs = compute_d_star(k4)
-    rng = SplitMix64(26)
-    nvars = 8
     found = {}
     while len(found) < 2:
         clauses = []
@@ -76,3 +73,20 @@ def k4_reductions(k4):
         found.setdefault(brute_sat(nvars, clauses),
                          reduce_sat(nvars, clauses, k4, lbs))
     return found[True], found[False]
+
+
+@pytest.fixture(scope="session")
+def k4_reductions(k4):
+    """K4 reductions (402 vertices) of a satisfiable and an unsatisfiable
+    seeded 3-CNF on 8 variables at clause ratio 4.26."""
+    return _k4_pair(k4, SplitMix64(26), 8)
+
+
+@pytest.fixture(scope="session")
+def k4_ladder(k4):
+    """A satisfiable and an unsatisfiable K4 reduction at 8, 10 and 12
+    variables (402 to 603 vertices), as the sat-oracle benchmark builds
+    them."""
+    rng = SplitMix64(25)
+    return tuple(inst for nvars in (8, 10, 12)
+                 for inst in _k4_pair(k4, rng, nvars))

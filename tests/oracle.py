@@ -37,6 +37,11 @@ worked on adjacency masks: it lists every edge of the input, keeps those
 inside the cover, adds the kept outside edges and builds the kernel
 through `Graph.from_edges`.
 
+`reference_types` is the kernels' type walk as it was before
+`lhom.kernels._walk`: every outside vertex, every subset of at most c of
+its cover neighbors by size and in `itertools.combinations` order, into a
+dict from (subset mask, list) to the first vertex met.
+
 `reference_minimal_tuples` is the kernels' constraint walk as it was
 before `lhom.kernels._minimal_tuples` pruned it: the whole
 `itertools.product` of the candidate lists, each tuple kept when it has no
@@ -927,6 +932,21 @@ def reference_restrict(inst: Instance, cover: int, kept_nbrs: dict[int, int]
                       tuple(inst.lists[v] for v in kept),
                       mask_of(index[v] for v in iter_bits(cover)))
     return kernel, tuple(kept)
+
+
+def reference_types(inst: Instance, cover: int, c: int
+                    ) -> dict[tuple[int, int], int]:
+    """(cover subset mask, list) type -> its lowest outside vertex, in
+    first-seen order."""
+    types: dict[tuple[int, int], int] = {}
+    for v in range(inst.graph.n):
+        if cover >> v & 1:
+            continue
+        nbrs = bit_list(inst.graph.adj[v])
+        for r in range(0, min(c, len(nbrs)) + 1):
+            for combo in itertools.combinations(nbrs, r):
+                types.setdefault((mask_of(combo), inst.lists[v]), v)
+    return types
 
 
 def reference_minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,

@@ -511,3 +511,65 @@ def test_benchmark_wrapped_names_resolve():
         assert hasattr(importlib.import_module(module), attr), (module, attr)
     gf2 = importlib.import_module("lhom.gf2")
     assert callable(gf2.Gf2Poly.remap_vertices)
+
+
+# The small CNF and the branching 6-variable 3-CNF that CI once reduced to
+# K4 as shell lines; the K4 target is `lhom gen hgraph cycle-power --k 4
+# --p 2`, hint included.
+SAT_CNF = "p cnf 3 4\n1 2 -3 0\n-1 2 0\n-2 3 0\n1 -3 0\n"
+BRANCHING_CNF = "p cnf 6 26\n" + (
+    "4 -2 -5 0 5 -1 -4 0 -6 -2 3 0 1 4 3 0 1 3 4 0 3 5 6 0 4 -2 -3 0 "
+    "-3 1 5 0 2 6 -1 0 1 2 -6 0 3 1 -5 0 -5 -4 -2 0 -3 5 -2 0 -2 -3 4 0 "
+    "-1 -3 -2 0 -3 2 -5 0 2 4 -1 0 3 6 -5 0 5 6 -1 0 -5 -6 1 0 1 -4 -5 0 "
+    "4 -3 -5 0 2 -3 -1 0 -5 1 3 0 -3 -6 -1 0 -3 2 -4 0\n")
+
+
+def _k4_reduction(tmp_path, capsys, cnf: str) -> tuple[str, str]:
+    """(target, instance) paths: the generated K4 and cnf reduced to it;
+    what the two commands print is dropped."""
+    k4, cnf_path, lh = (str(tmp_path / name)
+                        for name in ("k4.hg", "f.cnf", "f.lh"))
+    assert main(["gen", "hgraph", "cycle-power", "--k", "4", "--p", "2",
+                 "--out", k4]) == 0
+    Path(cnf_path).write_text(cnf)
+    assert main(["reduce-sat", cnf_path, "--target", k4, "--out", lh]) == 0
+    capsys.readouterr()
+    return k4, lh
+
+
+def test_sat_reduction_kernels_golden(tmp_path, capsys):
+    """The small CNF's K4 reduction: the poly kernel's pinned counts, and
+    for both methods verify-kernel's line and the emitted kernel read back
+    and solved yes."""
+    k4, lh = _k4_reduction(tmp_path, capsys, SAT_CNF)
+    assert main(["kernel", lh, "--target", k4, "--method", "poly",
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    assert '"constraints_retained": 280, "constraints_total": 280' in out
+    assert '"vertices_out": 142' in out
+    for method in ("poly", "marking"):
+        assert main(["verify-kernel", lh, "--target", k4,
+                     "--method", method]) == 0
+        assert capsys.readouterr().out == "input=True kernel=True agree=True\n"
+        emitted = str(tmp_path / f"sat-{method}.lh")
+        assert main(["kernel", lh, "--target", k4, "--method", method,
+                     "--emit", emitted]) == 0
+        capsys.readouterr()
+        assert main(["solve", emitted, "--target", k4]) == 0
+        assert capsys.readouterr().out == "yes\n"
+
+
+def test_branching_solve_golden(tmp_path, monkeypatch, capsys):
+    """The branching CNF's K4 reduction: its witness output's SHA-256, and
+    its node budget boundary, 495 nodes answering and 494 exiting 3."""
+    k4, lh = _k4_reduction(tmp_path, capsys, BRANCHING_CNF)
+    assert main(["solve", lh, "--target", k4, "--witness"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(
+        "9a587cde852ef207")
+    monkeypatch.setenv("LHOM_NODE_BUDGET", "495")
+    assert main(["solve", lh, "--target", k4]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    monkeypatch.setenv("LHOM_NODE_BUDGET", "494")
+    assert main(["solve", lh, "--target", k4]) == 3
+    assert "search exceeded 494 nodes" in capsys.readouterr().err

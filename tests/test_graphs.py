@@ -295,3 +295,36 @@ def test_builders_make_graphs_the_checked_constructor_accepts(
             gadgets += [build_comp(hg, lbs, i, j) for j in range(d) if j != i]
         for gadget in gadgets:
             _assert_checked_instance(gadget.instance())
+
+
+def test_edge_count_matches_the_edge_list(c5, c6, k4, c13p2, k4_reductions):
+    """edge_count counts every edge once, a loop included, on the graphs
+    of every builder: from_edges, looped random targets, the cycle powers,
+    seeded instances, reduce_lists, both kernels, reduce_sat and the
+    gadgets."""
+    rng = SplitMix64(2503)
+    graphs = [Graph.from_edges(0, [])]
+    for _ in range(100):
+        n = 1 + rng.below(10)
+        graphs.append(Graph.from_edges(n, [(rng.below(n), rng.below(n))
+                                           for _ in range(rng.below(3 * n))]))
+        graphs.append(random_graph(rng, 1 + rng.below(8)))
+    for hg, hint in ((c5, None), (c6, None), (k4, None), (c13p2, (13, 2))):
+        for mode in ("random", "planted-yes"):
+            inst = gen_instance(hg, 40, 3, 2500, mode)
+            graphs += [hg, inst.graph, reduce_lists(inst, hg).graph,
+                       kernel_marking(inst, hg).kernel.graph,
+                       kernel_poly(inst, hg, cycle_power=hint).kernel.graph]
+    for inst in k4_reductions:
+        graphs += [inst.graph, kernel_marking(inst, k4).kernel.graph,
+                   kernel_poly(inst, k4).kernel.graph]
+    d, lbs = compute_d_star(k4)
+    graphs.append(build_variable_gadget(k4, lbs).instance().graph)
+    graphs += [build_neq(k4, lbs, i).instance().graph for i in range(d)]
+    graphs += [build_comp(k4, lbs, i, j).instance().graph
+               for i, j in itertools.permutations(range(d), 2)]
+    looped = 0
+    for g in graphs:
+        assert g.edge_count() == len(g.edges()), g
+        looped += any(a >> v & 1 for v, a in enumerate(g.adj))
+    assert looped >= 100, looped

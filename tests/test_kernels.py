@@ -504,3 +504,116 @@ def test_both_kernels_without_a_designated_cover(c6, k4, c13p2):
                 assert decide(report.kernel, hg)[0] == answer, (hg, trial)
             checked += 1
     assert checked == 18
+
+
+def _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
+    """(instance, target, hint, budget) for the kernel pins: the K4 ladder,
+    seeded C5, C6 and C13^2 instances (random and planted-yes, with and
+    without the hint), random targets, and one small budget each."""
+    from oracle import random_graph
+    cases = [(inst, k4, None, 2_000_000) for inst in k4_ladder]
+    rng = SplitMix64(2501)
+    for hg, hint in ((c5, (5, 1)), (c6, (6, 1)), (c13p2, (13, 2))):
+        for trial in range(8):
+            n, k = 20 + rng.below(60), 2 + rng.below(3)
+            inst = gen_instance(hg, n, k, 2500 + trial,
+                                "planted-yes" if trial % 2 else "random")
+            for h in (hint, None):
+                cases.append((inst, hg, h, 2_000_000))
+            cases.append((inst, hg, hint, 1 + rng.below(40)))
+    for trial in range(24):
+        hg = random_graph(rng, 2 + rng.below(6))
+        inst = gen_instance(hg, 10 + rng.below(20), 1 + rng.below(5),
+                            2600 + trial,
+                            "planted-yes" if trial % 2 else "random")
+        cases.append((inst, hg, None, 2_000_000))
+        cases.append((inst, hg, None, 1 + rng.below(40)))
+    return cases
+
+
+def test_both_kernels_are_pinned(c5, c6, c13p2, k4, k4_ladder):
+    """`repr(KernelReport)` of both kernels and every budget error, folded
+    into one SHA-256 pinned before the walk skipped barren list tuples."""
+    digest = hashlib.sha256()
+    for inst, hg, hint, budget in _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
+        digest.update(repr(kernel_marking(inst, hg)).encode())
+        digest.update(
+            repr(_poly_outcome(kernel_poly, inst, hg, hint, budget)).encode())
+    assert digest.hexdigest() == (
+        "acc75e0e8879b08495ea866ae099870a97a92e2f952b580093b223c8375cf609")
+
+
+def test_barren_list_tuples_have_no_minimal_tuple(monkeypatch, c5, c6, c13p2,
+                                                  k4, k4_ladder):
+    """The poly kernel walks each (L, list tuple) that `_walk` offers, and
+    one that gave no minimal tuple, which the full product confirms, it
+    never walks again.
+
+    Every call of `_minimal_tuples` is recorded with what it yielded; one
+    that yielded nothing marks its (L, candidate lists) barren.  A subset
+    the kernel skips either repeats a type already walked, whose list
+    tuple was walked with it, or has a barren list tuple under its own L.
+    """
+    from oracle import reference_minimal_tuples
+    walk, minimal = kernels._walk, kernels._minimal_tuples
+    offered, calls = set(), []
+
+    def recorded_walk(inst, cover, c):
+        for v, l_mask, subsets in walk(inst, cover, c):
+            offered.update((l_mask, tuple(tuple(bit_list(f)) for f in lists))
+                           for _, lists in subsets)
+            yield v, l_mask, subsets
+
+    def recorded(adj, full, l_mask, cands):
+        found = 0
+        for tup in minimal(adj, full, l_mask, cands):
+            found += 1
+            yield tup
+        calls.append((adj, full, l_mask, cands, found))
+
+    monkeypatch.setattr(kernels, "_walk", recorded_walk)
+    monkeypatch.setattr(kernels, "_minimal_tuples", recorded)
+    barren = 0
+    for inst, hg, hint, _ in _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
+        offered.clear()
+        calls.clear()
+        kernel_poly(inst, hg, cycle_power=hint)
+        walked, marked = set(), set()
+        for adj, full, l_mask, cands, found in calls:
+            key = (l_mask, tuple(map(tuple, cands)))
+            assert key not in marked, (inst, hg, key)
+            walked.add(key)
+            if not found:
+                marked.add(key)
+                assert not reference_minimal_tuples(adj, full, l_mask, cands)
+        assert offered <= walked, (inst, hg)
+        barren += len(marked)
+    assert barren >= 100, barren
+
+
+def test_walk_meets_the_types_in_first_seen_order(c5, c6, c13p2, k4,
+                                                  k4_ladder):
+    """Keeping the first (subset, list) that `_walk` offers gives the types
+    of `reference_types`, in its order and each with its lowest vertex, on
+    the input lists and on the reduced ones; each subset comes with its
+    vertices' lists, and vertices that repeat an earlier neighborhood and
+    list are left out."""
+    from lhom.graphs import reduce_lists
+    from lhom.invariants import compute_c_star
+    from oracle import reference_types
+    left_out = 0
+    for inst, hg, _, _ in _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
+        c = compute_c_star(hg).value
+        for case in (inst, reduce_lists(inst, hg)):
+            cover = cover_certificate(case)
+            met = {}
+            walked = 0
+            for v, l_mask, pairs in kernels._walk(case, cover, c):
+                walked += 1
+                for combo, lists in pairs:
+                    assert lists == tuple(case.lists[u] for u in combo)
+                    met.setdefault((mask_of(combo), l_mask), v)
+            assert list(met.items()) == \
+                list(reference_types(case, cover, c).items())
+            left_out += case.graph.n - cover.bit_count() - walked
+    assert left_out >= 100, left_out

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -268,3 +269,28 @@ def test_enumerate_restricted_matches_bruteforce():
         assert enumerate_restricted(inst, hg, targets) == want
         nonempty += bool(want)
     assert 50 <= nonempty <= 150
+
+
+def test_decide_is_pinned(c6, c13p2, k4, k4_ladder):
+    """(answer, witness, nodes) of the search on the K4 ladder, on both of
+    its kernels, and on seeded C6 and C13^2 instances, folded into one
+    SHA-256 pinned before `_propagate` skipped full supports."""
+    from lhom.kernels import kernel_marking, kernel_poly
+    cases = [(inst, k4) for ladder in k4_ladder for inst in (
+        ladder, kernel_poly(ladder, k4).kernel,
+        kernel_marking(ladder, k4).kernel)]
+    rng = SplitMix64(2502)
+    for hg in (c6, c13p2):
+        for seed in range(16):
+            # small random instances, a few with solutions
+            n = 20 + rng.below(300) if seed % 2 else 6 + rng.below(12)
+            inst = gen_instance(hg, n, 2 + rng.below(4), 2500 + seed,
+                                ("random", "planted-yes")[seed % 2])
+            cases.append((inst, hg))
+    digest = hashlib.sha256()
+    for inst, hg in cases:
+        search = _Search(inst, hg, 10**7)
+        colors = next(search.solutions(), None)
+        digest.update(repr((colors is not None, colors, search.nodes)).encode())
+    assert digest.hexdigest() == (
+        "764dcd2c0f1d6026f1902f55e324699bda0150baee36b17f6794067f1a52a33c")
