@@ -113,17 +113,17 @@ def _walk(inst: Instance, cover: int, c: int):
     """
     adj, lists = inst.graph.adj, inst.lists
     walked = set()
-    subsets: dict[int, list] = {}  # neighborhood -> its subsets
+    subsets_of: dict[int, list] = {}  # neighborhood -> its subsets
     for v in iter_bits(inst.graph.full_mask & ~cover):
         key = nbhd, l_mask = adj[v], lists[v]
         if key in walked:
             continue
         walked.add(key)
-        pairs = subsets.get(nbhd)
+        pairs = subsets_of.get(nbhd)
         if pairs is None:
             nbrs = bit_list(nbhd)
             nbr_lists = [lists[u] for u in nbrs]
-            subsets[nbhd] = pairs = [((), ())]
+            subsets_of[nbhd] = pairs = [((), ())]
             for r in range(1, min(c, len(nbrs)) + 1):
                 pairs += zip(itertools.combinations(nbrs, r),
                              itertools.combinations(nbr_lists, r))
