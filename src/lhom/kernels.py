@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
@@ -100,16 +101,26 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     return kernel, tuple(kept)
 
 
-def _walk(inst: Instance, cover: int, c: int):
+def _subsets(items: list, c: int) -> list[tuple]:
+    """The subsets of at most c items, by size from 0 and then in
+    `itertools.combinations` order."""
+    out = [()]
+    for r in range(1, min(c, len(items)) + 1):
+        out += itertools.combinations(items, r)
+    return out
+
+
+def _walk(inst: Instance, cover: int, c: int, with_lists: bool):
     """Each outside vertex v, ascending, as (v, its list, its subsets).
 
     A type is an outside vertex's list together with one subset of at most
-    c of its cover neighbors.  The subsets come as (cover vertices, their
-    lists) pairs, by size from 0 and then in `itertools.combinations`
-    order, so a kernel that keeps the first (subset, list) it meets walks
-    the types in first-seen order and gives each its lowest vertex.  A
-    vertex with the neighborhood and list of an earlier one has no new
-    type and is left out; the subsets of a neighborhood are listed once.
+    c of its cover neighbors.  The subsets come in `_subsets` order, each
+    as its tuple of cover vertices or, if with_lists, as a (vertices,
+    their lists) pair, so a kernel that keeps the first (subset, list) it
+    meets walks the types in first-seen order and gives each its lowest
+    vertex.  A vertex with the neighborhood and list of an earlier one
+    has no new type and is left out; the subsets of a neighborhood are
+    listed once.
     """
     adj, lists = inst.graph.adj, inst.lists
     walked = set()
@@ -119,15 +130,15 @@ def _walk(inst: Instance, cover: int, c: int):
         if key in walked:
             continue
         walked.add(key)
-        pairs = subsets_of.get(nbhd)
-        if pairs is None:
+        subsets = subsets_of.get(nbhd)
+        if subsets is None:
             nbrs = bit_list(nbhd)
-            nbr_lists = [lists[u] for u in nbrs]
-            subsets_of[nbhd] = pairs = [((), ())]
-            for r in range(1, min(c, len(nbrs)) + 1):
-                pairs += zip(itertools.combinations(nbrs, r),
-                             itertools.combinations(nbr_lists, r))
-        yield v, l_mask, pairs
+            subsets = _subsets(nbrs, c)
+            if with_lists:
+                subsets = list(zip(subsets,
+                                   _subsets([lists[u] for u in nbrs], c)))
+            subsets_of[nbhd] = subsets
+        yield v, l_mask, subsets
 
 
 def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
@@ -143,8 +154,8 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
         return _trivial_no_kernel(inst, "marking", k)
     c = compute_c_star(hg).value
     chosen: dict[tuple[tuple[int, ...], int], int] = {}
-    for v, l_mask, pairs in _walk(inst, cover, c):
-        for combo, _ in pairs:
+    for v, l_mask, subsets in _walk(inst, cover, c, False):
+        for combo in subsets:
             chosen.setdefault((combo, l_mask), v)
     kernel, vmap = _restrict(
         inst, cover, [(mask_of(combo), v) for (combo, _), v in chosen.items()])
@@ -237,7 +248,7 @@ def kernel_poly(inst: Instance, hg: Graph,
         list_vars |= (full & ~red.lists[v]) << i * h
     n_list = list_vars.bit_count()
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
-    subsets = {}  # cover subset -> mask, colors, size, route, offsets
+    subsets = {}  # cover subset -> mask, colors, size, route, y[u, 0] bits
     barren: dict[int, set] = {}  # L -> list tuples with no minimal tuple
     met: dict[int, set] = {}  # L -> the cover subsets met with L
     placed = set()  # the keys of the rows
@@ -245,7 +256,7 @@ def kernel_poly(inst: Instance, hg: Graph,
     picks: list[tuple[int, int]] = []
     tuples = 0
     degree = 1  # a list row has degree 1, as has an empty row set
-    for v, l_mask, pairs in _walk(red, cover, c):
+    for v, l_mask, pairs in _walk(red, cover, c, True):
         if l_mask not in barren:
             barren[l_mask], met[l_mask] = set(), set()
         skip, seen = barren[l_mask], met[l_mask]
@@ -259,8 +270,8 @@ def kernel_poly(inst: Instance, hg: Graph,
                 subsets[combo] = data = (mask_of(combo), cands,
                                          math.prod(map(len, cands)),
                                          routes[len(combo)],
-                                         [index[u] * h for u in combo])
-            x_mask, cands, size, route, offs = data
+                                         [1 << index[u] * h for u in combo])
+            x_mask, cands, size, route, bits = data
             before = tuples
             for tup in _minimal_tuples(adj, full, l_mask, cands):
                 tuples += 1
@@ -268,18 +279,19 @@ def kernel_poly(inst: Instance, hg: Graph,
                     req = ForbidRequest(hg, l_mask, f_lists,
                                         tuple(range(len(tup))), tup)
                     canon = construct(req, route, cycle_power, budget)
-                    key, monos, deg = (canon.poly, canon.poly.monomials,
-                                       canon.degree)
+                    key, deg = canon.poly, canon.degree
                 else:
-                    key, monos, deg = tup, (enumerate(tup),), len(tup)
+                    key, deg = tup, len(tup)
                 if (x_mask, key) in placed:
                     continue
-                if not route:
+                if route:
+                    row = [sum(bits[pos] << color for pos, color in mono)
+                           for mono in key.monomials]
+                else:
                     charge(size, budget)
+                    row = [sum(map(operator.lshift, bits, tup))]
                 placed.add((x_mask, key))
                 degree = max(degree, deg)
-                row = [sum(1 << offs[pos] + color for pos, color in mono)
-                       for mono in monos]
                 rows.append([mono for mono in row
                              if not mono & list_vars or mono & mono - 1])
                 picks.append((x_mask, v))

@@ -558,8 +558,8 @@ def test_barren_list_tuples_have_no_minimal_tuple(monkeypatch, c5, c6, c13p2,
     walk, minimal = kernels._walk, kernels._minimal_tuples
     offered, calls = set(), []
 
-    def recorded_walk(inst, cover, c):
-        for v, l_mask, subsets in walk(inst, cover, c):
+    def recorded_walk(inst, cover, c, with_lists):
+        for v, l_mask, subsets in walk(inst, cover, c, with_lists):
             offered.update((l_mask, tuple(tuple(bit_list(f)) for f in lists))
                            for _, lists in subsets)
             yield v, l_mask, subsets
@@ -596,8 +596,8 @@ def test_walk_meets_the_types_in_first_seen_order(c5, c6, c13p2, k4,
     """Keeping the first (subset, list) that `_walk` offers gives the types
     of `reference_types`, in its order and each with its lowest vertex, on
     the input lists and on the reduced ones; each subset comes with its
-    vertices' lists, and vertices that repeat an earlier neighborhood and
-    list are left out."""
+    vertices' lists, or without them as the same subsets, and vertices
+    that repeat an earlier neighborhood and list are left out."""
     from lhom.graphs import reduce_lists
     from lhom.invariants import compute_c_star
     from oracle import reference_types
@@ -608,8 +608,11 @@ def test_walk_meets_the_types_in_first_seen_order(c5, c6, c13p2, k4,
             cover = cover_certificate(case)
             met = {}
             walked = 0
-            for v, l_mask, pairs in kernels._walk(case, cover, c):
+            for (v, l_mask, pairs), bare in zip(
+                    kernels._walk(case, cover, c, True),
+                    kernels._walk(case, cover, c, False), strict=True):
                 walked += 1
+                assert bare == (v, l_mask, [combo for combo, _ in pairs])
                 for combo, lists in pairs:
                     assert lists == tuple(case.lists[u] for u in combo)
                     met.setdefault((mask_of(combo), l_mask), v)
