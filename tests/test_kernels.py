@@ -545,9 +545,9 @@ def test_both_kernels_are_pinned(c5, c6, c13p2, k4, k4_ladder):
 
 def test_barren_list_tuples_have_no_minimal_tuple(monkeypatch, c5, c6, c13p2,
                                                   k4, k4_ladder):
-    """The poly kernel walks each (L, list tuple) that `_walk` offers, and
-    one that gave no minimal tuple, which the full product confirms, it
-    never walks again.
+    """The poly kernel walks every (L, list tuple) that `_walk` offers, and
+    once one gave no minimal tuple (the full product confirms it has
+    none), it never walks that one again.
 
     Every call of `_minimal_tuples` is recorded with what it yielded; one
     that yielded nothing marks its (L, candidate lists) barren.  A subset
