@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits
@@ -83,9 +82,7 @@ class Graph:
 
     def edge_count(self) -> int:
         """Number of edges; a loop on v is bit v of adj[v], counted once."""
-        loops = sum(map(operator.and_,
-                        map(operator.rshift, self.adj, range(self.n)),
-                        itertools.repeat(1)))
+        loops = sum(a >> v & 1 for v, a in enumerate(self.adj))
         return (sum(map(int.bit_count, self.adj)) + loops) // 2
 
 

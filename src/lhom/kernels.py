@@ -110,35 +110,19 @@ def _subsets(items: list, c: int) -> list[tuple]:
     return out
 
 
-def _walk(inst: Instance, cover: int, c: int, with_lists: bool):
+def _walk(inst: Instance, cover: int, c: int):
     """Each outside vertex v, ascending, as (v, its list, its subsets).
 
     A type is an outside vertex's list together with one subset of at most
-    c of its cover neighbors.  The subsets come in `_subsets` order, each
-    as its tuple of cover vertices or, if with_lists, as a (vertices,
-    their lists) pair, so a kernel that keeps the first (subset, list) it
-    meets walks the types in first-seen order and gives each its lowest
-    vertex.  A vertex with the neighborhood and list of an earlier one
-    has no new type and is left out; the subsets of a neighborhood are
-    listed once.
+    c of its cover neighbors.  Each vertex's subsets are a `_subsets` list
+    of cover-vertex tuples made for that vertex alone: they are distinct
+    cover subsets, which a kernel keeps as types anyway.  A kernel that
+    keeps the first (subset, list) it meets walks the types in first-seen
+    order and gives each its lowest vertex.
     """
     adj, lists = inst.graph.adj, inst.lists
-    walked = set()
-    subsets_of: dict[int, list] = {}  # neighborhood -> its subsets
     for v in iter_bits(inst.graph.full_mask & ~cover):
-        key = nbhd, l_mask = adj[v], lists[v]
-        if key in walked:
-            continue
-        walked.add(key)
-        subsets = subsets_of.get(nbhd)
-        if subsets is None:
-            nbrs = bit_list(nbhd)
-            subsets = _subsets(nbrs, c)
-            if with_lists:
-                subsets = list(zip(subsets,
-                                   _subsets([lists[u] for u in nbrs], c)))
-            subsets_of[nbhd] = subsets
-        yield v, l_mask, subsets
+        yield v, lists[v], _subsets(bit_list(adj[v]), c)
 
 
 def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
@@ -154,7 +138,7 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
         return _trivial_no_kernel(inst, "marking", k)
     c = compute_c_star(hg).value
     chosen: dict[tuple[tuple[int, ...], int], int] = {}
-    for v, l_mask, subsets in _walk(inst, cover, c, False):
+    for v, l_mask, subsets in _walk(inst, cover, c):
         for combo in subsets:
             chosen.setdefault((combo, l_mask), v)
     kernel, vmap = _restrict(
@@ -218,8 +202,8 @@ def kernel_poly(inst: Instance, hg: Graph,
     no-common-neighbor tuples (`_minimal_tuples`); a non-minimal tuple's
     row is that of a minimal sub-tuple on a smaller subset.  Those tuples
     depend only on L and the subset's lists, so an (L, list tuple) that
-    yields none is kept in a set per L, and a later subset with it is
-    skipped before its mask, type or per-subset data is made.  A tuple on a
+    yields none is kept in one set, and a later type with it is
+    skipped before its mask or per-subset data is made.  A tuple on a
     route that reads L (`forbid_route`) gets that route's certified
     polynomial (`construct`, with no further shrinking or routing), any
     other its plain monomial, on the type's lowest vertex.
@@ -249,21 +233,25 @@ def kernel_poly(inst: Instance, hg: Graph,
     n_list = list_vars.bit_count()
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
     subsets = {}  # cover subset -> mask, colors, size, route, y[u, 0] bits
-    barren: dict[int, set] = {}  # L -> list tuples with no minimal tuple
+    barren = set()  # the (L, list tuple) pairs with no minimal tuple
     met: dict[int, set] = {}  # L -> the cover subsets met with L
     placed = set()  # the keys of the rows
     rows: list[list[int]] = []
     picks: list[tuple[int, int]] = []
     tuples = 0
     degree = 1  # a list row has degree 1, as has an empty row set
-    for v, l_mask, pairs in _walk(red, cover, c, True):
-        if l_mask not in barren:
-            barren[l_mask], met[l_mask] = set(), set()
-        skip, seen = barren[l_mask], met[l_mask]
-        for combo, f_lists in pairs:
-            if f_lists in skip or combo in seen:
+    get_list = red.lists.__getitem__
+    for v, l_mask, combos in _walk(red, cover, c):
+        seen = met.get(l_mask)
+        if seen is None:
+            seen = met[l_mask] = set()
+        for combo in combos:
+            if combo in seen:
                 continue
             seen.add(combo)
+            f_lists = tuple(map(get_list, combo))
+            if (l_mask, f_lists) in barren:
+                continue
             data = subsets.get(combo)
             if data is None:
                 cands = tuple(map(bit_list, f_lists))
@@ -296,7 +284,7 @@ def kernel_poly(inst: Instance, hg: Graph,
                              if not mono & list_vars or mono & mono - 1])
                 picks.append((x_mask, v))
             if tuples == before:
-                skip.add(f_lists)
+                barren.add((l_mask, f_lists))
     kept_idx = extract_basis(rows, m=k * h, d=degree)
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)
