@@ -4,7 +4,8 @@ Vertices are dense 0-based indices.  Neighbor sets are stored as int bit
 masks, so a loop on v shows up as bit v of adj[v] and contributes exactly 1
 to the degree.  The same representation serves both the fixed target graph
 (whose vertices are "colors") and instance graphs.  A vertex cover is a
-mask too; the kernels' parameter k is its bit count.  A caller's
+mask too; the kernels' parameter k is its bit count.  A graph makes its
+neighbor tuples, looped-vertex mask and edge count once.  A caller's
 Graph(n, adj) and Instance(graph, lists, cover) are checked; from_edges,
 the kernels, reduce_lists, reduce_sat and the gadgets build valid ones
 unchecked.
@@ -16,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .bitset import bit_list, iter_bits
+from .bitset import bit_list, iter_bits, mask_of
 
 
 def _unchecked(cls, **fields):
@@ -75,6 +76,32 @@ class Graph:
     def max_degree(self) -> int:
         return max(map(int.bit_count, self.adj), default=0)
 
+    @functools.cached_property
+    def nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending loop-free neighbor tuples, made on first use in one walk
+        over the bits above each vertex, shifting the mask down past each
+        one found; the kernels and the oracle share them."""
+        nbrs = [[] for _ in range(self.n)]
+        for v, mask in enumerate(self.adj):
+            mask >>= v + 1
+            u = v
+            while mask:
+                step = (mask & -mask).bit_length()
+                mask >>= step
+                u += step
+                nbrs[v].append(u)
+                nbrs[u].append(v)
+        return tuple(map(tuple, nbrs))
+
+    @functools.cached_property
+    def loops(self) -> int:
+        """Mask of the looped vertices, made on first use."""
+        return mask_of(v for v, a in enumerate(self.adj) if a >> v & 1)
+
+    @functools.cached_property
+    def _edge_count(self) -> int:
+        return (sum(map(int.bit_count, self.adj)) + self.loops.bit_count()) // 2
+
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u <= v; a loop appears as (v, v)."""
         return [(v, u) for v, a in enumerate(self.adj)
@@ -82,8 +109,7 @@ class Graph:
 
     def edge_count(self) -> int:
         """Number of edges; a loop on v is bit v of adj[v], counted once."""
-        loops = sum(a >> v & 1 for v, a in enumerate(self.adj))
-        return (sum(map(int.bit_count, self.adj)) + loops) // 2
+        return self._edge_count
 
 
 def common_neighbors(hg: Graph, s_mask: int, l_mask: int) -> int:
@@ -194,15 +220,11 @@ def reduce_lists(inst: Instance, hg: Graph) -> Instance:
 
 def greedy_vertex_cover(g: Graph) -> int:
     """2-approximate cover: looped vertices, then a maximal matching's ends."""
-    cover = 0
-    for v in range(g.n):
-        if g.adj[v] >> v & 1:
-            cover |= 1 << v
-    for v, u in g.edges():
-        if v == u:
-            continue
-        if not (cover >> v & 1 or cover >> u & 1):
-            cover |= 1 << v | 1 << u
+    cover = g.loops
+    for v, nbrs in enumerate(g.nbrs):
+        for u in nbrs:
+            if u > v and not (cover >> v & 1 or cover >> u & 1):
+                cover |= 1 << v | 1 << u
     return cover
 
 

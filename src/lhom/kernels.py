@@ -70,11 +70,17 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     Kept vertices are re-indexed in ascending order; returns the instance
     and the original-id map.  A vertex below the lowest dropped one keeps
     its index, so only mask bits at or above that vertex are moved one by one.
+    A kernel that keeps every vertex and edge shares the input's `Graph`.
     """
     kept_nbrs: dict[int, int] = {}
     for x_mask, v in picks:
         kept_nbrs[v] = kept_nbrs.get(v, 0) | x_mask
     kept_mask = cover | mask_of(kept_nbrs)
+    adj = inst.graph.adj
+    if kept_mask == inst.graph.full_mask and all(
+            adj[v] == nbrs for v, nbrs in kept_nbrs.items()):
+        return (Instance._built(inst.graph, tuple(inst.lists), cover),
+                tuple(range(inst.graph.n)))
     kept = bit_list(kept_mask)
     index = {v: i for i, v in enumerate(kept)}
     dropped = ~kept_mask
@@ -87,7 +93,6 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
             out |= 1 << index[u]
         return out
 
-    adj = inst.graph.adj
     rows = [adj[v] & cover if cover >> v & 1 else 0 for v in kept]
     if cover & ~same:
         rows = list(map(moved, rows))
@@ -101,7 +106,7 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     return kernel, tuple(kept)
 
 
-def _subsets(items: list, c: int) -> list[tuple]:
+def _subsets(items: tuple[int, ...], c: int) -> list[tuple]:
     """The subsets of at most c items, by size from 0 and then in
     `itertools.combinations` order."""
     out = [()]
@@ -115,14 +120,14 @@ def _walk(inst: Instance, cover: int, c: int):
 
     A type is an outside vertex's list together with one subset of at most
     c of its cover neighbors.  Each vertex's subsets are a `_subsets` list
-    of cover-vertex tuples made for that vertex alone: they are distinct
-    cover subsets, which a kernel keeps as types anyway.  A kernel that
-    keeps the first (subset, list) it meets walks the types in first-seen
-    order and gives each its lowest vertex.
+    of cover-vertex tuples made for that vertex alone from its `Graph.nbrs`
+    tuple: they are distinct cover subsets, which a kernel keeps as types
+    anyway.  A kernel that keeps the first (subset, list) it meets walks the
+    types in first-seen order and gives each its lowest vertex.
     """
-    adj, lists = inst.graph.adj, inst.lists
+    nbrs, lists = inst.graph.nbrs, inst.lists
     for v in iter_bits(inst.graph.full_mask & ~cover):
-        yield v, lists[v], _subsets(bit_list(adj[v]), c)
+        yield v, lists[v], _subsets(nbrs[v], c)
 
 
 def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:

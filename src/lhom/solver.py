@@ -45,6 +45,8 @@ def node_budget_from_env() -> int:
 class _Search:
     """One search over an instance; `solutions()` is the generator that
     decide and enumerate_restricted iterate, and `nodes` counts its work.
+    It reads the neighbour lists and the loop masks off the instance's and
+    the target's `Graph`, which make them once and share them.
 
     `seen[s]` holds every open vertex with s candidates, and may hold stale
     bits of vertices that now have more: the start fills it, `_propagate`
@@ -60,22 +62,10 @@ class _Search:
         self.adj, self.full = hg.adj, hg.full_mask
         self.budget = budget
         self.nodes = 0
-        # ascending loop-free neighbour lists in one walk over the bits
-        # above each vertex, shifting the mask down past each one found
-        self.nbrs = nbrs = [[] for _ in range(g.n)]
-        for v, mask in enumerate(g.adj):
-            mask >>= v + 1
-            u = v
-            while mask:
-                step = (mask & -mask).bit_length()
-                mask >>= step
-                u += step
-                nbrs[v].append(u)
-                nbrs[u].append(v)
-        # a looped vertex needs a looped image
-        looped = sum(1 << c for c in range(hg.n) if hg.adj[c] >> c & 1)
-        self.cand = [mask & looped if g.adj[v] >> v & 1 else mask
-                     for v, mask in enumerate(inst.lists)]
+        self.nbrs = g.nbrs
+        self.cand = list(inst.lists)
+        for v in iter_bits(g.loops):  # a looped vertex needs a looped image
+            self.cand[v] &= hg.loops
         self.seen = [0] * (hg.n + 1)
         for v, mask in enumerate(self.cand):
             if mask & (mask - 1):

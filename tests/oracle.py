@@ -37,6 +37,14 @@ worked on adjacency masks: it lists every edge of the input, keeps those
 inside the cover, adds the kept outside edges and builds the kernel
 through `Graph.from_edges`.
 
+`reference_nbrs` is the neighbor lists as `lhom.solver._Search` built
+them before `Graph.nbrs`: one walk over the bits above each vertex,
+appending each neighbor found to both ends, but reading every binary digit
+of the mask instead of jumping to the next set bit.
+`reference_greedy_cover` is `greedy_vertex_cover` as it was before it read
+`Graph.loops` and `Graph.nbrs`: a shift of each vertex's mask for its loop,
+then a maximal matching over `Graph.edges()`.
+
 `reference_types` is the kernels' type walk as it was before
 `lhom.kernels._walk`: every outside vertex, every subset of at most c of
 its cover neighbors by size and in `itertools.combinations` order, into a
@@ -932,6 +940,30 @@ def reference_restrict(inst: Instance, cover: int, kept_nbrs: dict[int, int]
                       tuple(inst.lists[v] for v in kept),
                       mask_of(index[v] for v in iter_bits(cover)))
     return kernel, tuple(kept)
+
+
+def reference_nbrs(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbors, ascending, without the vertex itself."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for v, mask in enumerate(g.adj):
+        digits = bin(mask)[:1:-1]  # digit u is bit u of the mask
+        for u in range(v + 1, len(digits)):
+            if digits[u] == "1":
+                nbrs[v].append(u)
+                nbrs[u].append(v)
+    return nbrs
+
+
+def reference_greedy_cover(g: Graph) -> int:
+    """Looped vertices, then the ends of a maximal matching in edge order."""
+    cover = 0
+    for v in range(g.n):
+        if g.adj[v] >> v & 1:
+            cover |= 1 << v
+    for v, u in g.edges():
+        if v != u and not (cover >> v & 1 or cover >> u & 1):
+            cover |= 1 << v | 1 << u
+    return cover
 
 
 def reference_types(inst: Instance, cover: int, c: int

@@ -15,7 +15,8 @@ from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
 from lhom.solver import decide
 
 from conftest import complete_graph
-from oracle import brute_common, exact_min_vertex_cover, random_graph
+from oracle import (brute_common, exact_min_vertex_cover, random_graph,
+                    reference_greedy_cover, reference_nbrs)
 
 
 def test_graph_rejects_asymmetric_adjacency():
@@ -185,6 +186,18 @@ def test_greedy_cover_always_covers_and_two_approximates():
         assert cover.bit_count() <= 2 * exact_min_vertex_cover(g)
 
 
+def test_greedy_cover_matches_the_edge_list_reference(k4_reductions):
+    """The cover read off `Graph.loops` and `Graph.nbrs` is the one that
+    shifting each mask and walking `edges()` gave, loops included."""
+    rng = SplitMix64(2601)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, [(0, 0)]),
+              *(inst.graph for inst in k4_reductions)]
+    graphs += [random_graph(rng, 1 + rng.below(30), 1, 1 + rng.below(8))
+               for _ in range(200)]
+    for g in graphs:
+        assert greedy_vertex_cover(g) == reference_greedy_cover(g), g
+
+
 def test_cover_certificate_prefers_designated():
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
     inst = Instance(g, (1, 1, 1), cover=mask_of([0]))
@@ -328,3 +341,34 @@ def test_edge_count_matches_the_edge_list(c5, c6, k4, c13p2, k4_reductions):
         assert g.edge_count() == len(g.edges()), g
         looped += any(a >> v & 1 for v, a in enumerate(g.adj))
     assert looped >= 100, looped
+
+
+def test_neighbor_lists_loops_and_edge_count_match_the_bit_references(
+        c13p2, k4_reductions):
+    """`Graph.nbrs`, `Graph.loops` and `edge_count()` equal references read
+    bit by bit: on the empty graph, a single looped vertex, isolated
+    vertices, seeded looped graphs, instances, K4 reductions and a sparse
+    1,200-vertex graph.  The lists are tuples, made once per graph,
+    because the kernels and the searches share them."""
+    rng = SplitMix64(2602)
+    sparse = Graph.from_edges(1200, [(rng.below(1200), rng.below(1200))
+                                     for _ in range(1800)])
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, [(0, 0)]),
+              Graph.from_edges(6, [(1, 4), (4, 4)]), sparse, c13p2,
+              gen_instance(c13p2, 300, 4, 2602).graph,
+              *(inst.graph for inst in k4_reductions)]
+    graphs += [random_graph(rng, 1 + rng.below(40), 1, 1 + rng.below(6))
+               for _ in range(100)]
+    isolated = looped = 0
+    for g in graphs:
+        want = reference_nbrs(g)
+        loops = mask_of(v for v in range(g.n) if g.adj[v] >> v & 1)
+        assert type(g.nbrs) is tuple and g.nbrs is g.nbrs
+        assert all(type(ns) is tuple for ns in g.nbrs)
+        assert list(map(list, g.nbrs)) == want, g
+        assert g.loops == loops, g
+        edges = sum(map(len, want)) // 2 + loops.bit_count()
+        assert g.edge_count() == edges == len(g.edges()), g
+        isolated += g.adj.count(0)
+        looped += bool(loops)
+    assert isolated >= 100 and looped >= 50, (isolated, looped)

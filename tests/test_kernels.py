@@ -373,6 +373,43 @@ def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4, k4_reductions):
         (cases, raised, smaller)
 
 
+def test_kernels_that_keep_everything_share_the_input_graph(k4,
+                                                            k4_reductions):
+    """A kernel that keeps every vertex and edge of a K4 reduction is the
+    input's own `Graph`, with an identity vertex map and the cover mask as
+    its cover; without a designated cover that is the greedy one.  A kernel
+    that drops a vertex, or only an edge, is built as `reference_restrict`
+    builds it."""
+    from oracle import reference_restrict
+    for inst in k4_reductions:
+        bare = Instance(inst.graph, inst.lists)
+        for case, cover in ((inst, inst.cover),
+                            (bare, greedy_vertex_cover(inst.graph))):
+            for kernel in (kernel_marking, kernel_poly):
+                report = kernel(case, k4)
+                assert report.kernel.graph is inst.graph, kernel
+                assert report.vertex_map == tuple(range(inst.graph.n))
+                assert report.kernel.cover == cover
+    # a copy of the last outside vertex, same list and neighbors, is dropped
+    inst = k4_reductions[0]
+    g, n, cover = inst.graph, inst.graph.n, inst.cover
+    v = (g.full_mask & ~cover).bit_length() - 1
+    twin = Instance(Graph.from_edges(n + 1, g.edges() + [
+        (u, n) for u in bit_list(g.adj[v])]), inst.lists + (inst.lists[v],),
+        cover)
+    kept = {u: g.adj[u] for u in range(n) if not cover >> u & 1}
+    report = kernel_marking(twin, k4)
+    assert report.kernel.graph is not twin.graph
+    assert (report.kernel, report.vertex_map) == \
+        reference_restrict(twin, cover, kept)
+    # every vertex kept, one edge of v dropped
+    kept[v] &= kept[v] - 1
+    got = _restrict(inst, cover, [(m, u) for u, m in kept.items()])
+    assert got[0].graph is not g and got[0].graph.edge_count() == \
+        g.edge_count() - 1
+    assert got == reference_restrict(inst, cover, kept)
+
+
 def test_restrict_matches_edge_list_reference():
     """Mask-based restriction equals the edge-list one on non-prefix covers.
 
