@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
@@ -171,10 +172,12 @@ class Instance:
 
 
 def validate_instance(inst: Instance, hg: Graph) -> None:
-    """Check that every list is a subset of the target's vertex set."""
-    unknown = ~hg.full_mask
+    """Check that every list is a subset of the target's vertex set; the
+    walk after one OR over all lists names the lowest vertex at fault."""
+    if not functools.reduce(operator.or_, inst.lists, 0) & ~hg.full_mask:
+        return
     for v, mask in enumerate(inst.lists):
-        if mask & unknown:
+        if mask & ~hg.full_mask:
             raise ValueError(f"list of vertex {v} mentions unknown colors")
 
 

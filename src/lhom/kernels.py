@@ -9,6 +9,7 @@ certified forbidding polynomial and keeps a GF(2) row basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -139,7 +140,7 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     validate_instance(inst, hg)
     cover = cover_certificate(inst)
     k = cover.bit_count()
-    if any(not m for m in inst.lists):
+    if 0 in inst.lists:
         return _trivial_no_kernel(inst, "marking", k)
     c = compute_c_star(hg).value
     chosen: dict[tuple[tuple[int, ...], int], int] = {}
@@ -161,15 +162,16 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
 
 
 def _minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
-                    cands: tuple[list[int], ...]):
+                    cands: tuple[tuple[int, ...], ...]) -> tuple:
     """The minimal no-common-neighbor tuples in a non-empty L of the
-    product of cands, in `itertools.product` order.  The depth-first walk
-    skips a proper prefix with no common neighbor in L (an extension would
-    have none without its last position); a last color must meet each
-    leave-one-out neighborhood of its prefix, a stored prefix AND a suffix."""
+    product of cands, as one tuple in `itertools.product` order.  The
+    depth-first walk skips a proper prefix with no common neighbor in L (an
+    extension would have none without its last position); a last color
+    must meet each leave-one-out neighborhood of its prefix, a stored
+    prefix AND a suffix."""
     last = len(cands) - 1
     prefix = [full] * (last + 1)  # prefix[j]: common neighbors of tup[:j]
-    tup = [0] * last
+    tup, found = [0] * last, []
     stack = [iter(cands[0])] if cands else []
     while stack:
         j = len(stack) - 1
@@ -194,56 +196,27 @@ def _minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
                     if not out & near:
                         break
                 else:
-                    yield (*tup, color)
+                    found.append((*tup, color))
+    return tuple(found)
 
 
-def kernel_poly(inst: Instance, hg: Graph,
-                cycle_power: tuple[int, int] | None = None,
-                budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
-    """Polynomial-method kernel.
+# minimal tuples depend only on the target, L and the candidate colors: the
+# 144 K4 reductions of a sat-oracle pass look 16 keys up 49,602 times
+_minimal_memo = functools.lru_cache(maxsize=32)(_minimal_tuples)
 
-    After list reduction it walks the marking kernel's first-seen types
-    (`_walk`) over the reduced lists, and only their minimal
-    no-common-neighbor tuples (`_minimal_tuples`); a non-minimal tuple's
-    row is that of a minimal sub-tuple on a smaller subset.  Those tuples
-    depend only on L and the subset's lists, so an (L, list tuple) that
-    yields none is kept in one set, and a later type with it is
-    skipped before its mask or per-subset data is made.  A tuple on a
-    route that reads L (`forbid_route`) gets that route's certified
-    polynomial (`construct`, with no further shrinking or routing), any
-    other its plain monomial, on the type's lowest vertex.
-    A row's key is (cover subset, tuple) for a monomial and (cover subset,
-    polynomial) on a route.  One step places each key when first met: it
-    packs the row (`lhom.gf2`: y[u, color] of the i-th cover vertex u is
-    bit i * h + color) and records its (subset, vertex) pick.  A streaming
-    GF(2) basis of the rows picks the outside vertices and edges that
-    survive, and `_restrict` keeps them.
-    """
-    red = reduce_lists(inst, hg)
-    cover = cover_certificate(inst)
-    k = cover.bit_count()
-    if any(not m for m in inst.lists):
-        return _trivial_no_kernel(inst, "poly", k)
-    c = compute_c_star(hg).value
+
+def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
+               index: dict[int, int], list_vars: int,
+               cycle_power: tuple[int, int] | None, budget: int):
+    """`kernel_poly`'s rows, picks, tuple count and degree; a monomial's colors
+    are in the reduced lists, so only a route row can hold a list variable."""
     h = hg.n
     adj, full = hg.adj, hg.full_mask
-    index = {u: i for i, u in enumerate(bit_list(cover))}
-
-    # a color c missing from a cover vertex u's list gives the unit row
-    # y[u, c]; the basis would keep all of these ahead of the other rows, so
-    # they bypass it, and their degree-1 monomials leave every other row
-    list_vars = 0
-    for v, i in index.items():
-        list_vars |= (full & ~red.lists[v]) << i * h
-    n_list = list_vars.bit_count()
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
-    subsets = {}  # cover subset -> mask, colors, size, route, y[u, 0] bits
-    barren = set()  # the (L, list tuple) pairs with no minimal tuple
+    colors = {}  # list tuple -> its candidate color tuples
+    subsets = {}  # cover subset -> mask, size, route, y[u, 0] bits, keys
     met: dict[int, set] = {}  # L -> the cover subsets met with L
-    placed = set()  # the keys of the rows
-    rows: list[list[int]] = []
-    picks: list[tuple[int, int]] = []
-    tuples = 0
+    rows, picks, tuples = [], [], 0
     degree = 1  # a list row has degree 1, as has an empty row set
     get_list = red.lists.__getitem__
     for v, l_mask, combos in _walk(red, cover, c):
@@ -255,41 +228,86 @@ def kernel_poly(inst: Instance, hg: Graph,
                 continue
             seen.add(combo)
             f_lists = tuple(map(get_list, combo))
-            if (l_mask, f_lists) in barren:
+            cands = colors.get(f_lists)
+            if cands is None:
+                cands = colors[f_lists] = tuple(
+                    tuple(bit_list(f)) for f in f_lists)
+            found = _minimal_memo(adj, full, l_mask, cands)
+            if not found:
                 continue
+            tuples += len(found)
             data = subsets.get(combo)
             if data is None:
-                cands = tuple(map(bit_list, f_lists))
-                subsets[combo] = data = (mask_of(combo), cands,
+                subsets[combo] = data = (mask_of(combo),
                                          math.prod(map(len, cands)),
                                          routes[len(combo)],
-                                         [1 << index[u] * h for u in combo])
-            x_mask, cands, size, route, bits = data
-            before = tuples
-            for tup in _minimal_tuples(adj, full, l_mask, cands):
-                tuples += 1
-                if route:
-                    req = ForbidRequest(hg, l_mask, f_lists,
-                                        tuple(range(len(tup))), tup)
-                    canon = construct(req, route, cycle_power, budget)
-                    key, deg = canon.poly, canon.degree
-                else:
-                    key, deg = tup, len(tup)
-                if (x_mask, key) in placed:
-                    continue
-                if route:
-                    row = [sum(bits[pos] << color for pos, color in mono)
-                           for mono in key.monomials]
-                else:
+                                         [1 << index[u] * h for u in combo],
+                                         set())
+            x_mask, size, route, bits, placed = data
+            if not route:
+                new = [tup for tup in found if tup not in placed]
+                if new:
                     charge(size, budget)
-                    row = [sum(map(operator.lshift, bits, tup))]
-                placed.add((x_mask, key))
-                degree = max(degree, deg)
+                    degree = max(degree, len(combo))
+                    placed.update(new)
+                    rows += [[sum(map(operator.lshift, bits, tup))]
+                             for tup in new]
+                    picks += [(x_mask, v)] * len(new)
+                continue
+            for tup in found:
+                req = ForbidRequest(hg, l_mask, f_lists,
+                                    tuple(range(len(tup))), tup)
+                canon = construct(req, route, cycle_power, budget)
+                if canon.poly in placed:
+                    continue
+                placed.add(canon.poly)
+                degree = max(degree, canon.degree)
+                row = [sum(bits[pos] << color for pos, color in mono)
+                       for mono in canon.poly.monomials]
                 rows.append([mono for mono in row
                              if not mono & list_vars or mono & mono - 1])
                 picks.append((x_mask, v))
-            if tuples == before:
-                barren.add((l_mask, f_lists))
+    return rows, picks, tuples, degree
+
+
+def kernel_poly(inst: Instance, hg: Graph,
+                cycle_power: tuple[int, int] | None = None,
+                budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
+    """Polynomial-method kernel.
+
+    After list reduction it walks the marking kernel's first-seen types
+    (`_walk`) over the reduced lists, and only their minimal
+    no-common-neighbor tuples; a non-minimal tuple's row is that of a
+    minimal sub-tuple on a smaller subset.  Those depend only on L and the
+    subset's lists, so a bounded memo shared across calls holds them
+    (`_minimal_memo`); a type with none makes no per-subset data.  A tuple
+    on a route that reads L (`forbid_route`) gets that route's certified
+    polynomial (`construct`, with no further shrinking or routing), any
+    other its plain monomial, on the type's lowest vertex.  Within a cover
+    subset a row's key is its tuple or route polynomial; the first of each
+    is packed (`lhom.gf2`: y[u, color] of the i-th cover vertex u is bit
+    i * h + color) with its (subset, vertex) pick.  The walk (`_poly_rows`)
+    frees its state before a streaming GF(2) basis of the rows picks the
+    outside vertices and edges that survive, and `_restrict` keeps them.
+    """
+    red = reduce_lists(inst, hg)
+    cover = cover_certificate(inst)
+    k = cover.bit_count()
+    if 0 in inst.lists:
+        return _trivial_no_kernel(inst, "poly", k)
+    c = compute_c_star(hg).value
+    h, full = hg.n, hg.full_mask
+    index = {u: i for i, u in enumerate(bit_list(cover))}
+
+    # a color c missing from a cover vertex u's list gives the unit row
+    # y[u, c]; the basis would keep all of these ahead of the other rows, so
+    # they bypass it, and their degree-1 monomials leave every other row
+    list_vars = 0
+    for v, i in index.items():
+        list_vars |= (full & ~red.lists[v]) << i * h
+    n_list = list_vars.bit_count()
+    rows, picks, tuples, degree = _poly_rows(
+        red, hg, cover, c, index, list_vars, cycle_power, budget)
     kept_idx = extract_basis(rows, m=k * h, d=degree)
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)

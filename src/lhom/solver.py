@@ -10,9 +10,10 @@ whose support (the colors adjacent to one of its candidates) is every
 color cannot narrow a neighbour, so propagation neither queues nor scans
 it, as AC-3 revisits an arc only when its support can shrink; on K4
 reductions that is about one queued vertex in four.  The open
-vertices of a frame are one int mask, and the branch vertex comes from
-per-size masks kept lazily, so a color tried costs work in proportion to
-the changes it makes, not to the number of vertices.  Meant for
+vertices of a frame are one int mask, read off the trail of changes (at
+the root, the start's), and the branch vertex comes from per-size masks
+kept lazily, so a color tried costs work in proportion to the changes it
+makes, not to the number of vertices.  Meant for
 verification at desk scale; every search is bounded by a node budget and
 raises when it is exhausted.  A node is one assigned vertex or one color
 tried, so a forced vertex counts as one node, as if it had been branched on.
@@ -53,7 +54,8 @@ class _Search:
     adds a vertex whenever its list shrinks to two or more colors, and undo
     never touches it.  Sizes only fall along a search path, so a vertex
     with more than s candidates gets back to s only through `_propagate`,
-    and `_pick` may drop such a bit for good.
+    and `_pick` may drop such a bit for good.  The root's open mask `open_`
+    is the start's `seen` less the vertices that its trail left closed.
     """
 
     def __init__(self, inst: Instance, hg: Graph, budget: int):
@@ -70,9 +72,12 @@ class _Search:
         for v, mask in enumerate(self.cand):
             if mask & (mask - 1):
                 self.seen[mask.bit_count()] |= 1 << v
+        self.open_ = sum(self.seen)  # one bit per open vertex: their union
         self.trail: list[tuple[int, int]] = []
         self.supports = {1 << c: mask for c, mask in enumerate(hg.adj)}
         self.consistent = all(self.cand) and self._propagate(list(range(g.n)))
+        self.open_ &= ~mask_of(u for u, _ in self.trail  # those it closed
+                               if not self.cand[u] & (self.cand[u] - 1))
         self.trail.clear()  # the start's narrowing is never undone
 
     def _tick(self, count: int = 1) -> None:
@@ -145,18 +150,17 @@ class _Search:
 
         Each frame of the explicit stack is one branch vertex: its colors
         left to try, the trail length to undo to, and the mask of vertices
-        still open (two or more candidates) when it was pushed.  A vertex
-        with one candidate is assigned by propagation: it would have no
-        other color to try, and under arc consistency its own propagation
-        changes nothing.  After a color's propagation the vertices that it
-        closed are read off the trail, so a try costs the changes it makes,
-        not a pass over the frame's open vertices.  A caller that stops
-        iterating stops the search there.
+        open (two or more candidates) when it was pushed, `open_` at the
+        root.  A vertex with one candidate is assigned by propagation: it
+        would have no other color to try, and under arc consistency its own
+        propagation changes nothing.  After a color's propagation the
+        vertices that it closed are read off the trail, so a try costs the
+        changes it makes, not a pass over the frame's open vertices.  A
+        caller that stops iterating stops the search there.
         """
         if not self.consistent:
             return
-        cand, trail = self.cand, self.trail
-        open_ = mask_of(v for v, mask in enumerate(cand) if mask & (mask - 1))
+        cand, trail, open_ = self.cand, self.trail, self.open_
         self._tick(len(cand) - open_.bit_count())
         stack: list = []
         while open_ is not None:

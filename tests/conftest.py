@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lhom import kernels
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
 from lhom.invariants import compute_d_star
@@ -90,3 +91,10 @@ def k4_ladder(k4):
     rng = SplitMix64(25)
     return tuple(inst for nvars in (8, 10, 12)
                  for inst in _k4_pair(k4, rng, nvars))
+
+
+@pytest.fixture(autouse=True)
+def _empty_minimal_tuple_memo():
+    """Each test starts with the poly kernel's memo empty, so that no
+    outcome depends on the order the tests run in."""
+    kernels._minimal_memo.cache_clear()

@@ -151,6 +151,46 @@ def test_validate_instance_names_lowest_offending_vertex(c6, bad):
     validate_instance(Instance(inst.graph, (c6.full_mask,) * 7), c6)
 
 
+def test_validate_instance_matches_the_walk_over_every_list(c6):
+    """Negative, out-of-range and empty lists, on their own and mixed with
+    valid ones, give the outcome and message of a walk over every list; a
+    list that is not an int still raises `TypeError`."""
+    def walked(inst, hg):
+        for v, mask in enumerate(inst.lists):
+            if mask & ~hg.full_mask:
+                return f"list of vertex {v} mentions unknown colors"
+        return None
+
+    def outcome(inst, hg):
+        try:
+            validate_instance(inst, hg)
+        except ValueError as err:
+            return str(err)
+        return None
+
+    g = Graph.from_edges(3, [])
+    cases = [Instance(Graph.from_edges(0, []), ()),
+             Instance(g, (0, 0, 0)),
+             Instance(g, (1, -1, 1)),
+             Instance(g, (1, 1 << 6, -5)),
+             Instance(g, (c6.full_mask, 0, c6.full_mask + 1))]
+    rng = SplitMix64(271)
+    pool = (0, 1, c6.full_mask, c6.full_mask + 1, 1 << 6, 1 << 200, -1,
+            -(1 << 6), -(1 << 200))
+    for _ in range(300):
+        n = rng.below(8)
+        cases.append(Instance(Graph.from_edges(n, []), tuple(
+            pool[rng.below(len(pool))] if rng.chance(1, 4)
+            else rng.below(c6.full_mask + 1) for _ in range(n))))
+    outcomes = [outcome(inst, c6) for inst in cases]
+    assert outcomes == [walked(inst, c6) for inst in cases]
+    bad = "list of vertex {} mentions unknown colors".format
+    assert outcomes[:5] == [None, None, bad(1), bad(1), bad(2)]
+    assert 100 <= outcomes.count(None) <= 250, outcomes.count(None)
+    with pytest.raises(TypeError):
+        validate_instance(Instance(g, (1, 0.5, 1)), c6)
+
+
 @pytest.mark.parametrize("target_key", ["c5", "c6", "k3"])
 def test_reduce_lists_preserves_answer(target_key, request):
     hg = request.getfixturevalue(target_key)

@@ -611,20 +611,19 @@ def test_both_kernels_are_pinned(c5, c6, c13p2, k4, k4_ladder):
         "acc75e0e8879b08495ea866ae099870a97a92e2f952b580093b223c8375cf609")
 
 
-def test_barren_list_tuples_have_no_minimal_tuple(monkeypatch, c5, c6, c13p2,
-                                                  k4, k4_ladder):
-    """The poly kernel walks every (L, list tuple) that `_walk` offers, and
-    once one gave no minimal tuple (the full product confirms it has
-    none), it never walks that one again.
+def test_the_memo_serves_each_offered_list_tuple_its_minimal_tuples(
+        monkeypatch, c5, c6, c13p2, k4, k4_ladder):
+    """Every (L, list tuple) that `_walk` offers the poly kernel is served
+    the full product's minimal tuples, whether the memo made them in this
+    call or kept them from an earlier one; at least 100 of them are barren.
 
-    Every call of `_minimal_tuples` is recorded with what it yielded; one
-    that yielded nothing marks its (L, candidate lists) barren.  A subset
-    the kernel skips either repeats a type already met or has a barren
-    list tuple under its own L; either way its list tuple was walked.
+    The memo is wrapped, not replaced, so every lookup, hit or miss, is
+    checked against `reference_minimal_tuples`.  The family meets more
+    distinct pairs than the memo's bound, and the memo stays within it.
     """
     from oracle import reference_minimal_tuples
-    walk, minimal = kernels._walk, kernels._minimal_tuples
-    offered, calls = set(), []
+    walk, memo = kernels._walk, kernels._minimal_memo
+    offered, served, want = set(), {}, {}
 
     def recorded_walk(inst, cover, c):
         for v, l_mask, subsets in walk(inst, cover, c):
@@ -633,31 +632,28 @@ def test_barren_list_tuples_have_no_minimal_tuple(monkeypatch, c5, c6, c13p2,
                 for combo in subsets)
             yield v, l_mask, subsets
 
-    def recorded(adj, full, l_mask, cands):
-        found = 0
-        for tup in minimal(adj, full, l_mask, cands):
-            found += 1
-            yield tup
-        calls.append((adj, full, l_mask, cands, found))
+    def recorded_memo(adj, full, l_mask, cands):
+        found = memo(adj, full, l_mask, cands)
+        key = (adj, l_mask, cands)
+        if key not in want:
+            want[key] = tuple(
+                reference_minimal_tuples(adj, full, l_mask, cands))
+        assert found == want[key], key
+        served[l_mask, cands] = found
+        return found
 
     monkeypatch.setattr(kernels, "_walk", recorded_walk)
-    monkeypatch.setattr(kernels, "_minimal_tuples", recorded)
+    monkeypatch.setattr(kernels, "_minimal_memo", recorded_memo)
     barren = 0
     for inst, hg, hint, _ in _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
         offered.clear()
-        calls.clear()
+        served.clear()
         kernel_poly(inst, hg, cycle_power=hint)
-        walked, marked = set(), set()
-        for adj, full, l_mask, cands, found in calls:
-            key = (l_mask, tuple(map(tuple, cands)))
-            assert key not in marked, (inst, hg, key)
-            walked.add(key)
-            if not found:
-                marked.add(key)
-                assert not reference_minimal_tuples(adj, full, l_mask, cands)
-        assert offered <= walked, (inst, hg)
-        barren += len(marked)
+        assert offered <= served.keys(), (inst, hg)
+        barren += sum(not found for found in served.values())
     assert barren >= 100, barren
+    info = memo.cache_info()
+    assert len(want) > info.maxsize >= info.currsize, (len(want), info)
 
 
 def test_walk_meets_the_types_in_first_seen_order(c5, c6, c13p2, k4,

@@ -164,6 +164,41 @@ def test_search_matches_reference(c6, k4, c13p2, k4_reductions):
     assert finished.count(True) >= 400 and finished.count(False) >= 400
 
 
+def test_root_open_mask_matches_the_lists(c6, k4, c13p2, k4_reductions):
+    """The root open mask that `_Search` reads off its start's trail is the
+    mask of the lists with two or more colors, as a pass over all n lists
+    finds it: on n=0, on an empty list, on starts whose propagation fails
+    and on starts that close vertices."""
+    rng = SplitMix64(27)
+    cases = [(Instance(Graph.from_edges(0, []), ()), c6),
+             (Instance(Graph.from_edges(2, [(0, 1)]), (0, 0b11)), c6)]
+    for trial in range(300):
+        hg = random_graph(rng, 1 + rng.below(6))
+        g = random_graph(rng, 1 + rng.below(12), loop_num=1, loop_den=6)
+        # every other trial ORs two draws, so that more starts succeed
+        lists = tuple(rng.below(hg.full_mask + 1) | trial % 2 * rng.below(
+            hg.full_mask + 1) for _ in range(g.n))
+        cases.append((Instance(g, lists), hg))
+    for hg in (c6, k4, c13p2):
+        for seed in range(20):
+            n = 4 + rng.below(30)
+            cases.append((gen_instance(hg, n, min(n, 2 + rng.below(4)), seed,
+                                       ("random", "planted-yes")[seed % 2]),
+                          hg))
+    cases += [(inst, k4) for inst in k4_reductions]
+    failed = closed = 0
+    for inst, hg in cases:
+        search = _Search(inst, hg, 10**7)
+        want = mask_of(v for v, mask in enumerate(search.cand)
+                       if mask & (mask - 1))
+        assert search.open_ == want, (inst, hg)
+        failed += not search.consistent
+        closed += search.consistent and any(
+            mask & (mask - 1) and not cand & (cand - 1)
+            for mask, cand in zip(inst.lists, search.cand))
+    assert failed >= 100 and closed >= 40, (failed, closed)
+
+
 def test_decide_memory_does_not_grow_with_depth(c6):
     """A planted C6 instance of 5,000 vertices branches thousands of frames
     deep; a frame holds its open vertices as one int mask, not a list."""
