@@ -9,6 +9,7 @@ certified forbidding polynomial and keeps a GF(2) row basis.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -16,6 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
+from .errors import BudgetExceededError
 # the kernel calls none of forbid, forbid_monomial and minimal_subrequest;
 # they stay importable here because perfbench/spans.py wraps them by name
 from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, charge, construct,
@@ -31,13 +33,15 @@ class KernelReport:
     """A kernel, its sizes and the constraints behind it.
 
     For marking, constraints_total and constraints_retained both count the
-    (cover subset, list) types.  For the polynomial method,
-    constraints_total counts the constraint rows: one per color missing
-    from a cover vertex's list, plus one per minimal no-common-neighbor
-    tuple on each type; constraints_retained counts the rows the basis
-    would keep.  The basis sees one row per distinct row key (`kernel_poly`)
-    in first-met order; a later tuple with the same key is only counted.
-    The list rows are counted and retained without the basis.
+    (cover subset, list) types that `_walk` offers.  For the polynomial
+    method, constraints_total counts the constraint rows: one per color
+    missing from a cover vertex's list, plus one per minimal
+    no-common-neighbor tuple on each type; constraints_retained counts the
+    rows the basis would keep.  The basis sees one row per distinct row key
+    (`kernel_poly`) in first-met order; a later tuple with the same key is
+    only counted.  The list rows are counted and retained without the
+    basis.  A walk past WALK_BUDGET subsets raises `BudgetExceededError`
+    instead of a report.
     """
 
     kernel: Instance
@@ -107,35 +111,57 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     return kernel, tuple(kept)
 
 
-def _subsets(items: tuple[int, ...], c: int) -> list[tuple]:
-    """The subsets of at most c items, by size from 0 and then in
-    `itertools.combinations` order."""
-    out = [()]
-    for r in range(1, min(c, len(items)) + 1):
-        out += itertools.combinations(items, r)
-    return out
+# the most cover subsets that `_walk` may list: C6 at n=2000, k=40 lists
+# 2.8M with a 92 MB peak in marking; the largest tested walk lists 28,266
+WALK_BUDGET = 5_000_000
 
 
 def _walk(inst: Instance, cover: int, c: int):
-    """Each outside vertex v, ascending, as (v, its list, its subsets).
+    """Each outside vertex v, ascending, as (v, its list L, its new subsets).
 
-    A type is an outside vertex's list together with one subset of at most
-    c of its cover neighbors.  Each vertex's subsets are a `_subsets` list
-    of cover-vertex tuples made for that vertex alone from its `Graph.nbrs`
-    tuple: they are distinct cover subsets, which a kernel keeps as types
-    anyway.  A kernel that keeps the first (subset, list) it meets walks the
-    types in first-seen order and gives each its lowest vertex.
+    A type is an outside vertex's list L together with one subset of at most
+    c of its cover neighbors: a tuple from v's `Graph.nbrs` tuple, by size
+    from 0 and then in `itertools.combinations` order.  The walk keeps, per
+    L, the subsets it has offered and offers v only those new with L, so
+    each type comes once, in first-seen order and on its lowest vertex; a
+    vertex with none is skipped.  Before the first yield it counts the
+    subsets it will list, W = sum over outside v of C(|N(v)|, i) for
+    i <= c, once per distinct degree, unless (outside vertices) * 2^k is
+    within WALK_BUDGET, and raises `BudgetExceededError` when W exceeds it.
     """
     nbrs, lists = inst.graph.nbrs, inst.lists
-    for v in iter_bits(inst.graph.full_mask & ~cover):
-        yield v, lists[v], _subsets(nbrs[v], c)
+    outside = bit_list(inst.graph.full_mask & ~cover)
+    # a vertex lists at most 2^k subsets, so most inputs skip the count,
+    # which costs a small kernel a tenth of its time
+    if len(outside) << cover.bit_count() > WALK_BUDGET:
+        degrees = collections.Counter(map(len, map(nbrs.__getitem__, outside)))
+        walk = sum(count * sum(math.comb(d, i) for i in range(c + 1))
+                   for d, count in degrees.items())
+        if walk > WALK_BUDGET:
+            raise BudgetExceededError(f"type walk needs {walk} cover subsets,"
+                                      f" budget is {WALK_BUDGET}")
+    met: dict[int, set] = {}  # L -> the subsets offered with L
+    for v in outside:
+        items, l_mask = nbrs[v], lists[v]
+        subsets = [()]
+        for r in range(1, min(c, len(items)) + 1):
+            subsets += itertools.combinations(items, r)
+        seen = met.get(l_mask)
+        if seen is None:
+            met[l_mask] = set(subsets)
+        else:
+            subsets = [combo for combo in subsets if combo not in seen]
+            seen.update(subsets)
+        if subsets:
+            yield v, l_mask, subsets
 
 
 def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     """Keep one outside vertex per (cover subset of size <= c_star, list) type.
 
-    The representative for a type is its lowest-index vertex (`_walk`); it
-    keeps its edges into every subset it represents and loses all others.
+    The representative for a type is its lowest-index vertex, on which
+    `_walk` offers it; it keeps its edges into every subset it represents
+    and loses all others.
     """
     validate_instance(inst, hg)
     cover = cover_certificate(inst)
@@ -143,12 +169,11 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     if 0 in inst.lists:
         return _trivial_no_kernel(inst, "marking", k)
     c = compute_c_star(hg).value
-    chosen: dict[tuple[tuple[int, ...], int], int] = {}
-    for v, l_mask, subsets in _walk(inst, cover, c):
-        for combo in subsets:
-            chosen.setdefault((combo, l_mask), v)
-    kernel, vmap = _restrict(
-        inst, cover, [(mask_of(combo), v) for (combo, _), v in chosen.items()])
+    picks, offered = [], 0  # one pick per vertex: its new subsets, united
+    for v, _, new in _walk(inst, cover, c):
+        picks.append((mask_of(itertools.chain.from_iterable(new)), v))
+        offered += len(new)
+    kernel, vmap = _restrict(inst, cover, picks)
     v_out, e_out = kernel.graph.n, kernel.graph.edge_count()
     # a non-empty list and a cover subset of at most c vertices per type
     types = (2 ** hg.n - 1) * sum(math.comb(k, i) for i in range(c + 1))
@@ -158,7 +183,7 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
         vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
         vertices_out=v_out, edges_out=e_out, bound_k=k,
         bound_formula_ok=bound_ok, vertex_map=vmap,
-        constraints_total=len(chosen), constraints_retained=len(chosen))
+        constraints_total=offered, constraints_retained=offered)
 
 
 def _minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
@@ -215,18 +240,11 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
     colors = {}  # list tuple -> its candidate color tuples
     subsets = {}  # cover subset -> mask, size, route, y[u, 0] bits, keys
-    met: dict[int, set] = {}  # L -> the cover subsets met with L
     rows, picks, tuples = [], [], 0
     degree = 1  # a list row has degree 1, as has an empty row set
     get_list = red.lists.__getitem__
     for v, l_mask, combos in _walk(red, cover, c):
-        seen = met.get(l_mask)
-        if seen is None:
-            seen = met[l_mask] = set()
         for combo in combos:
-            if combo in seen:
-                continue
-            seen.add(combo)
             f_lists = tuple(map(get_list, combo))
             cands = colors.get(f_lists)
             if cands is None:
@@ -275,8 +293,8 @@ def kernel_poly(inst: Instance, hg: Graph,
                 budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
     """Polynomial-method kernel.
 
-    After list reduction it walks the marking kernel's first-seen types
-    (`_walk`) over the reduced lists, and only their minimal
+    After list reduction it takes the types that `_walk` offers over the
+    reduced lists, each once on its lowest vertex, and only their minimal
     no-common-neighbor tuples; a non-minimal tuple's row is that of a
     minimal sub-tuple on a smaller subset.  Those depend only on L and the
     subset's lists, so a bounded memo shared across calls holds them

@@ -46,9 +46,11 @@ of the mask instead of jumping to the next set bit.
 then a maximal matching over `Graph.edges()`.
 
 `reference_types` is the kernels' type walk as it was before
-`lhom.kernels._walk`: every outside vertex, every subset of at most c of
-its cover neighbors by size and in `itertools.combinations` order, into a
-dict from (subset mask, list) to the first vertex met.
+`lhom.kernels._walk` kept the types it had offered: every outside vertex,
+every subset of at most c of its cover neighbors by size and in
+`itertools.combinations` order, into a dict from (subset mask, list) to
+the first vertex met.  `_walk` offers exactly these, once each, in the
+dict's order and on their vertices.
 
 `reference_minimal_tuples` is the kernels' constraint walk as it was
 before `lhom.kernels._minimal_tuples` pruned it: the whole
@@ -969,7 +971,7 @@ def reference_greedy_cover(g: Graph) -> int:
 def reference_types(inst: Instance, cover: int, c: int
                     ) -> dict[tuple[int, int], int]:
     """(cover subset mask, list) type -> its lowest outside vertex, in
-    first-seen order."""
+    first-seen order: what `lhom.kernels._walk` offers, each type once."""
     types: dict[tuple[int, int], int] = {}
     for v in range(inst.graph.n):
         if cover >> v & 1:

@@ -327,7 +327,9 @@ def test_kernel_uses_generator_hint(tmp_path, capsys):
 
 
 def test_cycle_power_kernel_golden(tmp_path, capsys):
-    """The README-style pipeline on C13^2, through the cycle-power route."""
+    """The README-style pipeline on C13^2, through the cycle-power route,
+    as CI once ran it with the installed script: the kernel's numbers, the
+    verdict of verify-kernel, and the emitted kernel solved."""
     hg_path, inst_path = str(tmp_path / "c13.hg"), str(tmp_path / "i.lh")
     assert main(["gen", "hgraph", "cycle-power", "--k", "13", "--p", "2",
                  "--out", hg_path]) == 0
@@ -343,6 +345,13 @@ def test_cycle_power_kernel_golden(tmp_path, capsys):
                  "--method", "poly"]) == 0
     assert capsys.readouterr().out.strip() == \
         "input=False kernel=False agree=True"
+    # the emitted kernel, read back and solved
+    kernel_path = str(tmp_path / "k.lh")
+    assert main(["kernel", inst_path, "--target", hg_path, "--method", "poly",
+                 "--emit", kernel_path]) == 0
+    capsys.readouterr()
+    assert main(["solve", kernel_path, "--target", hg_path]) == 1
+    assert capsys.readouterr().out == "no\n"
 
 
 def test_gen_missing_params(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from lhom.errors import FormatError
 from lhom.formats import (parse_dimacs, parse_hgraph, parse_instance,
                           write_hgraph, write_instance)
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
+from lhom.graphs import Graph, Instance
 from lhom.invariants import compute_d_star
 from lhom.reductions import reduce_sat
 
@@ -249,3 +251,71 @@ def test_instance_work_follows_file_length(text, message):
         tracemalloc.stop()
     assert str(err.value) == message
     assert peak < 1 << 20
+
+
+STRAY_TOKENS = ("x", "e", "l", "p", "0", "-1", "1.5", "#", "c", "cnf", "hgraph")
+
+
+def _mutant(text: str, rng: SplitMix64) -> str:
+    """text with one to three seeded edits: a line dropped, duplicated or
+    swapped with the next, a number's sign flipped, a number moved away
+    from zero by 1, 6, 13 or 1000 (often past its range; never by more,
+    so that no parse builds much), or a stray token put into a line."""
+    lines = text.splitlines()
+    for _ in range(1 + rng.below(3)):
+        if not lines:
+            break
+        i, kind = rng.below(len(lines)), rng.below(6)
+        fields = lines[i].split()
+        numbers = [j for j, f in enumerate(fields) if f.lstrip("-").isdigit()]
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, lines[i])
+        elif kind == 2:
+            lines[i:i + 2] = lines[i:i + 2][::-1]
+        elif kind in (3, 4) and numbers:
+            j = numbers[rng.below(len(numbers))]
+            value = int(fields[j])
+            step = (1, 6, 13, 1000)[rng.below(4)]
+            fields[j] = str(-value if kind == 3 else
+                            value + step if value >= 0 else value - step)
+            lines[i] = " ".join(fields)
+        else:
+            fields.insert(rng.below(len(fields) + 1),
+                          STRAY_TOKENS[rng.below(len(STRAY_TOKENS))])
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_parsers_on_mutated_texts_are_pinned(c6):
+    """Each parser's outcome on seeded mutants of its own valid texts (the
+    result's repr, or the exception's type and message), folded into one
+    SHA-256 pinned before the kernels' walk kept its types.  Only
+    FormatError is raised, and some mutants still parse."""
+    hgraphs = [write_hgraph(gen_cycle_power(k, p),
+                            (f"gen: cycle-power k={k} p={p}",))
+               for k, p in ((5, 1), (6, 1), (9, 2))]
+    instances = [write_instance(gen_instance(c6, n, k, seed, mode), 6,
+                                (f"gen: instance seed={seed}",))
+                 for n, k, seed, mode in ((8, 2, 1, "random"),
+                                          (12, 3, 2, "planted-yes"))]
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    instances.append(write_instance(Instance(path, (1, 3, 6)), 3))
+    cnfs = ["c a comment\np cnf 4 3\n1 -2 3 0\n-1 2\n0\n4 -3 0\n",
+            "p cnf 3 2\n1 2 3 0 -1 -2 -3 0\n"]
+    rng = SplitMix64(2801)
+    digest, outcomes = hashlib.sha256(), set()
+    for parse, texts in ((parse_hgraph, hgraphs), (parse_instance, instances),
+                         (parse_dimacs, cnfs)):
+        for _ in range(200):
+            text = _mutant(texts[rng.below(len(texts))], rng)
+            try:
+                outcome = repr(parse(text))
+            except FormatError as err:
+                outcome = f"FormatError: {err}"
+            outcomes.add((parse.__name__, outcome.startswith("FormatError")))
+            digest.update(text.encode() + b"\0" + outcome.encode() + b"\0")
+    assert len(outcomes) == 6, outcomes
+    assert digest.hexdigest() == (
+        "121af6c298d7c10d9932ddb7a69c7a74d00f65a441e90d6ef360da5b4817b793")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import pytest
@@ -658,9 +659,9 @@ def test_the_memo_serves_each_offered_list_tuple_its_minimal_tuples(
 
 def test_walk_meets_the_types_in_first_seen_order(c5, c6, c13p2, k4,
                                                   k4_ladder):
-    """Keeping the first (subset, list) that `_walk` offers gives the types
-    of `reference_types`, in its order and each with its lowest vertex, on
-    the input lists and on the reduced ones."""
+    """`_walk` offers each (subset, list) once, and what it offers are the
+    types of `reference_types`, in its order and each with its lowest
+    vertex, on the input lists and on the reduced ones."""
     from lhom.graphs import reduce_lists
     from lhom.invariants import compute_c_star
     from oracle import reference_types
@@ -668,9 +669,46 @@ def test_walk_meets_the_types_in_first_seen_order(c5, c6, c13p2, k4,
         c = compute_c_star(hg).value
         for case in (inst, reduce_lists(inst, hg)):
             cover = cover_certificate(case)
-            met = {}
-            for v, l_mask, subsets in kernels._walk(case, cover, c):
-                for combo in subsets:
-                    met.setdefault((mask_of(combo), l_mask), v)
-            assert list(met.items()) == \
-                list(reference_types(case, cover, c).items())
+            offered = [((mask_of(combo), l_mask), v)
+                       for v, l_mask, subsets in kernels._walk(case, cover, c)
+                       for combo in subsets]
+            assert len(dict(offered)) == len(offered)
+            assert offered == list(reference_types(case, cover, c).items())
+
+
+def _walk_size(inst: Instance, c: int) -> int:
+    """The cover subsets of at most c vertices that every outside vertex
+    has, counted one by one."""
+    cover = cover_certificate(inst)
+    return sum(1 for v in range(inst.graph.n) if not cover >> v & 1
+               for r in range(c + 1)
+               for _ in itertools.combinations(bit_list(inst.graph.adj[v]), r))
+
+
+def test_walk_budget_boundary(monkeypatch, tmp_path, capsys, c6):
+    """Both kernels, and `lhom kernel`, run with the walk's subset count W
+    at the budget and fail with exit code 3 and a message naming W one
+    below it."""
+    from lhom.cli import main
+    from lhom.formats import write_hgraph, write_instance
+    from lhom.invariants import compute_c_star
+    inst = gen_instance(c6, 60, 5, 3)
+    walk = _walk_size(inst, compute_c_star(c6).value)
+    assert walk == 424
+    hg_path, inst_path = tmp_path / "c6.hg", tmp_path / "i.lh"
+    hg_path.write_text(write_hgraph(c6))
+    inst_path.write_text(write_instance(inst, 6))
+    message = f"type walk needs {walk} cover subsets, budget is {walk - 1}"
+    for kernel, method in ((kernel_marking, "marking"), (kernel_poly, "poly")):
+        monkeypatch.setattr(kernels, "WALK_BUDGET", walk)
+        assert kernel(inst, c6).constraints_total > 0
+        args = ["kernel", str(inst_path), "--target", str(hg_path),
+                "--method", method]
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(kernels, "WALK_BUDGET", walk - 1)
+        with pytest.raises(BudgetExceededError) as err:
+            kernel(inst, c6)
+        assert str(err.value) == message
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
