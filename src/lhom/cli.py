@@ -184,15 +184,14 @@ def _cmd_reduce_sat(args) -> int:
     comments = (f"reduce-sat vars={nvars} clauses={len(clauses)} "
                 f"order={lbs.order}",)
     text = formats.write_instance(inst, hg.n, comments)
+    n, cover = inst.graph.n, inst.cover.bit_count()
     if args.out:
         _write(args.out, text)
-        _emit(args, {"vertices": inst.graph.n,
-                     "cover_size": inst.cover.bit_count(),
-                     "out": args.out},
-              f"wrote {args.out}: {inst.graph.n} vertices, "
-              f"cover {inst.cover.bit_count()}")
-    else:
-        sys.stdout.write(text)
+        _emit(args, {"vertices": n, "cover_size": cover, "out": args.out},
+              f"wrote {args.out}: {n} vertices, cover {cover}")
+    else:  # the text itself, or under --json inside the one object
+        _emit(args, {"vertices": n, "cover_size": cover, "instance": text},
+              text.removesuffix("\n"))
     return 0
 
 

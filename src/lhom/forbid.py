@@ -5,10 +5,11 @@ tuple S0 on them with no common neighbor in a target list L, and asks for a
 GF(2) polynomial that is nonzero on S0 and zero on every tuple that does
 have a common neighbor in L.  Tuples in neither class are deliberately
 unconstrained.  No constructor returns a polynomial that fails the
-contract, and each charges the budget of a scan of its candidate product
-(`certify_forbid`).  The plain monomial is correct by construction; every
-other polynomial passes `certify_forbid`, which reads one memoized table
-per polynomial and target (`_table`) and scans only what it cannot settle.
+contract, and each charges a scan of its candidate product against
+CERT_BUDGET, one module constant read at call time (`charge`).  The plain
+monomial is correct by construction; every other polynomial passes
+`certify_forbid`, which reads one memoized table per polynomial and target
+(`_table`) and scans only what it cannot settle.
 A table marks the colors w whose N(w)^r the polynomial meets by one AND
 per color against boxes built once per target and width (`_boxes`).
 """
@@ -27,10 +28,10 @@ from .gf2 import Gf2Poly, poly_local, shadow_solution
 from .invariants import (compute_c_star, compute_d_star, cycle_frame,
                          special_construction)
 
-DEFAULT_CERT_BUDGET = 2_000_000
+CERT_BUDGET = 2_000_000  # the most tuples that one certification may scan
 # `_boxes` keeps the h boxes of a (target, width r), h^r bits each, only
 # when their h^(r+1) bits are at most BOX_CAP.  That admits C19^3 at width
-# 4, the widest table the default budget gives it (19^5 = 2,476,099 bits),
+# 4, the widest table the budget gives it (19^5 = 2,476,099 bits),
 # and bounds its 16 keys by 8 MiB; a larger key's boxes are built for its
 # one table and dropped.
 BOX_CAP = 1 << 22
@@ -77,15 +78,14 @@ class ForbidResult:
     method: str
 
 
-def charge(size: int, budget: int) -> None:
-    """Raise when a scan of `size` tuples would exceed the budget."""
-    if size > budget:
+def charge(size: int) -> None:
+    """Raise when a scan of `size` tuples would exceed CERT_BUDGET."""
+    if size > CERT_BUDGET:
         raise BudgetExceededError(
-            f"certification needs {size} evaluations, budget is {budget}")
+            f"certification needs {size} evaluations, budget is {CERT_BUDGET}")
 
 
-def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
-                   budget: int = DEFAULT_CERT_BUDGET) -> bool:
+def certify_forbid(req: ForbidRequest, poly: Gf2Poly) -> bool:
     """Check the forbidding contract over the candidate product.
 
     poly must be odd on the forbidden tuple and even on every other tuple
@@ -98,7 +98,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     of the target; the tuple must be odd under every stray coloring.
     """
     hg = req.target
-    entry = hg.n ** req.width <= budget and _table(hg, req.verts, poly)
+    entry = hg.n ** req.width <= CERT_BUDGET and _table(hg, req.verts, poly)
     if entry and not req.l_mask & entry[1] and entry[0] >> sum(
             c * hg.n ** i for i, c in enumerate(req.colors)) & 1:
         return True
@@ -109,7 +109,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly,
     for f in lists:
         strides.append(size)
         size *= f.bit_count()
-    charge(size, budget)
+    charge(size)
     parity = _transform(poly, poly.variables, req.verts + tuple(extras), lists,
                         strides)
     strays = 1
@@ -188,7 +188,7 @@ def _repunit(m: int, s: int) -> int:
     return rep & ((1 << m * s) - 1)
 
 
-# at most maxsize tables, each no longer than its caller's budget in bits;
+# at most maxsize tables, each of at most CERT_BUDGET bits, so 16 MB in all;
 # the boxes they mark against are kept apart, once per target and width
 @functools.lru_cache(maxsize=64)
 def _table(target: Graph, verts: tuple[int, ...],
@@ -217,26 +217,25 @@ def _boxes(target: Graph, r: int) -> tuple[int, ...]:
     return tuple(_box(near, lists, strides, 1) for near in target.adj)
 
 
-def _certified(req, poly, degree, method, budget) -> ForbidResult:
+def _certified(req, poly, degree, method) -> ForbidResult:
     """The result, once poly passes `certify_forbid` on req; else raises.
     The caller states the degree: poly sums `poly_local` blocks of degree
     colors each, every monomial of a block uses all of its colors, so blocks
     on distinct color sets share none and a nonzero sum has that degree."""
-    if not certify_forbid(req, poly, budget):
+    if not certify_forbid(req, poly):
         raise CertificationError(f"{method} construction failed "
                                  f"certification for tuple {req.colors}")
     return ForbidResult(poly, degree, method)
 
 
-def forbid_monomial(req: ForbidRequest,
-                    budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
+def forbid_monomial(req: ForbidRequest) -> ForbidResult:
     """The product of the tuple's own variables; degree equals the width.
 
     Correct by construction, so nothing is scanned: the product is 1 only
     on S0, and the request proves that S0 has no common neighbor in L.  The
     budget still applies to the candidate product a scan would cover.
     """
-    charge(math.prod(map(int.bit_count, req.lists)), budget)
+    charge(math.prod(map(int.bit_count, req.lists)))
     poly = Gf2Poly.product_of_vars(zip(req.verts, req.colors))
     return ForbidResult(poly, req.width, "monomial")
 
@@ -269,8 +268,8 @@ def _cycle_power_poly(k: int, p: int, verts: tuple[int, ...]) -> Gf2Poly:
     return Gf2Poly.sum_of(blocks)
 
 
-def forbid_linear_system(req: ForbidRequest, target_degree: int,
-                         budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult | None:
+def forbid_linear_system(req: ForbidRequest,
+                         target_degree: int) -> ForbidResult | None:
     """Synthesize a degree-bounded polynomial by solving a GF(2) system.
 
     Unknowns are coefficients over all target-degree color subsets; each
@@ -285,7 +284,7 @@ def forbid_linear_system(req: ForbidRequest, target_degree: int,
     if target_degree < 1:
         raise ValueError("target degree must be positive")
     if r <= target_degree:
-        return forbid_monomial(req, budget)
+        return forbid_monomial(req)
     if r != target_degree + 1:
         raise ValueError("width exceeds target degree + 1")
     if len(set(req.colors)) != r:
@@ -299,7 +298,7 @@ def forbid_linear_system(req: ForbidRequest, target_degree: int,
     if sets is None:
         return None
     poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)
-    return _certified(req, poly, target_degree, "linear-system", budget)
+    return _certified(req, poly, target_degree, "linear-system")
 
 
 def _achievable(lists: tuple[int, ...], combo) -> bool:
@@ -350,36 +349,34 @@ def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
             and compute_d_star(hg)[0] == c - 1 else None)
 
 
-def construct(req: ForbidRequest, route: str | None,
-              cycle_power: tuple[int, int] | None,
-              budget: int) -> ForbidResult:
+def construct(req: ForbidRequest, route: str | None) -> ForbidResult:
     """The certified result of a minimal request on the route that
     `forbid_route` gives its width, or the monomial when its linear system
     fails.  Minimality settles what each route needs of the tuple: its
     colors are distinct, and a triple on the 6-cycle is a parity class of
     the cycle, the one place where the sum of its three exactly-once pair
-    blocks fires an odd number of times."""
+    blocks fires an odd number of times.  The cycle-power route names the
+    target itself, C_k^p with k = h and width p + 1."""
     if route == "cycle-power":
-        k, p = cycle_power
-        return _certified(req, _cycle_power_poly(k, p, req.verts), p, route,
-                          budget)
+        p = req.width - 1
+        return _certified(req, _cycle_power_poly(req.target.n, p, req.verts),
+                          p, route)
     if route == "c6":
         pos = cycle_frame(req.target).index
         poly = Gf2Poly.sum_of(
             poly_local(pair, req.verts, 6)
             for pair in itertools.combinations(sorted(req.colors, key=pos), 2))
-        return _certified(req, poly, 2, route, budget)
+        return _certified(req, poly, 2, route)
     if route == "linear-system":
-        result = forbid_linear_system(req, req.width - 1, budget)
+        result = forbid_linear_system(req, req.width - 1)
         if result is not None:
             return result
-    return forbid_monomial(req, budget)
+    return forbid_monomial(req)
 
 
-def forbid(req: ForbidRequest, cycle_power: tuple[int, int] | None = None,
-           budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
+def forbid(req: ForbidRequest,
+           cycle_power: tuple[int, int] | None = None) -> ForbidResult:
     """Best certified construction (`construct`) for the minimal
     subsequence, on the route of its width (`forbid_route`)."""
     sub = minimal_subrequest(req)
-    return construct(sub, forbid_route(req.target, cycle_power, sub.width),
-                     cycle_power, budget)
+    return construct(sub, forbid_route(req.target, cycle_power, sub.width))

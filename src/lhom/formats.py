@@ -10,7 +10,8 @@ line, naming the format and giving its count of non-negative integers,
 and no data line ahead of it.  Blank lines are skipped; lines starting
 with ``#`` or ``c`` are comments; other unknown line types are an error.
 The last ``gen: cycle-power k=<k> p=<p>`` comment whose k and p are both
-integers is surfaced as the cycle-power hint (k, p).
+integers is surfaced as the cycle-power hint (k, p).  A target has at most
+MAX_COLORS vertices (colors), checked before its adjacency is allocated.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from .bitset import bit_list, mask_of
 from .errors import FormatError
 from .graphs import Graph, Instance
+
+MAX_COLORS = 1 << 16  # the largest target in tests, CI or the benchmark has 37
 
 
 def _read(text: str, usage: str, line) -> tuple[list[int], list[str]]:
@@ -100,6 +103,9 @@ def parse_hgraph(text: str) -> tuple[Graph, tuple[int, int] | None]:
         edges.append(_edge(fields[1:], lineno, header[0]))
 
     (h,), comments = _read(text, "hgraph <h>", line)
+    if h > MAX_COLORS:
+        raise FormatError(f"target has {h} colors, above the limit of "
+                          f"{MAX_COLORS}")
     return Graph.from_edges(h, edges), _cycle_power_hint(comments)
 
 

@@ -20,8 +20,8 @@ from .bitset import bit_list, iter_bits, mask_of
 from .errors import BudgetExceededError
 # the kernel calls none of forbid, forbid_monomial and minimal_subrequest;
 # they stay importable here because perfbench/spans.py wraps them by name
-from .forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, charge, construct,
-                     forbid, forbid_monomial, forbid_route, minimal_subrequest)
+from .forbid import (ForbidRequest, charge, construct, forbid, forbid_monomial,
+                     forbid_route, minimal_subrequest)
 from .graphs import (Graph, Instance, cover_certificate, reduce_lists,
                      validate_instance)
 from .gf2 import extract_basis
@@ -232,7 +232,7 @@ _minimal_memo = functools.lru_cache(maxsize=32)(_minimal_tuples)
 
 def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                index: dict[int, int], list_vars: int,
-               cycle_power: tuple[int, int] | None, budget: int):
+               cycle_power: tuple[int, int] | None):
     """`kernel_poly`'s rows, picks, tuple count and degree; a monomial's colors
     are in the reduced lists, so only a route row can hold a list variable."""
     h = hg.n
@@ -265,7 +265,7 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
             if not route:
                 new = [tup for tup in found if tup not in placed]
                 if new:
-                    charge(size, budget)
+                    charge(size)
                     degree = max(degree, len(combo))
                     placed.update(new)
                     rows += [[sum(map(operator.lshift, bits, tup))]
@@ -275,7 +275,7 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
             for tup in found:
                 req = ForbidRequest(hg, l_mask, f_lists,
                                     tuple(range(len(tup))), tup)
-                canon = construct(req, route, cycle_power, budget)
+                canon = construct(req, route)
                 if canon.poly in placed:
                     continue
                 placed.add(canon.poly)
@@ -289,8 +289,7 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
 
 
 def kernel_poly(inst: Instance, hg: Graph,
-                cycle_power: tuple[int, int] | None = None,
-                budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
+                cycle_power: tuple[int, int] | None = None) -> KernelReport:
     """Polynomial-method kernel.
 
     After list reduction it takes the types that `_walk` offers over the
@@ -325,7 +324,7 @@ def kernel_poly(inst: Instance, hg: Graph,
         list_vars |= (full & ~red.lists[v]) << i * h
     n_list = list_vars.bit_count()
     rows, picks, tuples, degree = _poly_rows(
-        red, hg, cover, c, index, list_vars, cycle_power, budget)
+        red, hg, cover, c, index, list_vars, cycle_power)
     kept_idx = extract_basis(rows, m=k * h, d=degree)
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)

@@ -100,7 +100,7 @@ import math
 
 from lhom.bitset import bit_list, iter_bits, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
-from lhom.forbid import (DEFAULT_CERT_BUDGET, ForbidRequest, ForbidResult,
+from lhom.forbid import (CERT_BUDGET, ForbidRequest, ForbidResult,
                          _cycle_power_poly, cycle_frame)
 from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
@@ -587,7 +587,7 @@ def reference_extract_basis(polys, m: int, d: int) -> list[int]:
 
 
 def reference_certify_forbid(req: ForbidRequest, poly: Gf2Poly,
-                             budget: int = DEFAULT_CERT_BUDGET) -> bool:
+                             budget: int = CERT_BUDGET) -> bool:
     """Exhaustively check the forbidding contract over the candidate product.
 
     Each tuple of the product is one bit of an int.  Its positions are the
@@ -714,7 +714,7 @@ def _scan_certified(req, poly, method, budget) -> ForbidResult:
 
 def reference_forbid(req: ForbidRequest,
                      cycle_power: tuple[int, int] | None = None,
-                     budget: int = DEFAULT_CERT_BUDGET) -> ForbidResult:
+                     budget: int = CERT_BUDGET) -> ForbidResult:
     """`forbid` with every polynomial scanned on its own request."""
     hg = req.target
     kept = list(range(req.width))  # the minimal subsequence, high first
@@ -788,7 +788,7 @@ def reference_shadow_solution(n: int, d: int, zero_sets, one_set):
 
 
 def reference_linear_system(req: ForbidRequest, target_degree: int,
-                            budget: int = DEFAULT_CERT_BUDGET
+                            budget: int = CERT_BUDGET
                             ) -> ForbidResult | None:
     """`forbid_linear_system` on the reference shadow system."""
     r = req.width
@@ -1006,7 +1006,7 @@ def reference_minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
 
 def reference_kernel_poly(inst: Instance, hg: Graph,
                           cycle_power: tuple[int, int] | None = None,
-                          budget: int = DEFAULT_CERT_BUDGET) -> KernelReport:
+                          budget: int = CERT_BUDGET) -> KernelReport:
     """The polynomial kernel with a row for every forbidden tuple.
 
     Polynomials are cached per (list, lists, tuple) pattern for this call

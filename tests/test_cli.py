@@ -253,6 +253,11 @@ def test_reduce_sat_lbs_order_and_stdout(tmp_path, k4_file, capsys):
     stdout = capsys.readouterr().out
     assert stdout.startswith("c reduce-sat vars=3 clauses=4 order=3\n")
     assert stdout == plain.read_text()
+    # under --json without --out the text goes inside the one lhom/1 object
+    assert main(["reduce-sat", str(cnf), "--target", k4_file, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"schema": "lhom/1", "vertices": 142, "cover_size": 138,
+                   "instance": plain.read_text()}
 
 
 def test_reduce_sat_rejects_low_order_target(tmp_path, c6_file):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -5,14 +6,18 @@ import pytest
 
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
-from lhom.forbid import (ForbidRequest, certify_forbid, cycle_frame, forbid,
-                         forbid_linear_system, forbid_monomial,
-                         minimal_subrequest)
+from lhom.forbid import (CERT_BUDGET, ForbidRequest, certify_forbid,
+                         cycle_frame, forbid, forbid_linear_system,
+                         forbid_monomial, minimal_subrequest)
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import Graph, common_neighbors
 
 from oracle import ONE, poly_degree, poly_eval, poly_mul
+
+# `lhom.forbid` as a package attribute is the function; tests patch its
+# CERT_BUDGET, which every charge reads at call time
+forbid_module = importlib.import_module("lhom.forbid")
 
 
 def full_request(hg, colors, l_mask=None):
@@ -270,17 +275,14 @@ def test_hinted_cycle_powers_never_reach_d_star(c13p2, k4, monkeypatch):
     only apply at width c_star; on a hinted cycle power the cycle-power
     route claims that width, and neither kernel_poly nor forbid reads d_star.
     K4, with no special route, still reaches the linear system."""
-    import importlib
-
     from lhom.generators import gen_instance
     from lhom.kernels import kernel_poly
-    module = importlib.import_module("lhom.forbid")
-    compute_d_star = module.compute_d_star
+    compute_d_star = forbid_module.compute_d_star
 
     def refuse(hg):
         raise AssertionError("d_star was computed")
 
-    monkeypatch.setattr(module, "compute_d_star", refuse)
+    monkeypatch.setattr(forbid_module, "compute_d_star", refuse)
     for (k, p), n, size, pinned in (((13, 2), 150, 4, (326, 4761, 45)),
                                     ((19, 3), 100, 4, (754, 5913, 54)),
                                     ((31, 5), 40, 3, (769, 3663, 21))):
@@ -292,7 +294,7 @@ def test_hinted_cycle_powers_never_reach_d_star(c13p2, k4, monkeypatch):
     res = forbid(full_request(c13p2, (0, 2, 4)), cycle_power=(13, 2))
     assert res.method == "cycle-power" and res.degree == 2
     asked = []
-    monkeypatch.setattr(module, "compute_d_star",
+    monkeypatch.setattr(forbid_module, "compute_d_star",
                         lambda hg: asked.append(hg) or compute_d_star(hg))
     res = forbid(full_request(k4, (0, 1, 2, 3)))
     assert res.method == "linear-system" and res.degree == 3
@@ -382,20 +384,24 @@ def test_forbid_result_certifies_against_original_request(c6, k4):
             assert certify_forbid(req, res.poly)
 
 
-def test_certify_budget(c6, c13p2):
+def test_certify_budget(monkeypatch, c6, c13p2):
     req = full_request(c13p2, (0, 2, 4))
     poly = forbid_monomial(req).poly
+    monkeypatch.setattr(forbid_module, "CERT_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        certify_forbid(req, poly, budget=10)
+        certify_forbid(req, poly)
     # the size is the candidate product times n per stray vertex
+    monkeypatch.setattr(forbid_module, "CERT_BUDGET", CERT_BUDGET)
     req = full_request(c6, (0, 2, 4))
     good = forbid(req).poly
     stray = Gf2Poly.sum_of([good, Gf2Poly.product_of_vars([(99, 0), (99, 1)])])
     for poly, size in ((good, 6 ** 3), (stray, 6 ** 4)):
-        assert certify_forbid(req, poly, budget=size)
+        monkeypatch.setattr(forbid_module, "CERT_BUDGET", size)
+        assert certify_forbid(req, poly)
+        monkeypatch.setattr(forbid_module, "CERT_BUDGET", size - 1)
         with pytest.raises(BudgetExceededError, match=(
                 f"certification needs {size} evaluations, budget is {size - 1}")):
-            certify_forbid(req, poly, budget=size - 1)
+            certify_forbid(req, poly)
 
 
 def test_certify_handles_stray_vertices(c6):
@@ -494,9 +500,9 @@ def test_certify_agrees_with_brute_force(c6, k4, c13p2):
     assert min(verdicts.values()) >= 100, verdicts
 
 
-def _forbid_outcome(fn, req, hint, budget):
+def _forbid_outcome(fn, *args):
     try:
-        res = fn(req, hint, budget)
+        res = fn(*args)
     except (BudgetExceededError, CertificationError, ValueError) as err:
         return type(err).__name__, str(err)
     return None if res is None else (res.method, res.degree, res.poly)
@@ -509,7 +515,7 @@ def _is_minimal(hg, colors, l_mask) -> bool:
         for i in range(len(colors)))
 
 
-def test_forbid_matches_always_scan_reference(c6, c13p2):
+def test_forbid_matches_always_scan_reference(monkeypatch, c6, c13p2):
     """Certification by construction and by the per-polynomial table against
     the scan of every polynomial on its own request, at budgets on both
     sides of each size a check can need."""
@@ -551,8 +557,8 @@ def test_forbid_matches_always_scan_reference(c6, c13p2):
         widest = hg.n ** len(colors)
         for budget in (2_000_000, size, size - 1, widest, widest - 1):
             want = _forbid_outcome(reference_forbid, req, hint, budget)
-            assert _forbid_outcome(forbid, req, hint, budget) == want, \
-                (req, budget)
+            monkeypatch.setattr(forbid_module, "CERT_BUDGET", budget)
+            assert _forbid_outcome(forbid, req, hint) == want, (req, budget)
             seen[want[0]] = seen.get(want[0], 0) + 1
         done += 1
     mins = {"monomial": 100, "c6": 30, "cycle-power": 80,
@@ -561,7 +567,7 @@ def test_forbid_matches_always_scan_reference(c6, c13p2):
         sorted(seen.items())
 
 
-def test_shadow_systems_match_reference(c6, c13p2, k4):
+def test_shadow_systems_match_reference(monkeypatch, c6, c13p2, k4):
     """`forbid_linear_system` and `degree_probe` against the shadow system
     built row by row in the oracle, on fixed and seeded random targets."""
     from lhom.graphs import dominant_subset, is_incomparable_set
@@ -607,8 +613,9 @@ def test_shadow_systems_match_reference(c6, c13p2, k4):
                 size *= f.bit_count()
             for budget in (2_000_000, size - 1):
                 want = _forbid_outcome(reference_linear_system, req, d, budget)
-                assert _forbid_outcome(forbid_linear_system, req, d,
-                                       budget) == want, (req, budget)
+                monkeypatch.setattr(forbid_module, "CERT_BUDGET", budget)
+                assert _forbid_outcome(forbid_linear_system, req, d) == want, \
+                    (req, budget)
                 key = "None" if want is None else want[0]
                 seen[key] = seen.get(key, 0) + 1
             done += 1
@@ -620,9 +627,9 @@ def test_shadow_systems_match_reference(c6, c13p2, k4):
         sorted(seen.items())
 
 
-def _certify_outcome(certify, req, poly, budget):
+def _certify_outcome(certify, *args):
     try:
-        return certify(req, poly, budget)
+        return certify(*args)
     except BudgetExceededError as err:  # the only error a check raises
         return type(err).__name__, str(err)
 
@@ -658,15 +665,21 @@ def _table_cases(hg, hint, wide, rng, deletions):
                [(reqs[0], widest), (reqs[-1], widest)])
 
 
-def test_certify_matches_reference_scan():
+def test_certify_matches_reference_scan(monkeypatch):
     """The table rule against the parent scan (`reference_certify_forbid`),
     verdicts and errors alike, with a cold memo and with the memo warmed by
     the wider request the polynomial was built for."""
     import contextlib
 
-    from lhom.forbid import DEFAULT_CERT_BUDGET, _boxes, _table
+    from lhom.forbid import _boxes, _table
     from lhom.graphs import dominant_subset, is_incomparable_set
     from oracle import random_graph, reference_certify_forbid
+
+    def current(req, poly, budget):
+        with monkeypatch.context() as patched:
+            patched.setattr(forbid_module, "CERT_BUDGET", budget)
+            return _certify_outcome(certify_forbid, req, poly)
+
     rng = SplitMix64(56)
     k4 = gen_cycle_power(4, 2)
     fixed = [(gen_cycle_power(6, 1), None, [(0, 2, 4), (1, 3, 5), (0, 3)], None),
@@ -708,15 +721,15 @@ def test_certify_matches_reference_scan():
                 for (req, budget), want in zip(cases, wants):
                     _table.cache_clear()
                     _boxes.cache_clear()
-                    assert _certify_outcome(certify_forbid, req, poly,
-                                            budget) == want, (req, poly, budget)
+                    assert current(req, poly, budget) == want, \
+                        (req, poly, budget)
                 _table.cache_clear()
                 _boxes.cache_clear()
                 with contextlib.suppress(BudgetExceededError):
-                    certify_forbid(wide, poly, DEFAULT_CERT_BUDGET)
+                    certify_forbid(wide, poly)
                 for (req, budget), want in zip(cases, wants):
-                    assert _certify_outcome(certify_forbid, req, poly,
-                                            budget) == want, (req, poly, budget)
+                    assert current(req, poly, budget) == want, \
+                        (req, poly, budget)
                     key = str(want) if isinstance(want, bool) else want[0]
                     seen[key] = seen.get(key, 0) + 1
     assert min(seen.values()) >= 500 and len(seen) == 3, sorted(seen.items())
@@ -725,11 +738,8 @@ def test_certify_matches_reference_scan():
 def test_table_never_passes_an_edited_polynomial(c6, c13p2, monkeypatch):
     """A table covers only the polynomial it was built for, and a memo hit
     evaluates nothing."""
-    import importlib
-
-    from lhom.forbid import DEFAULT_CERT_BUDGET, _certified, _table
+    from lhom.forbid import _certified, _table
     from oracle import reference_certify_forbid
-    module = importlib.import_module("lhom.forbid")
     for hg, hint, colors in ((c13p2, (13, 2), (0, 2, 4)),
                              (c6, None, (0, 2, 4))):
         req = full_request(hg, colors)
@@ -739,9 +749,9 @@ def test_table_never_passes_an_edited_polynomial(c6, c13p2, monkeypatch):
         narrow = ForbidRequest(hg, req.l_mask, tuple(
             mask_of([c, (c + 1) % hg.n]) for c in colors), req.verts, colors)
         with monkeypatch.context() as patched:
-            patched.setattr(module, "_transform", None)  # a call would fail
-            assert _certified(narrow, good.poly, good.degree, good.method,
-                              DEFAULT_CERT_BUDGET) == good
+            patched.setattr(forbid_module, "_transform", None)  # would fail
+            assert _certified(narrow, good.poly, good.degree,
+                              good.method) == good
         failed = 0
         for mono in sorted(good.poly.monomials, key=sorted):
             edited = Gf2Poly(good.poly.monomials - {mono})
@@ -751,19 +761,15 @@ def test_table_never_passes_an_edited_polynomial(c6, c13p2, monkeypatch):
             failed += 1
             assert not certify_forbid(req, edited)
             with pytest.raises(CertificationError):
-                _certified(req, edited, good.degree, good.method,
-                           DEFAULT_CERT_BUDGET)
+                _certified(req, edited, good.degree, good.method)
         assert failed
 
 
 def test_table_falls_back_to_the_scan(c13p2, monkeypatch):
     """A polynomial that is 1 on a tuple inside N(w)^r for some w in L, but
     off the request's lists, passes by the scan alone."""
-    import importlib
-
     from lhom.forbid import _table
     from oracle import reference_certify_forbid
-    module = importlib.import_module("lhom.forbid")
     colors = (0, 2, 4)
     req = full_request(c13p2, colors)
     good = forbid(req, (13, 2)).poly
@@ -777,8 +783,8 @@ def test_table_falls_back_to_the_scan(c13p2, monkeypatch):
     _, marked = _table(c13p2, req.verts, bad)
     assert marked & narrow.l_mask
     transforms = []
-    transform = module._transform
-    monkeypatch.setattr(module, "_transform",
+    transform = forbid_module._transform
+    monkeypatch.setattr(forbid_module, "_transform",
                         lambda *args: transforms.append(1) or transform(*args))
     assert certify_forbid(narrow, bad) and reference_certify_forbid(narrow, bad)
     assert len(transforms) == 1  # the scan; the table was already built
@@ -808,7 +814,7 @@ def _table_polys(hg, hint, rng, polys, plain=False):
     then edits of some: a monomial added on a random tuple of the same
     vertices, which marks the colors around it, a monomial dropped, and
     a stray vertex, which gets no table."""
-    from lhom.forbid import DEFAULT_CERT_BUDGET, construct, forbid_route
+    from lhom.forbid import construct, forbid_route
     from lhom.graphs import dominant_subset, is_incomparable_set
     from lhom.invariants import all_essential_sets
     full = hg.full_mask
@@ -826,7 +832,7 @@ def _table_polys(hg, hint, rng, polys, plain=False):
         except ValueError:
             continue
         route = None if plain else forbid_route(hg, hint, r)
-        poly = construct(req, route, hint, DEFAULT_CERT_BUDGET).poly
+        poly = construct(req, route).poly
         if (hg, verts, poly) not in polys:
             polys[hg, verts, poly] = None
             built.append((verts, poly))
@@ -873,16 +879,16 @@ def test_box_memo_is_capped():
     BOX_CAP and are kept; C22^3's at width 4 (22^5 bits) do not, so every
     table on them builds its own, none is kept, and each verdict is the
     scan's (`reference_certify_forbid`)."""
-    from lhom.forbid import BOX_CAP, DEFAULT_CERT_BUDGET, _boxes, _table
+    from lhom.forbid import BOX_CAP, _boxes, _table
     from oracle import reference_certify_forbid, reference_table
     c19p3 = gen_cycle_power(19, 3)
-    assert 19 ** 4 <= DEFAULT_CERT_BUDGET < 19 ** 5 <= BOX_CAP
+    assert 19 ** 4 <= CERT_BUDGET < 19 ** 5 <= BOX_CAP
     _table.cache_clear()
     _boxes.cache_clear()
     assert forbid(full_request(c19p3, (0, 1, 2, 3)), (19, 3)).degree == 3
     assert _boxes.cache_info().currsize == 1
     c22p3 = gen_cycle_power(22, 3)
-    assert 22 ** 4 <= DEFAULT_CERT_BUDGET and 22 ** 5 > BOX_CAP
+    assert 22 ** 4 <= CERT_BUDGET and 22 ** 5 > BOX_CAP
     _boxes.cache_clear()
     rng = SplitMix64(25)
     verdicts = {True: 0, False: 0}

@@ -37,6 +37,11 @@ def test_hgraph_missing_header():
         parse_hgraph("e 0 1\n")
 
 
+def test_hgraph_at_the_vertex_limit():
+    g, _ = parse_hgraph("p hgraph 65536\ne 0 65535\n")
+    assert (g.n, g.edges()) == (65536, [(0, 65535)])
+
+
 def test_hgraph_loop():
     g, _ = parse_hgraph("p hgraph 1\ne 0 0\n")
     assert has_edge(g, 0, 0)
@@ -133,6 +138,10 @@ def test_dimacs_clause_count_checked():
     ("p hgraph 2\ne 0\n", "line 2: expected 2 integers"),
     ("p hgraph 2\ne 0 x\n", "line 2: expected integers"),
     ("p hgraph 2\ne 0 2\n", "line 2: edge (0, 2) out of range"),
+    ("p hgraph 1000000000\n",
+     "target has 1000000000 colors, above the limit of 65536"),
+    ("p hgraph 65537\ne 0 1\n",
+     "target has 65537 colors, above the limit of 65536"),
     ("", "missing 'p hgraph' header"),
     ("# gen: cycle-power k=3 p=1\n\n", "missing 'p hgraph' header"),
 ])

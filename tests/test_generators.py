@@ -1,7 +1,7 @@
 import pytest
 
 from lhom.bitset import bit_list
-from lhom.formats import write_instance
+from lhom.formats import write_hgraph, write_instance
 from lhom.generators import (SplitMix64, gen_cycle_power, gen_instance,
                              gen_subdivided_star)
 from lhom.graphs import Graph, Instance
@@ -27,6 +27,20 @@ def test_cycle_power_distance_rule():
         g = gen_cycle_power(13, p)
         assert has_edge(g, 0, 4) == (p >= 4)
     assert has_edge(gen_cycle_power(13, 4), 0, 4)
+
+
+def test_cycle_power_matches_the_distance_definition():
+    """The generator against every pair at cyclic distance <= p, graph and
+    written file alike, for k in 3..30 and p in 1..k+1 (K4 is (4, 2))."""
+    for k in range(3, 31):
+        for p in range(1, k + 2):
+            want = Graph.from_edges(k, [
+                (u, v) for u in range(k) for v in range(u + 1, k)
+                if min(v - u, k - (v - u)) <= p])
+            got = gen_cycle_power(k, p)
+            assert got == want and write_hgraph(got) == write_hgraph(want), \
+                (k, p)
+    assert gen_cycle_power(4, 2).edge_count() == 6
 
 
 def test_cycle_power_validates_input():

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import importlib
 import itertools
+import json
 import tracemalloc
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from lhom import kernels
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
-from lhom.forbid import construct
+from lhom.forbid import CERT_BUDGET, construct
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.gf2 import extract_basis
 from lhom.graphs import Graph, Instance, cover_certificate, greedy_vertex_cover
@@ -16,6 +18,10 @@ from lhom.kernels import _restrict, kernel_marking, kernel_poly, kernelize
 from lhom.solver import decide
 
 from oracle import has_edge
+
+# `lhom.forbid` as a package attribute is the function; tests patch its
+# CERT_BUDGET, which every charge reads at call time
+forbid_module = importlib.import_module("lhom.forbid")
 
 
 def test_marking_drops_duplicate_type():
@@ -232,15 +238,18 @@ def test_both_methods_on_random_irregular_targets():
         assert decide(kernel_poly(inst, hg).kernel, hg)[0] == want
 
 
-def test_poly_budget_is_not_masked_by_the_forbid_cache(c6):
+def test_poly_budget_is_not_masked_by_the_forbid_cache(monkeypatch, c6):
     inst = gen_instance(c6, 14, 4, 7)
     message = "certification needs 6 evaluations, budget is 5"
+    monkeypatch.setattr(forbid_module, "CERT_BUDGET", 5)
     with pytest.raises(BudgetExceededError) as first:
-        kernel_poly(inst, c6, budget=5)
+        kernel_poly(inst, c6)
     assert str(first.value) == message
+    monkeypatch.setattr(forbid_module, "CERT_BUDGET", CERT_BUDGET)
     kernel_poly(inst, c6)  # caches the same patterns under the default budget
+    monkeypatch.setattr(forbid_module, "CERT_BUDGET", 5)
     with pytest.raises(BudgetExceededError) as again:
-        kernel_poly(inst, c6, budget=5)
+        kernel_poly(inst, c6)
     assert str(again.value) == message
 
 
@@ -315,14 +324,15 @@ def test_walk_memory_follows_the_distinct_types(c6):
     assert report.constraints_total == 304
 
 
-def _poly_outcome(kernel, inst, hg, hint, budget):
+def _poly_outcome(kernel, *args):
     try:
-        return kernel(inst, hg, cycle_power=hint, budget=budget)
+        return kernel(*args)
     except BudgetExceededError as err:
         return str(err)
 
 
-def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4, k4_reductions):
+def test_poly_matches_reference_enumeration(monkeypatch, c5, c6, c13p2, k4,
+                                            k4_reductions):
     """Minimal, first-seen rows give the kernel of every forbidden tuple's row.
 
     Only constraints_total may differ, and only downwards; under a small
@@ -357,7 +367,8 @@ def test_poly_matches_reference_enumeration(c5, c6, c13p2, k4, k4_reductions):
         inst = gen_instance(hg, n, k, 71000 + trial,
                             "planted-yes" if trial % 2 else "random")
         for budget in (2_000_000, 1 + rng.below(12)):
-            got = _poly_outcome(kernel_poly, inst, hg, hint, budget)
+            monkeypatch.setattr(forbid_module, "CERT_BUDGET", budget)
+            got = _poly_outcome(kernel_poly, inst, hg, hint)
             want = _poly_outcome(reference_kernel_poly, inst, hg, hint,
                                  budget)
             if isinstance(want, str):
@@ -500,13 +511,11 @@ def test_poly_calls_forbid_only_where_the_list_matters(monkeypatch, c13p2):
     shrinks nor routes them again through `forbid`.  The report is pinned
     byte for byte.
     """
-    import importlib
-    forbid_module = importlib.import_module("lhom.forbid")
     widths = []
 
-    def counting(req, route, cycle_power, budget):
+    def counting(req, route):
         widths.append((req.width, route))
-        return construct(req, route, cycle_power, budget)
+        return construct(req, route)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel called forbid or minimal_subrequest")
@@ -533,10 +542,11 @@ def test_poly_calls_forbid_only_where_the_list_matters(monkeypatch, c13p2):
     (4, 2, False, 8, 12),
     (19, 3, True, 3000, 7200),
 ], ids=["c13p2-200", "c13p2-3000", "c6-30", "k4-8", "c19p3-3000"])
-def test_poly_budget_errors_are_pinned(k, p, hint, budget, want):
+def test_poly_budget_errors_are_pinned(monkeypatch, k, p, hint, budget, want):
     """The first budget error of the walk, or the report when none is hit."""
     hg = gen_cycle_power(k, p)
-    args = gen_instance(hg, 120, 4, 3), hg, (k, p) if hint else None, budget
+    args = gen_instance(hg, 120, 4, 3), hg, (k, p) if hint else None
+    monkeypatch.setattr(forbid_module, "CERT_BUDGET", budget)
     if isinstance(want, tuple):
         report = kernel_poly(*args)
         assert (report.constraints_total, report.constraints_retained) == want
@@ -600,14 +610,15 @@ def _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
     return cases
 
 
-def test_both_kernels_are_pinned(c5, c6, c13p2, k4, k4_ladder):
+def test_both_kernels_are_pinned(monkeypatch, c5, c6, c13p2, k4, k4_ladder):
     """`repr(KernelReport)` of both kernels and every budget error, folded
     into one SHA-256 pinned before the walk skipped barren list tuples."""
     digest = hashlib.sha256()
     for inst, hg, hint, budget in _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
         digest.update(repr(kernel_marking(inst, hg)).encode())
+        monkeypatch.setattr(forbid_module, "CERT_BUDGET", budget)
         digest.update(
-            repr(_poly_outcome(kernel_poly, inst, hg, hint, budget)).encode())
+            repr(_poly_outcome(kernel_poly, inst, hg, hint)).encode())
     assert digest.hexdigest() == (
         "acc75e0e8879b08495ea866ae099870a97a92e2f952b580093b223c8375cf609")
 
@@ -712,3 +723,41 @@ def test_walk_budget_boundary(monkeypatch, tmp_path, capsys, c6):
         assert str(err.value) == message
         assert main(args) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cert_budget_boundary(monkeypatch, tmp_path, capsys, c13p2):
+    """`lhom forbid` and `lhom kernel --method poly` run with CERT_BUDGET at
+    N, the largest size that the call charges, and exit 3 with a message
+    naming N one below it.  Both N are below 13^3, so the cycle-power
+    polynomials are scanned on their candidate products, not read from a
+    table."""
+    from lhom.cli import main
+    from lhom.formats import write_hgraph, write_instance
+    hg_path, inst_path = tmp_path / "c13.hg", tmp_path / "i.lh"
+    hg_path.write_text(write_hgraph(c13p2, ("gen: cycle-power k=13 p=2",)))
+    inst_path.write_text(write_instance(gen_instance(c13p2, 30, 3, 1), 13))
+    sizes, charge = [], forbid_module.charge
+
+    def recording(size):
+        sizes.append(size)
+        charge(size)
+
+    monkeypatch.setattr(forbid_module, "charge", recording)
+    monkeypatch.setattr(kernels, "charge", recording)
+    every = ",".join(map(str, range(13)))
+    for args, n in (
+            (["forbid", "--target", str(hg_path), "--list", every,
+              "--tuple", "0,2,4", "--lists", "0,1;2,3;4,5", "--json"], 8),
+            (["kernel", str(inst_path), "--target", str(hg_path),
+              "--method", "poly"], 210)):
+        monkeypatch.setattr(forbid_module, "CERT_BUDGET", n)
+        sizes.clear()
+        assert main(args) == 0
+        assert max(sizes) == n
+        out = capsys.readouterr().out
+        if args[0] == "forbid":
+            assert json.loads(out)["method"] == "cycle-power"
+        monkeypatch.setattr(forbid_module, "CERT_BUDGET", n - 1)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: certification needs {n} evaluations, budget is {n - 1}\n")

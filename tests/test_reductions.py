@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -209,3 +210,38 @@ def test_structure_is_checked_against_the_target(k4, k4_lbs, change, message,
     bad = dataclasses.replace(k4_lbs, **change)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(k4, bad)
+
+
+def test_reduce_sat_outcomes_are_pinned(k4):
+    """`reduce_sat` on seeded CNFs over K4 and K5 (d* = 3 and 4): nvars
+    0..6, clause widths 0..d+1, and literals that may be 0 or out of range.
+    Each CNF and its outcome ((n, edge count, lists, cover), or the
+    exception's type and message) is folded into one SHA-256, pinned before
+    the certification budget became a module constant."""
+    rng = SplitMix64(2901)
+    digest, kinds = hashlib.sha256(), collections.Counter()
+    for hg in (k4, gen_cycle_power(5, 2)):  # C5^2 is K5
+        d, lbs = compute_d_star(hg)
+        for _ in range(150):
+            nvars = rng.below(7)
+            clauses = []
+            for _ in range(rng.below(5)):
+                clause = []
+                for _ in range(rng.below(d + 2)):
+                    roll = rng.below(12)
+                    lit = (0 if roll == 0 else nvars + 1 + rng.below(3)
+                           if roll == 1 else 1 + rng.below(nvars or 1))
+                    clause.append(-lit if rng.below(2) else lit)
+                clauses.append(clause)
+            try:
+                inst = reduce_sat(nvars, clauses, hg, lbs)
+                outcome = repr((inst.graph.n, inst.graph.edge_count(),
+                                inst.lists, inst.cover))
+                kinds["empty" if inst.graph.n == 1 else "built"] += 1
+            except ValueError as err:
+                outcome = f"ValueError: {err}"
+                kinds[str(err).split()[0]] += 1  # "clause" wider, "bad" literal
+            digest.update(f"{d} {nvars} {clauses}\0{outcome}\0".encode())
+    assert d == 4 and min(kinds.values()) >= 30 and len(kinds) == 4, kinds
+    assert digest.hexdigest() == (
+        "d0d362dd3f95e25192bcab2d012cf9cb7b656fffaae4db7e1b563c45128eba44")
