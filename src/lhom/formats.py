@@ -11,7 +11,9 @@ and no data line ahead of it.  Blank lines are skipped; lines starting
 with ``#`` or ``c`` are comments; other unknown line types are an error.
 The last ``gen: cycle-power k=<k> p=<p>`` comment whose k and p are both
 integers is surfaced as the cycle-power hint (k, p).  A target has at most
-MAX_COLORS vertices (colors), checked before its adjacency is allocated.
+MAX_COLORS vertices (colors), checked before its adjacency is allocated,
+and an instance header at most MAX_COLORS colors, checked before any list
+mask is built.
 """
 
 from __future__ import annotations
@@ -144,6 +146,9 @@ def parse_instance(text: str) -> tuple[Instance, int]:
             raise FormatError(f"line {lineno}: unknown line type {kind!r}")
 
     (n, m, h), _ = _read(text, "lhom <n> <m> <h>", line)
+    if h > MAX_COLORS:
+        raise FormatError(f"header declares {h} colors, above the limit of "
+                          f"{MAX_COLORS}")
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
     # counted, and masks built after their checks: work follows the file's length

@@ -17,6 +17,8 @@ makes, not to the number of vertices.  Meant for
 verification at desk scale; every search is bounded by a node budget and
 raises when it is exhausted.  A node is one assigned vertex or one color
 tried, so a forced vertex counts as one node, as if it had been branched on.
+`decide` keeps its last answer on the instance's graph: a kernel that keeps
+its input's graph and lists is answered from the input's decide.
 """
 
 from __future__ import annotations
@@ -198,8 +200,22 @@ class _Search:
 
 def decide(inst: Instance, hg: Graph,
            node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide list-homomorphism existence; returns (answer, witness or None)."""
+    """Decide list-homomorphism existence; returns (answer, witness or None).
+
+    The last answer is kept on the instance's graph, next to its `nbrs`,
+    keyed on copies of what the search reads: the lists, the target's n and
+    adjacency, and the budget.  A call that repeats them on the same graph
+    object, as on a kernel that kept its input's graph and lists, returns
+    that answer without searching again.  The graph is never hashed, and a
+    search that runs out of budget stores nothing.
+    """
+    key = tuple(inst.lists), hg.n, tuple(hg.adj), node_budget
+    memo = vars(inst.graph)
+    last = memo.get("_decided")
+    if last is not None and last[0] == key:
+        return last[1]
     colors = next(_Search(inst, hg, node_budget).solutions(), None)
+    memo["_decided"] = key, (colors is not None, colors)
     return colors is not None, colors
 
 

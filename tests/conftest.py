@@ -10,6 +10,7 @@ from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
 from lhom.invariants import compute_d_star
 from lhom.reductions import reduce_sat
+from lhom.solver import _Search
 
 from oracle import brute_sat
 
@@ -91,6 +92,20 @@ def k4_ladder(k4):
     rng = SplitMix64(25)
     return tuple(inst for nvars in (8, 10, 12)
                  for inst in _k4_pair(k4, rng, nvars))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that gets one entry for each `_Search` built."""
+    built: list[None] = []
+    init = _Search.__init__
+
+    def counting_init(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(_Search, "__init__", counting_init)
+    return built
 
 
 @pytest.fixture(autouse=True)

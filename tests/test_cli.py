@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from lhom.cli import main
-from lhom.formats import parse_hgraph, write_hgraph, write_instance
+from lhom.formats import (parse_hgraph, parse_instance, write_hgraph,
+                          write_instance)
 from lhom.generators import gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
+from lhom.kernels import kernelize
 from lhom.solver import _Search
 
 
@@ -571,6 +573,25 @@ def test_sat_reduction_kernels_golden(tmp_path, capsys):
         capsys.readouterr()
         assert main(["solve", emitted, "--target", k4]) == 0
         assert capsys.readouterr().out == "yes\n"
+
+
+@pytest.mark.parametrize("method", ["marking", "poly"])
+def test_verify_kernel_that_keeps_everything_searches_once(
+        tmp_path, k4, k4_file, k4_reductions, searches, capsys, method):
+    """On a K4 reduction whose kernel is its input's own graph and lists,
+    verify-kernel answers the kernel from the input's search."""
+    for inst, answer in zip(k4_reductions, (True, False)):
+        lh = tmp_path / "sat.lh"
+        lh.write_text(write_instance(inst, 4))
+        parsed, _ = parse_instance(lh.read_text())
+        kernel = kernelize(parsed, k4, method).kernel
+        assert kernel.graph is parsed.graph and kernel.lists == parsed.lists
+        searches.clear()
+        assert main(["verify-kernel", str(lh), "--target", k4_file,
+                     "--method", method]) == 0
+        assert capsys.readouterr().out == (
+            f"input={answer} kernel={answer} agree=True\n")
+        assert len(searches) == 1
 
 
 def test_branching_solve_golden(tmp_path, monkeypatch, capsys):

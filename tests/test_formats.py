@@ -42,6 +42,11 @@ def test_hgraph_at_the_vertex_limit():
     assert (g.n, g.edges()) == (65536, [(0, 65535)])
 
 
+def test_instance_at_the_color_limit():
+    inst, h = parse_instance("p lhom 1 0 65536\nl 0 65535\n")
+    assert (h, inst.lists) == (65536, (1 << 65535,))
+
+
 def test_hgraph_loop():
     g, _ = parse_hgraph("p hgraph 1\ne 0 0\n")
     assert has_edge(g, 0, 0)
@@ -174,6 +179,8 @@ def test_hgraph_error_messages(text, message):
     ("p lhom 1 0 1\nl 1 0\n", "exactly one list line per vertex is required"),
     ("p lhom 1 0 3\nl 0 5\n", "list of vertex 0 mentions colors >= 3"),
     ("p lhom 1 0 1\nl 0 0\nx 3\n", "cover vertex out of range"),
+    ("p lhom 1 0 65537\nl 0 65536\n",
+     "header declares 65537 colors, above the limit of 65536"),
     ("p lhom 3 2 1\ne 0 1\ne 1 2\nl 0 0\nl 1 0\nl 2 0\nx 0\n",
      "designated cover does not cover all edges"),
 ])
@@ -247,6 +254,9 @@ def test_cycle_power_hint_from_comments(comments, hint):
     ("p lhom 1 0 6\nl 0 999999999\n", "list of vertex 0 mentions colors >= 6"),
     # a huge cover vertex
     ("p lhom 1 0 6\nl 0 1\nx 999999999\n", "cover vertex out of range"),
+    # a huge color count, and a list line that uses it
+    ("p lhom 1 0 1000000000\nl 0 999999999\n",
+     "header declares 1000000000 colors, above the limit of 65536"),
 ])
 def test_instance_work_follows_file_length(text, message):
     """Large numbers in a short file are rejected without building

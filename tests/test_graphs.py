@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import re
 
@@ -412,3 +414,67 @@ def test_neighbor_lists_loops_and_edge_count_match_the_bit_references(
         isolated += g.adj.count(0)
         looped += bool(loops)
     assert isolated >= 100 and looped >= 50, (isolated, looped)
+
+
+def test_adjacency_outcomes_are_pinned():
+    """Seeded looped graphs, given to `Graph(n, adj)` as masks (a tuple or
+    a list) with bits flipped inside the range, set past n or made negative,
+    and to `Graph.from_edges` as edge lists with ends reversed, edges
+    repeated and ends moved to -1, n or n + 1; either may get n one off.
+    Each input and outcome ((n, adj, nbrs, loops, edge count), or the
+    exception's type and message) is folded into one SHA-256, pinned before
+    `decide` kept its last answer on the graph."""
+    rng = SplitMix64(3003)
+
+    def end(n):
+        roll = rng.below(10)
+        if roll < 2:
+            return n + rng.below(2) if roll else -1
+        return rng.below(max(n, 1))
+
+    digest, kinds = hashlib.sha256(), collections.Counter()
+    for trial in range(400):
+        g = random_graph(rng, rng.below(9))
+        n = g.n
+        if trial % 2:
+            build, adj = Graph, list(g.adj)
+            for _ in range(rng.below(4)):
+                if not adj or not rng.below(8):
+                    n += (-1, 1)[rng.below(2)]
+                    continue
+                u, roll = rng.below(len(adj)), rng.below(6)
+                if roll < 4:
+                    adj[u] ^= 1 << rng.below(max(n, 1))
+                elif roll == 4:
+                    adj[u] |= 1 << (n + rng.below(3))
+                else:
+                    adj[u] = -adj[u] - rng.below(2)
+            args = n, tuple(adj) if rng.below(4) else adj
+        else:
+            build, edges = Graph.from_edges, g.edges()
+            for _ in range(rng.below(4)):
+                roll = rng.below(5)
+                if roll == 0 or not edges:
+                    n += (-1, 1)[rng.below(2)]
+                    continue
+                i = rng.below(len(edges))
+                u, v = edges[i]
+                if roll == 1:
+                    edges.append((u, v))
+                elif roll == 2:
+                    edges[i] = v, u
+                else:
+                    edges[i] = (end(n), v) if rng.below(2) else (u, end(n))
+            args = n, edges
+        try:
+            h = build(*args)
+            outcome = repr((h.n, h.adj, h.nbrs, h.loops, h.edge_count()))
+            kinds[build.__name__, "built"] += 1
+        except ValueError as err:
+            outcome = f"ValueError: {err}"
+            # "adjacency" length or symmetry, "neighbor" or "edge" range
+            kinds[build.__name__, str(err).split()[0]] += 1
+        digest.update(f"{build.__name__} {args}\0{outcome}\0".encode())
+    assert len(kinds) == 6 and min(kinds.values()) >= 5, kinds
+    assert digest.hexdigest() == (
+        "fbc172d8775c13139c78967cfa06c929f824105813f245a0305d3f1d7ac84f08")

@@ -15,7 +15,7 @@ from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
                              reduce_sat, variable_gadget_states)
 from lhom.solver import decide, enumerate_restricted
 
-from oracle import brute_sat, has_edge
+from oracle import brute_sat, has_edge, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +245,70 @@ def test_reduce_sat_outcomes_are_pinned(k4):
     assert d == 4 and min(kinds.values()) >= 30 and len(kinds) == 4, kinds
     assert digest.hexdigest() == (
         "d0d362dd3f95e25192bcab2d012cf9cb7b656fffaae4db7e1b563c45128eba44")
+
+
+def test_gadget_outcomes_are_pinned():
+    """Lower bound structures of order 3 and 4 on K4, K5, C13^2 and seeded
+    looped random targets of 4 to 7 colors, each with up to two seeded
+    edits: a base or primed color moved (to -1, past the target, or to
+    another color), xs and xps swapped, two slots swapped, L redrawn (maybe
+    past the target) or the order one off.  Each goes through `build_neq`,
+    `build_comp` (indices up to d, so some repeat or fall out of range) and
+    `build_variable_gadget`.  Each input and outcome (the gadget's repr, or
+    the exception's type and message) is folded into one SHA-256, pinned
+    before `decide` kept its last answer on the graph."""
+    rng = SplitMix64(3002)
+    pool = [(hg, find_lbs(hg, d)) for hg in (
+        gen_cycle_power(4, 2), gen_cycle_power(5, 2), gen_cycle_power(13, 2))
+        for d in (3, 4)]
+    pool = [(hg, lbs) for hg, lbs in pool if lbs is not None]
+    while len(pool) < 12:
+        hg = random_graph(rng, 4 + rng.below(4), 2, 3, 1, 3)
+        lbs = find_lbs(hg, 3 + rng.below(2))
+        if lbs is not None:
+            pool.append((hg, lbs))
+
+    def color(hg):
+        roll = rng.below(8)
+        if roll < 2:
+            return hg.n + rng.below(2) if roll else -1
+        return rng.below(hg.n)
+
+    digest, kinds = hashlib.sha256(), collections.Counter()
+    for _ in range(200):
+        hg, lbs = pool[rng.below(len(pool))]
+        d, l_mask, xs, xps = lbs.order, lbs.l_mask, list(lbs.xs), list(lbs.xps)
+        for _ in range(rng.below(3)):
+            roll = rng.below(6)
+            if roll == 0:
+                xs[rng.below(len(xs))] = color(hg)
+            elif roll == 1:
+                xps[rng.below(len(xps))] = color(hg)
+            elif roll == 2:
+                xs, xps = xps, xs
+            elif roll == 3:
+                l_mask = rng.below(2 << hg.n)
+            elif roll == 4:
+                d += (-1, 1)[rng.below(2)]
+            else:
+                i, j = rng.below(len(xs)), rng.below(len(xs))
+                xs[i], xs[j] = xs[j], xs[i]
+                xps[i], xps[j] = xps[j], xps[i]
+        lbs = LowerBoundStructure(d, l_mask, tuple(xs), tuple(xps))
+        width = len(xs)
+        calls = ((build_neq, (rng.below(width + 2) - 1,)),
+                 (build_comp, (rng.below(width + 1), rng.below(width + 1))),
+                 (build_variable_gadget, ()))
+        for build, indices in calls:
+            name = build.__name__
+            try:
+                outcome = repr(build(hg, lbs, *indices))
+                kinds[name, "built"] += 1
+            except (ValueError, CertificationError) as err:
+                outcome = f"{type(err).__name__}: {err}"
+                kinds[name, type(err).__name__] += 1
+            digest.update(f"{hg.adj} {lbs} {name}{indices}\0{outcome}\0"
+                          .encode())
+    assert len(kinds) == 9 and min(kinds.values()) >= 5, kinds
+    assert digest.hexdigest() == (
+        "043b4a59e61501e149da25c72ca5c0def4970b10a1562cb65d24bf79732ac60f")

@@ -1,11 +1,12 @@
 import hashlib
 import tracemalloc
+import weakref
 
 import pytest
 
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
-from lhom.generators import SplitMix64, gen_instance
+from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
 from lhom.solver import _Search, decide, enumerate_restricted
 
@@ -306,10 +307,9 @@ def test_enumerate_restricted_matches_bruteforce():
     assert 50 <= nonempty <= 150
 
 
-def test_decide_is_pinned(c6, c13p2, k4, k4_ladder):
-    """(answer, witness, nodes) of the search on the K4 ladder, on both of
-    its kernels, and on seeded C6 and C13^2 instances, folded into one
-    SHA-256 pinned before `_propagate` skipped full supports."""
+def _pinned_cases(c6, c13p2, k4, k4_ladder):
+    """(instance, target) pairs: the K4 ladder, each rung followed by its
+    poly and marking kernels, then seeded C6 and C13^2 instances."""
     from lhom.kernels import kernel_marking, kernel_poly
     cases = [(inst, k4) for ladder in k4_ladder for inst in (
         ladder, kernel_poly(ladder, k4).kernel,
@@ -322,10 +322,97 @@ def test_decide_is_pinned(c6, c13p2, k4, k4_ladder):
             inst = gen_instance(hg, n, 2 + rng.below(4), 2500 + seed,
                                 ("random", "planted-yes")[seed % 2])
             cases.append((inst, hg))
+    return cases
+
+
+def test_decide_is_pinned(c6, c13p2, k4, k4_ladder):
+    """(answer, witness, nodes) of the search on the K4 ladder, on both of
+    its kernels, and on seeded C6 and C13^2 instances, folded into one
+    SHA-256 pinned before `_propagate` skipped full supports."""
     digest = hashlib.sha256()
-    for inst, hg in cases:
+    for inst, hg in _pinned_cases(c6, c13p2, k4, k4_ladder):
         search = _Search(inst, hg, 10**7)
         colors = next(search.solutions(), None)
         digest.update(repr((colors is not None, colors, search.nodes)).encode())
     assert digest.hexdigest() == (
         "764dcd2c0f1d6026f1902f55e324699bda0150baee36b17f6794067f1a52a33c")
+
+
+def _fresh(inst, hg, budget=10**7):
+    """decide's result from a search built for this call alone."""
+    colors = next(_Search(inst, hg, budget).solutions(), None)
+    return colors is not None, colors
+
+
+def test_decide_matches_a_fresh_search_twice(c6, c13p2, k4, k4_ladder,
+                                              searches):
+    """Every pinned case, decided twice in a row, reads what a fresh search
+    reads; a kernel that kept its rung's graph and lists searches no more."""
+    cases = _pinned_cases(c6, c13p2, k4, k4_ladder)
+    wants = [_fresh(inst, hg) for inst, hg in cases]
+    searches.clear()
+    for (inst, hg), want in zip(cases, wants):
+        assert decide(inst, hg) == want
+        assert decide(inst, hg) == want
+    distinct = {(id(inst.graph), inst.lists) for inst, _ in cases}
+    assert len(searches) == len(distinct) < len(cases)
+
+
+def test_decide_sees_lists_and_targets_changed_in_place(c5, searches):
+    """decide keys its answer on copies, so lists held in a Python list
+    and changed between two calls get a fresh answer."""
+    lists = [mask_of([0]), mask_of([1])]
+    inst = Instance(Graph.from_edges(2, [(0, 1)]), lists)
+    assert decide(inst, c5) == _fresh(inst, c5) == (True, (0, 1))
+    lists[1] = mask_of([0])
+    assert decide(inst, c5) == _fresh(inst, c5) == (False, None)
+    # so does a target whose list adjacency gains an edge
+    adj = [0, 0]
+    hg = Graph(2, adj)
+    inst = Instance(Graph.from_edges(2, [(0, 1)]), (1, 2))
+    assert decide(inst, hg) == _fresh(inst, hg) == (False, None)
+    adj[:] = [2, 1]
+    assert decide(inst, hg) == _fresh(inst, hg) == (True, (0, 1))
+    assert len(searches) == 8
+
+
+def test_decide_on_a_list_adjacency(c5, searches):
+    """A Graph whose adjacency is a list cannot be hashed; decide never
+    hashes one, so it decides, and answers a repeat from its last call."""
+    inst = Instance(Graph(3, [6, 1, 1]), (3, 3, 3))
+    assert decide(inst, c5) == (True, (0, 1, 1))
+    assert decide(inst, c5) == (True, (0, 1, 1))
+    assert len(searches) == 1
+
+
+def test_decide_searches_again_for_another_budget_or_target(c6, searches):
+    inst = gen_instance(c6, 40, 4, 3, "planted-yes")
+    want = decide(inst, c6)
+    assert decide(inst, c6, node_budget=10**6) == want
+    assert len(searches) == 2
+    # an equal target is the same question; another is a new one
+    assert decide(inst, gen_cycle_power(6, 1), node_budget=10**6) == want
+    assert len(searches) == 2
+    c6p2 = gen_cycle_power(6, 2)
+    assert decide(inst, c6p2, node_budget=10**6) == _fresh(inst, c6p2, 10**6)
+    assert len(searches) == 4
+
+
+def test_decide_out_of_budget_stores_nothing(k4, searches):
+    inst = gen_instance(k4, 14, 6, 5, "random")
+    want = decide(inst, k4)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            decide(inst, k4, node_budget=2)
+    # the failed searches left the first answer in place
+    assert decide(inst, k4) == want
+    assert len(searches) == 3
+
+
+def test_decide_keeps_no_graph_alive(c6):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    hg = gen_cycle_power(6, 1)
+    assert decide(Instance(g, (c6.full_mask,) * 3), hg)[0] is True
+    graph_ref, target_ref = weakref.ref(g), weakref.ref(hg)
+    del g, hg
+    assert graph_ref() is None and target_ref() is None
