@@ -75,7 +75,10 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     Kept vertices are re-indexed in ascending order; returns the instance
     and the original-id map.  A vertex below the lowest dropped one keeps
     its index, so only mask bits at or above that vertex are moved one by one.
-    A kernel that keeps every vertex and edge shares the input's `Graph`.
+    A kernel that keeps every vertex and edge shares the input's `Graph`;
+    the last other one's graph, vertices and cover stay on the input's
+    graph, keyed on (cover, kept edges), and an equal kernel (the poly one
+    after the marking one on K4 reductions) shares them, with its own lists.
     """
     kept_nbrs: dict[int, int] = {}
     for x_mask, v in picks:
@@ -86,7 +89,12 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
             adj[v] == nbrs for v, nbrs in kept_nbrs.items()):
         return (Instance._built(inst.graph, tuple(inst.lists), cover),
                 tuple(range(inst.graph.n)))
-    kept = bit_list(kept_mask)
+    memo, key = vars(inst.graph), (cover, kept_nbrs)
+    if memo.get("_restricted", (None,))[0] == key:
+        _, graph, kept, kernel_cover = memo["_restricted"]
+        lists = tuple(map(inst.lists.__getitem__, kept))
+        return Instance._built(graph, lists, kernel_cover), kept
+    kept = tuple(bit_list(kept_mask))
     index = {v: i for i, v in enumerate(kept)}
     dropped = ~kept_mask
     low = (dropped & -dropped).bit_length() - 1
@@ -108,7 +116,8 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
             rows[index[u]] |= 1 << i
     kernel = Instance._built(Graph._built(len(kept), tuple(rows)),
                              tuple(inst.lists[v] for v in kept), moved(cover))
-    return kernel, tuple(kept)
+    memo["_restricted"] = key, kernel.graph, kept, kernel.cover
+    return kernel, kept
 
 
 # the most cover subsets that `_walk` may list: C6 at n=2000, k=40 lists
@@ -225,8 +234,8 @@ def _minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
     return tuple(found)
 
 
-# minimal tuples depend only on the target, L and the candidate colors: the
-# 144 K4 reductions of a sat-oracle pass look 16 keys up 49,602 times
+# minimal tuples depend only on the target, L and the candidate colors: a
+# sat-oracle pass looks 6 keys up 9,595 times (49,632 without the width bound)
 _minimal_memo = functools.lru_cache(maxsize=32)(_minimal_tuples)
 
 
@@ -234,17 +243,24 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                index: dict[int, int], list_vars: int,
                cycle_power: tuple[int, int] | None):
     """`kernel_poly`'s rows, picks, tuple count and degree; a monomial's colors
-    are in the reduced lists, so only a route row can hold a list variable."""
-    h = hg.n
-    adj, full = hg.adj, hg.full_mask
+    are in the reduced lists, so only a route row can hold a list variable.
+    r colors have no common neighbor in L only if r * M(L) >= |L|."""
+    h, adj, full = hg.n, hg.adj, hg.full_mask
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
     colors = {}  # list tuple -> its candidate color tuples
     subsets = {}  # cover subset -> mask, size, route, y[u, 0] bits, keys
+    widths = {}  # L -> the fewest colors that can have no common nbr in L
     rows, picks, tuples = [], [], 0
     degree = 1  # a list row has degree 1, as has an empty row set
     get_list = red.lists.__getitem__
     for v, l_mask, combos in _walk(red, cover, c):
+        if l_mask not in widths:  # M(L) = max |L - N(a)| over colors a
+            most = max((l_mask & ~a).bit_count() for a in adj)
+            widths[l_mask] = -(-l_mask.bit_count() // most) if most else c + 1
+        width = widths[l_mask]
         for combo in combos:
+            if len(combo) < width:
+                continue
             f_lists = tuple(map(get_list, combo))
             cands = colors.get(f_lists)
             if cands is None:
@@ -297,7 +313,8 @@ def kernel_poly(inst: Instance, hg: Graph,
     no-common-neighbor tuples; a non-minimal tuple's row is that of a
     minimal sub-tuple on a smaller subset.  Those depend only on L and the
     subset's lists, so a bounded memo shared across calls holds them
-    (`_minimal_memo`); a type with none makes no per-subset data.  A tuple
+    (`_minimal_memo`); a type with none makes no per-subset data, and one
+    narrower than L's width bound has none and is not looked up.  A tuple
     on a route that reads L (`forbid_route`) gets that route's certified
     polynomial (`construct`, with no further shrinking or routing), any
     other its plain monomial, on the type's lowest vertex.  Within a cover

@@ -13,10 +13,11 @@ reductions that is about one queued vertex in four.  The open
 vertices of a frame are one int mask, read off the trail of changes (at
 the root, the start's), and the branch vertex comes from per-size masks
 kept lazily, so a color tried costs work in proportion to the changes it
-makes, not to the number of vertices.  Meant for
-verification at desk scale; every search is bounded by a node budget and
-raises when it is exhausted.  A node is one assigned vertex or one color
-tried, so a forced vertex counts as one node, as if it had been branched on.
+makes, not to the number of vertices; only a try that stands writes them,
+after its propagation, since most tries fail.  Meant for verification at
+desk scale; every search is bounded by a node budget and raises when it
+is exhausted.  A node is one assigned vertex or one color tried, so a
+forced vertex counts as one node, as if it had been branched on.
 `decide` keeps its last answer on the instance's graph: a kernel that keeps
 its input's graph and lists is answered from the input's decide.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import os
 
-from .bitset import iter_bits, mask_of
+from .bitset import iter_bits
 from .errors import BudgetExceededError
 from .graphs import Graph, Instance, validate_instance
 
@@ -52,11 +53,12 @@ class _Search:
     the target's `Graph`, which make them once and share them.
 
     `seen[s]` holds every open vertex with s candidates, and may hold stale
-    bits of vertices that now have more: the start fills it, `_propagate`
-    adds a vertex whenever its list shrinks to two or more colors, and undo
-    never touches it.  Sizes only fall along a search path, so a vertex
-    with more than s candidates gets back to s only through `_propagate`,
-    and `_pick` may drop such a bit for good.  The root's open mask `open_`
+    bits of vertices that now have more: the start fills it, and only a try
+    that stands (the start's, or a color whose propagation succeeds) adds
+    to it, each vertex of its trail still open (`_settle`); undo never
+    touches it.  Sizes only fall along a search path, so a vertex with more
+    than s candidates gets back to s only through a try that stands, and
+    `_pick` may drop such a bit for good.  The root's open mask `open_`
     is the start's `seen` less the vertices that its trail left closed.
     """
 
@@ -78,8 +80,7 @@ class _Search:
         self.trail: list[tuple[int, int]] = []
         self.supports = {1 << c: mask for c, mask in enumerate(hg.adj)}
         self.consistent = all(self.cand) and self._propagate(list(range(g.n)))
-        self.open_ &= ~mask_of(u for u, _ in self.trail  # those it closed
-                               if not self.cand[u] & (self.cand[u] - 1))
+        self.open_ &= ~self._settle(0)  # less those the start closed
         self.trail.clear()  # the start's narrowing is never undone
 
     def _tick(self, count: int = 1) -> None:
@@ -93,17 +94,17 @@ class _Search:
     def _propagate(self, queue: list[int]) -> bool:
         """Narrow the neighbours of queued vertices until every candidate
         has a support on every edge; False once a list runs empty.  Each
-        change goes on the trail, and a list left with s >= 2 colors puts
-        its vertex in seen[s].  A vertex whose support is every color
+        change goes on the trail; `seen` is left to `_settle`, which runs
+        only if the try stands.  A vertex whose support is every color
         would narrow nothing, so it is not scanned: a changed list whose
         support is known to be full is not queued, and a popped vertex
         with a full support is passed over.  The start queues every vertex
         and passes those over as they are popped, so it computes no
         support that a failing start would not have reached.  Only pops
-        that change nothing are dropped, so the trail, the lists and seen
-        are as if every vertex were scanned."""
+        that change nothing are dropped, so the trail and the lists are as
+        if every vertex were scanned."""
         cand, adj, nbrs, trail = self.cand, self.adj, self.nbrs, self.trail
-        supports, seen, full = self.supports, self.seen, self.full
+        supports, full = self.supports, self.full
         while queue:
             w = queue.pop()
             mask = cand[w]
@@ -123,12 +124,21 @@ class _Search:
                         return False
                     trail.append((u, old))
                     cand[u] = new
-                    if new & (new - 1):
-                        seen[new.bit_count()] |= 1 << u
-                        if supports.get(new) == full:
-                            continue
+                    if new & (new - 1) and supports.get(new) == full:
+                        continue
                     queue.append(u)
         return True
+
+    def _settle(self, mark: int) -> int:
+        """The trail's vertices closed since `mark`; seen gets the others."""
+        cand, seen, closed = self.cand, self.seen, 0
+        for u, _ in self.trail[mark:]:
+            new = cand[u]
+            if new & (new - 1):
+                seen[new.bit_count()] |= 1 << u
+            else:
+                closed |= 1 << u
+        return closed
 
     def _pick(self, open_: int) -> int:
         """The open vertex with the fewest candidates, the lowest first.
@@ -185,12 +195,7 @@ class _Search:
                     trail.append((v, cand[v]))
                     cand[v] = 1 << color
                     if self._propagate([v]):
-                        # every change since the mark was made to an open
-                        # list; those now down to one color are closed
-                        closed = 0
-                        for u, old in trail[mark:]:
-                            if not cand[u] & (cand[u] - 1):
-                                closed |= 1 << u
+                        closed = self._settle(mark)
                         open_ = pushed & ~closed
                         self._tick(closed.bit_count() - 1)
                         break

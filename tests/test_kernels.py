@@ -1,9 +1,12 @@
+import collections
 import dataclasses
 import hashlib
 import importlib
 import itertools
 import json
+import math
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -422,6 +425,80 @@ def test_kernels_that_keep_everything_share_the_input_graph(k4,
     assert got == reference_restrict(inst, cover, kept)
 
 
+def test_an_equal_kernel_shares_the_last_kernel_graph(k4, k4_ladder,
+                                                     searches):
+    """On the K4 ladder rungs where both kernels drop vertices, the poly
+    kernel after the marking one is built on the marking kernel's `Graph`,
+    and `decide` on the two kernels makes one search.  Built afresh, the
+    poly kernel's report is the same."""
+    dropped = 0
+    for inst in k4_ladder:
+        vars(inst.graph).pop("_restricted", None)
+        try:
+            marking = kernel_marking(inst, k4)
+            if marking.kernel.graph is inst.graph:
+                continue
+            poly = kernel_poly(inst, k4)
+            assert poly.kernel.graph is marking.kernel.graph
+            searches.clear()
+            assert decide(poly.kernel, k4) == decide(marking.kernel, k4)
+            assert len(searches) == 1
+            del vars(inst.graph)["_restricted"]
+            fresh = kernel_poly(inst, k4)
+            assert fresh == poly and fresh.kernel.graph is not poly.kernel.graph
+            dropped += 1
+        finally:
+            vars(inst.graph).pop("_restricted", None)
+    assert dropped == 2, dropped
+
+
+def test_restrict_builds_afresh_for_another_cover_or_picks(k4_reductions):
+    """A repeat of the last (cover, kept edges) on a graph shares its kernel
+    `Graph` and reads the lists of the instance at hand; another cover or
+    other picks get a new graph, built as `reference_restrict` builds it."""
+    from oracle import reference_restrict
+    inst = k4_reductions[0]
+    g, cover = inst.graph, inst.cover
+    outside = bit_list(g.full_mask & ~cover)
+    kept = {v: g.adj[v] for v in outside[:-1]}
+    vars(g).pop("_restricted", None)
+    first = _restrict(inst, cover, [(m, v) for v, m in kept.items()])
+    assert first == reference_restrict(inst, cover, kept)
+    # the same union of edges, split over other picks
+    split = [(m & -m, v) for v, m in kept.items()] + \
+        [(m & m - 1, v) for v, m in kept.items()]
+    again = _restrict(inst, cover, split)
+    assert again == first and again[0].graph is first[0].graph
+    relisted = Instance._built(g, tuple(m ^ (m & -m) or m
+                                        for m in inst.lists), cover)
+    got = _restrict(relisted, cover, split)
+    assert got[0].graph is first[0].graph
+    assert got == reference_restrict(relisted, cover, kept)
+    assert got[0].lists != first[0].lists
+    fewer = dict(kept)
+    del fewer[outside[0]]
+    wider = cover | 1 << outside[-1]
+    for case, other in ((cover, fewer), (wider, kept), (cover, kept)):
+        built = _restrict(inst, case, [(m, v) for v, m in other.items()])
+        assert built == reference_restrict(inst, case, other)
+        assert built[0].graph is not first[0].graph
+        first = built
+    vars(g).pop("_restricted", None)
+
+
+def test_a_restricted_kernel_keeps_no_graph_alive():
+    """The input graph holds its last kernel graph, and neither keeps the
+    other alive once the caller drops them."""
+    hg = Graph.from_edges(2, [(0, 1)])
+    g = Graph.from_edges(4, [(0, 1), (2, 0), (3, 0)])
+    report = kernel_marking(Instance(g, (3, 3, 3, 3), cover=mask_of([0, 1])),
+                            hg)
+    assert report.vertices_out == 3 and vars(g)["_restricted"]
+    graph_ref, kernel_ref = weakref.ref(g), weakref.ref(report.kernel.graph)
+    del g, report
+    assert graph_ref() is None and kernel_ref() is None
+
+
 def test_restrict_matches_edge_list_reference():
     """Mask-based restriction equals the edge-list one on non-prefix covers.
 
@@ -623,15 +700,25 @@ def test_both_kernels_are_pinned(monkeypatch, c5, c6, c13p2, k4, k4_ladder):
         "acc75e0e8879b08495ea866ae099870a97a92e2f952b580093b223c8375cf609")
 
 
+def _width(adj: tuple[int, ...], l_mask: int) -> float:
+    """The fewest colors that can have no common neighbor in L: a tuple
+    without one covers L by the sets L - N(a) of its colors a."""
+    most = max((l_mask & ~a).bit_count() for a in adj)
+    return math.ceil(l_mask.bit_count() / most) if most else math.inf
+
+
 def test_the_memo_serves_each_offered_list_tuple_its_minimal_tuples(
         monkeypatch, c5, c6, c13p2, k4, k4_ladder):
-    """Every (L, list tuple) that `_walk` offers the poly kernel is served
-    the full product's minimal tuples, whether the memo made them in this
-    call or kept them from an earlier one; at least 100 of them are barren.
+    """Every (L, list tuple) that `_walk` offers the poly kernel is either
+    served the full product's minimal tuples, whether the memo made them in
+    this call or kept them from an earlier one, or is narrower than L's
+    width bound (`_width`) and has none; at least 100 of them are barren,
+    and at least 100 are skipped.
 
     The memo is wrapped, not replaced, so every lookup, hit or miss, is
-    checked against `reference_minimal_tuples`.  The family meets more
-    distinct pairs than the memo's bound, and the memo stays within it.
+    checked against `reference_minimal_tuples`, and so is every pair the
+    bound skips.  The family meets more distinct pairs than the memo's
+    bound, and the memo stays within it.
     """
     from oracle import reference_minimal_tuples
     walk, memo = kernels._walk, kernels._minimal_memo
@@ -656,16 +743,91 @@ def test_the_memo_serves_each_offered_list_tuple_its_minimal_tuples(
 
     monkeypatch.setattr(kernels, "_walk", recorded_walk)
     monkeypatch.setattr(kernels, "_minimal_memo", recorded_memo)
-    barren = 0
+    barren = skipped = 0
     for inst, hg, hint, _ in _pinned_cases(c5, c6, c13p2, k4, k4_ladder):
         offered.clear()
         served.clear()
         kernel_poly(inst, hg, cycle_power=hint)
-        assert offered <= served.keys(), (inst, hg)
+        for l_mask, cands in offered - served.keys():
+            assert len(cands) < _width(hg.adj, l_mask), (l_mask, cands)
+            assert not reference_minimal_tuples(hg.adj, hg.full_mask,
+                                                l_mask, cands)
+            skipped += 1
         barren += sum(not found for found in served.values())
-    assert barren >= 100, barren
+        assert all(len(cands) >= _width(hg.adj, l_mask)
+                   for l_mask, cands in served), (inst, hg)
+    barren += skipped
+    assert barren >= 100 and skipped >= 100, (barren, skipped)
     info = memo.cache_info()
     assert len(want) > info.maxsize >= info.currsize, (len(want), info)
+
+
+def _lookups(monkeypatch) -> list:
+    """The (L, list tuple) pairs that the poly kernel looks up in its memo,
+    recorded as they are looked up."""
+    memo, looked = kernels._minimal_memo, []
+
+    def recorded_memo(adj, full, l_mask, cands):
+        looked.append((l_mask, cands))
+        return memo(adj, full, l_mask, cands)
+
+    monkeypatch.setattr(kernels, "_minimal_memo", recorded_memo)
+    return looked
+
+
+def test_width_bound_boundary(monkeypatch, k4):
+    """A type exactly as wide as L's bound is looked up, and one narrower
+    is not.  On K4 each color misses one color of L, so L = {0, 1} needs
+    two colors and L = {0, 1, 2} three; on seeded random targets every
+    type at its bound is looked up and none one below it."""
+    from lhom.graphs import reduce_lists
+    from lhom.invariants import compute_c_star
+    from oracle import random_graph, reference_kernel_poly
+    looked = _lookups(monkeypatch)
+    g = Graph.from_edges(5, [(0, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
+    inst = Instance(g, (0b1, 0b10, 0b11, 0b111, 0b11), mask_of([0, 1]))
+    report = kernel_poly(inst, k4)
+    assert looked == [(0b11, ((0,), (1,)))]
+    assert report == reference_kernel_poly(inst, k4)
+    assert report.vertex_map == (0, 1, 2)
+    rng = SplitMix64(3203)
+    at = below = 0
+    for trial in range(40):
+        hg = random_graph(rng, 3 + rng.below(4))
+        inst = gen_instance(hg, 10 + rng.below(20), 2 + rng.below(3),
+                            3203 + trial, "random")
+        looked.clear()
+        offered = [(l_mask, len(combo)) for _, l_mask, subsets in
+                   kernels._walk(reduce_lists(inst, hg),
+                                 cover_certificate(inst),
+                                 compute_c_star(hg).value)
+                   for combo in subsets]
+        kernel_poly(inst, hg)
+        served = collections.Counter((l_mask, len(cands))
+                                     for l_mask, cands in looked)
+        for l_mask, r in offered:
+            width = _width(hg.adj, l_mask)
+            assert (r >= width) == bool(served[l_mask, r]), (trial, l_mask)
+            at += r == width
+            below += r == width - 1
+    assert at >= 100 and below >= 100, (at, below)
+
+
+def test_no_type_forbids_where_every_color_meets_all_of_l(monkeypatch):
+    """On a looped star every color is adjacent to the looped center, so
+    with L = {center} no tuple lacks a common neighbor in L: the bound
+    skips every type without dividing by zero, and the report is the
+    reference's."""
+    from oracle import reference_kernel_poly
+    looked = _lookups(monkeypatch)
+    hg = Graph.from_edges(3, [(0, 0), (0, 1), (0, 2)])
+    edges = [(v, u) for v in range(2, 9) for u in (0, 1) if (v + u) % 3]
+    inst = Instance(Graph.from_edges(9, edges), (0b110, 0b111) + (1,) * 7,
+                    mask_of([0, 1]))
+    report = kernel_poly(inst, hg)
+    assert looked == []
+    assert report == reference_kernel_poly(inst, hg)
+    assert report.vertices_out == 2
 
 
 def test_walk_meets_the_types_in_first_seen_order(c5, c6, c13p2, k4,

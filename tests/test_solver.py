@@ -338,6 +338,58 @@ def test_decide_is_pinned(c6, c13p2, k4, k4_ladder):
         "764dcd2c0f1d6026f1902f55e324699bda0150baee36b17f6794067f1a52a33c")
 
 
+def test_seen_holds_every_open_vertex_at_each_pick(monkeypatch, c6, c13p2,
+                                                  k4, k4_ladder):
+    """Only tries that stand write `seen`, yet at every pick each open
+    vertex's bit is in seen[its size]: on the K4 ladder and both of its
+    kernels, the seeded C6 and C13^2 instances, seeded instances on looped
+    random targets, and K3 colorings of loop-free random graphs of mean
+    degree 5, where most tries fail.  Each search yields up to 50
+    solutions within 20,000 nodes."""
+    pick, propagate = _Search._pick, _Search._propagate
+    picks, failed = [], []
+
+    def checked_pick(self, open_):
+        for v in bit_list(open_):
+            assert self.seen[self.cand[v].bit_count()] >> v & 1, v
+        picks.append(None)
+        return pick(self, open_)
+
+    def counted_propagate(self, queue):
+        consistent = propagate(self, queue)
+        failed.append(not consistent)
+        return consistent
+
+    monkeypatch.setattr(_Search, "_pick", checked_pick)
+    monkeypatch.setattr(_Search, "_propagate", counted_propagate)
+    cases = _pinned_cases(c6, c13p2, k4, k4_ladder)
+    rng = SplitMix64(3202)
+    for trial in range(120):
+        hg = random_graph(rng, 2 + rng.below(5), loop_num=1, loop_den=2)
+        if trial % 2:
+            g = random_graph(rng, 4 + rng.below(30), 5, 30, 1, 8)
+            inst = Instance(g, tuple(1 + rng.below(hg.full_mask)
+                                     for _ in range(g.n)))
+        else:
+            inst = gen_instance(hg, 6 + rng.below(24), 2 + rng.below(4),
+                                3200 + trial, ("random", "planted-yes")[
+                                    trial // 2 % 2])
+        cases.append((inst, hg))
+    k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    for n in range(20, 60, 2):
+        cases.append((Instance(random_graph(rng, n, 5, n, 0, 1), (7,) * n),
+                      k3))
+    for inst, hg in cases:
+        search = _Search(inst, hg, 20_000)
+        try:
+            for _, _ in zip(range(50), search.solutions()):
+                pass
+        except BudgetExceededError:
+            pass
+    assert len(picks) >= 3_000 and sum(failed) >= 1_000, \
+        (len(picks), sum(failed))
+
+
 def _fresh(inst, hg, budget=10**7):
     """decide's result from a search built for this call alone."""
     colors = next(_Search(inst, hg, budget).solutions(), None)
