@@ -3,8 +3,8 @@
 Every subcommand but gen accepts --json and then emits exactly one JSON
 object on stdout (schema tag "lhom/1").  Exit codes: 0 success, 1 for a
 negative decision answer, 2 usage or input-format errors, 3 exhausted
-budgets or failed certifications.  LHOM_NODE_BUDGET, a positive integer,
-overrides the oracle node budget.
+budgets or failed certifications.  Every budget is fixed in the code, and
+gen refuses a target above formats.MAX_COLORS before it generates one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .bitset import mask_of
 from .errors import BudgetExceededError, CertificationError, FormatError
 from .forbid import ForbidRequest, forbid
 from .graphs import Graph, Instance, is_incomparable_set
-from .solver import decide, node_budget_from_env
+from .solver import decide
 
 SCHEMA = "lhom/1"
 
@@ -74,7 +74,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_solve(args) -> int:
     hg, _, inst = _load_problem(args)
-    yes, witness = decide(inst, hg, node_budget=node_budget_from_env())
+    yes, witness = decide(inst, hg)
     payload = {"answer": yes}
     if yes and args.witness:
         payload["witness"] = list(witness)
@@ -110,9 +110,8 @@ def _cmd_kernel(args) -> int:
 def _cmd_verify_kernel(args) -> int:
     hg, hint, inst = _load_problem(args)
     report = kernels.kernelize(inst, hg, args.method, cycle_power=hint)
-    budget = node_budget_from_env()
-    before, _ = decide(inst, hg, node_budget=budget)
-    after, _ = decide(report.kernel, hg, node_budget=budget)
+    before, _ = decide(inst, hg)
+    after, _ = decide(report.kernel, hg)
     agree = before == after
     _emit(args, {"input": before, "kernel": after, "agree": agree},
           f"input={before} kernel={after} agree={agree}")
@@ -218,14 +217,19 @@ def _cmd_gadget_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.what == "hgraph":
-        if args.kind == "cycle-power":
-            if args.k is None or args.p is None:
-                raise FormatError("cycle-power needs --k and --p")
+        cycle = args.kind == "cycle-power"
+        if cycle and (args.k is None or args.p is None):
+            raise FormatError("cycle-power needs --k and --p")
+        if not cycle and args.r is None:
+            raise FormatError("subdivided-star needs --r")
+        h = args.k if cycle else 3 * args.r + 1  # the target's vertices
+        if h > formats.MAX_COLORS:  # the limit that parse_hgraph keeps
+            raise FormatError(f"target has {h} colors, above the limit of "
+                              f"{formats.MAX_COLORS}")
+        if cycle:
             g = generators.gen_cycle_power(args.k, args.p)
             comments = (f"gen: cycle-power k={args.k} p={args.p}",)
         else:
-            if args.r is None:
-                raise FormatError("subdivided-star needs --r")
             g = generators.gen_subdivided_star(args.r)
             comments = (f"gen: subdivided-star r={args.r}",)
         text = formats.write_hgraph(g, comments)

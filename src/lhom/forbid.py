@@ -240,32 +240,20 @@ def forbid_monomial(req: ForbidRequest) -> ForbidResult:
     return ForbidResult(poly, req.width, "monomial")
 
 
-def _cyclic_dist(k: int, u: int, v: int) -> int:
-    d = abs(u - v) % k
-    return min(d, k - d)
-
-
 @functools.lru_cache(maxsize=64)
 def _cycle_power_poly(k: int, p: int, verts: tuple[int, ...]) -> Gf2Poly:
     """Degree-p construction on the p-th power of a long cycle.
 
     Sums the exactly-once blocks of the sets {i, j, j+1, ..., j+p-2} over
     anchor pairs (i, j) at cyclic distance 2..2p with j moving away from i.
-    Minimal width-(p+1) tuples fire an odd number of blocks; tuples with a
-    common neighbor fire an even number.  The sum does not depend on the
-    forbidden tuple.
+    The route needs k > 6p, so those are the pairs j = i + d (mod k) for d
+    in 2..2p, k(2p - 1) blocks.  Minimal width-(p+1) tuples fire an odd
+    number of blocks; tuples with a common neighbor fire an even number.
+    The sum does not depend on the forbidden tuple.
     """
-    blocks = []
-    for i in range(k):
-        for j in range(k):
-            dist = _cyclic_dist(k, i, j)
-            if not 2 <= dist <= 2 * p:
-                continue
-            if dist >= _cyclic_dist(k, i, (j + 1) % k):
-                continue
-            block = {i} | {(j + t) % k for t in range(p - 1)}
-            blocks.append(poly_local(block, verts, k))
-    return Gf2Poly.sum_of(blocks)
+    return Gf2Poly.sum_of(
+        poly_local({i} | {(i + d + t) % k for t in range(p - 1)}, verts, k)
+        for i in range(k) for d in range(2, 2 * p + 1))
 
 
 def forbid_linear_system(req: ForbidRequest,

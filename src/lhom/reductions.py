@@ -9,7 +9,8 @@ the gluing: a pair gadget's second path onto the ends of its first, and
 pair gadgets onto the specials of a variable gadget.  Every gadget is
 certified by exhaustively enumerating homomorphism restrictions to its
 designated vertices; the builders are memoized (bounded), so each gadget
-is built and certified once per (target, structure, indices).
+is built and certified once per (target, structure, indices).  A reduction
+has at most REDUCTION_BUDGET vertices, fixed in the code.
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ import functools
 from dataclasses import dataclass
 
 from .bitset import mask_of
-from .errors import CertificationError
+from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, Instance
 from .invariants import LowerBoundStructure
 from .solver import enumerate_restricted
+
+# the most vertices that `reduce_sat` may build: each gadget's adjacency is
+# shifted across the cover, so memory grows with the square of the count;
+# on K4, 49,956 vertices peak at 161 MiB, and sat-oracle's largest has 1,156
+REDUCTION_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,10 @@ def reduce_sat(nvars: int, clauses: list[list[int]], hg: Graph,
     vg = build_variable_gadget(hg, lbs)
     gadget_size = vg.graph.n
     cover_n = gadget_size * nvars
+    n = cover_n + len(clauses)
+    if n > REDUCTION_BUDGET:
+        raise BudgetExceededError(f"reduction needs {n} vertices, budget is "
+                                  f"{REDUCTION_BUDGET}")
     adj = [a << off for off in range(0, cover_n, gadget_size)
            for a in vg.graph.adj]
     adj += [0] * len(clauses)

@@ -15,35 +15,20 @@ the root, the start's), and the branch vertex comes from per-size masks
 kept lazily, so a color tried costs work in proportion to the changes it
 makes, not to the number of vertices; only a try that stands writes them,
 after its propagation, since most tries fail.  Meant for verification at
-desk scale; every search is bounded by a node budget and raises when it
-is exhausted.  A node is one assigned vertex or one color tried, so a
-forced vertex counts as one node, as if it had been branched on.
+desk scale; a search raises past NODE_BUDGET nodes, a constant that it
+reads when it is built.  A node is one assigned vertex or one color tried,
+so a forced vertex counts as one node, as if it had been branched on.
 `decide` keeps its last answer on the instance's graph: a kernel that keeps
 its input's graph and lists is answered from the input's decide.
 """
 
 from __future__ import annotations
 
-import os
-
 from .bitset import iter_bits
 from .errors import BudgetExceededError
 from .graphs import Graph, Instance, validate_instance
 
-DEFAULT_NODE_BUDGET = 10**7
-
-
-def node_budget_from_env() -> int:
-    raw = os.environ.get("LHOM_NODE_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError("LHOM_NODE_BUDGET must be an integer") from None
-    if budget < 1:
-        raise ValueError("LHOM_NODE_BUDGET must be a positive integer")
-    return budget
+NODE_BUDGET = 10**7  # the most nodes that one search may use
 
 
 class _Search:
@@ -62,11 +47,11 @@ class _Search:
     is the start's `seen` less the vertices that its trail left closed.
     """
 
-    def __init__(self, inst: Instance, hg: Graph, budget: int):
+    def __init__(self, inst: Instance, hg: Graph):
         validate_instance(inst, hg)
         g = inst.graph
         self.adj, self.full = hg.adj, hg.full_mask
-        self.budget = budget
+        self.budget = NODE_BUDGET
         self.nodes = 0
         self.nbrs = g.nbrs
         self.cand = list(inst.lists)
@@ -203,33 +188,32 @@ class _Search:
                     stack.pop()
 
 
-def decide(inst: Instance, hg: Graph,
-           node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[bool, tuple[int, ...] | None]:
+def decide(inst: Instance, hg: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide list-homomorphism existence; returns (answer, witness or None).
 
     The last answer is kept on the instance's graph, next to its `nbrs`,
     keyed on copies of what the search reads: the lists, the target's n and
-    adjacency, and the budget.  A call that repeats them on the same graph
+    adjacency, and NODE_BUDGET.  A call that repeats them on the same graph
     object, as on a kernel that kept its input's graph and lists, returns
     that answer without searching again.  The graph is never hashed, and a
     search that runs out of budget stores nothing.
     """
-    key = tuple(inst.lists), hg.n, tuple(hg.adj), node_budget
+    key = tuple(inst.lists), hg.n, tuple(hg.adj), NODE_BUDGET
     memo = vars(inst.graph)
     last = memo.get("_decided")
     if last is not None and last[0] == key:
         return last[1]
-    colors = next(_Search(inst, hg, node_budget).solutions(), None)
+    colors = next(_Search(inst, hg).solutions(), None)
     memo["_decided"] = key, (colors is not None, colors)
     return colors is not None, colors
 
 
-def enumerate_restricted(inst: Instance, hg: Graph, targets,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> set[tuple[int, ...]]:
+def enumerate_restricted(inst: Instance, hg: Graph,
+                         targets) -> set[tuple[int, ...]]:
     """Exact set of restrictions to `targets` over all list homomorphisms."""
     targets = list(targets)
     for t in targets:
         if not 0 <= t < inst.graph.n:
             raise ValueError(f"target {t} is not a vertex of the instance")
     return {tuple(colors[t] for t in targets)
-            for colors in _Search(inst, hg, node_budget).solutions()}
+            for colors in _Search(inst, hg).solutions()}

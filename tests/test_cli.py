@@ -2,10 +2,12 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from lhom import formats, solver
 from lhom.cli import main
 from lhom.formats import (parse_hgraph, parse_instance, write_hgraph,
                           write_instance)
@@ -376,38 +378,47 @@ def test_missing_file_is_usage_error(c6_file):
 
 
 def test_budget_env_override(tmp_path, c6_file, monkeypatch):
+    """`lhom solve` reads the node budget from `solver.NODE_BUDGET` at each
+    call, the one place that sets it."""
     c6 = gen_cycle_power(6, 1)
     inst = tmp_path / "i.lh"
     inst.write_text(write_instance(gen_instance(c6, 16, 5, 8, "planted-yes"), 6))
-    monkeypatch.setenv("LHOM_NODE_BUDGET", "1")
+    monkeypatch.setattr(solver, "NODE_BUDGET", 1)
     assert main(["solve", str(inst), "--target", c6_file]) == 3
-    monkeypatch.setenv("LHOM_NODE_BUDGET", "10000000")
+    monkeypatch.setattr(solver, "NODE_BUDGET", 10**7)
     assert main(["solve", str(inst), "--target", c6_file]) == 0
 
 
-@pytest.mark.parametrize("raw", ["0", "-1", "ten"])
-def test_budget_env_must_be_positive(tmp_path, c6_file, monkeypatch, capsys,
-                                     raw):
+@pytest.mark.parametrize("raw", ["0", "-1", "ten", "1"])
+def test_budget_env_changes_nothing(tmp_path, c6_file, monkeypatch, capsys,
+                                    raw):
+    """LHOM_NODE_BUDGET, which once set the node budget, changes neither the
+    output nor the exit code of `lhom solve`, whatever its value."""
     c6 = gen_cycle_power(6, 1)
     inst = tmp_path / "i.lh"
     inst.write_text(write_instance(gen_instance(c6, 30, 5, 8, "planted-yes"), 6))
+    argv = ["solve", str(inst), "--target", c6_file, "--witness"]
+    monkeypatch.delenv("LHOM_NODE_BUDGET", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr()
+    assert unset.out.startswith("yes ") and unset.err == ""
     monkeypatch.setenv("LHOM_NODE_BUDGET", raw)
-    assert main(["solve", str(inst), "--target", c6_file]) == 2
-    assert "LHOM_NODE_BUDGET must be a" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == unset
 
 
 def test_budget_env_boundary(tmp_path, k4, k4_file, k4_reductions,
                              monkeypatch, capsys):
     sat, _ = k4_reductions
-    search = _Search(sat, k4, 10**7)
+    search = _Search(sat, k4)
     next(search.solutions(), None)
     n = search.nodes
     inst = tmp_path / "sat.lh"
     inst.write_text(write_instance(sat, 4))
-    monkeypatch.setenv("LHOM_NODE_BUDGET", str(n))
+    monkeypatch.setattr(solver, "NODE_BUDGET", n)
     assert main(["solve", str(inst), "--target", k4_file]) == 0
     assert capsys.readouterr().out.startswith("yes")
-    monkeypatch.setenv("LHOM_NODE_BUDGET", str(n - 1))
+    monkeypatch.setattr(solver, "NODE_BUDGET", n - 1)
     assert main(["solve", str(inst), "--target", k4_file]) == 3
     assert f"search exceeded {n - 1} nodes" in capsys.readouterr().err
 
@@ -443,6 +454,44 @@ def test_gen_hgraph_checks_and_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(args) == 0
     assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("argv, h", [
+    (["cycle-power", "--k", "65537", "--p", "1"], 65537),
+    (["subdivided-star", "--r", "21846"], 65539),
+], ids=["cycle-power", "subdivided-star"])
+def test_gen_hgraph_stops_at_the_color_limit(tmp_path, capsys, argv, h):
+    """A target that no other subcommand would read is refused before it is
+    generated or written, with the message that parse_hgraph gives it."""
+    out = tmp_path / "big.hg"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "hgraph", *argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: target has {h} colors, above the limit of 65536\n")
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+def test_gen_hgraph_color_limit_is_inclusive(tmp_path, monkeypatch, capsys):
+    """At formats.MAX_COLORS vertices gen writes a target that parses; one
+    above it, it exits 2 and writes nothing; the limit is read per call."""
+    monkeypatch.setattr(formats, "MAX_COLORS", 10)
+    for kind, arg, at, over in (("cycle-power", "--k", 10, 11),
+                                ("subdivided-star", "--r", 3, 4)):
+        gen = ["gen", "hgraph", kind, arg]
+        extra = ["--p", "2"] if kind == "cycle-power" else []
+        out = tmp_path / f"{kind}.hg"
+        assert main(gen + [str(at), *extra, "--out", str(out)]) == 0
+        assert parse_hgraph(out.read_text())[0].n == 10
+        out.unlink()
+        assert main(gen + [str(over), *extra, "--out", str(out)]) == 2
+        assert "above the limit of 10\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_gen_instance_on_a_target_without_vertices(tmp_path, capsys):
@@ -602,9 +651,9 @@ def test_branching_solve_golden(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest().startswith(
         "9a587cde852ef207")
-    monkeypatch.setenv("LHOM_NODE_BUDGET", "495")
+    monkeypatch.setattr(solver, "NODE_BUDGET", 495)
     assert main(["solve", lh, "--target", k4]) == 0
     assert capsys.readouterr().out == "yes\n"
-    monkeypatch.setenv("LHOM_NODE_BUDGET", "494")
+    monkeypatch.setattr(solver, "NODE_BUDGET", 494)
     assert main(["solve", lh, "--target", k4]) == 3
     assert "search exceeded 494 nodes" in capsys.readouterr().err

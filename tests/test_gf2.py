@@ -87,7 +87,7 @@ def test_poly_local_matches_reference_product():
                     checked += 1
     assert checked == 2 * sum(math.comb(h, s) for h in range(1, 8)
                              for s in range(5))
-    for k, p in ((13, 2), (19, 3)):
+    for k, p in ((13, 2), (19, 3), (31, 2), (22, 3)):
         # the blocks {i, j, ..., j+p-2} over anchors i, j at cyclic distance
         # 2..2p, j moving away from i
         dist = [min(d, k - d) for d in range(k)]

@@ -3,11 +3,15 @@ import dataclasses
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import pytest
 
+from lhom import reductions
 from lhom.bitset import mask_of
-from lhom.errors import CertificationError
+from lhom.cli import main
+from lhom.errors import BudgetExceededError, CertificationError
+from lhom.formats import write_hgraph
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
 from lhom.invariants import LowerBoundStructure, compute_d_star, find_lbs
@@ -122,6 +126,51 @@ def test_reduce_sat_cover_is_linear_in_vars(k4, k4_lbs):
     for nvars in (1, 2, 4):
         inst = reduce_sat(nvars, [[1, -1]], k4, k4_lbs)
         assert inst.cover.bit_count() == 46 * nvars
+
+
+def test_reduction_budget_boundary(monkeypatch, tmp_path, capsys, k4, k4_lbs):
+    """reduce_sat, and `lhom reduce-sat`, build a reduction of exactly
+    REDUCTION_BUDGET vertices, and one past it fails with exit code 3, a
+    message naming both counts and no file written; the input checks come
+    first."""
+    clauses = [[1, -2, 3], [-1, 2]]
+    n = 46 * 3 + len(clauses)
+    cnf, hg = tmp_path / "f.cnf", tmp_path / "k4.hg"
+    cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n")
+    hg.write_text(write_hgraph(k4))
+    message = f"reduction needs {n} vertices, budget is {n - 1}"
+    for budget, code in ((n, 0), (n - 1, 3)):
+        monkeypatch.setattr(reductions, "REDUCTION_BUDGET", budget)
+        out = tmp_path / f"{budget}.lh"
+        assert main(["reduce-sat", str(cnf), "--target", str(hg),
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(BudgetExceededError) as err:
+        reduce_sat(3, clauses, k4, k4_lbs)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="bad literal"):
+        reduce_sat(3, clauses + [[4]], k4, k4_lbs)
+    monkeypatch.setattr(reductions, "REDUCTION_BUDGET", n)
+    assert reduce_sat(3, clauses, k4, k4_lbs).graph.n == n
+
+
+def test_a_huge_variable_count_builds_nothing(tmp_path, capsys, k4):
+    """A 15-byte CNF that declares 100,000 variables asks for 4.6M vertices;
+    `lhom reduce-sat` exits 3 without building them."""
+    cnf, hg = tmp_path / "f.cnf", tmp_path / "k4.hg"
+    cnf.write_text("p cnf 100000 0\n")
+    hg.write_text(write_hgraph(k4))
+    tracemalloc.start()
+    try:
+        code = main(["reduce-sat", str(cnf), "--target", str(hg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: reduction needs 4600000 vertices, budget is 50000\n")
+    assert peak < 1 << 20
 
 
 def test_reduce_sat_clause_vertices_independent(k4, k4_lbs):

@@ -6,9 +6,10 @@ import pytest
 
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
+from lhom import solver
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
-from lhom.solver import _Search, decide, enumerate_restricted
+from lhom.solver import NODE_BUDGET, _Search, decide, enumerate_restricted
 
 from oracle import (brute_decide, brute_restrictions, decide_two_phase,
                     extendable, extendable_bounded, has_edge, random_graph,
@@ -65,27 +66,41 @@ def test_g_loop_forces_looped_image():
     assert decide(Instance(g, (h_plain.full_mask,)), h_plain)[0] is False
 
 
-def test_budget_exceeded(k4):
+def test_budget_exceeded(monkeypatch, k4):
     inst = gen_instance(k4, 14, 6, 5, "random")
+    monkeypatch.setattr(solver, "NODE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
-        decide(inst, k4, node_budget=2)
+        decide(inst, k4)
+
+
+def _search(inst, hg, budget: int) -> _Search:
+    """A search built while NODE_BUDGET is `budget`, which it keeps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "NODE_BUDGET", budget)
+        return _Search(inst, hg)
 
 
 def _nodes_used(inst, hg) -> int:
     """Nodes the search takes to decide `inst`."""
-    search = _Search(inst, hg, 10**7)
+    search = _Search(inst, hg)
     next(search.solutions(), None)
     return search.nodes
 
 
-def test_budget_boundary(k4, k4_reductions):
+def test_budget_boundary(monkeypatch, k4, k4_reductions):
+    """decide reads NODE_BUDGET at each call: at the search's node count it
+    answers as under the default, one below it raises."""
     for inst in k4_reductions:
         assert inst.graph.n >= 400
         n = _nodes_used(inst, k4)
-        assert decide(inst, k4, node_budget=n) == decide(inst, k4)
+        want = decide(inst, k4)
+        monkeypatch.setattr(solver, "NODE_BUDGET", n)
+        assert decide(inst, k4) == want
+        monkeypatch.setattr(solver, "NODE_BUDGET", n - 1)
         with pytest.raises(BudgetExceededError) as err:
-            decide(inst, k4, node_budget=n - 1)
+            decide(inst, k4)
         assert str(err.value) == f"search exceeded {n - 1} nodes"
+        monkeypatch.setattr(solver, "NODE_BUDGET", NODE_BUDGET)
 
 
 def _outcome(run, budget: int, stop_first: bool):
@@ -108,7 +123,7 @@ def _check_against_reference(inst, hg, cap: int) -> list[bool]:
     budgets N, N-1, N//2 and -1, where N is the reference's full node count
     (or cap + 1 when it passes cap); returns whether each run finished."""
     def current(budget, on_solution):
-        search = _Search(inst, hg, budget)
+        search = _search(inst, hg, budget)
         try:
             for colors in search.solutions():
                 if on_solution(colors):
@@ -189,7 +204,7 @@ def test_root_open_mask_matches_the_lists(c6, k4, c13p2, k4_reductions):
     cases += [(inst, k4) for inst in k4_reductions]
     failed = closed = 0
     for inst, hg in cases:
-        search = _Search(inst, hg, 10**7)
+        search = _Search(inst, hg)
         want = mask_of(v for v, mask in enumerate(search.cand)
                        if mask & (mask - 1))
         assert search.open_ == want, (inst, hg)
@@ -331,7 +346,7 @@ def test_decide_is_pinned(c6, c13p2, k4, k4_ladder):
     SHA-256 pinned before `_propagate` skipped full supports."""
     digest = hashlib.sha256()
     for inst, hg in _pinned_cases(c6, c13p2, k4, k4_ladder):
-        search = _Search(inst, hg, 10**7)
+        search = _Search(inst, hg)
         colors = next(search.solutions(), None)
         digest.update(repr((colors is not None, colors, search.nodes)).encode())
     assert digest.hexdigest() == (
@@ -380,7 +395,7 @@ def test_seen_holds_every_open_vertex_at_each_pick(monkeypatch, c6, c13p2,
         cases.append((Instance(random_graph(rng, n, 5, n, 0, 1), (7,) * n),
                       k3))
     for inst, hg in cases:
-        search = _Search(inst, hg, 20_000)
+        search = _search(inst, hg, 20_000)
         try:
             for _, _ in zip(range(50), search.solutions()):
                 pass
@@ -390,9 +405,9 @@ def test_seen_holds_every_open_vertex_at_each_pick(monkeypatch, c6, c13p2,
         (len(picks), sum(failed))
 
 
-def _fresh(inst, hg, budget=10**7):
+def _fresh(inst, hg):
     """decide's result from a search built for this call alone."""
-    colors = next(_Search(inst, hg, budget).solutions(), None)
+    colors = next(_Search(inst, hg).solutions(), None)
     return colors is not None, colors
 
 
@@ -437,26 +452,30 @@ def test_decide_on_a_list_adjacency(c5, searches):
     assert len(searches) == 1
 
 
-def test_decide_searches_again_for_another_budget_or_target(c6, searches):
+def test_decide_searches_again_for_another_budget_or_target(monkeypatch, c6,
+                                                            searches):
     inst = gen_instance(c6, 40, 4, 3, "planted-yes")
     want = decide(inst, c6)
-    assert decide(inst, c6, node_budget=10**6) == want
+    monkeypatch.setattr(solver, "NODE_BUDGET", 10**6)  # read at each call
+    assert decide(inst, c6) == want
     assert len(searches) == 2
     # an equal target is the same question; another is a new one
-    assert decide(inst, gen_cycle_power(6, 1), node_budget=10**6) == want
+    assert decide(inst, gen_cycle_power(6, 1)) == want
     assert len(searches) == 2
     c6p2 = gen_cycle_power(6, 2)
-    assert decide(inst, c6p2, node_budget=10**6) == _fresh(inst, c6p2, 10**6)
+    assert decide(inst, c6p2) == _fresh(inst, c6p2)
     assert len(searches) == 4
 
 
-def test_decide_out_of_budget_stores_nothing(k4, searches):
+def test_decide_out_of_budget_stores_nothing(monkeypatch, k4, searches):
     inst = gen_instance(k4, 14, 6, 5, "random")
     want = decide(inst, k4)
+    monkeypatch.setattr(solver, "NODE_BUDGET", 2)
     for _ in range(2):
         with pytest.raises(BudgetExceededError):
-            decide(inst, k4, node_budget=2)
+            decide(inst, k4)
     # the failed searches left the first answer in place
+    monkeypatch.setattr(solver, "NODE_BUDGET", NODE_BUDGET)
     assert decide(inst, k4) == want
     assert len(searches) == 3
 
