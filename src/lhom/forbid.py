@@ -110,8 +110,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly) -> bool:
         strides.append(size)
         size *= f.bit_count()
     charge(size)
-    parity = _transform(poly, poly.variables, req.verts + tuple(extras), lists,
-                        strides)
+    parity = _transform(poly, req.verts + tuple(extras), lists, strides)
     strays = 1
     for s in strides[req.width:]:
         strays *= _repunit(hg.n, s)
@@ -125,7 +124,7 @@ def certify_forbid(req: ForbidRequest, poly: Gf2Poly) -> bool:
         for w in iter_bits(req.l_mask))
 
 
-def _transform(poly, variables, verts, lists, strides) -> int:
+def _transform(poly, verts, lists, strides) -> int:
     """The values of poly on the product of lists, one bit per tuple.
 
     Position i holds verts[i] and adds its color's rank in lists[i] times
@@ -136,7 +135,7 @@ def _transform(poly, variables, verts, lists, strides) -> int:
     """
     pos = {v: i for i, v in enumerate(verts)}
     at = {}  # variable on its list -> (its position's bit, its offset)
-    for v, c in variables:
+    for v, c in poly.variables:
         i = pos[v]
         if lists[i] >> c & 1:
             at[v, c] = 1 << i, _rank(lists[i], c) * strides[i]
@@ -199,7 +198,7 @@ def _table(target: Graph, verts: tuple[int, ...],
     if not {v for v, _ in poly.variables} <= set(verts):
         return None
     r = len(verts)
-    values = _transform(poly, poly.variables, verts, (target.full_mask,) * r,
+    values = _transform(poly, verts, (target.full_mask,) * r,
                         [target.n ** i for i in range(r)])
     boxes = (_boxes if target.n ** (r + 1) <= BOX_CAP
              else _boxes.__wrapped__)(target, r)
@@ -256,37 +255,31 @@ def _cycle_power_poly(k: int, p: int, verts: tuple[int, ...]) -> Gf2Poly:
         for i in range(k) for d in range(2, 2 * p + 1))
 
 
-def forbid_linear_system(req: ForbidRequest,
-                         target_degree: int) -> ForbidResult | None:
-    """Synthesize a degree-bounded polynomial by solving a GF(2) system.
+def forbid_linear_system(req: ForbidRequest) -> ForbidResult | None:
+    """Synthesize a polynomial of degree r - 1, for a request of width r,
+    by solving a GF(2) system.
 
-    Unknowns are coefficients over all target-degree color subsets; each
-    achievable width-r set with a common neighbor in L pins its shadow sum
-    to 0 and the forbidden set pins its own to 1.  Returns None when the
-    system is inconsistent.  Consistency is guaranteed in the regime where
-    the width equals both the marking degree and the maximum degree.
-    Requests no wider than the target degree need no system at all and
-    fall back to the plain monomial.
+    Unknowns are coefficients over all (r - 1)-color subsets; each
+    achievable r-set with a common neighbor in L pins its shadow sum to 0
+    and the forbidden set pins its own to 1.  Returns None when the system
+    is inconsistent.  Consistency is guaranteed in the regime where the
+    width equals both the marking degree and the maximum degree.
     """
     r = req.width
-    if target_degree < 1:
-        raise ValueError("target degree must be positive")
-    if r <= target_degree:
-        return forbid_monomial(req)
-    if r != target_degree + 1:
-        raise ValueError("width exceeds target degree + 1")
+    if r < 2:
+        raise ValueError("width must be at least 2")
     if len(set(req.colors)) != r:
         raise ValueError("tuple colors must be distinct")
     hg = req.target
     union = functools.reduce(int.__or__, req.lists)
-    sets = shadow_solution(target_degree, (
+    sets = shadow_solution(r - 1, (
         combo for combo in itertools.combinations(bit_list(union), r)
         if common_neighbors(hg, mask_of(combo), req.l_mask)
         and _achievable(req.lists, combo)), req.colors)
     if sets is None:
         return None
     poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)
-    return _certified(req, poly, target_degree, "linear-system")
+    return _certified(req, poly, r - 1, "linear-system")
 
 
 def _achievable(lists: tuple[int, ...], combo) -> bool:
@@ -356,7 +349,7 @@ def construct(req: ForbidRequest, route: str | None) -> ForbidResult:
             for pair in itertools.combinations(sorted(req.colors, key=pos), 2))
         return _certified(req, poly, 2, route)
     if route == "linear-system":
-        result = forbid_linear_system(req, req.width - 1)
+        result = forbid_linear_system(req)
         if result is not None:
             return result
     return forbid_monomial(req)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .graphs import Graph, Instance
 
 _MASK64 = (1 << 64) - 1
+MAX_EDGES = 1_000_000  # the most edges that `lhom gen hgraph` writes
 
 
 class SplitMix64:

@@ -75,10 +75,7 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     Kept vertices are re-indexed in ascending order; returns the instance
     and the original-id map.  A vertex below the lowest dropped one keeps
     its index, so only mask bits at or above that vertex are moved one by one.
-    A kernel that keeps every vertex and edge shares the input's `Graph`;
-    the last other one's graph, vertices and cover stay on the input's
-    graph, keyed on (cover, kept edges), and an equal kernel (the poly one
-    after the marking one on K4 reductions) shares them, with its own lists.
+    A kernel that keeps every vertex and edge shares the input's `Graph`.
     """
     kept_nbrs: dict[int, int] = {}
     for x_mask, v in picks:
@@ -89,11 +86,6 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
             adj[v] == nbrs for v, nbrs in kept_nbrs.items()):
         return (Instance._built(inst.graph, tuple(inst.lists), cover),
                 tuple(range(inst.graph.n)))
-    memo, key = vars(inst.graph), (cover, kept_nbrs)
-    if memo.get("_restricted", (None,))[0] == key:
-        _, graph, kept, kernel_cover = memo["_restricted"]
-        lists = tuple(map(inst.lists.__getitem__, kept))
-        return Instance._built(graph, lists, kernel_cover), kept
     kept = tuple(bit_list(kept_mask))
     index = {v: i for i, v in enumerate(kept)}
     dropped = ~kept_mask
@@ -114,10 +106,9 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
         for u in iter_bits(nbrs):
             rows[i] |= 1 << index[u]
             rows[index[u]] |= 1 << i
-    kernel = Instance._built(Graph._built(len(kept), tuple(rows)),
-                             tuple(inst.lists[v] for v in kept), moved(cover))
-    memo["_restricted"] = key, kernel.graph, kept, kernel.cover
-    return kernel, kept
+    return (Instance._built(Graph._built(len(kept), tuple(rows)),
+                            tuple(inst.lists[v] for v in kept), moved(cover)),
+            kept)
 
 
 # the most cover subsets that `_walk` may list: C6 at n=2000, k=40 lists

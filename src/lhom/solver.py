@@ -18,8 +18,8 @@ after its propagation, since most tries fail.  Meant for verification at
 desk scale; a search raises past NODE_BUDGET nodes, a constant that it
 reads when it is built.  A node is one assigned vertex or one color tried,
 so a forced vertex counts as one node, as if it had been branched on.
-`decide` keeps its last answer on the instance's graph: a kernel that keeps
-its input's graph and lists is answered from the input's decide.
+`decide` keeps its last answer, keyed on the question's content, so a kernel
+equal to the instance decided just before it is answered without a search.
 """
 
 from __future__ import annotations
@@ -188,24 +188,27 @@ class _Search:
                     stack.pop()
 
 
+_last = None, None  # decide's last question and its answer
+
+
 def decide(inst: Instance, hg: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide list-homomorphism existence; returns (answer, witness or None).
 
-    The last answer is kept on the instance's graph, next to its `nbrs`,
-    keyed on copies of what the search reads: the lists, the target's n and
-    adjacency, and NODE_BUDGET.  A call that repeats them on the same graph
-    object, as on a kernel that kept its input's graph and lists, returns
-    that answer without searching again.  The graph is never hashed, and a
-    search that runs out of budget stores nothing.
+    The last answer is kept in the module, keyed on what the search reads:
+    the instance's adjacency and lists, the target's n and adjacency, and
+    NODE_BUDGET.  A call that asks the same, as on a kernel equal to the
+    instance decided before it, returns that answer without searching again.
+    The key holds no `Graph` and is compared, never hashed; a search that
+    runs out of budget stores nothing.
     """
-    key = tuple(inst.lists), hg.n, tuple(hg.adj), NODE_BUDGET
-    memo = vars(inst.graph)
-    last = memo.get("_decided")
-    if last is not None and last[0] == key:
-        return last[1]
+    global _last
+    key = (tuple(inst.graph.adj), tuple(inst.lists), hg.n, tuple(hg.adj),
+           NODE_BUDGET)
+    if _last[0] == key:
+        return _last[1]
     colors = next(_Search(inst, hg).solutions(), None)
-    memo["_decided"] = key, (colors is not None, colors)
-    return colors is not None, colors
+    _last = key, (colors is not None, colors)
+    return _last[1]
 
 
 def enumerate_restricted(inst: Instance, hg: Graph,

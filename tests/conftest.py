@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lhom import kernels
+from lhom import kernels, solver
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
 from lhom.invariants import compute_d_star
@@ -113,3 +113,10 @@ def _empty_minimal_tuple_memo():
     """Each test starts with the poly kernel's memo empty, so that no
     outcome depends on the order the tests run in."""
     kernels._minimal_memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_last_answer():
+    """Each test starts with no answer kept by `decide`, for the same
+    reason."""
+    solver._last = None, None

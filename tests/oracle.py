@@ -75,7 +75,7 @@ and `degree_probe` each built it before `lhom.gf2.shadow_solution`: its own
 column index, every row's colors sorted, then the library's
 `solve_linear_system` (which `tests/test_gf2.py` checks on its own).
 `reference_linear_system` is `forbid_linear_system` on it, and scans
-every polynomial it returns, the plain monomial included.
+every polynomial it returns.
 `reference_extract_basis` is `extract_basis` on `Gf2Poly` rows, with a
 column per distinct frozenset monomial.
 
@@ -758,7 +758,7 @@ def reference_forbid(req: ForbidRequest,
     d_star, _ = compute_d_star(hg)
     if sub.width == d_star + 1 and d_star >= 1 and \
             len(set(sub.colors)) == sub.width:
-        result = reference_linear_system(sub, d_star, budget)
+        result = reference_linear_system(sub, budget)
         if result is not None:
             return result
     return _scan_certified(sub, monomial, "monomial", budget)
@@ -787,19 +787,12 @@ def reference_shadow_solution(n: int, d: int, zero_sets, one_set):
     return [columns[j] for j, bit in enumerate(sol) if bit]
 
 
-def reference_linear_system(req: ForbidRequest, target_degree: int,
-                            budget: int = CERT_BUDGET
+def reference_linear_system(req: ForbidRequest, budget: int = CERT_BUDGET
                             ) -> ForbidResult | None:
     """`forbid_linear_system` on the reference shadow system."""
     r = req.width
-    if target_degree < 1:
-        raise ValueError("target degree must be positive")
-    if r <= target_degree:
-        return _scan_certified(
-            req, Gf2Poly.product_of_vars(zip(req.verts, req.colors)),
-            "monomial", budget)
-    if r != target_degree + 1:
-        raise ValueError("width exceeds target degree + 1")
+    if r < 2:
+        raise ValueError("width must be at least 2")
     if len(set(req.colors)) != r:
         raise ValueError("tuple colors must be distinct")
     hg = req.target
@@ -813,8 +806,7 @@ def reference_linear_system(req: ForbidRequest, target_degree: int,
         if any(all(req.lists[i] >> c & 1 for i, c in enumerate(perm))
                for perm in itertools.permutations(combo)):
             zero_sets.append(combo)
-    sets = reference_shadow_solution(hg.n, target_degree, zero_sets,
-                                     req.colors)
+    sets = reference_shadow_solution(hg.n, r - 1, zero_sets, req.colors)
     if sets is None:
         return None
     poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)

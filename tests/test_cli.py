@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lhom import formats, solver
+from lhom import formats, generators, solver
 from lhom.cli import main
 from lhom.formats import (parse_hgraph, parse_instance, write_hgraph,
                           write_instance)
@@ -492,6 +492,47 @@ def test_gen_hgraph_color_limit_is_inclusive(tmp_path, monkeypatch, capsys):
         assert main(gen + [str(over), *extra, "--out", str(out)]) == 2
         assert "above the limit of 10\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("k, p, edges", [
+    (2000, 1000, 1_999_000), (65536, 32768, 2_147_450_880),
+], ids=["k2000-p1000", "k65536-p32768"])
+def test_gen_hgraph_stops_at_the_edge_limit(tmp_path, capsys, k, p, edges):
+    """A cycle power within the color limit but above MAX_EDGES edges is
+    refused before it is generated or written."""
+    out = tmp_path / "dense.hg"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "hgraph", "cycle-power", "--k", str(k), "--p",
+                     str(p), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: target has {edges} edges, above the limit of 1000000\n")
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+def test_gen_hgraph_edge_limit_is_inclusive(tmp_path, monkeypatch, capsys):
+    """At generators.MAX_EDGES edges (C15, and K6 = C6^3 with its three
+    edges at distance 3) gen writes the target; one edge above (C16, and
+    K7 = C7^3) it exits 2 and writes nothing; the limit is read per call."""
+    monkeypatch.setattr(generators, "MAX_EDGES", 15)
+    out = tmp_path / "c.hg"
+    for k, p, edges in ((6, 3, 15), (15, 1, 15), (16, 1, 16), (7, 3, 21)):
+        code = main(["gen", "hgraph", "cycle-power", "--k", str(k), "--p",
+                     str(p), "--out", str(out)])
+        if edges <= 15:
+            assert code == 0
+            assert parse_hgraph(out.read_text())[0].edge_count() == edges
+            out.unlink()
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: target has {edges} edges, above the limit of 15\n")
+            assert not out.exists()
 
 
 def test_gen_instance_on_a_target_without_vertices(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (CERT_BUDGET, ForbidRequest, certify_forbid,
-                         cycle_frame, forbid, forbid_linear_system,
+                         construct, cycle_frame, forbid, forbid_linear_system,
                          forbid_monomial, minimal_subrequest)
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.gf2 import Gf2Poly, poly_local
@@ -188,7 +188,7 @@ def test_linear_system_c6_paper_solution(c6):
         if pair in chosen:
             want ^= 1
     assert want == 1
-    res = forbid_linear_system(req, 2)
+    res = forbid_linear_system(req)
     assert res is not None and res.degree == 2 and res.method == "linear-system"
     # the dedicated construction satisfies the same linear constraints
     c6_poly = forbid(req).poly
@@ -198,7 +198,7 @@ def test_linear_system_c6_paper_solution(c6):
 def test_linear_system_agrees_with_c6_on_pinned_tuples(c6):
     req = full_request(c6, (0, 2, 4))
     a = forbid(req).poly
-    b = forbid_linear_system(req, 2).poly
+    b = forbid_linear_system(req).poly
     v_all = c6.full_mask
     for tup in itertools.product(range(6), repeat=3):
         pinned = tup == (0, 2, 4) or common_neighbors(c6, mask_of(tup), req.l_mask)
@@ -208,7 +208,7 @@ def test_linear_system_agrees_with_c6_on_pinned_tuples(c6):
 
 
 def test_linear_system_k4_rainbow(k4):
-    res = forbid_linear_system(full_request(k4, (0, 1, 2, 3)), 3)
+    res = forbid_linear_system(full_request(k4, (0, 1, 2, 3)))
     assert res is not None and res.degree == 3
 
 
@@ -223,19 +223,28 @@ def test_linear_system_guaranteed_in_bounded_degree_regime():
     f_list = mask_of([0, 1, 4])  # pairwise incomparable, contains the tuple
     l_mask = mask_of([0, 1, 4])
     req = ForbidRequest(hg, l_mask, (f_list,) * 3, (0, 1, 2), (0, 1, 4))
-    res = forbid_linear_system(req, 2)
+    res = forbid_linear_system(req)
     assert res is not None and res.degree == 2
     assert forbid(req).degree == 2
 
 
-def test_linear_system_narrow_request_delegates(c6):
-    res = forbid_linear_system(full_request(c6, (0, 3)), 3)
-    assert res.method == "monomial" and res.degree == 2
-
-
 def test_linear_system_validates_width(c6):
-    with pytest.raises(ValueError):
-        forbid_linear_system(full_request(c6, (0, 2, 4)), 1)
+    """The system's degree is the width less one, so a width-1 request,
+    which would ask for degree 0, is refused."""
+    with pytest.raises(ValueError, match="^width must be at least 2$"):
+        forbid_linear_system(full_request(c6, (0,)))
+
+
+def test_construct_falls_back_to_the_monomial(monkeypatch, k4):
+    """A linear-system request whose system has no solution gets the
+    certified plain monomial, of degree equal to the width."""
+    req = full_request(k4, (0, 1, 2, 3))
+    monkeypatch.setattr(forbid_module, "shadow_solution", lambda *args: None)
+    assert forbid_linear_system(req) is None
+    res = construct(req, "linear-system")
+    assert (res.method, res.degree) == ("monomial", req.width)
+    assert res.poly == Gf2Poly.product_of_vars(zip(req.verts, req.colors))
+    assert certify_forbid(req, res.poly)
 
 
 def test_k4_rainbow_triple_monomial(k4):
@@ -612,17 +621,17 @@ def test_shadow_systems_match_reference(monkeypatch, c6, c13p2, k4):
             for f in req.lists:
                 size *= f.bit_count()
             for budget in (2_000_000, size - 1):
-                want = _forbid_outcome(reference_linear_system, req, d, budget)
+                want = _forbid_outcome(reference_linear_system, req, budget)
                 monkeypatch.setattr(forbid_module, "CERT_BUDGET", budget)
-                assert _forbid_outcome(forbid_linear_system, req, d) == want, \
+                assert _forbid_outcome(forbid_linear_system, req) == want, \
                     (req, budget)
                 key = "None" if want is None else want[0]
                 seen[key] = seen.get(key, 0) + 1
             done += 1
-    # no request with incomparable lists has met an inconsistent system, so
-    # None is compared wherever it occurs but has no minimum
+    # the system's degree is the width less one, so no request falls back to
+    # the monomial, and width-2 requests meet inconsistent systems (None)
     mins = {"probe cases": 150, "probe unsolvable": 5, "linear-system": 120,
-            "monomial": 50, "ValueError": 200, "BudgetExceededError": 150}
+            "None": 10, "ValueError": 200, "BudgetExceededError": 150}
     assert all(seen.get(key, 0) >= least for key, least in mins.items()), \
         sorted(seen.items())
 

@@ -285,6 +285,8 @@ def test_dominant_subset_is_incomparable():
     (lambda: validate_instance(Instance(Graph.from_edges(2, []), (1, 0b100)),
                                Graph.from_edges(2, [])),
      "list of vertex 1 mentions unknown colors"),
+    (lambda: Instance(Graph.from_edges(2, []), (1, 1), 0b100),
+     "cover vertex out of range"),
 ])
 def test_graph_and_instance_input_checks(build, message):
     with pytest.raises(ValueError) as err:

@@ -425,54 +425,47 @@ def test_kernels_that_keep_everything_share_the_input_graph(k4,
     assert got == reference_restrict(inst, cover, kept)
 
 
-def test_an_equal_kernel_shares_the_last_kernel_graph(k4, k4_ladder,
+def test_an_equal_kernel_is_decided_without_a_search(k4, k4_ladder,
                                                      searches):
     """On the K4 ladder rungs where both kernels drop vertices, the poly
-    kernel after the marking one is built on the marking kernel's `Graph`,
-    and `decide` on the two kernels makes one search.  Built afresh, the
-    poly kernel's report is the same."""
+    kernel equals the marking one on a graph of its own, and `decide` on it
+    after `decide` on the marking kernel builds no `_Search`.  Built afresh,
+    the poly kernel's report is the same."""
     dropped = 0
     for inst in k4_ladder:
-        vars(inst.graph).pop("_restricted", None)
-        try:
-            marking = kernel_marking(inst, k4)
-            if marking.kernel.graph is inst.graph:
-                continue
-            poly = kernel_poly(inst, k4)
-            assert poly.kernel.graph is marking.kernel.graph
-            searches.clear()
-            assert decide(poly.kernel, k4) == decide(marking.kernel, k4)
-            assert len(searches) == 1
-            del vars(inst.graph)["_restricted"]
-            fresh = kernel_poly(inst, k4)
-            assert fresh == poly and fresh.kernel.graph is not poly.kernel.graph
-            dropped += 1
-        finally:
-            vars(inst.graph).pop("_restricted", None)
+        marking = kernel_marking(inst, k4)
+        if marking.kernel.graph is inst.graph:
+            continue
+        poly = kernel_poly(inst, k4)
+        assert poly.kernel == marking.kernel
+        assert poly.kernel.graph is not marking.kernel.graph
+        searches.clear()
+        assert decide(poly.kernel, k4) == decide(marking.kernel, k4)
+        assert len(searches) == 1
+        kernels._minimal_memo.cache_clear()
+        assert kernel_poly(inst, k4) == poly
+        dropped += 1
     assert dropped == 2, dropped
 
 
 def test_restrict_builds_afresh_for_another_cover_or_picks(k4_reductions):
-    """A repeat of the last (cover, kept edges) on a graph shares its kernel
-    `Graph` and reads the lists of the instance at hand; another cover or
-    other picks get a new graph, built as `reference_restrict` builds it."""
+    """Each call builds its kernel as `reference_restrict` builds it, with
+    the lists of the instance at hand: for the same kept edges split over
+    other picks, for other lists, and for another cover or other picks."""
     from oracle import reference_restrict
     inst = k4_reductions[0]
     g, cover = inst.graph, inst.cover
     outside = bit_list(g.full_mask & ~cover)
     kept = {v: g.adj[v] for v in outside[:-1]}
-    vars(g).pop("_restricted", None)
     first = _restrict(inst, cover, [(m, v) for v, m in kept.items()])
     assert first == reference_restrict(inst, cover, kept)
     # the same union of edges, split over other picks
     split = [(m & -m, v) for v, m in kept.items()] + \
         [(m & m - 1, v) for v, m in kept.items()]
-    again = _restrict(inst, cover, split)
-    assert again == first and again[0].graph is first[0].graph
+    assert _restrict(inst, cover, split) == first
     relisted = Instance._built(g, tuple(m ^ (m & -m) or m
                                         for m in inst.lists), cover)
     got = _restrict(relisted, cover, split)
-    assert got[0].graph is first[0].graph
     assert got == reference_restrict(relisted, cover, kept)
     assert got[0].lists != first[0].lists
     fewer = dict(kept)
@@ -481,19 +474,17 @@ def test_restrict_builds_afresh_for_another_cover_or_picks(k4_reductions):
     for case, other in ((cover, fewer), (wider, kept), (cover, kept)):
         built = _restrict(inst, case, [(m, v) for v, m in other.items()])
         assert built == reference_restrict(inst, case, other)
-        assert built[0].graph is not first[0].graph
-        first = built
-    vars(g).pop("_restricted", None)
 
 
 def test_a_restricted_kernel_keeps_no_graph_alive():
-    """The input graph holds its last kernel graph, and neither keeps the
-    other alive once the caller drops them."""
+    """After a kernel and a `decide` on it, neither the input graph nor the
+    kernel graph stays alive once the caller drops them."""
     hg = Graph.from_edges(2, [(0, 1)])
     g = Graph.from_edges(4, [(0, 1), (2, 0), (3, 0)])
     report = kernel_marking(Instance(g, (3, 3, 3, 3), cover=mask_of([0, 1])),
                             hg)
-    assert report.vertices_out == 3 and vars(g)["_restricted"]
+    assert report.vertices_out == 3
+    assert decide(report.kernel, hg)[0] is True
     graph_ref, kernel_ref = weakref.ref(g), weakref.ref(report.kernel.graph)
     del g, report
     assert graph_ref() is None and kernel_ref() is None

@@ -15,8 +15,9 @@ from lhom.formats import write_hgraph
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.graphs import Graph
 from lhom.invariants import LowerBoundStructure, compute_d_star, find_lbs
-from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
-                             reduce_sat, variable_gadget_states)
+from lhom.reductions import (_splice, build_comp, build_neq,
+                             build_variable_gadget, reduce_sat,
+                             variable_gadget_states)
 from lhom.solver import decide, enumerate_restricted
 
 from oracle import brute_sat, has_edge, random_graph
@@ -361,3 +362,35 @@ def test_gadget_outcomes_are_pinned():
     assert len(kinds) == 9 and min(kinds.values()) >= 5, kinds
     assert digest.hexdigest() == (
         "043b4a59e61501e149da25c72ca5c0def4970b10a1562cb65d24bf79732ac60f")
+
+
+def test_a_third_variable_state_fails_certification(monkeypatch, k4, k4_lbs):
+    """The variable gadget is certified on its restrictions: with fresh
+    builder caches, a third state seen by `enumerate_restricted` makes
+    `build_variable_gadget` raise."""
+    for builder in (build_neq, build_comp, build_variable_gadget):
+        builder.cache_clear()
+    real = reductions.enumerate_restricted
+    seen = []
+
+    def with_a_third_state(inst, hg, targets):
+        got = real(inst, hg, targets)
+        if len(targets) > 2:  # the variable gadget's, not a pair gadget's
+            got.add(tuple(reversed(max(got))))
+            seen.append(len(got))
+        return got
+
+    monkeypatch.setattr(reductions, "enumerate_restricted", with_a_third_state)
+    with pytest.raises(CertificationError,
+                       match="differ from the two admissible states"):
+        build_variable_gadget(k4, k4_lbs)
+    assert seen == [3]
+
+
+def test_splice_checks_the_lists_of_its_join_points():
+    """A part joins where the lists agree, and a disagreement raises."""
+    lists, edges = [1, 2], [(0, 1)]
+    _splice(lists, edges, [1, 4, 2], [(0, 1), (1, 2)], (0, 2), (0, 1))
+    assert (lists, edges) == ([1, 2, 4], [(0, 1), (0, 2), (2, 1)])
+    with pytest.raises(ValueError, match="^join points disagree on lists$"):
+        _splice(lists, edges, [1, 4, 3], [(0, 1), (1, 2)], (0, 2), (0, 1))

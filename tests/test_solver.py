@@ -6,6 +6,7 @@ import pytest
 
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError
+from lhom.formats import parse_instance, write_instance
 from lhom import solver
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
@@ -414,15 +415,39 @@ def _fresh(inst, hg):
 def test_decide_matches_a_fresh_search_twice(c6, c13p2, k4, k4_ladder,
                                               searches):
     """Every pinned case, decided twice in a row, reads what a fresh search
-    reads; a kernel that kept its rung's graph and lists searches no more."""
+    reads; a case equal to the one before it (a kernel that kept its rung,
+    or a poly kernel equal to its marking one) searches no more."""
     cases = _pinned_cases(c6, c13p2, k4, k4_ladder)
     wants = [_fresh(inst, hg) for inst, hg in cases]
     searches.clear()
     for (inst, hg), want in zip(cases, wants):
         assert decide(inst, hg) == want
         assert decide(inst, hg) == want
-    distinct = {(id(inst.graph), inst.lists) for inst, _ in cases}
-    assert len(searches) == len(distinct) < len(cases)
+    keys = [(inst.graph.adj, inst.lists, hg.adj) for inst, hg in cases]
+    repeats = sum(a == b for a, b in zip(keys, keys[1:]))
+    assert len(searches) == len(cases) - repeats == len(set(keys))
+    assert repeats > 0
+
+
+def test_decide_answers_an_equal_instance_parsed_again(k4, searches):
+    """Two parses of one text are two graphs with equal content: one
+    search answers both."""
+    text = write_instance(gen_instance(k4, 30, 4, 7, "planted-yes"), k4.n)
+    first, second = parse_instance(text)[0], parse_instance(text)[0]
+    assert first.graph is not second.graph
+    assert decide(second, k4) == decide(first, k4)
+    assert len(searches) == 1
+
+
+def test_decide_keeps_one_answer(c6, searches):
+    """decide on A, then B, then A searches three times: only the last
+    answer is kept."""
+    a = gen_instance(c6, 40, 4, 3, "planted-yes")
+    b = gen_instance(c6, 40, 4, 4, "random")
+    wants = [_fresh(inst, c6) for inst in (a, b)]
+    searches.clear()
+    assert [decide(inst, c6) for inst in (a, b, a)] == wants + wants[:1]
+    assert len(searches) == 3
 
 
 def test_decide_sees_lists_and_targets_changed_in_place(c5, searches):
