@@ -228,6 +228,17 @@ def test_linear_system_guaranteed_in_bounded_degree_regime():
     assert forbid(req).degree == 2
 
 
+def test_linear_system_narrow_request_delegates(c6):
+    """A width-2 request asks a degree-1 system.  Forbidding (0, 2) on C6
+    with L = {3, 5} pins x0 = x4 = x2 against x0 + x2 = 1, so the system
+    has no solution and the route delegates to the degree-2 monomial."""
+    req = full_request(c6, (0, 2), mask_of([3, 5]))
+    assert forbid_linear_system(req) is None
+    res = construct(req, "linear-system")
+    assert (res.method, res.degree) == ("monomial", 2)
+    assert certify_forbid(req, res.poly)
+
+
 def test_linear_system_validates_width(c6):
     """The system's degree is the width less one, so a width-1 request,
     which would ask for degree 0, is refused."""
