@@ -227,9 +227,7 @@ def _cmd_gen(args) -> int:
             raise FormatError(f"target has {h} colors, above the limit of "
                               f"{formats.MAX_COLORS}")
         if cycle:
-            # k edges at each distance up to p, but k / 2 at distance k / 2
-            d = min(args.p, args.k // 2)
-            edges = args.k * d - (args.k // 2 if 2 * d == args.k else 0)
+            edges = generators.cycle_power_edges(args.k, args.p)
             if edges > generators.MAX_EDGES:
                 raise FormatError(f"target has {edges} edges, above the limit"
                                   f" of {generators.MAX_EDGES}")

@@ -36,6 +36,11 @@ class SplitMix64:
         return self.below(den) < num
 
 
+def cycle_power_edges(k: int, p: int) -> int:
+    """The edges of C_k^p: k at each distance up to p, at most K_k's."""
+    return min(k * p, k * (k - 1) // 2)
+
+
 def gen_cycle_power(k: int, p: int) -> Graph:
     """The p-th power of the k-cycle: u ~ v iff cyclic distance <= p."""
     if k < 3 or p < 1:

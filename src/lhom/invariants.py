@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .bitset import bit_list, iter_bits, mask_of
-from .generators import gen_cycle_power
+from .generators import cycle_power_edges, gen_cycle_power
 from .gf2 import shadow_solution
 from .graphs import Graph, common_neighbors, incomparable
 
@@ -348,8 +348,9 @@ def cycle_frame(g: Graph) -> tuple[int, ...] | None:
 
 @lru_cache(maxsize=256)
 def _is_cycle_power(g: Graph, k: int, p: int) -> bool:
-    # the order test first: a hint with a huge k builds nothing
-    return g.n == k and g == gen_cycle_power(k, p)
+    # order and edge count first, so a hint naming another graph builds none
+    return (g.n == k and g.edge_count() == cycle_power_edges(k, p)
+            and g == gen_cycle_power(k, p))
 
 
 def special_construction(hg: Graph,

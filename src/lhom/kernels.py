@@ -87,7 +87,7 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
         return (Instance._built(inst.graph, tuple(inst.lists), cover),
                 tuple(range(inst.graph.n)))
     kept = tuple(bit_list(kept_mask))
-    index = {v: i for i, v in enumerate(kept)}
+    place = {v: i for i, v in enumerate(kept)}
     dropped = ~kept_mask
     low = (dropped & -dropped).bit_length() - 1
     same = (1 << low) - 1
@@ -95,17 +95,17 @@ def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
     def moved(mask: int) -> int:
         out = mask & same
         for u in iter_bits(mask & ~same):
-            out |= 1 << index[u]
+            out |= 1 << place[u]
         return out
 
     rows = [adj[v] & cover if cover >> v & 1 else 0 for v in kept]
     if cover & ~same:
         rows = list(map(moved, rows))
     for v, nbrs in kept_nbrs.items():
-        i = index[v]
+        i = place[v]
         for u in iter_bits(nbrs):
-            rows[i] |= 1 << index[u]
-            rows[index[u]] |= 1 << i
+            rows[i] |= 1 << place[u]
+            rows[place[u]] |= 1 << i
     return (Instance._built(Graph._built(len(kept), tuple(rows)),
                             tuple(inst.lists[v] for v in kept), moved(cover)),
             kept)
@@ -231,10 +231,10 @@ _minimal_memo = functools.lru_cache(maxsize=32)(_minimal_tuples)
 
 
 def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
-               index: dict[int, int], list_vars: int,
                cycle_power: tuple[int, int] | None):
     """`kernel_poly`'s rows, picks, tuple count and degree; a monomial's colors
-    are in the reduced lists, so only a route row can hold a list variable.
+    are in the reduced lists, so only a route row can hold a list variable,
+    and it drops a degree-1 one (a color off its position's reduced list).
     r colors have no common neighbor in L only if r * M(L) >= |L|."""
     h, adj, full = hg.n, hg.adj, hg.full_mask
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
@@ -266,7 +266,8 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                 subsets[combo] = data = (mask_of(combo),
                                          math.prod(map(len, cands)),
                                          routes[len(combo)],
-                                         [1 << index[u] * h for u in combo],
+                                         [1 << (cover & (1 << u) - 1)
+                                          .bit_count() * h for u in combo],
                                          set())
             x_mask, size, route, bits, placed = data
             if not route:
@@ -287,10 +288,10 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                     continue
                 placed.add(canon.poly)
                 degree = max(degree, canon.degree)
-                row = [sum(bits[pos] << color for pos, color in mono)
-                       for mono in canon.poly.monomials]
-                rows.append([mono for mono in row
-                             if not mono & list_vars or mono & mono - 1])
+                rows.append([sum(bits[pos] << color for pos, color in mono)
+                             for mono in canon.poly.monomials
+                             if len(mono) > 1 or all(f_lists[pos] >> color & 1
+                                                     for pos, color in mono)])
                 picks.append((x_mask, v))
     return rows, picks, tuples, degree
 
@@ -321,18 +322,13 @@ def kernel_poly(inst: Instance, hg: Graph,
     if 0 in inst.lists:
         return _trivial_no_kernel(inst, "poly", k)
     c = compute_c_star(hg).value
-    h, full = hg.n, hg.full_mask
-    index = {u: i for i, u in enumerate(bit_list(cover))}
-
+    h = hg.n
     # a color c missing from a cover vertex u's list gives the unit row
     # y[u, c]; the basis would keep all of these ahead of the other rows, so
     # they bypass it, and their degree-1 monomials leave every other row
-    list_vars = 0
-    for v, i in index.items():
-        list_vars |= (full & ~red.lists[v]) << i * h
-    n_list = list_vars.bit_count()
-    rows, picks, tuples, degree = _poly_rows(
-        red, hg, cover, c, index, list_vars, cycle_power)
+    n_list = k * h - sum(map(int.bit_count,
+                             map(red.lists.__getitem__, bit_list(cover))))
+    rows, picks, tuples, degree = _poly_rows(red, hg, cover, c, cycle_power)
     kept_idx = extract_basis(rows, m=k * h, d=degree)
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)

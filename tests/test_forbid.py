@@ -366,8 +366,10 @@ def test_stated_degree_is_the_real_degree(c6, c13p2, k4):
 
 
 def test_a_huge_hint_builds_no_cycle_power(c13p2, monkeypatch):
-    """The order test comes first, so a hint naming a huge cycle is turned
-    down without building it."""
+    """The order and edge-count tests come first, so a hint naming a huge
+    cycle power is turned down without building it: one of another order,
+    or one of the target's order (2,000 colors, p = 300) on a target of 3
+    edges."""
     import lhom.invariants as invariants
 
     def refuse(k, p):
@@ -376,6 +378,9 @@ def test_a_huge_hint_builds_no_cycle_power(c13p2, monkeypatch):
     monkeypatch.setattr(invariants, "gen_cycle_power", refuse)
     assert invariants._is_cycle_power(c13p2, 10**6, 2) is False
     assert invariants.special_construction(c13p2, (10**6, 2)) is None
+    sparse = Graph.from_edges(2000, [(0, 1), (1, 2), (2, 3)])
+    assert invariants._is_cycle_power(sparse, 2000, 300) is False
+    assert invariants.special_construction(sparse, (2000, 300)) is None
 
 
 def test_forbid_shrinks_padded_tuples(c6):

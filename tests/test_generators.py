@@ -2,8 +2,8 @@ import pytest
 
 from lhom.bitset import bit_list
 from lhom.formats import write_hgraph, write_instance
-from lhom.generators import (SplitMix64, gen_cycle_power, gen_instance,
-                             gen_subdivided_star)
+from lhom.generators import (SplitMix64, cycle_power_edges, gen_cycle_power,
+                             gen_instance, gen_subdivided_star)
 from lhom.graphs import Graph, Instance
 from lhom.invariants import all_essential_sets, compute_c_star
 from lhom.solver import decide
@@ -31,7 +31,8 @@ def test_cycle_power_distance_rule():
 
 def test_cycle_power_matches_the_distance_definition():
     """The generator against every pair at cyclic distance <= p, graph and
-    written file alike, for k in 3..30 and p in 1..k+1 (K4 is (4, 2))."""
+    written file alike, for k in 3..30 and p in 1..k+1 (K4 is (4, 2)), and
+    `cycle_power_edges` against the edges of each."""
     for k in range(3, 31):
         for p in range(1, k + 2):
             want = Graph.from_edges(k, [
@@ -40,6 +41,7 @@ def test_cycle_power_matches_the_distance_definition():
             got = gen_cycle_power(k, p)
             assert got == want and write_hgraph(got) == write_hgraph(want), \
                 (k, p)
+            assert cycle_power_edges(k, p) == want.edge_count(), (k, p)
     assert gen_cycle_power(4, 2).edge_count() == 6
 
 

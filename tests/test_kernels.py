@@ -388,6 +388,35 @@ def test_poly_matches_reference_enumeration(monkeypatch, c5, c6, c13p2, k4,
         (cases, raised, smaller)
 
 
+def test_route_rows_drop_their_off_list_variables(monkeypatch):
+    """On P5 and C4 the width-2 route is the linear system, whose
+    polynomials have degree-1 monomials; some name a color missing from
+    their position's reduced list.  `_poly_rows` drops those (the list row
+    of that variable spans them), and the report equals the reference's,
+    which keeps them and the list rows in one basis."""
+    from oracle import reference_kernel_poly
+    spied = []
+
+    def spy(req, route):
+        result = construct(req, route)
+        spied.append(sum(len(mono) == 1 and not all(
+            req.lists[pos] >> color & 1 for pos, color in mono)
+            for mono in result.poly.monomials))
+        return result
+
+    monkeypatch.setattr(kernels, "construct", spy)
+    p5 = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
+    c4 = gen_cycle_power(4, 1)
+    for hg in (p5, c4):
+        spied.clear()
+        for k, seed in itertools.product((2, 3), range(1, 6)):
+            inst = gen_instance(hg, 20, k, seed, "random")
+            got, want = kernel_poly(inst, hg), reference_kernel_poly(inst, hg)
+            assert dataclasses.replace(got, constraints_total=0) == \
+                dataclasses.replace(want, constraints_total=0), (hg.n, k, seed)
+        assert sum(spied) >= 1, hg.n
+
+
 def test_kernels_that_keep_everything_share_the_input_graph(k4,
                                                             k4_reductions):
     """A kernel that keeps every vertex and edge of a K4 reduction is the
