@@ -17,7 +17,7 @@ from . import formats, generators, invariants, kernels, reductions
 from .bitset import mask_of
 from .errors import BudgetExceededError, CertificationError, FormatError
 from .forbid import ForbidRequest, forbid
-from .graphs import Graph, Instance, is_incomparable_set
+from .graphs import Graph, Instance, incomparable
 from .solver import decide
 
 SCHEMA = "lhom/1"
@@ -134,14 +134,11 @@ def _parse_colors(text: str, h: int, what: str) -> list[int]:
 
 
 def _default_list_for(hg: Graph, color: int) -> int:
-    mask = 1 << color
+    kept = [color]  # no color is incomparable with itself, so none repeats
     for v in range(hg.n):
-        if v == color:
-            continue
-        trial = mask | 1 << v
-        if is_incomparable_set(hg, trial):
-            mask = trial
-    return mask
+        if all(incomparable(hg, v, u) for u in kept):
+            kept.append(v)
+    return mask_of(kept)
 
 
 def _cmd_forbid(args) -> int:

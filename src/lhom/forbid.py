@@ -32,8 +32,8 @@ CERT_BUDGET = 2_000_000  # the most tuples that one certification may scan
 # `_boxes` keeps the h boxes of a (target, width r), h^r bits each, only
 # when their h^(r+1) bits are at most BOX_CAP.  That admits C19^3 at width
 # 4, the widest table the budget gives it (19^5 = 2,476,099 bits),
-# and bounds its 16 keys by 8 MiB; a larger key's boxes are built for its
-# one table and dropped.
+# and bounds its 16 keys by 8 MiB; a larger key's boxes are built one at a
+# time for its one table and dropped.
 BOX_CAP = 1 << 22
 
 
@@ -198,15 +198,15 @@ def _table(target: Graph, verts: tuple[int, ...],
     if not {v for v, _ in poly.variables} <= set(verts):
         return None
     r = len(verts)
-    values = _transform(poly, verts, (target.full_mask,) * r,
-                        [target.n ** i for i in range(r)])
-    boxes = (_boxes if target.n ** (r + 1) <= BOX_CAP
-             else _boxes.__wrapped__)(target, r)
+    lists, strides = (target.full_mask,) * r, [target.n ** i for i in range(r)]
+    values = _transform(poly, verts, lists, strides)
+    boxes = (_boxes(target, r) if target.n ** (r + 1) <= BOX_CAP
+             else (_box(near, lists, strides, 1) for near in target.adj))
     return values, mask_of(w for w, box in enumerate(boxes) if values & box)
 
 
 # at most maxsize keys, each of at most BOX_CAP bits: `_table` builds a
-# larger key's boxes through __wrapped__, past the memo
+# larger key's boxes one at a time, past the memo
 @functools.lru_cache(maxsize=16)
 def _boxes(target: Graph, r: int) -> tuple[int, ...]:
     """N(w)^r for each color w, as tuples of V(H)^r indexed as in `_table`;
@@ -325,8 +325,8 @@ def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
         return route if width == 3 else None
     if route == "cycle-power" and width == cycle_power[1] + 1:
         return route
-    c = compute_c_star(hg).value
-    return ("linear-system" if 2 <= width == c
+    return ("linear-system" if width >= 2
+            and width == (c := compute_c_star(hg).value)
             and compute_d_star(hg)[0] == c - 1 else None)
 
 

@@ -10,15 +10,16 @@ A polynomial computes the set of its variables once (`variables`).
 The elimination routines work on packed rows.  For `extract_basis` a
 monomial is an int with one bit per variable (the kernel gives the variable
 y[u, c] the bit index(u) * h + c), so its degree is its bit count, and a
-row is the list of its monomials.  `shadow_solution` solves the shadow
-systems behind forbidding polynomials.
+row is the list of its monomials.  The basis takes no degree (its caller
+reads it off the rows) and numbers its columns from the sparsest rows
+first.  `shadow_solution` solves the shadow systems behind forbidding
+polynomials.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -88,25 +89,26 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
     return Gf2Poly(frozenset(monos))
 
 
-def extract_basis(rows: Sequence[Sequence[int]], m: int, d: int) -> list[int]:
+def extract_basis(rows: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a streaming GF(2) row basis of the given polynomials.
 
     Each row is a polynomial given as the list of its monomials, each
     monomial an int with one bit per variable (module docstring); a
-    monomial listed twice cancels.  Columns are monomials of degree at most
-    d over m variables; a row is kept iff it is independent of the kept
-    prefix, so earlier indices are always preferred.  The selection size
-    can never exceed the dimension sum_{i<=d} C(m, i).
+    monomial listed twice cancels.  A row is kept iff it is independent of
+    the rows before it, so earlier indices are always preferred.  That does
+    not depend on how the columns are numbered, so they are numbered from
+    the sparsest rows first (a stable sort): a wide row takes the high
+    columns, and the pivots of the narrow rows stay narrow.
     """
     col_index: dict[int, int] = {}
+    for mono in itertools.chain.from_iterable(sorted(rows, key=len)):
+        col_index.setdefault(mono, len(col_index))
     pivots: dict[int, int] = {}
     kept: list[int] = []
     for idx, monos in enumerate(rows):
-        if max(map(int.bit_count, monos), default=0) > d:
-            raise ValueError(f"polynomial {idx} exceeds degree bound {d}")
         row = 0
         for mono in monos:
-            row ^= 1 << col_index.setdefault(mono, len(col_index))
+            row ^= 1 << col_index[mono]
         while row:
             top = row.bit_length() - 1
             if top not in pivots:
@@ -115,9 +117,6 @@ def extract_basis(rows: Sequence[Sequence[int]], m: int, d: int) -> list[int]:
         if row:
             pivots[row.bit_length() - 1] = row
             kept.append(idx)
-    bound = sum(math.comb(m, i) for i in range(d + 1))
-    if len(kept) > bound:
-        raise AssertionError("basis exceeded the degree-d dimension bound")
     return kept
 
 

@@ -232,7 +232,7 @@ _minimal_memo = functools.lru_cache(maxsize=32)(_minimal_tuples)
 
 def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                cycle_power: tuple[int, int] | None):
-    """`kernel_poly`'s rows, picks, tuple count and degree; a monomial's colors
+    """`kernel_poly`'s rows, picks and tuple count; a monomial's colors
     are in the reduced lists, so only a route row can hold a list variable,
     and it drops a degree-1 one (a color off its position's reduced list).
     r colors have no common neighbor in L only if r * M(L) >= |L|."""
@@ -242,7 +242,6 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
     subsets = {}  # cover subset -> mask, size, route, y[u, 0] bits, keys
     widths = {}  # L -> the fewest colors that can have no common nbr in L
     rows, picks, tuples = [], [], 0
-    degree = 1  # a list row has degree 1, as has an empty row set
     get_list = red.lists.__getitem__
     for v, l_mask, combos in _walk(red, cover, c):
         if l_mask not in widths:  # M(L) = max |L - N(a)| over colors a
@@ -274,7 +273,6 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                 new = [tup for tup in found if tup not in placed]
                 if new:
                     charge(size)
-                    degree = max(degree, len(combo))
                     placed.update(new)
                     rows += [[sum(map(operator.lshift, bits, tup))]
                              for tup in new]
@@ -287,13 +285,12 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                 if canon.poly in placed:
                     continue
                 placed.add(canon.poly)
-                degree = max(degree, canon.degree)
                 rows.append([sum(bits[pos] << color for pos, color in mono)
                              for mono in canon.poly.monomials
                              if len(mono) > 1 or all(f_lists[pos] >> color & 1
                                                      for pos, color in mono)])
                 picks.append((x_mask, v))
-    return rows, picks, tuples, degree
+    return rows, picks, tuples
 
 
 def kernel_poly(inst: Instance, hg: Graph,
@@ -315,6 +312,8 @@ def kernel_poly(inst: Instance, hg: Graph,
     i * h + color) with its (subset, vertex) pick.  The walk (`_poly_rows`)
     frees its state before a streaming GF(2) basis of the rows picks the
     outside vertices and edges that survive, and `_restrict` keeps them.
+    The degree d is read off the packed rows, and `bound_formula_ok` checks
+    the kept rows, list rows included, against sum_{i<=d} C(k * h, i).
     """
     red = reduce_lists(inst, hg)
     cover = cover_certificate(inst)
@@ -328,8 +327,10 @@ def kernel_poly(inst: Instance, hg: Graph,
     # they bypass it, and their degree-1 monomials leave every other row
     n_list = k * h - sum(map(int.bit_count,
                              map(red.lists.__getitem__, bit_list(cover))))
-    rows, picks, tuples, degree = _poly_rows(red, hg, cover, c, cycle_power)
-    kept_idx = extract_basis(rows, m=k * h, d=degree)
+    rows, picks, tuples = _poly_rows(red, hg, cover, c, cycle_power)
+    degree = max(map(int.bit_count, itertools.chain.from_iterable(rows)),
+                 default=1)  # a list row's degree, as an empty row set's
+    kept_idx = extract_basis(rows)
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)
     rank_bound = sum(math.comb(k * h, i) for i in range(degree + 1))

@@ -76,8 +76,10 @@ column index, every row's colors sorted, then the library's
 `solve_linear_system` (which `tests/test_gf2.py` checks on its own).
 `reference_linear_system` is `forbid_linear_system` on it, and scans
 every polynomial it returns.
-`reference_extract_basis` is `extract_basis` on `Gf2Poly` rows, with a
-column per distinct frozenset monomial.
+`reference_extract_basis` is `extract_basis` on `Gf2Poly` rows as it was
+before it numbered its columns from the sparsest rows: a column per
+distinct frozenset monomial in first-seen order, and the degree check and
+dimension assertion that its `d` and `m` fed.
 
 `reference_all_essential_sets` is `lhom.invariants.all_essential_sets` as
 it was before its DFS carried each prefix's neighborhoods: every candidate
@@ -90,6 +92,11 @@ full, and a replacement pattern is dropped only once its common neighborhood is 
 `compute_d_star` on it.  `reference_degree_probe` is `degree_probe` on
 `reference_d_star` and the reference shadow system: it solves every case
 and filters every c_star-set of colors.
+
+`reference_default_list` is the candidate list that `lhom forbid` gives a
+tuple color when no `--lists` are passed, as the CLI built it before it
+tested each new color against the kept colors only: every trial list is
+tested as a whole set, all of its pairs again.
 """
 
 from __future__ import annotations
@@ -1054,3 +1061,17 @@ def reference_kernel_poly(inst: Instance, hg: Graph,
         vertices_out=kernel.graph.n, edges_out=kernel.graph.edge_count(),
         bound_k=k, bound_formula_ok=retained <= rank_bound, vertex_map=vmap,
         constraints_total=len(polys), constraints_retained=retained)
+
+
+def reference_default_list(hg: Graph, color: int) -> int:
+    """color, then each other color whose addition keeps the list pairwise
+    incomparable, the whole trial list tested each time."""
+    mask = 1 << color
+    for v in range(hg.n):
+        if v == color:
+            continue
+        trial = mask | 1 << v
+        if all(incomparable(hg, a, b)
+               for a, b in itertools.combinations(bit_list(trial), 2)):
+            mask = trial
+    return mask

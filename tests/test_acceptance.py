@@ -214,7 +214,7 @@ def test_criterion_5_basis_bound():
                 monos.append(frozenset(
                     (rng.below(m), 1) for _ in range(1 + rng.below(d))))
             polys.append(Gf2Poly(frozenset(monos)))
-        kept = extract_basis(packed_rows(polys), m=m, d=d)
+        kept = extract_basis(packed_rows(polys))
         bound = sum(math.comb(m, i) for i in range(d + 1))
         ok &= len(kept) <= bound
         if m <= 12:

@@ -11,7 +11,7 @@ from lhom import formats, generators, solver
 from lhom.cli import main
 from lhom.formats import (parse_hgraph, parse_instance, write_hgraph,
                           write_instance)
-from lhom.generators import gen_cycle_power, gen_instance
+from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
 from lhom.kernels import kernelize
 from lhom.solver import _Search
@@ -221,6 +221,25 @@ def test_forbid_rejects_non_integer_color(c6_file, capsys, option, what):
     assert main(["forbid", "--target", c6_file,
                  *[arg for pair in args.items() for arg in pair]]) == 2
     assert f"{what} color 'x' is not an integer" in capsys.readouterr().err
+
+
+def test_default_list_matches_reference():
+    """`lhom forbid`'s default candidate list, each new color tested against
+    the kept colors only, against the rule that tested every trial list as
+    a whole set (`reference_default_list`): seeded random targets, looped
+    ones included, and C13^2, for every color."""
+    from lhom.cli import _default_list_for
+    from oracle import random_graph, reference_default_list
+    rng = SplitMix64(37)
+    targets = [gen_cycle_power(13, 2)] + [
+        random_graph(rng, 3 + rng.below(12), 1 + rng.below(3), 4,
+                     trial % 3, 2) for trial in range(60)]
+    assert any(hg.loops for hg in targets)
+    assert any(not hg.loops for hg in targets)
+    for hg in targets:
+        for color in range(hg.n):
+            assert _default_list_for(hg, color) == \
+                reference_default_list(hg, color), (hg, color)
 
 
 def test_reduce_sat_pipeline(tmp_path, k4_file, capsys):

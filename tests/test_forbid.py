@@ -941,6 +941,44 @@ def test_box_memo_is_capped():
     assert info.currsize == 0 and info.misses == 0, info
 
 
+def test_over_cap_boxes_are_built_one_at_a_time():
+    """On C600 a width-2 table fits the budget (600^2 tuples) but its boxes
+    do not fit BOX_CAP (600^3 bits).  All 600 boxes of 360,000 bits built
+    at once took the certification of a 2-color-list request to a 13.9 MiB
+    peak; built one at a time, none kept, it stays under 1 MiB."""
+    import tracemalloc
+
+    from lhom.forbid import BOX_CAP, _boxes, _table
+    c600 = gen_cycle_power(600, 1)
+    assert 600 ** 2 <= CERT_BUDGET and 600 ** 3 > BOX_CAP
+    req = ForbidRequest(c600, c600.full_mask,
+                        (mask_of([0, 2]), mask_of([3, 5])), (0, 1), (0, 3))
+    res = forbid_monomial(req)
+    _table.cache_clear()
+    _boxes.cache_clear()
+    tracemalloc.start()
+    try:
+        assert certify_forbid(req, res.poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert _boxes.cache_info().currsize == 0
+
+
+def test_width_one_route_reads_no_c_star(c13p2, monkeypatch):
+    """A width-1 request can only get the monomial, so `forbid_route` gives
+    it None before it reads c_star, which on a large target costs the
+    whole all-essential family."""
+    def refuse(hg):
+        raise AssertionError("c_star was computed")
+
+    monkeypatch.setattr(forbid_module, "compute_c_star", refuse)
+    res = forbid(full_request(c13p2, (0,)), cycle_power=(13, 2))
+    assert (res.method, res.degree, str(res.poly)) == ("monomial", 1,
+                                                      "y[0,0]")
+
+
 def test_certification_outcomes_are_pinned():
     """(degree, monomial count, certify_forbid verdict) of `forbid` on the
     dominating request family of C13^2 and C19^3, hashed in a fixed order:

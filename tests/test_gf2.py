@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -117,13 +118,8 @@ def test_extract_basis_duplicate_rows():
     y1, y2, y3 = (bool_poly([{i}]) for i in (1, 2, 3))
     y12, y23, y13 = (Gf2Poly.sum_of(pair) for pair in
                      ((y1, y2), (y2, y3), (y1, y3)))
-    assert extract_basis(packed_rows([y1, y1, y12]), m=4, d=1) == [0, 2]
-    assert extract_basis(packed_rows([y12, y23, y13]), m=4, d=1) == [0, 1]
-
-
-def test_extract_basis_degree_check():
-    with pytest.raises(ValueError):
-        extract_basis(packed_rows([bool_poly([{0, 1, 2}])]), m=4, d=2)
+    assert extract_basis(packed_rows([y1, y1, y12])) == [0, 2]
+    assert extract_basis(packed_rows([y12, y23, y13])) == [0, 1]
 
 
 def test_extract_basis_rank_bound_random():
@@ -133,7 +129,7 @@ def test_extract_basis_rank_bound_random():
     for _ in range(500):
         monos = [{rng.below(m), rng.below(m)} for _ in range(1 + rng.below(3))]
         polys.append(bool_poly(monos))
-    kept = extract_basis(packed_rows(polys), m=m, d=d)
+    kept = extract_basis(packed_rows(polys))
     assert len(kept) <= sum(math.comb(m, i) for i in range(d + 1)) == 56
 
 
@@ -146,7 +142,7 @@ def test_extract_basis_preserves_solution_set():
             monos = [{rng.below(m) for _ in range(1 + rng.below(2))}
                      for _ in range(1 + rng.below(3))]
             polys.append(bool_poly(monos))
-        kept = set(extract_basis(packed_rows(polys), m=m, d=3))
+        kept = set(extract_basis(packed_rows(polys)))
         sub = [p for i, p in enumerate(polys) if i in kept]
         for bits in itertools.product((0, 1), repeat=m):
             all_zero = all(bool_eval(p, bits) == 0 for p in polys)
@@ -154,10 +150,20 @@ def test_extract_basis_preserves_solution_set():
             assert all_zero == sub_zero
 
 
+def _shuffled(rng, items):
+    items = list(items)
+    for i in reversed(range(1, len(items))):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
 def test_extract_basis_matches_frozenset_reference():
-    """Packed rows against the frozenset basis, duplicates and sums included."""
+    """Packed rows against the frozenset basis, whose columns are numbered
+    in first-seen order: duplicates, sums, rows above the common degree,
+    a wide row ahead of many one-monomial rows, and shuffled row orders.
+    The kept indices cannot depend on how the columns are numbered."""
     rng = SplitMix64(45)
-    raised = 0
     for trial in range(200):
         h = 2 + rng.below(4)
         verts = 2 + rng.below(4)
@@ -175,19 +181,36 @@ def test_extract_basis_matches_frozenset_reference():
                     frozenset((rng.below(verts), rng.below(h))
                               for _ in range(1 + rng.below(d)))
                     for _ in range(1 + rng.below(4)))))
-        if trial % 10 == 0:  # one row above the degree bound
+        if trial % 10 == 0:  # one row above the others' degree
             polys.insert(rng.below(len(polys) + 1), Gf2Poly.product_of_vars(
                 (v, 0) for v in range(d + 1)))
-        m = verts * h
-        try:
-            want = reference_extract_basis(polys, m=m, d=d)
-        except ValueError as err:
-            with pytest.raises(ValueError, match=f"^{err}$"):
-                extract_basis(packed_rows(polys), m=m, d=d)
-            raised += 1
-            continue
-        assert extract_basis(packed_rows(polys), m=m, d=d) == want
-    assert raised >= 20
+        if trial % 10 == 1:  # a wide row, then one-monomial rows
+            wide = Gf2Poly(frozenset(frozenset({(v, c)}) for v in range(verts)
+                                     for c in range(h)))
+            polys[:0] = [wide] + [Gf2Poly.product_of_vars(
+                [(rng.below(verts), rng.below(h))]) for _ in range(3 * h)]
+        for order in (polys, _shuffled(rng, polys), _shuffled(rng, polys)):
+            m = verts * h
+            want = reference_extract_basis(
+                order, m=m, d=max(map(poly_degree, order)))
+            assert extract_basis(packed_rows(order)) == want
+
+
+def test_extract_basis_memory_follows_the_rank():
+    """One row of 20,000 degree-2 monomials, then 3,000 new one-monomial
+    rows.  Numbered first-seen, the wide row takes the low columns and
+    every later pivot is over 20,000 bits wide (a 10.5 MiB peak); numbered
+    from the sparsest rows, the narrow pivots stay under 3,000 bits."""
+    wide = [1 << i | 1 << i + 1 for i in range(20_000)]
+    rows = [wide] + [[1 << 30_000 + i] for i in range(3_000)]
+    tracemalloc.start()
+    try:
+        kept = extract_basis(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == list(range(3_001))
+    assert peak < 4 << 20
 
 
 def test_solve_linear_system_basic():

@@ -269,9 +269,9 @@ def test_poly_basis_gets_distinct_rows(monkeypatch, request, target, n, k,
     hg = request.getfixturevalue(target)
     given = []
 
-    def spy(rows, m, d):
+    def spy(rows):
         given.append(rows)
-        return extract_basis(rows, m=m, d=d)
+        return extract_basis(rows)
 
     monkeypatch.setattr(kernels, "extract_basis", spy)
     kernel_poly(gen_instance(hg, n, k, 1), hg, cycle_power=hint)
