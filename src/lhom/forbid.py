@@ -318,7 +318,8 @@ def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
     "cycle-power" (width p + 1), "c6" (width 3) or "linear-system" (width
     d_star + 1 >= 2), each of which reads L, else None: the plain monomial.
     A minimal request has width <= c_star <= d_star + 1, so the linear
-    system can only apply at width c_star, the one width that reads d_star.
+    system can only apply at width c_star, the one width that reads d_star;
+    width 1 reads neither invariant.
     """
     route = special_construction(hg, cycle_power)
     if route == "c6" and width <= 3:

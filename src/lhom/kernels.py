@@ -329,7 +329,7 @@ def kernel_poly(inst: Instance, hg: Graph,
                              map(red.lists.__getitem__, bit_list(cover))))
     rows, picks, tuples = _poly_rows(red, hg, cover, c, cycle_power)
     degree = max(map(int.bit_count, itertools.chain.from_iterable(rows)),
-                 default=1)  # a list row's degree, as an empty row set's
+                 default=1)  # a list row's, when no row is packed
     kept_idx = extract_basis(rows)
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)

@@ -189,10 +189,9 @@ def test_extract_basis_matches_frozenset_reference():
                                      for c in range(h)))
             polys[:0] = [wide] + [Gf2Poly.product_of_vars(
                 [(rng.below(verts), rng.below(h))]) for _ in range(3 * h)]
+        d = max(map(poly_degree, polys))
         for order in (polys, _shuffled(rng, polys), _shuffled(rng, polys)):
-            m = verts * h
-            want = reference_extract_basis(
-                order, m=m, d=max(map(poly_degree, order)))
+            want = reference_extract_basis(order, m=verts * h, d=d)
             assert extract_basis(packed_rows(order)) == want
 
 
