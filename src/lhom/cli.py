@@ -212,6 +212,11 @@ def _cmd_gadget_check(args) -> int:
     return 0
 
 
+def _refuse_above(count: int, limit: int, what: str) -> None:
+    if count > limit:
+        raise FormatError(f"{what.format(count)}, above the limit of {limit}")
+
+
 def _cmd_gen(args) -> int:
     if args.what == "hgraph":
         cycle = args.kind == "cycle-power"
@@ -219,15 +224,11 @@ def _cmd_gen(args) -> int:
             raise FormatError("cycle-power needs --k and --p")
         if not cycle and args.r is None:
             raise FormatError("subdivided-star needs --r")
-        h = args.k if cycle else 3 * args.r + 1  # the target's vertices
-        if h > formats.MAX_COLORS:  # the limit that parse_hgraph keeps
-            raise FormatError(f"target has {h} colors, above the limit of "
-                              f"{formats.MAX_COLORS}")
+        _refuse_above(args.k if cycle else 3 * args.r + 1, formats.MAX_COLORS,
+                      "target has {} colors")  # parse_hgraph's limit
         if cycle:
-            edges = generators.cycle_power_edges(args.k, args.p)
-            if edges > generators.MAX_EDGES:
-                raise FormatError(f"target has {edges} edges, above the limit"
-                                  f" of {generators.MAX_EDGES}")
+            _refuse_above(generators.cycle_power_edges(args.k, args.p),
+                          generators.MAX_EDGES, "target has {} edges")
             g = generators.gen_cycle_power(args.k, args.p)
             comments = (f"gen: cycle-power k={args.k} p={args.p}",)
         else:
@@ -235,6 +236,9 @@ def _cmd_gen(args) -> int:
             comments = (f"gen: subdivided-star r={args.r}",)
         text = formats.write_hgraph(g, comments)
     else:
+        _refuse_above(args.n, generators.MAX_EDGES, "instance has {} vertices")
+        _refuse_above(generators.cover_edges(args.n, args.k),
+                      generators.MAX_EDGES, "instance can have {} edges")
         hg, _ = _load_target(args.target)
         inst = generators.gen_instance(hg, args.n, args.k, args.seed, args.mode)
         comments = (f"gen: instance seed={args.seed} mode={args.mode}",)

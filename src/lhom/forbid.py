@@ -3,15 +3,15 @@
 A request names cover vertices with incomparable candidate lists, a color
 tuple S0 on them with no common neighbor in a target list L, and asks for a
 GF(2) polynomial that is nonzero on S0 and zero on every tuple that does
-have a common neighbor in L.  Tuples in neither class are deliberately
-unconstrained.  No constructor returns a polynomial that fails the
-contract, and each charges a scan of its candidate product against
-CERT_BUDGET, one module constant read at call time (`charge`).  The plain
-monomial is correct by construction; every other polynomial passes
-`certify_forbid`, which reads one memoized table per polynomial and target
-(`_table`) and scans only what it cannot settle.
-A table marks the colors w whose N(w)^r the polynomial meets by one AND
-per color against boxes built once per target and width (`_boxes`).
+have a common neighbor in L; other tuples are unconstrained.  A caller's
+request is checked; lhom's builders skip the check via _built.  No
+constructor returns a polynomial that fails the contract, and each charges
+a scan of its candidate product against CERT_BUDGET, a module constant read
+at call time (`charge`).  The plain monomial is correct by construction;
+any other passes `certify_forbid`, which reads one memoized table per
+polynomial and target (`_table`) and scans only what it cannot settle.  A
+table marks the colors w whose N(w)^r the polynomial meets by one AND per
+color against boxes built once per target and width (`_boxes`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
 from .errors import BudgetExceededError, CertificationError
-from .graphs import Graph, common_neighbors, is_incomparable_set
+from .graphs import Graph, _unchecked, common_neighbors, is_incomparable_set
 from .gf2 import Gf2Poly, poly_local, shadow_solution
 from .invariants import (compute_c_star, compute_d_star, cycle_frame,
                          special_construction)
@@ -39,6 +39,8 @@ BOX_CAP = 1 << 22
 
 @dataclass(frozen=True)
 class ForbidRequest:
+    """Checked as it is made; lhom's own builders skip the check via _built."""
+
     target: Graph
     l_mask: int
     lists: tuple[int, ...]
@@ -65,6 +67,11 @@ class ForbidRequest:
                 raise ValueError(f"candidate list {i} is not incomparable")
         if common_neighbors(self.target, mask_of(self.colors), self.l_mask):
             raise ValueError("the forbidden tuple has a common neighbor in L")
+
+    @classmethod
+    def _built(cls, target, l_mask, lists, verts, colors) -> "ForbidRequest":
+        return _unchecked(cls, target=target, l_mask=l_mask, lists=lists,
+                          verts=verts, colors=colors)
 
     @property
     def width(self) -> int:
@@ -291,25 +298,22 @@ def _achievable(lists: tuple[int, ...], combo) -> bool:
 
 
 def minimal_subrequest(req: ForbidRequest) -> ForbidRequest:
-    """Shrink to a minimal no-common-neighbor subsequence (high positions first)."""
+    """Shrink to a minimal no-common-neighbor subsequence (high positions
+    first), built unchecked: part of a checked request, with none in L."""
     adj = req.target.adj
     kept = list(range(req.width))
     for pos in reversed(range(req.width)):
-        if len(kept) == 1:
-            break
         trial = [i for i in kept if i != pos]
         common = req.l_mask
         for i in trial:
             common &= adj[req.colors[i]]
-        if not common:
+        if trial and not common:
             kept = trial
     if len(kept) == req.width:
         return req
-    return ForbidRequest(
-        req.target, req.l_mask,
-        tuple(req.lists[i] for i in kept),
-        tuple(req.verts[i] for i in kept),
-        tuple(req.colors[i] for i in kept))
+    return ForbidRequest._built(req.target, req.l_mask, *(
+        tuple(seq[i] for i in kept)
+        for seq in (req.lists, req.verts, req.colors)))
 
 
 def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .graphs import Graph, Instance
 
 _MASK64 = (1 << 64) - 1
-MAX_EDGES = 1_000_000  # the most edges that `lhom gen hgraph` writes
+MAX_EDGES = 1_000_000  # the most edges, or instance vertices, `lhom gen` makes
 
 
 class SplitMix64:
@@ -39,6 +39,11 @@ class SplitMix64:
 def cycle_power_edges(k: int, p: int) -> int:
     """The edges of C_k^p: k at each distance up to p, at most K_k's."""
     return min(k * p, k * (k - 1) // 2)
+
+
+def cover_edges(n: int, k: int) -> int:
+    """`gen_instance`'s edge coins: the cover's pairs and its pairs to the rest."""
+    return k * (n - k) + k * (k - 1) // 2
 
 
 def gen_cycle_power(k: int, p: int) -> Graph:

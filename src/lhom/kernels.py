@@ -232,9 +232,9 @@ _minimal_memo = functools.lru_cache(maxsize=32)(_minimal_tuples)
 
 def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                cycle_power: tuple[int, int] | None):
-    """`kernel_poly`'s rows, picks and tuple count; a monomial's colors
-    are in the reduced lists, so only a route row can hold a list variable,
-    and it drops a degree-1 one (a color off its position's reduced list).
+    """`kernel_poly`'s rows, picks and tuple count.  A monomial's colors are
+    in the reduced lists; a route row drops a degree-1 variable off them.  A
+    route tuple is minimal on reduced lists, so its request skips the check.
     r colors have no common neighbor in L only if r * M(L) >= |L|."""
     h, adj, full = hg.n, hg.adj, hg.full_mask
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
@@ -279,9 +279,8 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
                     picks += [(x_mask, v)] * len(new)
                 continue
             for tup in found:
-                req = ForbidRequest(hg, l_mask, f_lists,
-                                    tuple(range(len(tup))), tup)
-                canon = construct(req, route)
+                canon = construct(ForbidRequest._built(
+                    hg, l_mask, f_lists, tuple(range(len(tup))), tup), route)
                 if canon.poly in placed:
                     continue
                 placed.add(canon.poly)

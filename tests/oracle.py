@@ -719,25 +719,31 @@ def _scan_certified(req, poly, method, budget) -> ForbidResult:
     return ForbidResult(poly, poly_degree(poly), method)
 
 
-def reference_forbid(req: ForbidRequest,
-                     cycle_power: tuple[int, int] | None = None,
-                     budget: int = CERT_BUDGET) -> ForbidResult:
-    """`forbid` with every polynomial scanned on its own request."""
-    hg = req.target
+def reference_minimal_subrequest(req: ForbidRequest) -> ForbidRequest:
+    """`minimal_subrequest` built through the checked constructor."""
     kept = list(range(req.width))  # the minimal subsequence, high first
     for pos in reversed(range(req.width)):
         if len(kept) == 1:
             break
         trial = [i for i in kept if i != pos]
-        if not common_neighbors(hg, mask_of(req.colors[i] for i in trial),
+        if not common_neighbors(req.target,
+                                mask_of(req.colors[i] for i in trial),
                                 req.l_mask):
             kept = trial
-    sub = req
-    if len(kept) < req.width:
-        sub = ForbidRequest(hg, req.l_mask,
-                            tuple(req.lists[i] for i in kept),
-                            tuple(req.verts[i] for i in kept),
-                            tuple(req.colors[i] for i in kept))
+    if len(kept) == req.width:
+        return req
+    return ForbidRequest(req.target, req.l_mask,
+                         tuple(req.lists[i] for i in kept),
+                         tuple(req.verts[i] for i in kept),
+                         tuple(req.colors[i] for i in kept))
+
+
+def reference_forbid(req: ForbidRequest,
+                     cycle_power: tuple[int, int] | None = None,
+                     budget: int = CERT_BUDGET) -> ForbidResult:
+    """`forbid` with every polynomial scanned on its own request."""
+    hg = req.target
+    sub = reference_minimal_subrequest(req)
     if cycle_power is not None:
         k, p = cycle_power
         if (p >= 2 and k > 6 * p and sub.width == p + 1

@@ -554,6 +554,54 @@ def test_gen_hgraph_edge_limit_is_inclusive(tmp_path, monkeypatch, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("n, k, message", [
+    (1_000_001, 0, "instance has 1000001 vertices"),
+    (200_004, 5, "instance can have 1000005 edges"),
+], ids=["n1000001-k0", "n200004-k5"])
+def test_gen_instance_stops_at_the_limits(tmp_path, c6_file, capsys, n, k,
+                                          message):
+    """An instance with more than MAX_EDGES vertices or possible edges is
+    refused before the target is read or a coin is drawn; n=200,003 at k=5
+    has exactly MAX_EDGES possible edges."""
+    assert generators.cover_edges(200_003, 5) == generators.MAX_EDGES
+    out = tmp_path / "huge.lh"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "instance", "--target", c6_file, "--n", str(n),
+                     "--k", str(k), "--seed", "1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {message}, above the limit of 1000000\n")
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+def test_gen_instance_limits_are_inclusive(tmp_path, c6_file, monkeypatch,
+                                           capsys):
+    """At generators.MAX_EDGES vertices (n=15, k=0) or possible edges (n=7,
+    k=3: 3 cover pairs and 12 to the outside) gen writes the instance; one
+    vertex or three possible edges above it, it exits 2 and writes nothing."""
+    monkeypatch.setattr(generators, "MAX_EDGES", 15)
+    out = tmp_path / "inst.lh"
+    for n, k, refusal in ((15, 0, None), (7, 3, None),
+                          (16, 0, "instance has 16 vertices"),
+                          (8, 3, "instance can have 18 edges")):
+        code = main(["gen", "instance", "--target", c6_file, "--n", str(n),
+                     "--k", str(k), "--seed", "1", "--out", str(out)])
+        if refusal is None:
+            assert code == 0
+            assert parse_instance(out.read_text())[0].graph.n == n
+            out.unlink()
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: {refusal}, above the limit of 15\n")
+            assert not out.exists()
+
+
 def test_gen_instance_on_a_target_without_vertices(tmp_path, capsys):
     hg = tmp_path / "empty.hg"
     hg.write_text("p hgraph 0\n")

@@ -282,6 +282,39 @@ def test_minimal_subrequest_removes_duplicates(k4):
     assert sub.verts == (0,) and sub.colors == (0,)
 
 
+def test_minimal_subrequests_are_ones_the_checked_constructor_accepts(
+        c6, c13p2, k4):
+    """`minimal_subrequest` builds its result unchecked; on 600 seeded
+    requests, most of which shrink, ForbidRequest(...) must accept each
+    result as it is, and it must match the checked reference."""
+    import dataclasses
+
+    from lhom.graphs import dominant_subset
+    from oracle import random_graph, reference_minimal_subrequest
+    rng = SplitMix64(3801)
+    targets = [c6, c13p2, k4, gen_cycle_power(19, 3)]
+    targets += [random_graph(rng, 2 + rng.below(6)) for _ in range(8)]
+    shrunk = made = 0
+    while made < 600:
+        hg = targets[rng.below(len(targets))]
+        r = 1 + rng.below(5)
+        lists = tuple(dominant_subset(hg, 1 + rng.below(hg.full_mask))
+                      for _ in range(r))
+        colors = tuple(bit_list(f)[rng.below(f.bit_count())] for f in lists)
+        l_mask = rng.below(hg.full_mask + 1)
+        if common_neighbors(hg, mask_of(colors), l_mask):
+            continue
+        verts = tuple(rng.below(3) + 3 * i for i in range(r))
+        req = ForbidRequest(hg, l_mask, lists, verts, colors)
+        sub = minimal_subrequest(req)
+        fields = [getattr(sub, f.name) for f in dataclasses.fields(sub)]
+        assert ForbidRequest(*fields) == sub == \
+            reference_minimal_subrequest(req), req
+        shrunk += sub.width < req.width
+        made += 1
+    assert shrunk >= 100, shrunk
+
+
 def test_forbid_dispatch(c5, c6, c13p2, k4):
     assert forbid(full_request(c6, (0, 2, 4))).degree == 2
     assert forbid(full_request(c5, (0, 2))).degree == 2

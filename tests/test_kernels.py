@@ -12,10 +12,10 @@ import pytest
 
 from lhom import kernels
 from lhom.bitset import bit_list, mask_of
-from lhom.errors import BudgetExceededError
-from lhom.forbid import CERT_BUDGET, construct
+from lhom.errors import BudgetExceededError, CertificationError
+from lhom.forbid import CERT_BUDGET, ForbidRequest, construct
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
-from lhom.gf2 import extract_basis
+from lhom.gf2 import Gf2Poly, extract_basis
 from lhom.graphs import Graph, Instance, cover_certificate, greedy_vertex_cover
 from lhom.kernels import _restrict, kernel_marking, kernel_poly, kernelize
 from lhom.solver import decide
@@ -718,6 +718,76 @@ def test_both_kernels_are_pinned(monkeypatch, c5, c6, c13p2, k4, k4_ladder):
             repr(_poly_outcome(kernel_poly, inst, hg, hint)).encode())
     assert digest.hexdigest() == (
         "acc75e0e8879b08495ea866ae099870a97a92e2f952b580093b223c8375cf609")
+
+
+def _route_cases(c6, c13p2, k4, k4_reductions):
+    """(instance, target, hint) for the kernel's unchecked requests: the
+    cycle-power routes of C13^2 and C19^3, C6's triples, K4's linear system
+    and the K4 reductions."""
+    c19p3 = gen_cycle_power(19, 3)
+    return [(gen_instance(c13p2, 150, 4, 1), c13p2, (13, 2)),
+            (gen_instance(c19p3, 120, 4, 2), c19p3, (19, 3)),
+            (gen_instance(c6, 200, 3, 5), c6, None),
+            (gen_instance(k4, 400, 5, 3), k4, None),
+            *((inst, k4, None) for inst in k4_reductions)]
+
+
+def test_the_kernels_requests_are_ones_the_checked_constructor_accepts(
+        monkeypatch, c6, c13p2, k4, k4_reductions):
+    """With `ForbidRequest._built` made the checked constructor, no route
+    request raises and every report is the unpatched one."""
+    cases = _route_cases(c6, c13p2, k4, k4_reductions)
+    want = [kernel_poly(*case) for case in cases]
+    monkeypatch.setattr(ForbidRequest, "_built",
+                        classmethod(lambda cls, *fields: cls(*fields)))
+    assert [kernel_poly(*case) for case in cases] == want
+
+
+def test_the_kernel_builds_no_checked_request(monkeypatch, c6, c13p2, k4,
+                                              k4_reductions):
+    """The kernel's route requests skip `ForbidRequest.__post_init__`; each
+    family still reaches `construct` with some."""
+    checks, routed = [], collections.Counter()
+    check = ForbidRequest.__post_init__
+
+    def counting(req, route):
+        routed[req.target.n, route] += 1
+        return construct(req, route)
+
+    monkeypatch.setattr(ForbidRequest, "__post_init__",
+                        lambda req: checks.append(req) or check(req))
+    monkeypatch.setattr(kernels, "construct", counting)
+    for case in _route_cases(c6, c13p2, k4, k4_reductions):
+        kernel_poly(*case)
+    assert checks == []
+    assert set(routed) == {(13, "cycle-power"), (19, "cycle-power"),
+                           (6, "c6"), (4, "linear-system")}, routed
+
+
+@pytest.mark.parametrize("k, p, n, seed, tup, calls", [
+    (13, 2, 150, 1, (2, 1, 3), 1),
+    (13, 2, 150, 2, (0, 1, 2), 10),
+    (19, 3, 120, 2, (0, 1, 3, 2), 1),
+], ids=["c13p2-seed1", "c13p2-seed2", "c19p3-seed2"])
+def test_a_broken_route_polynomial_fails_at_the_same_tuple(
+        monkeypatch, k, p, n, seed, tup, calls):
+    """A cycle-power polynomial with y[0,0] y[1,1] XORed in fails
+    certification at the tuple, and after the `_cycle_power_poly` calls,
+    pinned when each route request was built checked."""
+    hg, made = gen_cycle_power(k, p), []
+    stray = Gf2Poly.product_of_vars([(0, 0), (1, 1)])
+    right = forbid_module._cycle_power_poly
+
+    def broken(*args):
+        made.append(args)
+        return Gf2Poly.sum_of([right(*args), stray])
+
+    monkeypatch.setattr(forbid_module, "_cycle_power_poly", broken)
+    with pytest.raises(CertificationError) as err:
+        kernel_poly(gen_instance(hg, n, 4, seed), hg, cycle_power=(k, p))
+    assert str(err.value) == ("cycle-power construction failed certification"
+                              f" for tuple {tup}")
+    assert len(made) == calls
 
 
 def _width(adj: tuple[int, ...], l_mask: int) -> float:
