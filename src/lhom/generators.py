@@ -3,14 +3,28 @@
 Randomness comes from a self-contained splitmix64 stream so that a seed
 reproduces the exact same artifact on any platform or version.  Draws use
 modular reduction; the bias is negligible for the ranges used here and the
-stream is part of the documented output contract.
+stream is part of the documented output contract.  `gen_instance` takes its
+draws in blocks: draw i of splitmix64 is a mix of state + i * gamma alone,
+so one int holds a block's counters in 128-bit lanes, and the mix runs once
+over the whole int.  Every output is the one the draws one by one give.
 """
 
 from __future__ import annotations
 
+import struct
+
+from .bitset import bit_list
 from .graphs import Graph, Instance
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# 512 lanes keep each lane constant at 8 KiB; 4096 lanes (64 KiB each) ran
+# no faster on cli-kernel's instances and raised peak RSS by 0.1-0.15 MB
+_LANES = 512
+_ONES = sum(1 << 128 * i for i in range(_LANES))  # bit 0 of every lane
+_LOW = _ONES * _MASK64  # the low 64 bits of every lane
+_RAMP = sum((i + 1) * _GAMMA % (1 << 64) << 128 * i for i in range(_LANES))
+_EVEN = bytes.maketrans(bytes(range(256)), b"10" * 128)  # even byte -> "1"
 MAX_EDGES = 1_000_000  # the most edges, or instance vertices, `lhom gen` makes
 
 
@@ -21,11 +35,39 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def _block(self, m: int) -> bytes:
+        """The next m <= _LANES outputs, output i little-endian at byte 16i.
+        Lane i's product stays below 2^128, and _LOW clears the bits that a
+        shift pulls down from the lane above."""
+        cut = (1 << 128 * m) - 1
+        z = (self.state * (_ONES & cut) + (_RAMP & cut)) & _LOW
+        self.state = (self.state + m * _GAMMA) & _MASK64
+        z = ((z ^ z >> 30) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+        z = ((z ^ z >> 27) & _LOW) * 0x94D049BB133111EB & _LOW
+        return (z ^ z >> 31).to_bytes(16 * m, "little")
+
+    def draws(self, m: int) -> list[int]:
+        """The next m outputs of `next`, leaving the state where it would."""
+        out = []
+        for start in range(0, m, _LANES):
+            r = min(_LANES, m - start)
+            out += struct.unpack("<" + "Q8x" * r, self._block(r))
+        return out
+
+    def coins(self, m: int) -> int:
+        """Mask whose bit j is `chance(1, 2)` of the j-th next draw (the draw
+        is even), leaving the state where it would; a block at a time."""
+        out = bytearray()
+        for start in range(0, m, _LANES):
+            bits = self._block(min(_LANES, m - start))[::16].translate(_EVEN)
+            out += int(bits[::-1], 2).to_bytes(_LANES // 8, "little")
+        return int.from_bytes(out, "little")
 
     def below(self, n: int) -> int:
         if n <= 0:
@@ -75,7 +117,8 @@ def gen_instance(hg: Graph, n: int, k: int, seed: int,
     probability 1/2 each; every list is a uniform nonempty color subset.
     In planted-yes mode a homomorphism is drawn first and only compatible
     edges and list entries are kept, so the instance is satisfiable by
-    construction.
+    construction.  It draws n plant colors, then the coins of each cover
+    row u (pairs u < v), then n lists, and builds the instance unchecked.
     """
     if not 0 <= k <= n:
         raise ValueError("cover size must be between 0 and n")
@@ -85,22 +128,18 @@ def gen_instance(hg: Graph, n: int, k: int, seed: int,
         raise ValueError("target graph must have at least one vertex")
     rng = SplitMix64(seed)
     h = hg.n
-    plant = None
-    if mode == "planted-yes":
-        plant = [rng.below(h) for _ in range(n)]
-    edges = []
+    plant = [d % h for d in rng.draws(n)] if mode == "planted-yes" else None
+    adj = [0] * n
     for u in range(k):
-        for v in range(u + 1, n):
-            if rng.chance(1, 2):
-                if plant is not None and not hg.adj[plant[u]] >> plant[v] & 1:
-                    continue
-                edges.append((u, v))
-    lists = []
-    full = (1 << h) - 1
-    for v in range(n):
-        mask = rng.below(full) + 1
-        if plant is not None:
-            mask |= 1 << plant[v]
-        lists.append(mask)
-    cover = (1 << k) - 1
-    return Instance(Graph.from_edges(n, edges), tuple(lists), cover)
+        row = rng.coins(n - u - 1) << u + 1
+        if plant is not None:  # keep the vertices planted next to u's color
+            near = bin(hg.adj[plant[u]])[:1:-1].ljust(h, "0").encode()
+            row &= int(bytes(map(near.__getitem__, plant))[::-1], 2)
+        adj[u] |= row
+        for v in bit_list(row):
+            adj[v] |= 1 << u
+    lists = [d % ((1 << h) - 1) + 1 for d in rng.draws(n)]
+    if plant is not None:
+        lists = [mask | 1 << c for mask, c in zip(lists, plant)]
+    graph = Graph._built(n, tuple(adj))
+    return Instance._built(graph, tuple(lists), (1 << k) - 1)

@@ -7,8 +7,8 @@ to the degree.  The same representation serves both the fixed target graph
 mask too; the kernels' parameter k is its bit count.  A graph makes its
 neighbor tuples, looped-vertex mask and edge count once.  A caller's
 Graph(n, adj) and Instance(graph, lists, cover) are checked; from_edges,
-the kernels, reduce_lists, reduce_sat and the gadgets build valid ones
-unchecked.
+the kernels, reduce_lists, reduce_sat, the gadgets and gen_instance build
+valid ones unchecked.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u <= v; a loop appears as (v, v)."""
         return [(v, u) for v, a in enumerate(self.adj)
-                for u in iter_bits(a >> v << v)]
+                for u in bit_list(a >> v << v)]
 
     def edge_count(self) -> int:
         """Number of edges; a loop on v is bit v of adj[v], counted once."""

@@ -97,6 +97,12 @@ and filters every c_star-set of colors.
 tuple color when no `--lists` are passed, as the CLI built it before it
 tested each new color against the kept colors only: every trial list is
 tested as a whole set, all of its pairs again.
+
+`reference_gen_instance` is `lhom.generators.gen_instance` as it was before
+it drew its stream in blocks: one `SplitMix64` call per plant color, coin
+and list, an edge list tested coin by coin against the planted colors,
+and the checked `Instance` over `Graph.from_edges`.  `reference_edges` is
+`Graph.edges()` read off each row's binary digits, a loop included.
 """
 
 from __future__ import annotations
@@ -109,6 +115,7 @@ from lhom.bitset import bit_list, iter_bits, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (CERT_BUDGET, ForbidRequest, ForbidResult,
                          _cycle_power_poly, cycle_frame)
+from lhom.generators import SplitMix64
 from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          incomparable, reduce_lists)
@@ -1081,3 +1088,44 @@ def reference_default_list(hg: Graph, color: int) -> int:
                for a, b in itertools.combinations(bit_list(trial), 2)):
             mask = trial
     return mask
+
+
+def reference_gen_instance(hg: Graph, n: int, k: int, seed: int,
+                           mode: str = "random") -> Instance:
+    """Planted cover 0..k-1, coins for its edges, a uniform nonempty list
+    per vertex; planted-yes keeps only edges and lists a drawn coloring
+    allows."""
+    if not 0 <= k <= n:
+        raise ValueError("cover size must be between 0 and n")
+    if mode not in ("random", "planted-yes"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if n and not hg.n:
+        raise ValueError("target graph must have at least one vertex")
+    rng = SplitMix64(seed)
+    h = hg.n
+    plant = None
+    if mode == "planted-yes":
+        plant = [rng.below(h) for _ in range(n)]
+    edges = []
+    for u in range(k):
+        for v in range(u + 1, n):
+            if rng.chance(1, 2):
+                if plant is not None and not hg.adj[plant[u]] >> plant[v] & 1:
+                    continue
+                edges.append((u, v))
+    lists = []
+    full = (1 << h) - 1
+    for v in range(n):
+        mask = rng.below(full) + 1
+        if plant is not None:
+            mask |= 1 << plant[v]
+        lists.append(mask)
+    cover = (1 << k) - 1
+    return Instance(Graph.from_edges(n, edges), tuple(lists), cover)
+
+
+def reference_edges(g: Graph) -> list[tuple[int, int]]:
+    """(v, u) for each set digit u >= v of each row's `bin`, row by row."""
+    return [(v, u) for v, a in enumerate(g.adj)
+            for u, digit in enumerate(reversed(bin(a)[2:]))
+            if digit == "1" and u >= v]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from lhom.bitset import bit_list
@@ -8,7 +10,7 @@ from lhom.graphs import Graph, Instance
 from lhom.invariants import all_essential_sets, compute_c_star
 from lhom.solver import decide
 
-from oracle import has_edge
+from oracle import has_edge, random_graph, reference_gen_instance
 
 
 def test_cycle_power_p1_is_cycle():
@@ -110,6 +112,73 @@ def test_splitmix_reference_stream():
     rng = SplitMix64(0)
     first = [rng.next() for _ in range(3)]
     assert first == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+STREAM_SEEDS = (0, 1, -1, 2**64 - 1, 2**64)
+
+
+@pytest.mark.parametrize("m", [0, 1, 511, 512, 513, 2000])
+def test_draws_and_coins_match_the_stream(m):
+    """`draws(m)` is m calls of `next()`, `coins(m)` has bit j set iff the
+    j-th of m calls of `chance(1, 2)` is true, and both leave the state
+    where those calls do; so does a run of them across block boundaries."""
+    for seed in STREAM_SEEDS:
+        blocked, single = SplitMix64(seed), SplitMix64(seed)
+        assert blocked.draws(m) == [single.next() for _ in range(m)], seed
+        assert blocked.state == single.state
+        want = sum(single.chance(1, 2) << j for j in range(m))
+        assert blocked.coins(m) == want, seed
+        assert blocked.state == single.state
+        assert blocked.draws(1) == [single.next()]
+
+
+def test_coins_build_one_block_at_a_time():
+    """A million coins peak below 1 MiB, against 125 KB for the mask
+    alone: the lanes are made a block at a time, not all at once."""
+    rng = SplitMix64(1)
+    tracemalloc.start()
+    try:
+        mask = rng.coins(1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert mask.bit_length() <= 1_000_000 and rng.state == \
+        (1 + 1_000_000 * 0x9E3779B97F4A7C15) % 2**64
+
+
+def _gen_targets():
+    rng = SplitMix64(3901)
+    looped = [random_graph(rng, h) for h in (3, 7, 12)]
+    assert all(g.loops for g in looped)
+    return [gen_cycle_power(5, 1), gen_cycle_power(6, 1),
+            gen_cycle_power(13, 2), gen_cycle_power(4, 2),
+            Graph.from_edges(1, [(0, 0)]), *looped]
+
+
+@pytest.mark.parametrize("mode", ["random", "planted-yes"])
+def test_gen_instance_matches_the_reference(mode):
+    """`gen_instance` equals the per-draw `reference_gen_instance` in
+    (adj, lists, cover) on n around the 512-draw blocks, k in {0, 1, n}
+    and seeds that wrap the state, cycling through C5, C6, C13^2, K4, a
+    looped one-color target and seeded looped random targets.  A cover of
+    0 or 1 vertex runs every seed; k = n runs one seed, and not at
+    n = 4100, where the reference draws 8.4M coins one by one."""
+    targets = _gen_targets()
+    turn = 0
+    for n in (0, 1, 2, 511, 512, 513, 1030, 4100):
+        for k in sorted({0, 1, n} - {4100}):
+            if k > n:
+                continue
+            seeds = STREAM_SEEDS if k < 2 else STREAM_SEEDS[n % 5:][:1]
+            for seed in seeds:
+                hg = targets[turn % len(targets)]
+                turn += 1
+                got = gen_instance(hg, n, k, seed, mode)
+                want = reference_gen_instance(hg, n, k, seed, mode)
+                assert (got.graph.adj, got.lists, got.cover) == \
+                    (want.graph.adj, want.lists, want.cover), (hg, n, k, seed)
+    assert turn > 2 * len(targets)
 
 
 def test_splitmix_below_range():

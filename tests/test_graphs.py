@@ -18,7 +18,7 @@ from lhom.solver import decide
 
 from conftest import complete_graph
 from oracle import (brute_common, exact_min_vertex_cover, random_graph,
-                    reference_greedy_cover, reference_nbrs)
+                    reference_edges, reference_greedy_cover, reference_nbrs)
 
 
 def test_graph_rejects_asymmetric_adjacency():
@@ -305,9 +305,10 @@ def _assert_checked_instance(inst: Instance) -> None:
 
 def test_builders_make_graphs_the_checked_constructor_accepts(
         c5, c6, k4, c13p2, k4_reductions):
-    """from_edges, both kernels, reduce_lists, reduce_sat and the gadgets
-    build their graphs and instances without the check; Graph(n, adj) and
-    Instance(graph, lists, cover) must accept each one as it is."""
+    """from_edges, gen_instance, both kernels, reduce_lists, reduce_sat and
+    the gadgets build their graphs and instances without the check;
+    Graph(n, adj) and Instance(graph, lists, cover) must accept each one
+    as it is."""
     rng = SplitMix64(2001)
     for _ in range(200):
         n = 1 + rng.below(10)
@@ -322,6 +323,10 @@ def test_builders_make_graphs_the_checked_constructor_accepts(
               for trial in range(2)]
     cases += [("sat", k4, None, inst) for inst in k4_reductions]
     shrunk: dict[str, set[bool]] = {}
+    for hg in (c5, c6, k4, c13p2, random_graph(rng, 9)):
+        for mode in ("random", "planted-yes"):
+            for n, k in ((0, 0), (1, 1), (30, 4), (600, 30)):
+                _assert_checked_instance(gen_instance(hg, n, k, 2300, mode))
     for name, hg, hint, inst in cases:
         # with the cover line, and without it (the greedy cover)
         for case in (inst, Instance(inst.graph, inst.lists)):
@@ -352,6 +357,32 @@ def test_builders_make_graphs_the_checked_constructor_accepts(
             gadgets += [build_comp(hg, lbs, i, j) for j in range(d) if j != i]
         for gadget in gadgets:
             _assert_checked_instance(gadget.instance())
+
+
+def test_edges_match_the_digit_reference(c13p2, k4_reductions):
+    """`edges()` equals the edges read off each row's binary digits on
+    seeded looped graphs, instances of both modes, K4 reductions, a looped
+    center with 10^5 neighbors and two 200,001-vertex cover rows; the
+    wide rows once cost a pass over the row per neighbor."""
+    rng = SplitMix64(3902)
+    n = 100_001
+    star = Graph._built(n, ((1 << n) - 1,) + (1,) * (n - 1))
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, [(0, 0)]), star,
+              gen_instance(c13p2, 200_001, 2, 3902).graph,
+              *(inst.graph for inst in k4_reductions)]
+    graphs += [random_graph(rng, 1 + rng.below(90), 1, 1 + rng.below(6))
+               for _ in range(100)]
+    graphs += [gen_instance(random_graph(rng, 1 + rng.below(12)),
+                            rng.below(300), rng.below(6), trial,
+                            ("random", "planted-yes")[trial % 2]).graph
+               for trial in range(40)]
+    wide = looped = 0
+    for g in graphs:
+        assert g.edges() == reference_edges(g), g.n
+        wide += max(map(int.bit_count, g.adj), default=0) >= 64
+        looped += bool(g.loops)
+    assert star.edges()[:2] == [(0, 0), (0, 1)] and len(star.edges()) == n
+    assert wide >= 20 and looped >= 50, (wide, looped)
 
 
 def test_edge_count_matches_the_edge_list(c5, c6, k4, c13p2, k4_reductions):
