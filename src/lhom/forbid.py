@@ -19,11 +19,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
 from .errors import BudgetExceededError, CertificationError
-from .graphs import Graph, _unchecked, common_neighbors, is_incomparable_set
+from .graphs import (Graph, _unchecked, common_neighbors, is_incomparable_set,
+                     record)
 from .gf2 import Gf2Poly, poly_local, shadow_solution
 from .invariants import (compute_c_star, compute_d_star, cycle_frame,
                          special_construction)
@@ -37,7 +37,7 @@ CERT_BUDGET = 2_000_000  # the most tuples that one certification may scan
 BOX_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
+@record
 class ForbidRequest:
     """Checked as it is made; lhom's own builders skip the check via _built."""
 
@@ -78,7 +78,7 @@ class ForbidRequest:
         return len(self.verts)
 
 
-@dataclass(frozen=True)
+@record
 class ForbidResult:
     poly: Gf2Poly
     degree: int

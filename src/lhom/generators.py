@@ -21,9 +21,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 # 512 lanes keep each lane constant at 8 KiB; 4096 lanes (64 KiB each) ran
 # no faster on cli-kernel's instances and raised peak RSS by 0.1-0.15 MB
 _LANES = 512
-_ONES = sum(1 << 128 * i for i in range(_LANES))  # bit 0 of every lane
+# the lane constants are read from bytes in one linear pass (a sum of
+# shifted ints is quadratic in _LANES); _ONES has bit 0 of every lane set
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _LANES, "little")
 _LOW = _ONES * _MASK64  # the low 64 bits of every lane
-_RAMP = sum((i + 1) * _GAMMA % (1 << 64) << 128 * i for i in range(_LANES))
+_RAMP = int.from_bytes(b"".join(  # lane i holds (i + 1) * gamma mod 2^64
+    ((i + 1) * _GAMMA & _MASK64).to_bytes(16, "little") for i in range(_LANES)),
+    "little")
 _EVEN = bytes.maketrans(bytes(range(256)), b"10" * 128)  # even byte -> "1"
 MAX_EDGES = 1_000_000  # the most edges, or instance vertices, `lhom gen` makes
 

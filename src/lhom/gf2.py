@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+from .graphs import record
 
 Var = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@record
 class Gf2Poly:
     monomials: frozenset
 

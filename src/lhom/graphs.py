@@ -9,6 +9,11 @@ neighbor tuples, looped-vertex mask and edge count once.  A caller's
 Graph(n, adj) and Instance(graph, lists, cover) are checked; from_edges,
 the kernels, reduce_lists, reduce_sat, the gadgets and gen_instance build
 valid ones unchecked.
+
+`record` makes lhom's ten frozen records (these two, and those of gf2,
+forbid, invariants, kernels and reductions) as `dataclass(frozen=True)`
+would, without importing `dataclasses` or running generated code;
+`_unchecked` makes a record without its `__post_init__` check.
 """
 
 from __future__ import annotations
@@ -16,20 +21,73 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
 
 
+def record(cls):
+    """Make cls a frozen record of its annotated fields, in order.
+
+    It gives what `dataclass(frozen=True)` gives: construction by position
+    or keyword, a class attribute as the field's default, then
+    `__post_init__`, with TypeError on a missing or extra argument; the
+    dataclass `repr`; `==` on the field tuple between objects of exactly one
+    class; `hash` of the field tuple; and AttributeError on setting or
+    deleting an attribute.  The field names are `fields` and
+    `__match_args__`.  Values live in the instance `__dict__`, where
+    `cached_property` keeps its own.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    row = operator.attrgetter(*names)
+    key = row if len(names) > 1 else lambda obj: (row(obj),)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            values = {**defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or values.keys() != set(names)
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{cls.__name__}() takes {names}, got "
+                                f"{len(args)} by position and {sorted(kwargs)}")
+            args = map(values.__getitem__, names)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, key(self))) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__,
+                   __delattr__):
+        setattr(cls, method.__name__, method)
+    cls.fields = cls.__match_args__ = names
+    return cls
+
+
 def _unchecked(cls, **fields):
-    """A frozen dataclass made without its __post_init__ check."""
+    """A record made without its __post_init__ check."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Undirected graph, loops allowed; adj[v] is the neighbor mask of v.
 
@@ -140,7 +198,7 @@ def is_incomparable_set(hg: Graph, mask: int) -> bool:
     return all(incomparable(hg, a, b) for a, b in itertools.combinations(vs, 2))
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     """Input graph with one color list per vertex and an optional cover.
 

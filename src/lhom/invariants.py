@@ -14,23 +14,22 @@ lower bound structure search, whose base set must itself be all-essential.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .bitset import bit_list, iter_bits, mask_of
 from .generators import cycle_power_edges, gen_cycle_power
 from .gf2 import shadow_solution
-from .graphs import Graph, common_neighbors, incomparable
+from .graphs import Graph, common_neighbors, incomparable, record
 
 
-@dataclass(frozen=True)
+@record
 class CStarWitness:
     value: int
     l_mask: int
     s_mask: int
 
 
-@dataclass(frozen=True)
+@record
 class LowerBoundStructure:
     order: int
     l_mask: int

@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .bitset import bit_list, iter_bits, mask_of
 from .errors import BudgetExceededError
@@ -22,13 +21,13 @@ from .errors import BudgetExceededError
 # they stay importable here because perfbench/spans.py wraps them by name
 from .forbid import (ForbidRequest, charge, construct, forbid, forbid_monomial,
                      forbid_route, minimal_subrequest)
-from .graphs import (Graph, Instance, cover_certificate, reduce_lists,
+from .graphs import (Graph, Instance, cover_certificate, record, reduce_lists,
                      validate_instance)
 from .gf2 import extract_basis
 from .invariants import compute_c_star
 
 
-@dataclass(frozen=True)
+@record
 class KernelReport:
     """A kernel, its sizes and the constraints behind it.
 

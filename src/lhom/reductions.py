@@ -16,11 +16,10 @@ has at most REDUCTION_BUDGET vertices, fixed in the code.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .bitset import mask_of
 from .errors import BudgetExceededError, CertificationError
-from .graphs import Graph, Instance
+from .graphs import Graph, Instance, record
 from .invariants import LowerBoundStructure
 from .solver import enumerate_restricted
 
@@ -30,7 +29,7 @@ from .solver import enumerate_restricted
 REDUCTION_BUDGET = 50_000
 
 
-@dataclass(frozen=True)
+@record
 class Gadget:
     graph: Graph
     lists: tuple[int, ...]
@@ -43,7 +42,7 @@ class Gadget:
         return Instance._built(self.graph, self.lists)
 
 
-@dataclass(frozen=True)
+@record
 class VariableGadget:
     graph: Graph
     lists: tuple[int, ...]

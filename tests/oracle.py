@@ -103,10 +103,17 @@ it drew its stream in blocks: one `SplitMix64` call per plant color, coin
 and list, an edge list tested coin by coin against the planted colors,
 and the checked `Instance` over `Graph.from_edges`.  `reference_edges` is
 `Graph.edges()` read off each row's binary digits, a loop included.
+
+`dataclass_twin` is an lhom record as it was made before
+`lhom.graphs.record`: a `dataclasses.dataclass(frozen=True)` class with
+the record's name, field names, defaults and other methods.  `replaced`
+is `dataclasses.replace` on a record: its fields with `changes` applied,
+rebuilt through the checked constructor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -1129,3 +1136,29 @@ def reference_edges(g: Graph) -> list[tuple[int, int]]:
     return [(v, u) for v, a in enumerate(g.adj)
             for u, digit in enumerate(reversed(bin(a)[2:]))
             if digit == "1" and u >= v]
+
+
+# what `record` sets on a class, and the descriptors `type` makes for it
+_MADE_BY_RECORD = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
+                   "__delattr__", "fields", "__match_args__", "__dict__",
+                   "__weakref__", "__annotations__"}
+
+
+@functools.cache
+def dataclass_twin(cls):
+    """The frozen dataclass of cls's fields, their defaults and the rest of
+    cls's namespace (`__post_init__`, classmethods, cached properties)."""
+    spec = [(name, cls.__annotations__[name])
+            + ((dataclasses.field(default=vars(cls)[name]),)
+               if name in vars(cls) else ())
+            for name in cls.fields]
+    namespace = {key: value for key, value in vars(cls).items()
+                 if key not in _MADE_BY_RECORD and key not in cls.fields}
+    return dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace,
+                                      frozen=True)
+
+
+def replaced(obj, **changes):
+    """A copy of the record obj with `changes`, made by its constructor."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj.fields},
+                        **changes})

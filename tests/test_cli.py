@@ -2,6 +2,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -765,3 +768,17 @@ def test_branching_solve_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(solver, "NODE_BUDGET", 494)
     assert main(["solve", lh, "--target", k4]) == 3
     assert "search exceeded 494 nodes" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """A fresh interpreter imports `lhom.cli` without `dataclasses` or
+    `inspect`: lhom's records run no generated code, and every `lhom`
+    command pays its imports at start-up."""
+    code = ("import sys; before = set(sys.modules); import lhom.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "lhom.cli" in out and "lhom.graphs" in out, out
+    assert not {"dataclasses", "inspect"} & set(out), out

@@ -287,8 +287,6 @@ def test_minimal_subrequests_are_ones_the_checked_constructor_accepts(
     """`minimal_subrequest` builds its result unchecked; on 600 seeded
     requests, most of which shrink, ForbidRequest(...) must accept each
     result as it is, and it must match the checked reference."""
-    import dataclasses
-
     from lhom.graphs import dominant_subset
     from oracle import random_graph, reference_minimal_subrequest
     rng = SplitMix64(3801)
@@ -307,7 +305,7 @@ def test_minimal_subrequests_are_ones_the_checked_constructor_accepts(
         verts = tuple(rng.below(3) + 3 * i for i in range(r))
         req = ForbidRequest(hg, l_mask, lists, verts, colors)
         sub = minimal_subrequest(req)
-        fields = [getattr(sub, f.name) for f in dataclasses.fields(sub)]
+        fields = [getattr(sub, name) for name in sub.fields]
         assert ForbidRequest(*fields) == sub == \
             reference_minimal_subrequest(req), req
         shrunk += sub.width < req.width

@@ -114,6 +114,16 @@ def test_splitmix_reference_stream():
     assert first == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
+def test_lane_constants_match_their_sums():
+    """`_ONES` and `_RAMP`, read from bytes, are the sums over the lanes
+    that define them: bit 0 of each 128-bit lane, and (i + 1) * gamma
+    mod 2^64 in lane i."""
+    from lhom.generators import _GAMMA, _LANES, _ONES, _RAMP
+    assert _ONES == sum(1 << 128 * i for i in range(_LANES))
+    assert _RAMP == sum((i + 1) * _GAMMA % (1 << 64) << 128 * i
+                        for i in range(_LANES))
+
+
 STREAM_SEEDS = (0, 1, -1, 2**64 - 1, 2**64)
 
 

@@ -6,19 +6,23 @@ import re
 import pytest
 
 from lhom.bitset import bit_list, mask_of
+from lhom.forbid import ForbidRequest, ForbidResult, forbid
 from lhom.generators import SplitMix64, gen_instance
+from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          dominant_subset, greedy_vertex_cover, incomparable,
                          is_incomparable_set, reduce_lists, validate_instance)
-from lhom.invariants import compute_d_star
-from lhom.kernels import kernel_marking, kernel_poly
-from lhom.reductions import (build_comp, build_neq, build_variable_gadget,
-                             reduce_sat)
+from lhom.invariants import (CStarWitness, LowerBoundStructure, compute_c_star,
+                             compute_d_star)
+from lhom.kernels import KernelReport, kernel_marking, kernel_poly
+from lhom.reductions import (Gadget, VariableGadget, build_comp, build_neq,
+                             build_variable_gadget, reduce_sat)
 from lhom.solver import decide
 
 from conftest import complete_graph
-from oracle import (brute_common, exact_min_vertex_cover, random_graph,
-                    reference_edges, reference_greedy_cover, reference_nbrs)
+from oracle import (brute_common, dataclass_twin, exact_min_vertex_cover,
+                    random_graph, reference_edges, reference_greedy_cover,
+                    reference_nbrs)
 
 
 def test_graph_rejects_asymmetric_adjacency():
@@ -511,3 +515,101 @@ def test_adjacency_outcomes_are_pinned():
     assert len(kinds) == 6 and min(kinds.values()) >= 5, kinds
     assert digest.hexdigest() == (
         "fbc172d8775c13139c78967cfa06c929f824105813f245a0305d3f1d7ac84f08")
+
+
+def _record_samples(c6, k4, c13p2):
+    """Seeded values of each of lhom's ten records, made by the library."""
+    rng = SplitMix64(4001)
+    samples = collections.defaultdict(list)
+    for trial in range(12):
+        hg = (k4, c6, c13p2, random_graph(rng, 2 + rng.below(5)))[trial % 4]
+        inst = gen_instance(hg, 4 + rng.below(8), 1 + rng.below(3),
+                            4001 + trial, ("random", "planted-yes")[trial % 2])
+        r = 1 + rng.below(3)
+        lists = tuple(dominant_subset(hg, 1 + rng.below(hg.full_mask))
+                      for _ in range(r))
+        colors = tuple(bit_list(f)[rng.below(f.bit_count())] for f in lists)
+        l_mask = hg.full_mask & ~common_neighbors(hg, mask_of(colors),
+                                                  hg.full_mask)
+        req = ForbidRequest(hg, l_mask, lists, tuple(range(r)), colors)
+        result = forbid(req)
+        samples[Graph].append(hg)
+        samples[Instance] += [inst, Instance(inst.graph, inst.lists)]
+        samples[KernelReport] += [kernel_marking(inst, hg),
+                                  kernel_poly(inst, hg)]
+        samples[CStarWitness].append(compute_c_star(hg))
+        samples[ForbidRequest].append(req)
+        samples[ForbidResult].append(result)
+        width = len(set(colors)) + 1
+        samples[Gf2Poly] += [result.poly, poly_local(colors, range(width), hg.n)]
+    for hg in (k4, complete_graph(5)):
+        d, lbs = compute_d_star(hg)
+        samples[LowerBoundStructure].append(lbs)
+        samples[VariableGadget].append(build_variable_gadget(hg, lbs))
+        samples[Gadget] += [build_neq(hg, lbs, i) for i in range(d)]
+        samples[Gadget] += [build_comp(hg, lbs, 0, j) for j in range(1, d)]
+    return samples
+
+
+def test_records_match_their_dataclass_twins(c6, k4, c13p2):
+    """Each record, on seeded values, against its frozen-dataclass twin
+    (`oracle.dataclass_twin`): repr, ==, != and hash, equality against the
+    other class, AttributeError on setting and deleting, TypeError on wrong
+    arguments, and keyword construction with the defaults."""
+    samples = _record_samples(c6, k4, c13p2)
+    assert len(samples) == 10
+    for cls, objs in samples.items():
+        twin = dataclass_twin(cls)
+        assert cls.fields == cls.__match_args__ == twin.__match_args__
+        pairs = []
+        for obj in objs:
+            values = {name: getattr(obj, name) for name in cls.fields}
+            rec, dc = cls(*values.values()), twin(**values)
+            pairs.append((rec, dc))
+            assert rec == obj == cls(**values) and hash(rec) == hash(obj)
+            assert repr(rec) == repr(obj) == repr(dc)
+            assert hash(rec) == hash(dc) == hash(tuple(values.values()))
+            assert rec != dc and dc != rec and not rec == dc
+            assert rec.__eq__(dc) is NotImplemented is dc.__eq__(rec)
+            given = {name: value for name, value in values.items()
+                     if name not in vars(cls)}  # the defaults left out
+            assert repr(cls(**given)) == repr(twin(**given))
+            positional = tuple(values.values())
+            for build, made in ((cls, rec), (twin, dc)):
+                for args, kwargs in (((), {}), (positional + (None,), {}),
+                                     ((), {**values, "other": None}),
+                                     (positional[:1], values),
+                                     ((), dict(list(values.items())[1:]))):
+                    with pytest.raises(TypeError):
+                        build(*args, **kwargs)
+                for name in cls.fields + ("other",):
+                    with pytest.raises(AttributeError):
+                        setattr(made, name, None)
+                    with pytest.raises(AttributeError):
+                        delattr(made, name)
+        for (a, ta), (b, tb) in itertools.product(pairs, repeat=2):
+            assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (Graph, (2, (1,)), "adjacency length must equal vertex count"),
+    (Graph, (2, (0b100, 0)), "neighbor of 0 out of range"),
+    (Graph, (2, (0b10, 0)), "adjacency not symmetric at (1, 0)"),
+    (Instance, (Graph(2, (0, 0)), (1,)), "one list per vertex is required"),
+    (Instance, (Graph(2, (0b10, 0b1)), (1, 1), 0),
+     "designated cover does not cover all edges"),
+    (ForbidRequest, (complete_graph(4), 0, (), (), ()),
+     "a request needs at least one position"),
+    (ForbidRequest, (complete_graph(4), 0, (1,), (0,), (1,)),
+     "color 1 not in candidate list 0"),
+    (ForbidRequest, (complete_graph(4), 0b10, (1,), (0,), (0,)),
+     "the forbidden tuple has a common neighbor in L"),
+], ids=["graph-length", "graph-range", "graph-symmetry", "instance-lists",
+        "instance-cover", "request-empty", "request-color", "request-common"])
+def test_checked_records_keep_their_messages(cls, args, message):
+    """The checks run after construction, with the messages the frozen
+    dataclass gave, on the record and on its twin alike."""
+    for build in (cls, dataclass_twin(cls)):
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert str(err.value) == message

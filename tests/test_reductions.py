@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import itertools
 import re
@@ -20,7 +19,7 @@ from lhom.reductions import (_splice, build_comp, build_neq,
                              variable_gadget_states)
 from lhom.solver import decide, enumerate_restricted
 
-from oracle import brute_sat, has_edge, random_graph
+from oracle import brute_sat, has_edge, random_graph, replaced
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +256,7 @@ def test_order_four_reduction_on_k5():
 ], ids=["neq", "comp", "variable", "reduce-sat"])
 def test_structure_is_checked_against_the_target(k4, k4_lbs, change, message,
                                                  build):
-    bad = dataclasses.replace(k4_lbs, **change)
+    bad = replaced(k4_lbs, **change)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(k4, bad)
 
