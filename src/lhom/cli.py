@@ -17,7 +17,7 @@ from . import formats, generators, invariants, kernels, reductions
 from .bitset import mask_of
 from .errors import BudgetExceededError, CertificationError, FormatError
 from .forbid import ForbidRequest, forbid
-from .graphs import Graph, Instance, incomparable
+from .graphs import Graph, Instance, common_neighbors
 from .solver import decide
 
 SCHEMA = "lhom/1"
@@ -134,11 +134,13 @@ def _parse_colors(text: str, h: int, what: str) -> list[int]:
 
 
 def _default_list_for(hg: Graph, color: int) -> int:
-    kept = [color]  # no color is incomparable with itself, so none repeats
-    for v in range(hg.n):
-        if all(incomparable(hg, v, u) for u in kept):
-            kept.append(v)
-    return mask_of(kept)
+    kept = above = 0  # above: colors whose neighborhood holds a kept color's
+    for v in (color, *range(hg.n)):
+        if not above >> v & 1:
+            up = common_neighbors(hg, hg.adj[v], hg.full_mask)
+            if not up & kept:
+                kept, above = kept | 1 << v, above | up
+    return kept
 
 
 def _cmd_forbid(args) -> int:

@@ -8,7 +8,8 @@ mask too; the kernels' parameter k is its bit count.  A graph makes its
 neighbor tuples, looped-vertex mask and edge count once.  A caller's
 Graph(n, adj) and Instance(graph, lists, cover) are checked; from_edges,
 the kernels, reduce_lists, reduce_sat, the gadgets and gen_instance build
-valid ones unchecked.
+valid ones unchecked.  N(a) is inside N(b) iff b is a common neighbor of
+N(a), so dominance is read off `common_neighbors`, not tested pair by pair.
 
 `record` makes lhom's ten frozen records (these two, and those of gf2,
 forbid, invariants, kernels and reductions) as `dataclass(frozen=True)`
@@ -19,7 +20,6 @@ would, without importing `dataclasses` or running generated code;
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 from .bitset import bit_list, iter_bits, mask_of
@@ -177,13 +177,13 @@ def common_neighbors(hg: Graph, s_mask: int, l_mask: int) -> int:
     For S = 0 (empty set) this is L itself.  A looped vertex can be a
     common neighbor of a set containing it.
     """
-    w = hg.full_mask
+    w = l_mask  # starting inside L stops as soon as no color of L is left
     m = s_mask
     while m and w:
         low = m & -m
         m ^= low
         w &= hg.adj[low.bit_length() - 1]
-    return w & l_mask
+    return w
 
 
 def incomparable(hg: Graph, u: int, v: int) -> bool:
@@ -194,8 +194,10 @@ def incomparable(hg: Graph, u: int, v: int) -> bool:
 
 @functools.lru_cache(maxsize=4096)
 def is_incomparable_set(hg: Graph, mask: int) -> bool:
-    vs = bit_list(mask)
-    return all(incomparable(hg, a, b) for a, b in itertools.combinations(vs, 2))
+    """True iff each member is the only one dominating it; cached, as a
+    request family checks the same (target, list) pairs again and again."""
+    return all(common_neighbors(hg, hg.adj[a], mask) == 1 << a
+               for a in iter_bits(mask))
 
 
 @record
@@ -247,18 +249,8 @@ def dominant_subset(hg: Graph, mask: int) -> int:
     """
     keep = 0
     for x in iter_bits(mask):
-        nx = hg.adj[x]
-        dominated = False
-        for y in iter_bits(mask):
-            if y == x:
-                continue
-            ny = hg.adj[y]
-            if nx & ~ny:
-                continue
-            if nx != ny or y < x:
-                dominated = True
-                break
-        if not dominated:
+        above = common_neighbors(hg, hg.adj[x], mask) ^ 1 << x
+        if not any(y < x or hg.adj[y] != hg.adj[x] for y in iter_bits(above)):
             keep |= 1 << x
     return keep
 

@@ -148,19 +148,25 @@ def automorphism_generators(hg: Graph) -> tuple[tuple[int, ...], ...]:
         return cand
 
     def extend(f: list[int], used: int, order: list[int], pos: int):
+        # one (candidate iterator, used mask) level per position: no recursion
         nonlocal budget
-        if pos == n:
-            perm = tuple(f)
-            ok = all(adj[perm[v]] == _image(perm, adj[v]) for v in range(n))
-            return perm if ok else None
-        for u in iter_bits(candidates(f, used, order, pos)):
+        stack = [(iter_bits(candidates(f, used, order, pos)), used)]
+        while stack:
+            cands, used = stack[-1]
+            u = next(cands, None)
+            if u is None:
+                stack.pop()
+                pos -= 1
+                continue
             if not budget:
                 return None
             budget -= 1
             f[order[pos]] = u
-            found = extend(f, used | 1 << u, order, pos + 1)
-            if found is not None:
-                return found
+            if pos + 1 < n:
+                pos, used = pos + 1, used | 1 << u
+                stack.append((iter_bits(candidates(f, used, order, pos)), used))
+            elif all(adj[f[v]] == _image(f, adj[v]) for v in range(n)):
+                return tuple(f)
         return None
 
     for i in range(n - 2, -1, -1):

@@ -81,6 +81,17 @@ before it numbered its columns from the sparsest rows: a column per
 distinct frozenset monomial in first-seen order, and the degree check and
 dimension assertion that its `d` and `m` fed.
 
+`reference_dominant_subset` is `lhom.graphs.dominant_subset` as it was
+before it read dominance off common neighbours: every member against every
+other, one pair at a time.  `_is_incomparable_mask` is the same pairwise
+test for `is_incomparable_set`.
+
+`reference_automorphism_generators` is
+`lhom.invariants.automorphism_generators` as it was before its search kept
+an explicit stack: `extend` recursed once per mapped vertex, so a target of
+about 1,000 colors overflowed Python's default recursion limit.  It is not
+cached, and takes the candidate-image budget as an argument.
+
 `reference_all_essential_sets` is `lhom.invariants.all_essential_sets` as
 it was before its DFS carried each prefix's neighborhoods: every candidate
 set is tested from scratch, one `common_neighbors` call per member.
@@ -126,9 +137,10 @@ from lhom.generators import SplitMix64
 from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          incomparable, reduce_lists)
-from lhom.invariants import (CStarWitness, LowerBoundStructure,
-                             _is_cycle_power, all_essential_sets,
-                             compute_c_star, compute_d_star)
+from lhom.invariants import (_AUT_NODE_BUDGET, CStarWitness,
+                             LowerBoundStructure, _image, _is_cycle_power,
+                             _orbit, all_essential_sets, compute_c_star,
+                             compute_d_star)
 from lhom.kernels import KernelReport, _trivial_no_kernel
 
 
@@ -194,6 +206,27 @@ def _is_incomparable_mask(hg: Graph, mask: int) -> bool:
         if not (hg.adj[a] & ~hg.adj[b]) or not (hg.adj[b] & ~hg.adj[a]):
             return False
     return True
+
+
+def reference_dominant_subset(hg: Graph, mask: int) -> int:
+    """`dominant_subset` as a nested loop: each member is tested against
+    every other member of the set, one pair at a time."""
+    keep = 0
+    for x in iter_bits(mask):
+        nx = hg.adj[x]
+        dominated = False
+        for y in iter_bits(mask):
+            if y == x:
+                continue
+            ny = hg.adj[y]
+            if nx & ~ny:
+                continue
+            if nx != ny or y < x:
+                dominated = True
+                break
+        if not dominated:
+            keep |= 1 << x
+    return keep
 
 
 def brute_c_star(hg: Graph, incomparable_only: bool = False) -> int:
@@ -857,6 +890,65 @@ def reference_all_essential_sets(hg: Graph) -> tuple[int, ...]:
 
     dfs(0, 0)
     return tuple(out)
+
+
+def reference_automorphism_generators(hg: Graph, budget: int = _AUT_NODE_BUDGET
+                                       ) -> tuple[tuple[int, ...], ...]:
+    """`automorphism_generators` with its extend recursing once per mapped
+    vertex, uncached; budget is its candidate-image budget."""
+    n, adj = hg.n, hg.adj
+    sig = [(a.bit_count(), a >> v & 1) for v, a in enumerate(adj)]
+    same = [mask_of(u for u in range(n) if sig[u] == sig[v]) for v in range(n)]
+    gens: list[tuple[int, ...]] = []
+
+    def candidates(f: list[int], used: int, order: list[int], pos: int):
+        j = order[pos]
+        cand = same[j] & ~used
+        for a in order[:pos]:
+            cand &= adj[f[a]] if adj[j] >> a & 1 else ~adj[f[a]]
+        return cand
+
+    def extend(f: list[int], used: int, order: list[int], pos: int):
+        nonlocal budget
+        if pos == n:
+            perm = tuple(f)
+            ok = all(adj[perm[v]] == _image(perm, adj[v]) for v in range(n))
+            return perm if ok else None
+        for u in iter_bits(candidates(f, used, order, pos)):
+            if not budget:
+                return None
+            budget -= 1
+            f[order[pos]] = u
+            found = extend(f, used | 1 << u, order, pos + 1)
+            if found is not None:
+                return found
+        return None
+
+    for i in range(n - 2, -1, -1):
+        fixed = (1 << i) - 1
+        # the rest in an order that maps the most-constrained vertex next
+        order, mapped = list(range(i + 1)), fixed | 1 << i
+        while len(order) < n:
+            nxt = max((u for u in range(n) if not mapped >> u & 1),
+                      key=lambda u: (adj[u] & mapped).bit_count())
+            order.append(nxt)
+            mapped |= 1 << nxt
+        stabilizer = tuple(gens)  # all of them fix 0..i
+        known = _orbit(1 << i, gens)  # one-vertex sets
+        f = list(range(n))
+        for v in iter_bits(candidates(f, fixed, order, i)):
+            if 1 << v in known:
+                continue
+            f[i] = v
+            g = extend(f, fixed | 1 << v, order, i + 1)
+            if g is not None:
+                gens.append(g)
+                known |= _orbit(1 << i, gens)
+            elif not budget:
+                return tuple(gens)
+            else:
+                known |= _orbit(1 << v, stabilizer)
+    return tuple(gens)
 
 
 def reference_find_lbs(hg: Graph, d: int) -> LowerBoundStructure | None:

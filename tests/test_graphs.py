@@ -7,7 +7,7 @@ import pytest
 
 from lhom.bitset import bit_list, mask_of
 from lhom.forbid import ForbidRequest, ForbidResult, forbid
-from lhom.generators import SplitMix64, gen_instance
+from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          dominant_subset, greedy_vertex_cover, incomparable,
@@ -20,9 +20,10 @@ from lhom.reductions import (Gadget, VariableGadget, build_comp, build_neq,
 from lhom.solver import decide
 
 from conftest import complete_graph
-from oracle import (brute_common, dataclass_twin, exact_min_vertex_cover,
-                    random_graph, reference_edges, reference_greedy_cover,
-                    reference_nbrs)
+from oracle import (_is_incomparable_mask, brute_common, dataclass_twin,
+                    exact_min_vertex_cover, random_graph,
+                    reference_dominant_subset, reference_edges,
+                    reference_greedy_cover, reference_nbrs)
 
 
 def test_graph_rejects_asymmetric_adjacency():
@@ -262,14 +263,50 @@ def test_instance_rejects_loop_outside_cover():
         Instance(g, (1, 1), cover=mask_of([0]))
 
 
+def _twinned_target(rng, h):
+    """A seeded random looped target on h colors, then a twin of one of them
+    (an equal neighborhood, a loop included) and an isolated color."""
+    base = random_graph(rng, h)
+    v = rng.below(h)
+    edges = base.edges() + [(h, u) for u in bit_list(base.adj[v]) if u != v]
+    if base.adj[v] >> v & 1:
+        edges += [(h, v), (h, h)]
+    hg = Graph.from_edges(h + 2, edges)
+    assert hg.adj[h] == hg.adj[v] and hg.adj[h + 1] == 0
+    return hg
+
+
 def test_dominant_subset_is_incomparable():
+    """dominant_subset and is_incomparable_set against the pairwise
+    references: every mask for h <= 6, sampled masks for h <= 10 on targets
+    with a twin and an isolated color, and cycle powers."""
+    def check(hg, mask):
+        sub = dominant_subset(hg, mask)
+        assert sub == reference_dominant_subset(hg, mask), (hg, mask)
+        assert is_incomparable_set(hg, sub)
+        assert (is_incomparable_set(hg, mask)
+                == _is_incomparable_mask(hg, mask)), (hg, mask)
+
     rng = SplitMix64(15)
     for _ in range(40):
         hg = random_graph(rng, 1 + rng.below(7))
         mask = rng.below(hg.full_mask + 1)
-        sub = dominant_subset(hg, mask)
-        assert sub & ~mask == 0
-        assert is_incomparable_set(hg, sub)
+        assert dominant_subset(hg, mask) & ~mask == 0
+        check(hg, mask)
+    small = [random_graph(rng, h) for h in range(7) for _ in range(6)]
+    small += [_twinned_target(rng, h) for h in range(1, 5) for _ in range(6)]
+    for hg in small:
+        for mask in range(hg.full_mask + 1):
+            check(hg, mask)
+    for _ in range(200):
+        hg = _twinned_target(rng, 1 + rng.below(8))
+        for _ in range(20):
+            check(hg, rng.below(hg.full_mask + 1))
+    for k, p in ((5, 1), (6, 1), (13, 2), (19, 3), (25, 4)):
+        hg = gen_cycle_power(k, p)
+        check(hg, hg.full_mask)
+        for _ in range(50):
+            check(hg, rng.below(hg.full_mask + 1))
 
 
 @pytest.mark.parametrize("build, message", [

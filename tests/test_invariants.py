@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -12,7 +13,8 @@ from lhom.invariants import (all_essential_sets, automorphism_generators,
 
 from oracle import (brute_c_star, brute_lbs_exists, has_edge,
                     max_degree_exchange_holds, random_graph,
-                    reference_all_essential_sets, reference_d_star,
+                    reference_all_essential_sets,
+                    reference_automorphism_generators, reference_d_star,
                     reference_degree_probe, reference_find_lbs,
                     verify_c_star_witness, verify_lbs)
 
@@ -359,6 +361,40 @@ def test_symmetry_reduced_search_matches_reference_relabelled(c13p2):
         assert len(_generated(automorphism_generators(hg), hg.n)) == 2 * hg.n
         assert compute_d_star.__wrapped__(hg) == reference_d_star(hg)
         assert degree_probe(hg) == reference_degree_probe(hg)
+
+
+def test_automorphism_generators_match_the_recursive_reference(monkeypatch):
+    """The explicit stack finds the recursive search's generators, in order,
+    at the default budget and at small ones, on seeded random looped
+    targets and cycle powers."""
+    rng = SplitMix64(41)
+    graphs = [random_graph(rng, 1 + rng.below(9)) for _ in range(300)]
+    graphs += [gen_cycle_power(k, p)
+               for k, p in ((5, 1), (6, 1), (13, 2), (19, 3), (60, 1))]
+    for hg in graphs:
+        assert (automorphism_generators.__wrapped__(hg)
+                == reference_automorphism_generators(hg)), hg
+    for budget in (0, 1, 2, 5, 17, 60):
+        monkeypatch.setattr(invariants, "_AUT_NODE_BUDGET", budget)
+        for hg in graphs[:40] + graphs[-5:]:
+            assert (automorphism_generators.__wrapped__(hg)
+                    == reference_automorphism_generators(hg, budget)), hg
+
+
+def test_automorphism_generators_need_no_recursion_per_vertex():
+    """C200 under a recursion limit of 150, which the reference's one frame
+    per mapped vertex overflows; the reference runs at the default limit."""
+    c200 = gen_cycle_power(200, 1)
+    want = reference_automorphism_generators(c200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        got = automorphism_generators.__wrapped__(c200)
+        with pytest.raises(RecursionError):
+            reference_automorphism_generators(c200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want and len(got) == 2
 
 
 @pytest.fixture
