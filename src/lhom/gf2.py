@@ -1,11 +1,13 @@
 """Multilinear GF(2) polynomials on choice variables.
 
 A variable is a (vertex, color) pair; on a choice assignment exactly one
-color variable per vertex is 1.  In `Gf2Poly` a monomial is a frozenset of
-variables and a polynomial the frozenset of monomials with coefficient 1.
-lhom builds them as monomials (`product_of_vars`) and sums (`sum_of`, where
-a monomial met twice cancels); `poly_local` lists its block's monomials.
-A polynomial computes the set of its variables once (`variables`).
+color variable per vertex is 1.  In `Gf2Poly` a monomial is the tuple of
+its distinct variables by color, then vertex, and a polynomial the
+frozenset of monomials with coefficient 1; a tuple is about a third of the
+size of a frozenset of the same few pairs.  lhom builds them as monomials
+(`product_of_vars`) and sums (`sum_of`, where a monomial met twice
+cancels); `poly_local` lists its block's monomials, already in order.  A
+polynomial computes the set of its variables once (`variables`).
 
 The elimination routines work on packed rows.  For `extract_basis` a
 monomial is an int with one bit per variable (the kernel gives the variable
@@ -20,27 +22,48 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import record
+from .graphs import _unchecked, record
 
 Var = tuple[int, int]
 
 
+def _monomial(pairs: Iterable[Var]) -> tuple[Var, ...]:
+    """The distinct variables by color, then vertex."""
+    return tuple(sorted(set(pairs), key=operator.itemgetter(1, 0)))
+
+
 @record
 class Gf2Poly:
+    """Gf2Poly(monomials) takes iterables of variables: a repeated one
+    collapses (y * y = y), a monomial met twice cancels, and each becomes
+    its tuple by color, then vertex; lhom's builders skip it via _built."""
+
     monomials: frozenset
+
+    def __post_init__(self) -> None:
+        acc: set = set()
+        for m in self.monomials:
+            acc ^= {_monomial(m)}
+        if acc != self.monomials:  # else keep the caller's frozenset
+            self.__dict__["monomials"] = frozenset(acc)
+
+    @classmethod
+    def _built(cls, monomials: frozenset) -> "Gf2Poly":
+        return _unchecked(cls, monomials=monomials)
 
     @classmethod
     def product_of_vars(cls, pairs: Iterable[Var]) -> "Gf2Poly":
-        return cls(frozenset({frozenset(pairs)}))
+        return cls._built(frozenset({_monomial(pairs)}))
 
     @classmethod
     def sum_of(cls, polys: Iterable["Gf2Poly"]) -> "Gf2Poly":
         acc: set = set()
         for p in polys:
             acc ^= p.monomials
-        return cls(frozenset(acc))
+        return cls._built(frozenset(acc))
 
     @functools.cached_property
     def variables(self) -> frozenset:
@@ -48,8 +71,8 @@ class Gf2Poly:
         return frozenset().union(*self.monomials)
 
     def remap_vertices(self, mapping: Mapping[int, int]) -> "Gf2Poly":
-        return Gf2Poly(frozenset(
-            frozenset((mapping[v], c) for v, c in m) for m in self.monomials))
+        """Checked: where two vertices meet, monomials may cancel."""
+        return Gf2Poly([(mapping[v], c) for v, c in m] for m in self.monomials)
 
     def __str__(self) -> str:
         if not self.monomials:
@@ -72,8 +95,8 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
     equal to one, which is why r must exceed |S| by exactly one.  Each
     factor's variables carry its own color, so the expansion's monomials
     (one vertex per color) are distinct and none cancels: they are listed
-    directly.  Callers certify every forbidding polynomial built from these
-    blocks before returning it.
+    directly, their colors ascending.  Callers certify every forbidding
+    polynomial built from these blocks before returning it.
     """
     s = sorted(set(colors))
     verts = tuple(verts)
@@ -83,11 +106,11 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
         raise ValueError("vertex count must be |S| + 1")
     if any(c < 0 or c >= h for c in s):
         raise ValueError("color out of range")
-    monos = [frozenset()]
+    monos = [()]
     for c in s:
-        units = [frozenset({(v, c)}) for v in verts]
-        monos = [m | u for m in monos for u in units]
-    return Gf2Poly(frozenset(monos))
+        units = [((v, c),) for v in verts]
+        monos = [m + u for m in monos for u in units]
+    return Gf2Poly._built(frozenset(monos))
 
 
 def extract_basis(rows: Sequence[Sequence[int]]) -> list[int]:

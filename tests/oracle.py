@@ -12,10 +12,21 @@ live here because only tests call them; `extendable_bounded` reaches
 `extendable`'s answer by a different route.
 
 `reference_poly_local` is `lhom.gf2.poly_local` as it was before the block
-was listed monomial by monomial: it starts from the polynomial `ONE` and
-multiplies in, by `poly_mul`, one parity factor per color, cancelling
+was listed monomial by monomial: it starts from the polynomial 1 and
+multiplies in, by `set_mul`, one parity factor per color, cancelling
 repeated monomials as a product over GF(2) does.  It leaves out
 `poly_local`'s input checks.
+
+The frozenset form is a polynomial's monomials as frozensets of variables,
+the way `Gf2Poly` stored them before its color-ordered tuples; `set_form`
+reads a `Gf2Poly` in it.  `set_mul` (behind `poly_mul`),
+`reference_block` (the block of `reference_poly_local`),
+`reference_block_sum`, `reference_cycle_power_poly` (the
+`lhom.forbid._cycle_power_poly` sum over `reference_cycle_power_blocks`,
+enumerated by cyclic distance), `reference_remap` (`remap_vertices`) and `reference_str` (the
+text of `Gf2Poly.__str__`) build and read that form without `Gf2Poly`.
+`reference_linear_sets` gives the color sets whose blocks
+`reference_linear_system` sums.
 
 `reference_search` is the oracle's earlier search, kept as a differential
 oracle for `lhom.solver._Search`: it copies the whole candidate list at
@@ -27,7 +38,7 @@ kept as a differential oracle for `lhom.kernels.kernel_poly`: every
 no-common-neighbor tuple of every outside vertex becomes a basis row, with
 no minimality check and no de-duplication: it walks every (vertex, subset)
 pair, not the kernels' shared first-seen types.  Its rows are `Gf2Poly`
-frozensets moved onto the vertices by `remap_vertices`, its polynomials
+polynomials moved onto the vertices by `remap_vertices`, its polynomials
 come from `reference_forbid` and its basis from `reference_extract_basis`.
 It reuses the library's `reduce_lists`, `compute_c_star` and the kernels'
 `_trivial_no_kernel`, and restricts through `reference_restrict`.
@@ -78,7 +89,7 @@ column index, every row's colors sorted, then the library's
 every polynomial it returns.
 `reference_extract_basis` is `extract_basis` on `Gf2Poly` rows as it was
 before it numbered its columns from the sparsest rows: a column per
-distinct frozenset monomial in first-seen order, and the degree check and
+distinct monomial in first-seen order, and the degree check and
 dimension assertion that its `d` and `m` fed.
 
 `reference_dominant_subset` is `lhom.graphs.dominant_subset` as it was
@@ -156,26 +167,81 @@ def poly_degree(poly: Gf2Poly) -> int:
     return max((len(m) for m in poly.monomials), default=0)
 
 
-def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """The multilinear product: y * y = y, and a monomial met twice cancels."""
+def set_mul(a, b) -> frozenset:
+    """The multilinear product of two polynomials given as their monomials,
+    in the frozenset form: y * y = y, and a monomial met twice cancels."""
     acc: set = set()
-    for m1 in a.monomials:
-        for m2 in b.monomials:
-            m = m1 | m2
+    for m1 in a:
+        for m2 in b:
+            m = frozenset(m1) | frozenset(m2)
             if m in acc:
                 acc.discard(m)
             else:
                 acc.add(m)
-    return Gf2Poly(frozenset(acc))
+    return frozenset(acc)
+
+
+def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    """The multilinear product, taken in the frozenset form."""
+    return Gf2Poly(set_mul(a.monomials, b.monomials))
+
+
+def set_form(poly: Gf2Poly) -> frozenset:
+    """poly's monomials as frozensets of variables."""
+    return frozenset(map(frozenset, poly.monomials))
+
+
+def reference_block(colors, verts) -> frozenset:
+    """`poly_local`'s block in the frozenset form, as a product: one parity
+    factor per color of S."""
+    acc = frozenset({frozenset()})
+    for c in sorted(set(colors)):
+        acc = set_mul(acc, {frozenset({(v, c)}) for v in verts})
+    return acc
 
 
 def reference_poly_local(colors, verts) -> Gf2Poly:
     """`poly_local` as a product: one parity factor per color of S."""
-    acc = ONE
-    for c in sorted(set(colors)):
-        acc = poly_mul(acc, Gf2Poly(frozenset(
-            frozenset({(v, c)}) for v in verts)))
-    return acc
+    return Gf2Poly(reference_block(colors, verts))
+
+
+def reference_block_sum(color_sets, verts) -> frozenset:
+    """The sum of the frozenset-form blocks on the given color sets."""
+    acc: set = set()
+    for colors in color_sets:
+        acc ^= reference_block(colors, verts)
+    return frozenset(acc)
+
+
+def reference_cycle_power_blocks(k: int, p: int) -> list[set[int]]:
+    """The color sets {i, j, ..., j+p-2} over anchors i, j at cyclic
+    distance 2..2p, j moving away from i."""
+    dist = [min(d, k - d) for d in range(k)]
+    return [{i} | {(j + t) % k for t in range(p - 1)}
+            for i in range(k) for j in range(k)
+            if 2 <= dist[(j - i) % k] <= 2 * p
+            and dist[(j - i) % k] < dist[(j + 1 - i) % k]]
+
+
+def reference_cycle_power_poly(k: int, p: int, verts) -> frozenset:
+    """`lhom.forbid._cycle_power_poly` in the frozenset form."""
+    return reference_block_sum(reference_cycle_power_blocks(k, p), verts)
+
+
+def reference_remap(monomials, mapping) -> frozenset:
+    """`Gf2Poly.remap_vertices` in the frozenset form."""
+    acc: set = set()
+    for m in monomials:
+        acc ^= {frozenset((mapping[v], c) for v, c in m)}
+    return frozenset(acc)
+
+
+def reference_str(monomials) -> str:
+    """`Gf2Poly.__str__` on the frozenset form: monomials by size, then by
+    their sorted variables; 1 for the empty monomial, 0 for none."""
+    keys = sorted((len(m), sorted(m)) for m in monomials)
+    return " + ".join("*".join(f"y[{v},{c}]" for v, c in pairs) or "1"
+                      for _, pairs in keys) or "0"
 
 
 def poly_eval(poly: Gf2Poly, colors: dict[int, int]) -> int:
@@ -850,6 +916,16 @@ def reference_shadow_solution(n: int, d: int, zero_sets, one_set):
 def reference_linear_system(req: ForbidRequest, budget: int = CERT_BUDGET
                             ) -> ForbidResult | None:
     """`forbid_linear_system` on the reference shadow system."""
+    sets = reference_linear_sets(req)
+    if sets is None:
+        return None
+    poly = Gf2Poly.sum_of(poly_local(s, req.verts, req.target.n) for s in sets)
+    return _scan_certified(req, poly, "linear-system", budget)
+
+
+def reference_linear_sets(req: ForbidRequest) -> list | None:
+    """The color sets of the blocks that the reference shadow system sums,
+    or None when it is inconsistent."""
     r = req.width
     if r < 2:
         raise ValueError("width must be at least 2")
@@ -866,11 +942,7 @@ def reference_linear_system(req: ForbidRequest, budget: int = CERT_BUDGET
         if any(all(req.lists[i] >> c & 1 for i, c in enumerate(perm))
                for perm in itertools.permutations(combo)):
             zero_sets.append(combo)
-    sets = reference_shadow_solution(hg.n, r - 1, zero_sets, req.colors)
-    if sets is None:
-        return None
-    poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)
-    return _scan_certified(req, poly, "linear-system", budget)
+    return reference_shadow_solution(hg.n, r - 1, zero_sets, req.colors)
 
 
 def reference_all_essential_sets(hg: Graph) -> tuple[int, ...]:

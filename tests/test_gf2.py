@@ -4,12 +4,17 @@ import tracemalloc
 
 import pytest
 
-from lhom.forbid import _cycle_power_poly
+from lhom.forbid import ForbidRequest, _cycle_power_poly, forbid
 from lhom.generators import SplitMix64
 from lhom.gf2 import Gf2Poly, extract_basis, poly_local, solve_linear_system
 
+from conftest import complete_graph
 from oracle import (ONE, packed_rows, poly_degree, poly_eval, poly_mul,
-                    reference_extract_basis, reference_poly_local)
+                    reference_block, reference_block_sum,
+                    reference_cycle_power_blocks, reference_cycle_power_poly,
+                    reference_extract_basis, reference_linear_sets,
+                    reference_poly_local, reference_remap, reference_str,
+                    set_form)
 
 
 def bool_poly(monomial_sets):
@@ -89,18 +94,115 @@ def test_poly_local_matches_reference_product():
     assert checked == 2 * sum(math.comb(h, s) for h in range(1, 8)
                              for s in range(5))
     for k, p in ((13, 2), (19, 3), (31, 2), (22, 3)):
-        # the blocks {i, j, ..., j+p-2} over anchors i, j at cyclic distance
-        # 2..2p, j moving away from i
-        dist = [min(d, k - d) for d in range(k)]
-        blocks = [{i} | {(j + t) % k for t in range(p - 1)}
-                  for i in range(k) for j in range(k)
-                  if 2 <= dist[(j - i) % k] <= 2 * p
-                  and dist[(j - i) % k] < dist[(j + 1 - i) % k]]
+        blocks = reference_cycle_power_blocks(k, p)
         verts = tuple(range(p + 1))
         want = Gf2Poly.sum_of(reference_poly_local(block, verts)
                               for block in blocks)
         assert len(blocks) == k * (2 * p - 1)
         assert _cycle_power_poly(k, p, verts) == want, (k, p)
+
+
+def _assert_matches(poly, reference):
+    """poly's monomials are the tuples of their distinct variables by color,
+    then vertex, and equal reference's frozensets; both print alike."""
+    for m in poly.monomials:
+        assert type(m) is tuple and len(set(m)) == len(m), m
+        assert list(m) == sorted(m, key=lambda var: (var[1], var[0])), m
+    assert set_form(poly) == reference
+    assert str(poly) == reference_str(reference)
+
+
+def test_monomials_match_the_frozenset_form():
+    """Seeded blocks, products of shuffled and repeated pairs, and their
+    sums moved by seeded vertex maps, some not injective, against the
+    frozenset form built by the oracle."""
+    rng = SplitMix64(4201)
+    for _ in range(300):
+        h = 1 + rng.below(7)
+        colors = _shuffled(rng, range(h))[:rng.below(min(h, 4) + 1)]
+        verts = _shuffled(rng, range(9))[:len(colors) + 1]
+        block = poly_local(colors, verts, h)
+        _assert_matches(block, reference_block(colors, verts))
+        pairs = [(rng.below(6), rng.below(h)) for _ in range(rng.below(6))]
+        pairs = _shuffled(rng, pairs + pairs[:rng.below(3)])
+        product = Gf2Poly.product_of_vars(pairs)
+        _assert_matches(product, frozenset({frozenset(pairs)}))
+        mapping = {v: rng.below(12) for v in range(9)}
+        _assert_matches(
+            Gf2Poly.sum_of([block, product]).remap_vertices(mapping),
+            reference_remap(reference_block(colors, verts)
+                            ^ {frozenset(pairs)}, mapping))
+
+
+@pytest.mark.parametrize("k, p", [(6, 1), (13, 2), (19, 3), (25, 4)])
+def test_cycle_power_poly_matches_the_frozenset_form(k, p):
+    """On the vertices 2p + 2, 2p, ..., 2, given descending;
+    `test_poly_local_matches_reference_product` takes 0, 1, ..., p."""
+    verts = tuple(range(2 * p + 2, 0, -2))
+    _assert_matches(_cycle_power_poly.__wrapped__(k, p, verts),
+                    reference_cycle_power_poly(k, p, verts))
+
+
+def test_route_polys_match_the_frozenset_form(c6, c13p2, k4):
+    """forbid's c6 and linear-system polynomials against the sums of the
+    oracle's frozenset blocks on the same color sets."""
+    cases = [(c6, (0, 2, 4), "c6"), (c6, (5, 3, 1), "c6"),
+             (c13p2, (0, 1, 2), "linear-system"),
+             (k4, (0, 1, 2, 3), "linear-system"),
+             (complete_graph(5), (4, 0, 3, 1, 2), "linear-system")]
+    for hg, colors, route in cases:
+        r = len(colors)
+        for verts in (tuple(range(r)), tuple(range(3 * r, 0, -3))):
+            req = ForbidRequest(hg, hg.full_mask, (hg.full_mask,) * r, verts,
+                                colors)
+            res = forbid(req)
+            assert res.method == route, (hg, colors)
+            sets = (itertools.combinations(colors, 2) if route == "c6"
+                    else reference_linear_sets(req))
+            _assert_matches(res.poly, reference_block_sum(sets, verts))
+
+
+def test_callers_polys_are_made_canonical():
+    """A caller's Gf2Poly from frozensets, or from tuples in any order,
+    equals the library's; a monomial given in two orders cancels, and a
+    repeated variable collapses."""
+    rng = SplitMix64(4202)
+    poly = Gf2Poly.sum_of([poly_local({1, 3, 4}, (7, 2, 5, 0), 6),
+                           Gf2Poly.product_of_vars([(9, 5), (2, 0)])])
+    assert Gf2Poly(set_form(poly)) == poly
+    shuffled = frozenset(tuple(_shuffled(rng, m)) for m in poly.monomials)
+    assert shuffled != poly.monomials and Gf2Poly(shuffled) == poly
+    assert Gf2Poly([list(m) + list(m[:1]) for m in poly.monomials]) == poly
+    kept = Gf2Poly(poly.monomials)
+    assert kept.monomials is poly.monomials
+    twice = [((0, 2), (1, 1)), ((1, 1), (0, 2)), ((3, 0),)]
+    assert Gf2Poly(twice) == Gf2Poly.product_of_vars([(3, 0)])
+    assert Gf2Poly([[(4, 1), (4, 1)]]) == Gf2Poly.product_of_vars([(4, 1)])
+
+
+def test_remap_vertices_cancels_merged_monomials():
+    """Vertices 0 and 2 meet on 5: the two monomials that become equal
+    cancel, and a variable met twice in one monomial collapses."""
+    mapping = {0: 5, 1: 6, 2: 5}
+    pair = Gf2Poly.sum_of([Gf2Poly.product_of_vars([(0, 1), (1, 2)]),
+                           Gf2Poly.product_of_vars([(2, 1), (1, 2)])])
+    assert str(pair) == "y[0,1]*y[1,2] + y[1,2]*y[2,1]"
+    assert str(pair.remap_vertices(mapping)) == "0"
+    triple = Gf2Poly.product_of_vars([(0, 1), (2, 1), (1, 2)])
+    assert triple.remap_vertices(mapping).monomials == {((5, 1), (6, 2))}
+
+
+def test_cycle_power_poly_memory():
+    """C25^4's polynomial holds 109,375 monomials of 4 variables each:
+    about 32 MB traced as frozensets, under 20 MiB as tuples."""
+    tracemalloc.start()
+    try:
+        poly = _cycle_power_poly.__wrapped__(25, 4, tuple(range(5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(poly.monomials) == 109_375
+    assert peak < 20 << 20, peak
 
 
 def test_poly_local_empty_set_is_one():
