@@ -4,7 +4,7 @@ A request names cover vertices with incomparable candidate lists, a color
 tuple S0 on them with no common neighbor in a target list L, and asks for a
 GF(2) polynomial that is nonzero on S0 and zero on every tuple that does
 have a common neighbor in L; other tuples are unconstrained.  A caller's
-request is checked; lhom's builders skip the check via _built.  No
+request is checked; lhom's builders skip the check via `_built`.  No
 constructor returns a polynomial that fails the contract, and each charges
 a scan of its candidate product against CERT_BUDGET, a module constant read
 at call time (`charge`).  The plain monomial is correct by construction;
@@ -22,11 +22,9 @@ import math
 
 from .bitset import bit_list, iter_bits, mask_of
 from .errors import BudgetExceededError, CertificationError
-from .graphs import (Graph, _unchecked, common_neighbors, is_incomparable_set,
-                     record)
+from .graphs import Graph, common_neighbors, is_incomparable_set, record
 from .gf2 import Gf2Poly, poly_local, shadow_solution
-from .invariants import (compute_c_star, compute_d_star, cycle_frame,
-                         special_construction)
+from .invariants import compute_c_star, compute_d_star, special_construction
 
 CERT_BUDGET = 2_000_000  # the most tuples that one certification may scan
 # `_boxes` keeps the h boxes of a (target, width r), h^r bits each, only
@@ -39,7 +37,8 @@ BOX_CAP = 1 << 22
 
 @record
 class ForbidRequest:
-    """Checked as it is made; lhom's own builders skip the check via _built."""
+    """Checked as it is made; lhom's builders, valid by construction, skip
+    the check through the `_built` that `record` gives every record."""
 
     target: Graph
     l_mask: int
@@ -67,11 +66,6 @@ class ForbidRequest:
                 raise ValueError(f"candidate list {i} is not incomparable")
         if common_neighbors(self.target, mask_of(self.colors), self.l_mask):
             raise ValueError("the forbidden tuple has a common neighbor in L")
-
-    @classmethod
-    def _built(cls, target, l_mask, lists, verts, colors) -> "ForbidRequest":
-        return _unchecked(cls, target=target, l_mask=l_mask, lists=lists,
-                          verts=verts, colors=colors)
 
     @property
     def width(self) -> int:
@@ -326,7 +320,7 @@ def forbid_route(hg: Graph, cycle_power: tuple[int, int] | None,
     width 1 reads neither invariant.
     """
     route = special_construction(hg, cycle_power)
-    if route == "c6" and width <= 3:
+    if route == "c6":
         return route if width == 3 else None
     if route == "cycle-power" and width == cycle_power[1] + 1:
         return route
@@ -348,10 +342,8 @@ def construct(req: ForbidRequest, route: str | None) -> ForbidResult:
         return _certified(req, _cycle_power_poly(req.target.n, p, req.verts),
                           p, route)
     if route == "c6":
-        pos = cycle_frame(req.target).index
-        poly = Gf2Poly.sum_of(
-            poly_local(pair, req.verts, 6)
-            for pair in itertools.combinations(sorted(req.colors, key=pos), 2))
+        pairs = itertools.combinations(req.colors, 2)
+        poly = Gf2Poly.sum_of(poly_local(s, req.verts, 6) for s in pairs)
         return _certified(req, poly, 2, route)
     if route == "linear-system":
         result = forbid_linear_system(req)

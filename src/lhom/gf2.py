@@ -25,7 +25,7 @@ import itertools
 import operator
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import _unchecked, record
+from .graphs import record
 
 Var = tuple[int, int]
 
@@ -39,7 +39,8 @@ def _monomial(pairs: Iterable[Var]) -> tuple[Var, ...]:
 class Gf2Poly:
     """Gf2Poly(monomials) takes iterables of variables: a repeated one
     collapses (y * y = y), a monomial met twice cancels, and each becomes
-    its tuple by color, then vertex; lhom's builders skip it via _built."""
+    its tuple by color, then vertex; lhom's builders, canonical already,
+    skip it through `_built`."""
 
     monomials: frozenset
 
@@ -49,10 +50,6 @@ class Gf2Poly:
             acc ^= {_monomial(m)}
         if acc != self.monomials:  # else keep the caller's frozenset
             self.__dict__["monomials"] = frozenset(acc)
-
-    @classmethod
-    def _built(cls, monomials: frozenset) -> "Gf2Poly":
-        return _unchecked(cls, monomials=monomials)
 
     @classmethod
     def product_of_vars(cls, pairs: Iterable[Var]) -> "Gf2Poly":

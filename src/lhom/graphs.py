@@ -13,8 +13,9 @@ N(a), so dominance is read off `common_neighbors`, not tested pair by pair.
 
 `record` makes lhom's ten frozen records (these two, and those of gf2,
 forbid, invariants, kernels and reductions) as `dataclass(frozen=True)`
-would, without importing `dataclasses` or running generated code;
-`_unchecked` makes a record without its `__post_init__` check.
+would, without importing `dataclasses` or running generated code, and
+gives each the private `_built`, which makes one without its
+`__post_init__` check.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def record(cls):
     class; `hash` of the field tuple; and AttributeError on setting or
     deleting an attribute.  The field names are `fields` and
     `__match_args__`.  Values live in the instance `__dict__`, where
-    `cached_property` keeps its own.
+    `cached_property` keeps its own.  `cls._built(*values)`, for what lhom
+    builds valid, takes values by position, omitted trailing ones at their
+    defaults, and runs no `__post_init__`.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
@@ -73,18 +76,19 @@ def record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _built(cls, *values):
+        if len(values) < len(names):
+            values += tuple(map(defaults.__getitem__, names[len(values):]))
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(names, values))
+        return obj
+
     for method in (__init__, __repr__, __eq__, __hash__, __setattr__,
                    __delattr__):
         setattr(cls, method.__name__, method)
+    cls._built = classmethod(_built)
     cls.fields = cls.__match_args__ = names
     return cls
-
-
-def _unchecked(cls, **fields):
-    """A record made without its __post_init__ check."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 @record
@@ -92,7 +96,7 @@ class Graph:
     """Undirected graph, loops allowed; adj[v] is the neighbor mask of v.
 
     Graph(n, adj) names the first out-of-range neighbor, else the first
-    asymmetric pair in vertex order; lhom's builders skip it via _built.
+    asymmetric pair in vertex order; lhom's builders skip it through `_built`.
     """
 
     n: int
@@ -108,10 +112,6 @@ class Graph:
             for u in iter_bits(mask):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
-
-    @classmethod
-    def _built(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        return _unchecked(cls, n=n, adj=adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -206,7 +206,8 @@ class Instance:
 
     Lists are masks over the target graph's vertices.  When `cover` is
     present, deleting it from the graph must leave no edge.  Instance(...)
-    checks both; lhom's builders skip the check via _built.
+    checks both; lhom's builders skip the check through `_built`, whose
+    cover is None when omitted.
     """
 
     graph: Graph
@@ -224,11 +225,6 @@ class Instance:
                     continue
                 if self.graph.adj[v] & ~self.cover:
                     raise ValueError("designated cover does not cover all edges")
-
-    @classmethod
-    def _built(cls, graph: Graph, lists: tuple[int, ...],
-               cover: int | None = None) -> "Instance":
-        return _unchecked(cls, graph=graph, lists=lists, cover=cover)
 
 
 def validate_instance(inst: Instance, hg: Graph) -> None:

@@ -143,7 +143,7 @@ import math
 from lhom.bitset import bit_list, iter_bits, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (CERT_BUDGET, ForbidRequest, ForbidResult,
-                         _cycle_power_poly, cycle_frame)
+                         _cycle_power_poly)
 from lhom.generators import SplitMix64
 from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
@@ -151,7 +151,7 @@ from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
 from lhom.invariants import (_AUT_NODE_BUDGET, CStarWitness,
                              LowerBoundStructure, _image, _is_cycle_power,
                              _orbit, all_essential_sets, compute_c_star,
-                             compute_d_star)
+                             compute_d_star, cycle_frame)
 from lhom.kernels import KernelReport, _trivial_no_kernel
 
 
@@ -1304,8 +1304,8 @@ def reference_edges(g: Graph) -> list[tuple[int, int]]:
 
 # what `record` sets on a class, and the descriptors `type` makes for it
 _MADE_BY_RECORD = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
-                   "__delattr__", "fields", "__match_args__", "__dict__",
-                   "__weakref__", "__annotations__"}
+                   "__delattr__", "_built", "fields", "__match_args__",
+                   "__dict__", "__weakref__", "__annotations__"}
 
 
 @functools.cache

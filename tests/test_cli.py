@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib
 import importlib.util
@@ -17,7 +18,7 @@ from lhom.formats import (parse_hgraph, parse_instance, write_hgraph,
 from lhom.generators import SplitMix64, gen_cycle_power, gen_instance
 from lhom.graphs import Graph, Instance
 from lhom.kernels import kernelize
-from lhom.solver import _Search
+from lhom.solver import _Search, decide
 
 
 @pytest.fixture()
@@ -782,3 +783,71 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                          env={**os.environ, "PYTHONPATH": src}).stdout.split()
     assert "lhom.cli" in out and "lhom.graphs" in out, out
     assert not {"dataclasses", "inspect"} & set(out), out
+
+
+def test_every_subcommand_answers_with_an_exit_code(tmp_path, capsys):
+    """Each subcommand on small targets (C5, C6, K4, C13^2 with and without
+    its hint comment, a subdivided star), on instances generated for them
+    and on instances of another target: `main` returns, never raises; 1
+    comes only from `solve` and `verify-kernel`, every 2 or 3 prints an
+    `error:` line, and `solve` answers as `decide` does."""
+    codes = collections.Counter()
+
+    def run(*argv):
+        capsys.readouterr()
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        codes[argv[0], code] += 1
+        assert code in (0, 1, 2, 3), argv
+        assert code != 1 or argv[0] in ("solve", "verify-kernel"), argv
+        assert (code in (2, 3)) == err.startswith("error: "), (argv, err)
+        if argv[0] == "verify-kernel" and code != 2:
+            assert json.loads(out)["agree"] is True, argv
+        if argv[0] == "solve" and code != 2:
+            hg = parse_hgraph(Path(argv[3]).read_text())[0]
+            inst = parse_instance(Path(argv[1]).read_text())[0]
+            assert json.loads(out)["answer"] is decide(inst, hg)[0] is (
+                code == 0), argv
+        return code
+
+    k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    (tmp_path / "k4.hg").write_text(write_hgraph(k4))
+    for name, argv in (("c5", ["cycle-power", "--k", "5", "--p", "1"]),
+                       ("c6", ["cycle-power", "--k", "6", "--p", "1"]),
+                       ("c13", ["cycle-power", "--k", "13", "--p", "2"]),
+                       ("star", ["subdivided-star", "--r", "2"])):
+        run("gen", "hgraph", *argv, "--out", str(tmp_path / f"{name}.hg"))
+    c13 = (tmp_path / "c13.hg").read_text()
+    (tmp_path / "c13-plain.hg").write_text(write_hgraph(parse_hgraph(c13)[0]))
+    run("gen", "hgraph", "cycle-power", "--k", "5")
+    cnf = str(tmp_path / "f.cnf")
+    Path(cnf).write_text("p cnf 3 3\n1 -2 3 0\n-1 2 0\n-3 0\n")
+    files = [str(tmp_path / f"{name}.hg")
+             for name in ("k4", "c5", "c6", "c13", "c13-plain", "star")]
+    for i, hg_file in enumerate(files):
+        colors = " ".join(map(str, range(parse_hgraph(
+            Path(hg_file).read_text())[0].n)))
+        run("invariants", hg_file, "--json")
+        run("gadget-check", "--target", hg_file)
+        run("reduce-sat", cnf, "--target", hg_file, "--json")
+        run("forbid", "--target", hg_file, "--list", colors, "--tuple", "0 2 4")
+        run("forbid", "--target", hg_file, "--list", colors, "--tuple", "0 1",
+            "--json")
+        run("forbid", "--target", hg_file, "--list", colors, "--tuple", "0 2 4",
+            "--degree", "1")
+        for seed, mode in ((1, "random"), (2, "planted-yes")):
+            lh = str(tmp_path / f"{i}-{seed}.lh")
+            run("gen", "instance", "--target", hg_file, "--n", "9", "--k", "2",
+                "--seed", str(seed), "--mode", mode, "--out", lh)
+            for target in (hg_file, files[i - 1]):
+                run("solve", lh, "--target", target, "--json")
+                run("kernel", lh, "--target", target, "--method", "marking",
+                    "--json")
+                run("kernel", lh, "--target", target, "--method", "poly")
+                run("verify-kernel", lh, "--target", target, "--method",
+                    "poly", "--json")
+    assert {command for command, code in codes if code == 0} == {
+        "gen", "invariants", "gadget-check", "reduce-sat", "forbid", "solve",
+        "kernel", "verify-kernel"}, codes
+    assert {("solve", 1), ("gen", 2), ("forbid", 2), ("forbid", 3)} <= set(
+        codes), codes

@@ -7,11 +7,12 @@ import pytest
 from lhom.bitset import bit_list, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (CERT_BUDGET, ForbidRequest, certify_forbid,
-                         construct, cycle_frame, forbid, forbid_linear_system,
+                         construct, forbid, forbid_linear_system,
                          forbid_monomial, minimal_subrequest)
 from lhom.generators import SplitMix64, gen_cycle_power
 from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import Graph, common_neighbors
+from lhom.invariants import cycle_frame
 
 from oracle import ONE, poly_degree, poly_eval, poly_mul
 
@@ -77,6 +78,22 @@ def test_c6_construction(c6):
     res = forbid(full_request(c6, (4, 0, 2)))
     assert res.method == "c6" and res.degree == 2
     assert res.poly == forbid(full_request(c6, (0, 2, 4))).poly
+    # every ordering of each parity class, on C6 and on a relabelled C6, at
+    # two vertex tuples, gives the reference's polynomial, whose pair blocks
+    # are taken in cycle order
+    from oracle import reference_forbid
+    perm = (3, 0, 5, 1, 4, 2)
+    relabelled = Graph.from_edges(6, [(perm[u], perm[v])
+                                      for u, v in c6.edges()])
+    for hg, frame in ((c6, range(6)), (relabelled, perm)):
+        for triple in (tuple(frame)[0::2], tuple(frame)[1::2]):
+            for colors in itertools.permutations(triple):
+                for verts in ((0, 1, 2), (5, 2, 9)):
+                    req = ForbidRequest(hg, hg.full_mask, (hg.full_mask,) * 3,
+                                        verts, colors)
+                    res = forbid(req)
+                    assert res.method == "c6" and res.degree == 2
+                    assert res.poly == reference_forbid(req).poly, (hg, colors)
 
 
 def test_c6_pair_falls_back_to_monomial(c6):

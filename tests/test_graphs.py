@@ -592,7 +592,9 @@ def test_records_match_their_dataclass_twins(c6, k4, c13p2):
     """Each record, on seeded values, against its frozen-dataclass twin
     (`oracle.dataclass_twin`): repr, ==, != and hash, equality against the
     other class, AttributeError on setting and deleting, TypeError on wrong
-    arguments, and keyword construction with the defaults."""
+    arguments, and keyword construction with the defaults.  The unchecked
+    `_built(*values)` that `record` gives each one makes the same record,
+    with omitted trailing fields at their defaults, and skips the check."""
     samples = _record_samples(c6, k4, c13p2)
     assert len(samples) == 10
     for cls, objs in samples.items():
@@ -605,6 +607,10 @@ def test_records_match_their_dataclass_twins(c6, k4, c13p2):
             pairs.append((rec, dc))
             assert rec == obj == cls(**values) and hash(rec) == hash(obj)
             assert repr(rec) == repr(obj) == repr(dc)
+            built = cls._built(*values.values())
+            assert type(built) is cls and vars(built) == values
+            assert built == rec and repr(built) == repr(rec)
+            assert hash(built) == hash(rec)
             assert hash(rec) == hash(dc) == hash(tuple(values.values()))
             assert rec != dc and dc != rec and not rec == dc
             assert rec.__eq__(dc) is NotImplemented is dc.__eq__(rec)
@@ -626,6 +632,18 @@ def test_records_match_their_dataclass_twins(c6, k4, c13p2):
                         delattr(made, name)
         for (a, ta), (b, tb) in itertools.product(pairs, repeat=2):
             assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
+    inst = samples[Instance][0]
+    assert Instance._built(inst.graph, inst.lists).cover is None
+    assert vars(Instance._built(inst.graph, inst.lists)) == {
+        "graph": inst.graph, "lists": inst.lists, "cover": None}
+    assert Instance._built(inst.graph, inst.lists) == Instance(inst.graph,
+                                                               inst.lists)
+    assert vars(Graph._built(2, (1,))) == {"n": 2, "adj": (1,)}
+    with pytest.raises(ValueError, match="adjacency length must equal"):
+        Graph(2, (1,))
+    uncanonical = frozenset({((0, 1), (0, 1)), ((2, 1), (1, 0))})
+    assert Gf2Poly._built(uncanonical).monomials is uncanonical
+    assert Gf2Poly(uncanonical).monomials == {((0, 1),), ((1, 0), (2, 1))}
 
 
 @pytest.mark.parametrize("cls, args, message", [
