@@ -633,11 +633,10 @@ def test_records_match_their_dataclass_twins(c6, k4, c13p2):
         for (a, ta), (b, tb) in itertools.product(pairs, repeat=2):
             assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
     inst = samples[Instance][0]
-    assert Instance._built(inst.graph, inst.lists).cover is None
-    assert vars(Instance._built(inst.graph, inst.lists)) == {
-        "graph": inst.graph, "lists": inst.lists, "cover": None}
-    assert Instance._built(inst.graph, inst.lists) == Instance(inst.graph,
-                                                               inst.lists)
+    short = Instance._built(inst.graph, inst.lists)
+    assert short.cover is None and short == Instance(inst.graph, inst.lists)
+    assert vars(short) == {"graph": inst.graph, "lists": inst.lists,
+                           "cover": None}
     assert vars(Graph._built(2, (1,))) == {"n": 2, "adj": (1,)}
     with pytest.raises(ValueError, match="adjacency length must equal"):
         Graph(2, (1,))
