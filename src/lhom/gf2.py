@@ -9,13 +9,15 @@ size of a frozenset of the same few pairs.  lhom builds them as monomials
 cancels); `poly_local` lists its block's monomials, already in order.  A
 polynomial computes the set of its variables once (`variables`).
 
-The elimination routines work on packed rows.  For `extract_basis` a
-monomial is an int with one bit per variable (the kernel gives the variable
-y[u, c] the bit index(u) * h + c), so its degree is its bit count, and a
-row is the list of its monomials.  The basis takes no degree (its caller
-reads it off the rows) and numbers its columns from the sparsest rows
-first.  `shadow_solution` solves the shadow systems behind forbidding
-polynomials.
+The elimination routines work on packed rows and share one reduction step
+(`_reduce`: XOR in the pivot of the row's top bit while there is one).
+For `extract_basis` a monomial is an int with one bit per variable (the
+kernel gives the variable y[u, c] the bit index(u) * h + c), so its degree
+is its bit count, and a row is the list of its monomials.  The basis takes
+no degree (its caller reads it off the rows) and numbers its columns from
+the sparsest rows first.  `solve_linear_system` reduces each row shifted up
+one bit, its right-hand side as bit 0; `shadow_solution` solves the shadow
+systems behind forbidding polynomials with it.
 """
 
 from __future__ import annotations
@@ -74,14 +76,10 @@ class Gf2Poly:
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
-        keys = sorted(((len(m), sorted(m)) for m in self.monomials))
-        terms = []
-        for _, pairs in keys:
-            if not pairs:
-                terms.append("1")
-            else:
-                terms.append("*".join(f"y[{v},{c}]" for v, c in pairs))
-        return " + ".join(terms)
+        keys = sorted(map(sorted, self.monomials))
+        keys.sort(key=len)  # stable: by degree, then by the sorted pairs
+        return " + ".join("*".join(f"y[{v},{c}]" for v, c in pairs) or "1"
+                          for pairs in keys)
 
 
 def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
@@ -110,16 +108,27 @@ def poly_local(colors: Iterable[int], verts: Sequence[int], h: int) -> Gf2Poly:
     return Gf2Poly._built(frozenset(monos))
 
 
+def _reduce(row: int, pivots: dict[int, int]) -> int:
+    """The row with the pivot of its top bit XORed in while there is one."""
+    while row:
+        pivot = pivots.get(row.bit_length() - 1)
+        if pivot is None:
+            break
+        row ^= pivot
+    return row
+
+
 def extract_basis(rows: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a streaming GF(2) row basis of the given polynomials.
 
     Each row is a polynomial given as the list of its monomials, each
     monomial an int with one bit per variable (module docstring); a
-    monomial listed twice cancels.  A row is kept iff it is independent of
-    the rows before it, so earlier indices are always preferred.  That does
-    not depend on how the columns are numbered, so they are numbered from
-    the sparsest rows first (a stable sort): a wide row takes the high
-    columns, and the pivots of the narrow rows stay narrow.
+    monomial listed twice cancels.  A row is kept iff `_reduce` leaves it
+    non-zero against the rows kept before it, so earlier indices are always
+    preferred.  That does not depend on how the columns are numbered, so
+    they are numbered from the sparsest rows first (a stable sort): a wide
+    row takes the high columns, and the pivots of the narrow rows stay
+    narrow.
     """
     col_index: dict[int, int] = {}
     for mono in itertools.chain.from_iterable(sorted(rows, key=len)):
@@ -130,11 +139,7 @@ def extract_basis(rows: Sequence[Sequence[int]]) -> list[int]:
         row = 0
         for mono in monos:
             row ^= 1 << col_index[mono]
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                break
-            row ^= pivots[top]
+        row = _reduce(row, pivots)
         if row:
             pivots[row.bit_length() - 1] = row
             kept.append(idx)
@@ -145,37 +150,27 @@ def solve_linear_system(rows: Sequence[int], rhs: Sequence[int],
                         n_cols: int) -> list[int] | None:
     """One solution of the GF(2) system, or None when inconsistent.
 
-    Rows are column bit masks; free variables are set to 0.
+    Rows are column bit masks below n_cols (ValueError otherwise); free
+    variables are set to 0.  Each row is reduced as `row << 1 | b`, so bit
+    0 carries its right-hand side, and one that reduces to exactly 1 reads
+    0 = 1.  Each pivot's top bit is its column plus one, so in ascending
+    order every lower column (free or pivot) is set before it is read.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
-    work = [(row, int(b) & 1) for row, b in zip(rows, rhs)]
-    pivots: dict[int, tuple[int, int]] = {}
-    for row, b in work:
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                break
-            prow, pb = pivots[top]
-            row ^= prow
-            b ^= pb
-        if row:
-            pivots[row.bit_length() - 1] = (row, b)
-        elif b:
+    pivots: dict[int, int] = {}
+    for row, b in zip(rows, rhs):
+        row = _reduce(row << 1 | int(b) & 1, pivots)
+        if row == 1:
             return None
-    solution = [0] * n_cols
-    # each stored row's pivot is its top bit, so ascending order finalizes
-    # every lower column (free or pivot) before it is read
-    for col in sorted(pivots):
-        row, b = pivots[col]
-        acc = b
-        rest = row & ~(1 << col)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            acc ^= solution[low.bit_length() - 1]
-        solution[col] = acc
-    return solution
+        if row:
+            pivots[row.bit_length() - 1] = row
+    if max(pivots, default=0) > n_cols:
+        raise ValueError("a row reaches column n_cols")
+    values = 1  # bit 0 is the constant 1 that each pivot's b multiplies
+    for top in sorted(pivots):
+        values |= ((pivots[top] & values).bit_count() & 1) << top
+    return [values >> col & 1 for col in range(1, n_cols + 1)]
 
 
 def shadow_solution(d: int, zero_sets: Iterable[Sequence[int]],

@@ -31,7 +31,8 @@ def record(cls):
 
     It gives what `dataclass(frozen=True)` gives: construction by position
     or keyword, a class attribute as the field's default, then
-    `__post_init__`, with TypeError on a missing or extra argument; the
+    `self.__post_init__()` when the class has one, looked up per
+    construction, with TypeError on a missing or extra argument; the
     dataclass `repr`; `==` on the field tuple between objects of exactly one
     class; `hash` of the field tuple; and AttributeError on setting or
     deleting an attribute.  The field names are `fields` and
@@ -44,7 +45,7 @@ def record(cls):
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
     row = operator.attrgetter(*names)
     key = row if len(names) > 1 else lambda obj: (row(obj),)
-    post_init = getattr(cls, "__post_init__", None)
+    checked = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
@@ -55,8 +56,8 @@ def record(cls):
                                 f"{len(args)} by position and {sorted(kwargs)}")
             args = map(values.__getitem__, names)
         self.__dict__.update(zip(names, args))
-        if post_init is not None:
-            post_init(self)
+        if checked:
+            self.__post_init__()
 
     def __repr__(self):
         return f"{type(self).__qualname__}(" + ", ".join(

@@ -57,13 +57,19 @@ class KernelReport:
     constraints_retained: int = 0
 
 
+def _report(inst: Instance, kernel: Instance, vmap: tuple[int, ...],
+            method: str, degree: int, k: int, bound_ok: bool,
+            total: int = 0, retained: int = 0) -> KernelReport:
+    """The report of a kernel, its four sizes read off input and kernel."""
+    return KernelReport(kernel, method, degree, inst.graph.n,
+                        inst.graph.edge_count(), kernel.graph.n,
+                        kernel.graph.edge_count(), k, bound_ok, vmap, total,
+                        retained)
+
+
 def _trivial_no_kernel(inst: Instance, method: str, bound_k: int) -> KernelReport:
     kernel = Instance._built(Graph.from_edges(1, []), (0,), 0)
-    return KernelReport(
-        kernel=kernel, method=method, degree_used=0,
-        vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
-        vertices_out=1, edges_out=0, bound_k=bound_k,
-        bound_formula_ok=True, vertex_map=(-1,))
+    return _report(inst, kernel, (-1,), method, 0, bound_k, True)
 
 
 def _restrict(inst: Instance, cover: int, picks: list[tuple[int, int]]
@@ -177,12 +183,8 @@ def kernel_marking(inst: Instance, hg: Graph) -> KernelReport:
     # a non-empty list and a cover subset of at most c vertices per type
     types = (2 ** hg.n - 1) * sum(math.comb(k, i) for i in range(c + 1))
     bound_ok = v_out <= k + types and e_out <= k * k + c * types
-    return KernelReport(
-        kernel=kernel, method="marking", degree_used=c,
-        vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
-        vertices_out=v_out, edges_out=e_out, bound_k=k,
-        bound_formula_ok=bound_ok, vertex_map=vmap,
-        constraints_total=offered, constraints_retained=offered)
+    return _report(inst, kernel, vmap, "marking", c, k, bound_ok, offered,
+                   offered)
 
 
 def _minimal_tuples(adj: tuple[int, ...], full: int, l_mask: int,
@@ -234,10 +236,11 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
     """`kernel_poly`'s rows, picks and tuple count.  A monomial's colors are
     in the reduced lists; a route row drops a degree-1 variable off them.  A
     route tuple is minimal on reduced lists, so its request skips the check.
-    r colors have no common neighbor in L only if r * M(L) >= |L|."""
+    r colors have no common neighbor in L only if r * M(L) >= |L|.  Each
+    subset's candidate tuples are built afresh; `_minimal_memo` compares
+    them by value."""
     h, adj, full = hg.n, hg.adj, hg.full_mask
     routes = [forbid_route(hg, cycle_power, r) for r in range(c + 1)]
-    colors = {}  # list tuple -> its candidate color tuples
     subsets = {}  # cover subset -> mask, size, route, y[u, 0] bits, keys
     widths = {}  # L -> the fewest colors that can have no common nbr in L
     rows, picks, tuples = [], [], 0
@@ -251,10 +254,7 @@ def _poly_rows(red: Instance, hg: Graph, cover: int, c: int,
             if len(combo) < width:
                 continue
             f_lists = tuple(map(get_list, combo))
-            cands = colors.get(f_lists)
-            if cands is None:
-                cands = colors[f_lists] = tuple(
-                    tuple(bit_list(f)) for f in f_lists)
+            cands = tuple(tuple(bit_list(f)) for f in f_lists)
             found = _minimal_memo(adj, full, l_mask, cands)
             if not found:
                 continue
@@ -332,13 +332,8 @@ def kernel_poly(inst: Instance, hg: Graph,
     kernel, vmap = _restrict(red, cover, [picks[i] for i in kept_idx])
     retained = n_list + len(kept_idx)
     rank_bound = sum(math.comb(k * h, i) for i in range(degree + 1))
-    return KernelReport(
-        kernel=kernel, method="poly", degree_used=degree,
-        vertices_in=inst.graph.n, edges_in=inst.graph.edge_count(),
-        vertices_out=kernel.graph.n, edges_out=kernel.graph.edge_count(),
-        bound_k=k, bound_formula_ok=retained <= rank_bound, vertex_map=vmap,
-        constraints_total=n_list + tuples,
-        constraints_retained=retained)
+    return _report(inst, kernel, vmap, "poly", degree, k,
+                   retained <= rank_bound, n_list + tuples, retained)
 
 
 def kernelize(inst: Instance, hg: Graph, method: str,

@@ -83,8 +83,10 @@ polynomials from the library's blocks (`cycle_frame`, `_cycle_power_poly`,
 
 `reference_shadow_solution` is the shadow system as `forbid_linear_system`
 and `degree_probe` each built it before `lhom.gf2.shadow_solution`: its own
-column index, every row's colors sorted, then the library's
-`solve_linear_system` (which `tests/test_gf2.py` checks on its own).
+column index, every row's colors sorted, then
+`reference_solve_linear_system`, which is `lhom.gf2.solve_linear_system` as
+it was before it shared `extract_basis`'s reduction step: a separate
+right-hand-side list, and back-substitution bit by bit.
 `reference_linear_system` is `forbid_linear_system` on it, and scans
 every polynomial it returns.
 `reference_extract_basis` is `extract_basis` on `Gf2Poly` rows as it was
@@ -139,13 +141,14 @@ import dataclasses
 import functools
 import itertools
 import math
+from typing import Sequence
 
 from lhom.bitset import bit_list, iter_bits, mask_of
 from lhom.errors import BudgetExceededError, CertificationError
 from lhom.forbid import (CERT_BUDGET, ForbidRequest, ForbidResult,
                          _cycle_power_poly)
 from lhom.generators import SplitMix64
-from lhom.gf2 import Gf2Poly, poly_local, solve_linear_system
+from lhom.gf2 import Gf2Poly, poly_local
 from lhom.graphs import (Graph, Instance, common_neighbors, cover_certificate,
                          incomparable, reduce_lists)
 from lhom.invariants import (_AUT_NODE_BUDGET, CStarWitness,
@@ -890,6 +893,43 @@ def reference_forbid(req: ForbidRequest,
     return _scan_certified(sub, monomial, "monomial", budget)
 
 
+def reference_solve_linear_system(rows: Sequence[int], rhs: Sequence[int],
+                                  n_cols: int) -> list[int] | None:
+    """One solution of the GF(2) system, or None when inconsistent.
+
+    Rows are column bit masks; free variables are set to 0.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    work = [(row, int(b) & 1) for row, b in zip(rows, rhs)]
+    pivots: dict[int, tuple[int, int]] = {}
+    for row, b in work:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                break
+            prow, pb = pivots[top]
+            row ^= prow
+            b ^= pb
+        if row:
+            pivots[row.bit_length() - 1] = (row, b)
+        elif b:
+            return None
+    solution = [0] * n_cols
+    # each stored row's pivot is its top bit, so ascending order finalizes
+    # every lower column (free or pivot) before it is read
+    for col in sorted(pivots):
+        row, b = pivots[col]
+        acc = b
+        rest = row & ~(1 << col)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            acc ^= solution[low.bit_length() - 1]
+        solution[col] = acc
+    return solution
+
+
 def reference_shadow_solution(n: int, d: int, zero_sets, one_set):
     """The d-sets with coefficient 1, or None when the system is inconsistent."""
     columns = list(itertools.combinations(range(n), d))
@@ -907,7 +947,7 @@ def reference_shadow_solution(n: int, d: int, zero_sets, one_set):
         rhs.append(0)
     rows.append(shadow_row(one_set))
     rhs.append(1)
-    sol = solve_linear_system(rows, rhs, len(columns))
+    sol = reference_solve_linear_system(rows, rhs, len(columns))
     if sol is None:
         return None
     return [columns[j] for j, bit in enumerate(sol) if bit]

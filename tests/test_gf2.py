@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -13,8 +14,8 @@ from oracle import (ONE, packed_rows, poly_degree, poly_eval, poly_mul,
                     reference_block, reference_block_sum,
                     reference_cycle_power_blocks, reference_cycle_power_poly,
                     reference_extract_basis, reference_linear_sets,
-                    reference_poly_local, reference_remap, reference_str,
-                    set_form)
+                    reference_poly_local, reference_remap,
+                    reference_solve_linear_system, reference_str, set_form)
 
 
 def bool_poly(monomial_sets):
@@ -340,6 +341,45 @@ def test_solve_linear_system_random_consistency():
             assert acc == b
 
 
+def test_solve_linear_system_matches_the_reference():
+    """The solver against `oracle.reference_solve_linear_system` on 2,400
+    seeded systems of 0-14 columns and 0-18 rows, drawn from a small pool
+    with a zero row and a sum of two others, so rows repeat and depend.
+    Two thirds are planted consistent; the rest have random right-hand
+    sides, as bools on some and as ints whose bit 0 counts on others.
+    n_cols runs from two below the widest row's width to three above it:
+    where the reference's solution list is too short (IndexError), the
+    solver raises ValueError."""
+    rng = SplitMix64(4401)
+    outcomes = collections.Counter()
+    for trial in range(2400):
+        width = rng.below(15)
+        pool = [rng.below(1 << width) for _ in range(1 + rng.below(5))]
+        pool += [0, pool[0] ^ pool[-1]]
+        rows = [pool[rng.below(len(pool))] for _ in range(rng.below(19))]
+        if trial % 3:
+            planted = rng.below(1 << width)
+            rhs = [(row & planted).bit_count() & 1 for row in rows]
+        else:
+            rhs = [rng.below(2) for _ in rows]
+        if trial % 4 == 1:
+            rhs = [bool(b) for b in rhs]
+        elif trial % 4 == 2:
+            rhs = [b + 2 * rng.below(3) for b in rhs]
+        n_cols = max(0, width - 2 + rng.below(6))
+        try:
+            want = reference_solve_linear_system(rows, rhs, n_cols)
+        except IndexError:
+            with pytest.raises(ValueError, match="reaches column n_cols"):
+                solve_linear_system(rows, rhs, n_cols)
+            outcomes["raised"] += 1
+            continue
+        got = solve_linear_system(rows, rhs, n_cols)
+        assert got == want, (rows, rhs, n_cols)
+        outcomes["inconsistent" if got is None else "solved"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_variables_are_computed_once():
     """`variables` is the union of the monomials, kept on the instance
     outside the record's fields: eq, hash and repr ignore it."""
@@ -362,6 +402,8 @@ def test_poly_str_canonical():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: solve_linear_system([1], [], 1), "row/rhs length mismatch"),
+    (lambda: solve_linear_system([0b101, 0b1], [1, 0], 2),
+     "a row reaches column n_cols"),
     (lambda: poly_local([6], (0, 1), 6), "color out of range"),
 ])
 def test_input_checks(call, message):

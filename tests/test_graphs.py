@@ -588,13 +588,15 @@ def _record_samples(c6, k4, c13p2):
     return samples
 
 
-def test_records_match_their_dataclass_twins(c6, k4, c13p2):
+def test_records_match_their_dataclass_twins(monkeypatch, c6, k4, c13p2):
     """Each record, on seeded values, against its frozen-dataclass twin
     (`oracle.dataclass_twin`): repr, ==, != and hash, equality against the
     other class, AttributeError on setting and deleting, TypeError on wrong
     arguments, and keyword construction with the defaults.  The unchecked
     `_built(*values)` that `record` gives each one makes the same record,
-    with omitted trailing fields at their defaults, and skips the check."""
+    with omitted trailing fields at their defaults, and skips the check.
+    As a dataclass does, construction looks `__post_init__` up each time,
+    so one patched after the class was made runs once per construction."""
     samples = _record_samples(c6, k4, c13p2)
     assert len(samples) == 10
     for cls, objs in samples.items():
@@ -643,6 +645,15 @@ def test_records_match_their_dataclass_twins(c6, k4, c13p2):
     uncanonical = frozenset({((0, 1), (0, 1)), ((2, 1), (1, 0))})
     assert Gf2Poly._built(uncanonical).monomials is uncanonical
     assert Gf2Poly(uncanonical).monomials == {((0, 1),), ((1, 0), (2, 1))}
+    args = (c6, c6.full_mask, (1, 1 << 3), (0, 1), (0, 3))
+    runs = collections.defaultdict(list)
+    for cls in (ForbidRequest, dataclass_twin(ForbidRequest)):
+        monkeypatch.setattr(cls, "__post_init__", lambda req, check=(
+            cls.__post_init__): runs[type(req)].append(req) or check(req))
+        req = cls(*args)
+        assert runs[cls] == [req]
+    ForbidRequest._built(*args)
+    assert len(runs[ForbidRequest]) == 1
 
 
 @pytest.mark.parametrize("cls, args, message", [

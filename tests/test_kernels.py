@@ -745,8 +745,7 @@ def test_the_kernels_requests_are_ones_the_checked_constructor_accepts(
 def test_the_kernel_builds_no_checked_request(monkeypatch, c6, c13p2, k4,
                                               k4_reductions):
     """The kernel's route requests skip the checked constructor; each
-    family still reaches `construct` with some.  `record` calls the
-    `__post_init__` it found when it made the class, so the count patches
+    family still reaches `construct` with some.  The count patches
     `__init__`, which every checked construction looks up."""
     checks, routed = [], collections.Counter()
     init = ForbidRequest.__init__
