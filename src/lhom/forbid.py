@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 
-from .bitset import bit_list, iter_bits, mask_of
+from .bitset import iter_bits, mask_of
 from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, common_neighbors, is_incomparable_set, record
 from .gf2 import Gf2Poly, poly_local, shadow_solution
@@ -260,10 +260,10 @@ def forbid_linear_system(req: ForbidRequest) -> ForbidResult | None:
     """Synthesize a polynomial of degree r - 1, for a request of width r,
     by solving a GF(2) system.
 
-    Unknowns are coefficients over all (r - 1)-color subsets; each
-    achievable r-set with a common neighbor in L pins its shadow sum to 0
-    and the forbidden set pins its own to 1.  Returns None when the system
-    is inconsistent.  Consistency is guaranteed in the regime where the
+    Unknowns are coefficients over (r - 1)-color sets.  For each w in L,
+    each achievable r-subset of N(w) within the lists' union pins its shadow
+    sum to 0, and the forbidden set pins its own to 1.  Returns None when
+    the system is inconsistent; it is consistent in the regime where the
     width equals both the marking degree and the maximum degree.
     """
     r = req.width
@@ -273,10 +273,9 @@ def forbid_linear_system(req: ForbidRequest) -> ForbidResult | None:
         raise ValueError("tuple colors must be distinct")
     hg = req.target
     union = functools.reduce(int.__or__, req.lists)
-    sets = shadow_solution(r - 1, (
-        combo for combo in itertools.combinations(bit_list(union), r)
-        if common_neighbors(hg, mask_of(combo), req.l_mask)
-        and _achievable(req.lists, combo)), req.colors)
+    nears = (hg.adj[w] & union for w in iter_bits(req.l_mask))
+    sets = shadow_solution(r - 1, nears, req.colors,
+                           functools.partial(_achievable, req.lists))
     if sets is None:
         return None
     poly = Gf2Poly.sum_of(poly_local(s, req.verts, hg.n) for s in sets)

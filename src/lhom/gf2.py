@@ -16,8 +16,8 @@ kernel gives the variable y[u, c] the bit index(u) * h + c), so its degree
 is its bit count, and a row is the list of its monomials.  The basis takes
 no degree (its caller reads it off the rows) and numbers its columns from
 the sparsest rows first.  `solve_linear_system` reduces each row shifted up
-one bit, its right-hand side as bit 0; `shadow_solution` solves the shadow
-systems behind forbidding polynomials with it.
+one bit, its right-hand side as bit 0; `shadow_solution` solves with it the
+shadow systems behind forbidding polynomials, read off N(w) for w in L.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
+from .bitset import bit_list
 from .graphs import record
 
 Var = tuple[int, int]
@@ -173,19 +174,24 @@ def solve_linear_system(rows: Sequence[int], rhs: Sequence[int],
     return [values >> col & 1 for col in range(1, n_cols + 1)]
 
 
-def shadow_solution(d: int, zero_sets: Iterable[Sequence[int]],
-                    one_set: Iterable[int]) -> list[tuple[int, ...]] | None:
+def shadow_solution(d: int, nears: Iterable[int], one_set: Iterable[int],
+                    keep: Callable | None = None) -> list[tuple] | None:
     """The d-sets with coefficient 1 in one solution of a shadow system.
 
     The shadow sum of a color set (the sum of the unknowns over its
-    d-subsets) is pinned to 0 for each zero set, which must arrive
-    ascending, and to 1 for one_set.  Unknowns are the d-sets that occur in
-    a pinned set, in lexicographic order; any other d-set's column would be
-    all zero, never a pivot and 0 in the solution.  Returns None when the
-    system is inconsistent.
+    d-subsets) is pinned to 1 for one_set, and to 0 for each zero set: the
+    |one_set|-subsets of the masks in nears (N(w) for the colors w of L)
+    that `keep` accepts, each once, ascending.  Unknowns are the d-sets
+    that occur in a pinned set, in lexicographic order; any other d-set's
+    column would be all zero, never a pivot and 0 in the solution.
+    Returns None when the system is inconsistent.
     """
+    one_set = sorted(one_set)
+    found = {combo for near in nears
+             for combo in itertools.combinations(bit_list(near), len(one_set))}
+    zero_sets = sorted(found if keep is None else filter(keep, found))
     subsets = [list(itertools.combinations(colors, d))
-               for colors in itertools.chain(zero_sets, [sorted(one_set)])]
+               for colors in zero_sets + [one_set]]
     bit = {s: 1 << i for i, s in
            enumerate(sorted(set(itertools.chain.from_iterable(subsets))))}
     # the d-subsets of a set are distinct columns, so their sum is their OR

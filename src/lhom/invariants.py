@@ -13,7 +13,6 @@ lower bound structure search, whose base set must itself be all-essential.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache, reduce
 
 from .bitset import bit_list, iter_bits, mask_of
@@ -82,13 +81,8 @@ def compute_c_star(hg: Graph) -> CStarWitness:
     """
     if hg.n < 1:
         raise ValueError("target graph must have at least one vertex")
-    best = 0
-    best_mask = 0
-    for s_mask in all_essential_sets(hg):
-        if s_mask.bit_count() > best:
-            best = s_mask.bit_count()
-            best_mask = s_mask
-    return CStarWitness(best, canonical_list_for(hg, best_mask), best_mask)
+    best = max(all_essential_sets(hg), key=int.bit_count)
+    return CStarWitness(best.bit_count(), canonical_list_for(hg, best), best)
 
 
 # Candidate images that one target's automorphism search may try.  Past it
@@ -303,8 +297,8 @@ def degree_probe(hg: Graph) -> dict:
     """Try to certify synthesis degree d_star for every hardest base set.
 
     For each all-essential set S0 of size c_star, solve the dominating
-    GF(2) system that zeroes the shadow sums of every c_star-set with a
-    common neighbor outside W(S0) while flipping the shadow sum of S0.
+    GF(2) system that zeroes the shadow sum of every c_star-subset of N(w),
+    for each w outside W(S0), while flipping the shadow sum of S0.
     Success for all S0 implies every concrete forbid request of width
     c_star admits a degree d_star polynomial.  An automorphism of H maps
     the system of S0 onto that of its image, so one verdict serves the
@@ -323,12 +317,8 @@ def degree_probe(hg: Graph) -> dict:
         ok = verdicts.get(s_mask)
         if ok is None:
             l_star = hg.full_mask & ~common_neighbors(hg, s_mask, hg.full_mask)
-            # a set has a common neighbor in L* iff it lies inside N(w) for
-            # some w in L*; sorted, the rows come in combinations order
-            zero_sets = sorted({
-                combo for w in iter_bits(l_star)
-                for combo in itertools.combinations(bit_list(hg.adj[w]), c)})
-            ok = shadow_solution(d, zero_sets, bit_list(s_mask)) is not None
+            ok = shadow_solution(d, map(hg.adj.__getitem__, iter_bits(l_star)),
+                                 bit_list(s_mask)) is not None
             verdicts.update(dict.fromkeys(_orbit(s_mask, gens), ok))
         report["cases"].append({"s0": bit_list(s_mask), "solvable": ok})
         report["all_ok"] &= ok

@@ -82,8 +82,10 @@ polynomials from the library's blocks (`cycle_frame`, `_cycle_power_poly`,
 `poly_local`) and from `reference_linear_system`.
 
 `reference_shadow_solution` is the shadow system as `forbid_linear_system`
-and `degree_probe` each built it before `lhom.gf2.shadow_solution`: its own
-column index, every row's colors sorted, then
+and `degree_probe` each built it before `lhom.gf2.shadow_solution`: its
+caller's zero sets, filtered from every r-set of colors rather than read off
+the neighborhoods of L's colors, its own column index, every row's colors
+sorted, then
 `reference_solve_linear_system`, which is `lhom.gf2.solve_linear_system` as
 it was before it shared `extract_basis`'s reduction step: a separate
 right-hand-side list, and back-substitution bit by bit.

@@ -1,21 +1,30 @@
 import collections
+import functools
+import importlib
 import itertools
 import math
 import tracemalloc
 
 import pytest
 
-from lhom.forbid import ForbidRequest, _cycle_power_poly, forbid
+from lhom.bitset import bit_list, mask_of
+from lhom.forbid import (ForbidRequest, _achievable, _cycle_power_poly, forbid,
+                         forbid_linear_system)
 from lhom.generators import SplitMix64
-from lhom.gf2 import Gf2Poly, extract_basis, poly_local, solve_linear_system
+from lhom.gf2 import (Gf2Poly, extract_basis, poly_local, shadow_solution,
+                      solve_linear_system)
+from lhom.graphs import common_neighbors
 
 from conftest import complete_graph
 from oracle import (ONE, packed_rows, poly_degree, poly_eval, poly_mul,
-                    reference_block, reference_block_sum,
+                    random_graph, reference_block, reference_block_sum,
                     reference_cycle_power_blocks, reference_cycle_power_poly,
                     reference_extract_basis, reference_linear_sets,
                     reference_poly_local, reference_remap,
-                    reference_solve_linear_system, reference_str, set_form)
+                    reference_shadow_solution, reference_solve_linear_system,
+                    reference_str, set_form)
+
+forbid_module = importlib.import_module("lhom.forbid")
 
 
 def bool_poly(monomial_sets):
@@ -378,6 +387,62 @@ def test_solve_linear_system_matches_the_reference():
         assert got == want, (rows, rhs, n_cols)
         outcomes["inconsistent" if got is None else "solved"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_shadow_solution_matches_the_reference(monkeypatch):
+    """`shadow_solution` against `oracle.reference_shadow_solution` fed its
+    zero sets by brute force: every r-subset of a random `within` mask with
+    a common neighbour in L that `keep` accepts, on 360 seeded random looped
+    targets of 2-8 colors.  r runs from 2 to 4, L is empty on a fifth,
+    `keep` is absent or `_achievable` over random lists, and the nears
+    N(w) & within come in order, reversed or duplicated.  Where lists are
+    drawn, `forbid_linear_system` on them must hand `shadow_solution` nears
+    inside the lists' union and get `reference_linear_sets`'s answer."""
+    calls = []
+
+    def record_shadow(d, nears, one_set, keep=None):
+        nears = list(nears)
+        calls.append((nears, shadow_solution(d, nears, one_set, keep)))
+        return None
+
+    monkeypatch.setattr(forbid_module, "shadow_solution", record_shadow)
+    rng = SplitMix64(4601)
+    outcomes = collections.Counter()
+    for trial in range(360):
+        h = 2 + rng.below(7)
+        hg = random_graph(rng, h, 2 + rng.below(2), 4, 1, 2)
+        r = 2 + rng.below(min(3, h - 1))
+        d = 1 + rng.below(r - 1)
+        l_mask = rng.below(1 << h) if trial % 5 else 0
+        within = rng.below(1 << h) | rng.below(1 << h)
+        within = within if trial % 4 else hg.full_mask
+        one_set = _shuffled(rng, range(h))[:r]
+        keep = lists = None
+        if trial % 2:
+            lists = tuple(rng.below(1 << h) | rng.below(1 << h) | 1 << c
+                          for c in one_set)
+            keep = functools.partial(_achievable, lists)
+        zero_sets = [combo for combo in itertools.combinations(range(h), r)
+                     if not mask_of(combo) & ~within
+                     and common_neighbors(hg, mask_of(combo), l_mask)
+                     and (keep is None or keep(combo))]
+        want = reference_shadow_solution(h, d, zero_sets, one_set)
+        nears = [hg.adj[w] & within for w in bit_list(l_mask)]
+        nears = (nears, nears[::-1], nears + nears)[trial % 3]
+        assert shadow_solution(d, iter(nears), one_set, keep) == want, trial
+        outcomes["inconsistent" if want is None else "solved"] += 1
+        outcomes["zero sets"] += bool(zero_sets)
+        outcomes["kept some"] += bool(zero_sets) and keep is not None
+        if lists is not None:
+            req = ForbidRequest._built(hg, l_mask, lists, tuple(range(r)),
+                                       tuple(one_set))
+            assert forbid_linear_system(req) is None  # the recorder's answer
+            nears, got = calls.pop()
+            union = functools.reduce(int.__or__, lists)
+            assert all(not near & ~union for near in nears), trial
+            assert got == reference_linear_sets(req), trial
+            outcomes["forbid"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_variables_are_computed_once():

@@ -256,11 +256,14 @@ def test_degree_probe_columns_are_the_occurring_sets(monkeypatch):
     pinned, columns = [], []
     shadow, solve = gf2.shadow_solution, gf2.solve_linear_system
 
-    def record_shadow(d, zero_sets, one_set):
-        zero_sets, one_set = list(zero_sets), list(one_set)
-        pinned.append({combo for colors in zero_sets + [sorted(one_set)]
+    def record_shadow(d, nears, one_set, keep=None):
+        nears, one_set = list(nears), list(one_set)
+        zero_sets = {colors for near in nears for colors in
+                     itertools.combinations(bit_list(near), len(one_set))
+                     if keep is None or keep(colors)}
+        pinned.append({combo for colors in [*zero_sets, sorted(one_set)]
                        for combo in itertools.combinations(colors, d)})
-        return shadow(d, zero_sets, one_set)
+        return shadow(d, nears, one_set, keep)
 
     def record_solve(rows, rhs, n_cols):
         columns.append(n_cols)
